@@ -26,9 +26,14 @@ from .classical import (
 )
 from .errors import ConfigError, GibbsGroundError
 from .lattice import DEFAULT_SITE_CAP, Lattice, build_hypercube
-from .models import CouplingTable, ModelInstance
+from .models import TWO_PATH_RTOL, CouplingTable, ModelInstance
 from .operators import QUANTUM_SITE_CAP
-from .verify import order_parameter_scan, groundstate_hypotheses, verify_model
+from .verify import (
+    DENSE_SITE_CAP,
+    groundstate_hypotheses,
+    order_parameter_scan,
+    verify_model,
+)
 
 SCHEMA_VERSION = 1
 
@@ -48,7 +53,7 @@ class Caps:
     lattice_sites: int = DEFAULT_SITE_CAP
     quantum_sites: int = QUANTUM_SITE_CAP
     enumeration_sites: int = ENUMERATION_CAP
-    dense_sites: int = 12
+    dense_sites: int = DENSE_SITE_CAP
 
 
 @dataclass
@@ -173,7 +178,7 @@ def parse_config(text: str) -> RunConfig:
         lattice_sites=_get(caps_raw, "lattice_sites", int, "caps", DEFAULT_SITE_CAP),
         quantum_sites=_get(caps_raw, "quantum_sites", int, "caps", QUANTUM_SITE_CAP),
         enumeration_sites=_get(caps_raw, "enumeration_sites", int, "caps", ENUMERATION_CAP),
-        dense_sites=_get(caps_raw, "dense_sites", int, "caps", 12),
+        dense_sites=_get(caps_raw, "dense_sites", int, "caps", DENSE_SITE_CAP),
     )
 
     lat_raw = doc.get("lattice")
@@ -332,7 +337,7 @@ def _cmd_build(config: RunConfig, out: Path, threads: int) -> int:
                     "hermitian": bool(model.h.is_hermitian),
                     "h_norm_max": model.h.norm_max,
                     "two_route_gap": model.two_path_diff,
-                    "two_route_tolerance": 1e-12 * model.h.norm_max,
+                    "two_route_tolerance": TWO_PATH_RTOL * model.h.norm_max,
                 }
             )
         payload["matrices"] = matrices
@@ -496,9 +501,9 @@ def main(argv: list[str] | None = None) -> int:
         description=(
             "Build spin-1/2 lattice models with Boltzmann-amplitude ground "
             "states, verify their defining properties, and tabulate order "
-            "parameters. Default caps: 14 sites for operator work, 12 for "
-            "dense eigensolves, 24 for exact Gibbs sums (configurable via "
-            "the 'caps' config object)."
+            f"parameters. Default caps: {QUANTUM_SITE_CAP} sites for operator "
+            f"work, {DENSE_SITE_CAP} for dense eigensolves, {ENUMERATION_CAP} "
+            "for exact Gibbs sums (configurable via the 'caps' config object)."
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)

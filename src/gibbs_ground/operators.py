@@ -150,12 +150,6 @@ def product_operator(axis: int, sites_mask: int, lattice: Lattice) -> OperatorMa
     return OperatorMatrix(mat)
 
 
-def identity_operator(n_sites: int) -> OperatorMatrix:
-    _check_quantum_size(n_sites)
-    dim = 1 << n_sites
-    return OperatorMatrix(sparse.eye_array(dim, dtype=complex, format="csr"))
-
-
 def diagonal_from_values(values: np.ndarray) -> OperatorMatrix:
     """Diagonal operator from a dense vector of per-configuration values."""
     vals = np.asarray(values, dtype=complex)

@@ -144,6 +144,22 @@ def test_verify_command_passes_and_is_deterministic(tmp_path):
     assert report["reports"][0]["checks"]
 
 
+def test_verify_iterative_route_is_byte_identical(tmp_path):
+    # dense_sites below the lattice size sends ground_energy down Lanczos,
+    # whose start vector must be seeded for reruns to repeat exactly
+    path = _write_config(tmp_path, _config(caps={"dense_sites": 4}))
+    out1 = tmp_path / "run1"
+    out2 = tmp_path / "run2"
+    assert cli.main(["verify", "--config", str(path), "--out", str(out1)]) == 0
+    assert cli.main(["verify", "--config", str(path), "--out", str(out2)]) == 0
+    b1 = (out1 / "report.json").read_bytes()
+    assert b1 == (out2 / "report.json").read_bytes()
+    checks = {c["name"]: c for c in json.loads(b1)["reports"][0]["checks"]}
+    details = checks["ground_energy"]["details"]
+    assert details["method"] == "iterative"
+    assert (details["blocks"], details["largest_block"]) == (1, 64)
+
+
 def test_verify_multithreaded_matches_single(tmp_path):
     doc = _config()
     del doc["alpha"]

@@ -1,7 +1,10 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh
 
 from gibbs_ground import (
     ClassicalPotential,
@@ -20,13 +23,15 @@ from gibbs_ground import (
     sx_product_bound,
     verify_model,
 )
+from gibbs_ground import verify
 from gibbs_ground.errors import ConstraintError, NonHermitianError
+from gibbs_ground.lattice import nearest_neighbor_pairs
 from gibbs_ground.operators import OperatorMatrix, product_operator
 from gibbs_ground.verify import max_abs_flip_energy
 from scipy import sparse
 
 from .conftest import random_model
-from .oracles import open_chain_correlation_closed_form
+from .oracles import enumerate_spins, open_chain_correlation_closed_form
 
 
 def _ising_chain_model(L, alpha, coupling=1.0, xx_weight=-1.0):
@@ -35,6 +40,40 @@ def _ising_chain_model(L, alpha, coupling=1.0, xx_weight=-1.0):
         lattice=lat,
         table=CouplingTable.xx_nearest_neighbor(lat, xx_weight),
         potential=ClassicalPotential.ising_nn(lat, coupling),
+        alpha=alpha,
+    )
+
+
+def _sector_violating_model(alpha=0.5):
+    """Ferro XX chain on 5 sites plus one coupling over all five sites with
+    J_C(s) = +1/2 when 1 or 4 spins are down and -1/2 when 2 or 3 are.
+
+    The flip graph splits into {all up} (block 0), {1 or 4 down} (10
+    states), {2 or 3 down} (20 states, the largest) and {all down}.  Only
+    the 10-state block carries the positive coupling, so only it has a
+    negative eigenvalue.
+    """
+    n = 5
+    lat = build_hypercube(1, n)
+    bonds = nearest_neighbor_pairs(lat)
+    entries = [(list(b), [], -1.0) for b in bonds] + [([], list(b), -1.0) for b in bonds]
+
+    def coupling(spins):
+        down = spins.count(-1)
+        return 0.5 if down in (1, 4) else -0.5 if down in (2, 3) else 0.0
+
+    # J_C(s) = sum over even y-sets B of (-i)^|B| phi(C \ B, B) s_B, so phi
+    # is (-1)^(|B|/2) times the Fourier coefficient of the coupling on B.
+    configs = list(enumerate_spins(n))
+    for size in (0, 2, 4):
+        for ys in itertools.combinations(range(n), size):
+            coeff = sum(coupling(s) * math.prod(s[x] for x in ys) for s in configs) / 2**n
+            xs = [x for x in range(n) if x not in ys]
+            entries.append((xs, list(ys), (-1) ** (size // 2) * coeff))
+    return ModelInstance(
+        lattice=lat,
+        table=CouplingTable.from_site_lists(n, entries),
+        potential=ClassicalPotential.ising_nn(lat, 1.0),
         alpha=alpha,
     )
 
@@ -109,6 +148,93 @@ def test_min_eigenvalue_iterative_path():
     assert result.method == "iterative"
     assert result.eigenvalue >= -1e-8 * model.h.norm_max
     assert result.eigenvalue <= 1e-8 * model.h.norm_max
+
+
+def test_min_eigenvalue_finds_negative_block_off_the_largest_and_first():
+    model = _sector_violating_model()
+    assert not groundstate_hypotheses(model.table).satisfied
+    scale = model.h.norm_max
+    dense = model.h.to_dense()
+    down = np.array([bin(m).count("1") for m in range(model.h.dim)])
+    sector_min = {}
+    for sector in [(0,), (1, 4), (2, 3), (5,)]:
+        idx = np.flatnonzero(np.isin(down, sector))
+        sector_min[sector] = eigvalsh(dense[np.ix_(idx, idx)])[0]
+    assert sector_min[(1, 4)] < -0.1
+    for sector in [(0,), (2, 3), (5,)]:
+        assert sector_min[sector] >= -1e-12 * scale
+
+    blocked = min_eigenvalue(model.h)
+    assert (blocked.method, blocked.blocks, blocked.largest_block) == ("dense", 4, 20)
+    iterative = min_eigenvalue(model.h, dense_dim_cap=16)
+    assert iterative.method == "iterative"
+    for result in (blocked, iterative):
+        assert abs(result.eigenvalue - sector_min[(1, 4)]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dense_dim_cap, method", [(32, "dense"), (16, "iterative")])
+def test_verify_model_fails_sector_local_sign_violation(
+    monkeypatch, dense_dim_cap, method
+):
+    # Report the hypotheses as satisfied, so ground_energy is asserted and
+    # must catch the violation on its own.
+    scan = verify.groundstate_hypotheses
+    monkeypatch.setattr(
+        verify,
+        "groundstate_hypotheses",
+        lambda table: dataclasses.replace(scan(table), satisfied=True),
+    )
+    report = verify_model(
+        _sector_violating_model(), trials=5, seed=1, dense_dim_cap=dense_dim_cap
+    )
+    ground = {r.name: r for r in report.records}["ground_energy"]
+    assert ground.asserted and not ground.passed
+    assert ground.details["method"] == method
+    assert not report.all_passed
+
+
+@pytest.mark.parametrize("flavor, seed", [("ferro", 211), ("generic", 223)])
+def test_min_eigenvalue_matches_full_dense_spectrum(flavor, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        model = random_model(rng, flavor=flavor)
+        expected = eigvalsh(model.h.to_dense())[0]
+        result = min_eigenvalue(model.h)
+        assert result.method == "dense"
+        assert abs(result.eigenvalue - expected) <= 1e-12 * model.h.norm_max
+
+
+def test_min_eigenvalue_complex_hermitian_blocks():
+    rng = np.random.default_rng(227)
+    dim = 48
+    labels = rng.integers(3, size=dim)
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    raw *= labels[:, None] == labels[None, :]
+    dense = raw + raw.conj().T
+    h = OperatorMatrix(sparse.csr_array(dense))
+    expected = eigvalsh(dense)[0]
+    # dropping the imaginary parts would give a visibly different minimum
+    assert abs(eigvalsh(dense.real)[0] - expected) > 1e-3
+    result = min_eigenvalue(h)
+    assert (result.blocks, result.largest_block) == (3, np.bincount(labels).max())
+    iterative = min_eigenvalue(h, dense_dim_cap=16)
+    assert iterative.method == "iterative"
+    for spectral in (result, iterative):
+        assert abs(spectral.eigenvalue - expected) <= 1e-12 * h.norm_max
+
+
+@pytest.mark.parametrize("xx_weight", [-1.0, 1.0])
+def test_iterative_route_agrees_with_dense_route(xx_weight):
+    model = _ising_chain_model(9, 1.0, xx_weight=xx_weight)
+    dense = min_eigenvalue(model.h)
+    iterative = min_eigenvalue(model.h, dense_dim_cap=256)
+    assert dense.method == "dense"
+    assert (iterative.method, iterative.blocks, iterative.largest_block) == (
+        "iterative",
+        1,
+        512,
+    )
+    assert abs(iterative.eigenvalue - dense.eigenvalue) <= 1e-12 * model.h.norm_max
 
 
 # ---------------------------------------------------------------------------
