@@ -26,6 +26,7 @@ from .errors import (
     GibbsGroundError,
     InternalConsistencyError,
     NonHermitianError,
+    NumericRangeError,
     SizeCapError,
     UnsupportedModelError,
 )

@@ -13,8 +13,11 @@ so every monomial evaluates to +-c_B exactly and flip energies
 
 carry no floating-point cancellation beyond the final sum.
 
-Observables ("configuration functionals") are vectorized callables taking a
-(nconf, n) spins array and returning a length-nconf float array.
+Exact enumeration evaluates the monomials straight from the bitmasks: the
+monomial of B at configuration m is (-1)^popcount(m & B).  Observables
+("configuration functionals") for the generic routes and for Metropolis are
+vectorized callables taking a (nconf, n) spins array and returning a
+length-nconf float array.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConstraintError, SizeCapError
+from .errors import ConstraintError, NumericRangeError, SizeCapError
 from .lattice import Lattice, nearest_neighbor_pairs, height_field, sites_from_mask
 
 # Exact Gibbs sums enumerate 2^n configurations; 24 sites (16.7M terms)
@@ -35,6 +38,11 @@ ENUMERATION_CAP = 24
 
 # Chunk size for enumeration, bounds peak memory at a few hundred MB.
 _CHUNK = 1 << 18
+
+# Alphas reweighted together by one accumulation pass of the exact order-
+# parameter scan; each holds a chunk-sized accumulator, so a longer grid
+# takes further passes instead of more memory.
+_ALPHA_GROUP = 8
 
 Functional = Callable[[np.ndarray], np.ndarray]
 
@@ -49,6 +57,17 @@ def spins_from_masks(masks: np.ndarray, n_sites: int) -> np.ndarray:
     masks = np.asarray(masks, dtype=np.uint64)
     bits = (masks[:, None] >> np.arange(n_sites, dtype=np.uint64)) & np.uint64(1)
     return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
+
+
+def monomial_signs(masks: np.ndarray, subset_masks: Sequence[int]) -> np.ndarray:
+    """int8 table of (-1)^popcount(m & B), one row per subset B and one
+    column per configuration mask m: the monomial prod_{x in B} s_x at m."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    table = np.empty((len(subset_masks), len(masks)), dtype=np.int8)
+    for row, subset in zip(table, subset_masks):
+        odd = np.bitwise_count(masks & np.uint64(subset)) & np.uint8(1)
+        np.subtract(1, 2 * odd.view(np.int8), out=row)
+    return table
 
 
 def mask_from_spins(spins: Sequence[int]) -> int:
@@ -156,13 +175,32 @@ class ClassicalPotential:
                 out += coeff * np.prod(spins[:, sites], axis=1).astype(np.float64)
         return -2.0 * out
 
+    def term_signs(self, masks: np.ndarray) -> np.ndarray:
+        """Monomial table of the terms at configuration masks, shape
+        (len(terms), nconf); the input of the two *_from_signs methods."""
+        return monomial_signs(masks, [mask for mask, _ in self.terms])
 
-def _config_chunks(n_sites: int):
-    """Yield (masks, spins) chunks covering all 2^n configurations."""
+    def energy_from_signs(self, signs: np.ndarray) -> np.ndarray:
+        """U from a term_signs table, summed in term order like value_many."""
+        out = np.zeros(signs.shape[1])
+        for row, (_, coeff) in zip(signs, self.terms):
+            out += coeff * row
+        return out
+
+    def flip_energy_from_signs(self, signs: np.ndarray, sites_mask: int) -> np.ndarray:
+        """W_A from a term_signs table, summed like flip_energy_many."""
+        out = np.zeros(signs.shape[1])
+        for row, (mask, coeff) in zip(signs, self.terms):
+            if (mask & sites_mask).bit_count() & 1:
+                out += coeff * row
+        return -2.0 * out
+
+
+def _mask_chunks(n_sites: int):
+    """Yield uint64 configuration-mask chunks covering all 2^n configurations."""
     total = 1 << n_sites
     for start in range(0, total, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        yield masks, spins_from_masks(masks, n_sites)
+        yield np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
 
 
 def _check_enumerable(n_sites: int, cap: int):
@@ -175,9 +213,19 @@ def _check_enumerable(n_sites: int, cap: int):
 
 def _min_energy(potential: ClassicalPotential) -> float:
     lo = math.inf
-    for _, spins in _config_chunks(potential.n_sites):
-        lo = min(lo, potential.value_many(spins).min())
+    for masks in _mask_chunks(potential.n_sites):
+        lo = min(lo, potential.energy_from_signs(potential.term_signs(masks)).min())
     return lo
+
+
+def _finite(values: list, what: str) -> list:
+    """Pass the values through, or raise when one left the float range."""
+    if not all(math.isfinite(v) for v in values):
+        raise NumericRangeError(
+            f"{what} is not finite: the Boltzmann weights left the range "
+            "of double precision"
+        )
+    return values
 
 
 def partition_function(
@@ -186,15 +234,20 @@ def partition_function(
     """Z(alpha) = sum_s exp(-alpha U(s)) by exact enumeration.
 
     The sum is accumulated relative to the minimum of U so that only the
-    final rescaling can overflow.
+    final rescaling can overflow; it raises NumericRangeError if it does.
     """
     _validate_alpha(alpha)
     _check_enumerable(potential.n_sites, cap)
     shift = _min_energy(potential)
     total = 0.0
-    for _, spins in _config_chunks(potential.n_sites):
-        total += np.exp(-alpha * (potential.value_many(spins) - shift)).sum()
-    return float(total * math.exp(-alpha * shift))
+    for masks in _mask_chunks(potential.n_sites):
+        energy = potential.energy_from_signs(potential.term_signs(masks))
+        total += np.exp(-alpha * (energy - shift)).sum()
+    try:
+        z = float(total) * math.exp(-alpha * shift)
+    except OverflowError:
+        z = math.inf
+    return _finite([z], f"Z at alpha={alpha:g}")[0]
 
 
 def classical_expectation(
@@ -213,18 +266,124 @@ def gibbs_averages(
     alpha: float,
     cap: int = ENUMERATION_CAP,
 ) -> list[float]:
-    """Exact Gibbs expectations of several functionals in one sweep."""
+    """Exact Gibbs expectations of several functionals in one sweep.
+
+    Raises NumericRangeError when an average is not finite (an observable
+    that overflowed, possibly times an underflowed weight).
+    """
     _validate_alpha(alpha)
     _check_enumerable(potential.n_sites, cap)
     shift = _min_energy(potential)
     weight_total = 0.0
     totals = [0.0] * len(fs)
-    for _, spins in _config_chunks(potential.n_sites):
+    for masks in _mask_chunks(potential.n_sites):
+        spins = spins_from_masks(masks, potential.n_sites)
         weights = np.exp(-alpha * (potential.value_many(spins) - shift))
         weight_total += weights.sum()
         for k, f in enumerate(fs):
             totals[k] += float(np.dot(weights, np.asarray(f(spins), dtype=np.float64)))
-    return [t / weight_total for t in totals]
+    averages = [t / weight_total for t in totals]
+    return _finite(averages, f"a Gibbs average at alpha={alpha:g}")
+
+
+@dataclass(frozen=True)
+class OrderAverages:
+    """Exact Gibbs averages of the order parameters at one alpha: squared
+    z-magnetization, mean site flip weight (1/n) sum_x exp(-(alpha/2) W_x),
+    and per pair s_x s_y and exp(-(alpha/2) W_{x,y})."""
+
+    alpha: float
+    mz_sq: float
+    mx: float
+    sz_sz: tuple[float, ...]
+    sx_sx: tuple[float, ...]
+
+
+def order_parameter_averages(
+    potential: ClassicalPotential,
+    alphas: Sequence[float],
+    pairs: Sequence[tuple[int, int]],
+    cap: int = ENUMERATION_CAP,
+) -> list[OrderAverages]:
+    """Exact order parameters over an alpha grid from one enumeration.
+
+    A shift pass finds min U; an accumulation pass (one per _ALPHA_GROUP
+    alphas) evaluates the term signs, U, every W_x and W_{x,y}, mz^2 and the
+    z-pair signs once per chunk of configuration masks, and reweights them
+    for every alpha of the group.  Sums run in the same order as
+    gibbs_averages over squared_magnetization, the mean of the site
+    flip_weights, spin_product and flip_weight, so every value equals that
+    route's bit for bit.  Raises NumericRangeError on a non-finite average.
+    """
+    for alpha in alphas:
+        _validate_alpha(alpha)
+    _check_enumerable(potential.n_sites, cap)
+    shift = _min_energy(potential)
+    out: list[OrderAverages] = []
+    for start in range(0, len(alphas), _ALPHA_GROUP):
+        out += _reweight_order_parameters(
+            potential, alphas[start : start + _ALPHA_GROUP], pairs, shift
+        )
+    return out
+
+
+def _reweight_order_parameters(potential, alphas, pairs, shift) -> list[OrderAverages]:
+    n = potential.n_sites
+    weight_totals = [0.0] * len(alphas)
+    totals = [[0.0] * (2 + 2 * len(pairs)) for _ in alphas]
+    for masks in _mask_chunks(n):
+        signs = potential.term_signs(masks)
+        energy = potential.energy_from_signs(signs)
+        m = (n - 2.0 * np.bitwise_count(masks)) / n
+        mz_sq = m * m
+        flip_sums = [np.zeros(len(masks)) for _ in alphas]
+        for x in range(n):
+            w_x = potential.flip_energy_from_signs(signs, 1 << x)
+            for acc, alpha in zip(flip_sums, alphas):
+                acc += np.exp(-0.5 * alpha * w_x)
+        z_pairs = monomial_signs(masks, [(1 << x) ^ (1 << y) for x, y in pairs])
+        w_pairs = [
+            potential.flip_energy_from_signs(signs, (1 << x) | (1 << y))
+            for x, y in pairs
+        ]
+        for k, alpha in enumerate(alphas):
+            weights = np.exp(-alpha * (energy - shift))
+            weight_totals[k] += weights.sum()
+            row = totals[k]
+            row[0] += float(np.dot(weights, mz_sq))
+            row[1] += float(np.dot(weights, flip_sums[k] / n))
+            for j, (z, w) in enumerate(zip(z_pairs, w_pairs)):
+                row[2 + 2 * j] += float(np.dot(weights, z.astype(np.float64)))
+                row[3 + 2 * j] += float(np.dot(weights, np.exp(-0.5 * alpha * w)))
+    out = []
+    for alpha, row, weight_total in zip(alphas, totals, weight_totals):
+        v = [t / weight_total for t in row]
+        _finite(v, f"an order parameter at alpha={alpha:g}")
+        out.append(
+            OrderAverages(
+                alpha=alpha,
+                mz_sq=v[0],
+                mx=v[1],
+                sz_sz=tuple(v[2::2]),
+                sx_sx=tuple(v[3::2]),
+            )
+        )
+    return out
+
+
+def max_abs_flip_energy(
+    potential: ClassicalPotential, sites_mask: int, cap: int = ENUMERATION_CAP
+) -> float:
+    """max_s |W_A(s)| by exact enumeration."""
+    _check_enumerable(potential.n_sites, cap)
+    return float(
+        max(
+            np.abs(
+                potential.flip_energy_from_signs(potential.term_signs(masks), sites_mask)
+            ).max()
+            for masks in _mask_chunks(potential.n_sites)
+        )
+    )
 
 
 def _validate_alpha(alpha: float):
@@ -345,13 +504,14 @@ def metropolis_samples(
 def estimate_from_samples(
     f: Functional, samples: np.ndarray, batches: int = 32
 ) -> tuple[float, float]:
-    """Estimate mean and batch-means standard error of f over a sample chain."""
+    """Estimate mean and batch-means standard error of f over a sample chain;
+    NumericRangeError if the mean is not finite."""
     values = np.asarray(f(samples), dtype=np.float64)
     nb = min(batches, len(values))
     per = len(values) // nb
     trimmed = values[: nb * per].reshape(nb, per)
     means = trimmed.mean(axis=1)
-    estimate = float(means.mean())
+    estimate = _finite([float(means.mean())], "a Metropolis estimate")[0]
     if nb < 2:
         return estimate, math.inf
     std_error = float(means.std(ddof=1) / math.sqrt(nb))

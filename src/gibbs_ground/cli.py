@@ -364,6 +364,7 @@ def _cmd_verify(config: RunConfig, out: Path, threads: int) -> int:
             seed=config.check_seed,
             pairs=config.pairs or None,
             dense_dim_cap=1 << config.caps.dense_sites,
+            enumeration_cap=config.caps.enumeration_sites,
         )
 
     if threads > 1:

@@ -29,5 +29,9 @@ class ConvergenceError(GibbsGroundError):
     """An iterative solver did not converge within its iteration budget."""
 
 
+class NumericRangeError(GibbsGroundError):
+    """A result left the range of double-precision arithmetic."""
+
+
 class ConfigError(GibbsGroundError):
     """A run configuration document is malformed or semantically invalid."""

@@ -36,7 +36,12 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .classical import ClassicalPotential, partition_function, spins_from_masks
+from .classical import (
+    ENUMERATION_CAP,
+    ClassicalPotential,
+    partition_function,
+    spins_from_masks,
+)
 from .errors import ConstraintError, InternalConsistencyError, UnsupportedModelError
 from .lattice import Lattice, nearest_neighbor_pairs, sites_from_mask
 from .operators import (
@@ -511,8 +516,8 @@ class ModelInstance:
     def state_norm_squared(self) -> float:
         return float(np.dot(self.state, self.state))
 
-    def partition_value(self) -> float:
-        return partition_function(self.potential, self.alpha)
+    def partition_value(self, cap: int = ENUMERATION_CAP) -> float:
+        return partition_function(self.potential, self.alpha, cap=cap)
 
     def digest(self) -> str:
         """Stable hash of the model's defining data."""

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .classical import ClassicalPotential, Functional, spins_from_masks
+from .classical import ClassicalPotential, Functional, monomial_signs, spins_from_masks
 from .errors import ConstraintError, SizeCapError
 from .lattice import Lattice
 
@@ -91,9 +91,8 @@ def all_masks(n_sites: int) -> np.ndarray:
 
 
 def parity_signs(masks: np.ndarray, subset_mask: int) -> np.ndarray:
-    """(-1)^(number of set bits of m & subset) for each mask m."""
-    overlap = np.bitwise_and(masks, subset_mask)
-    return 1.0 - 2.0 * (np.bitwise_count(overlap) & 1)
+    """(-1)^(number of set bits of m & subset) for each mask m, as float64."""
+    return monomial_signs(masks, [subset_mask])[0].astype(np.float64)
 
 
 def _check_quantum_size(n_sites: int, cap: int = QUANTUM_SITE_CAP):

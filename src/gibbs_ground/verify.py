@@ -26,8 +26,9 @@ from .classical import (
     classical_expectation,
     estimate_from_samples,
     flip_weight,
-    gibbs_averages,
+    max_abs_flip_energy,
     metropolis_samples,
+    order_parameter_averages,
     spin_product,
     spins_from_masks,
     squared_magnetization,
@@ -292,20 +293,9 @@ def quantum_expectation(
     return float(value.real)
 
 
-def max_abs_flip_energy(
-    potential: ClassicalPotential, sites_mask: int, cap: int = ENUMERATION_CAP
-) -> float:
-    """max_s |W_A(s)| by exact enumeration."""
-    if potential.n_sites > cap:
-        raise SizeCapError(
-            f"flip-energy enumeration over {potential.n_sites} sites exceeds {cap}"
-        )
-    masks = all_masks(potential.n_sites)
-    spins = spins_from_masks(masks, potential.n_sites)
-    return float(np.abs(potential.flip_energy_many(spins, sites_mask)).max())
-
-
-def sx_product_bound(model: ModelInstance, sites_mask: int) -> CheckRecord:
+def sx_product_bound(
+    model: ModelInstance, sites_mask: int, enumeration_cap: int = ENUMERATION_CAP
+) -> CheckRecord:
     """Expectation of the x-Pauli product over a site set in the Boltzmann
     state: the matrix route must match the classical reweighted average
     <exp(-(alpha/2) W_A)>, and both obey the positive lower bound
@@ -317,9 +307,9 @@ def sx_product_bound(model: ModelInstance, sites_mask: int) -> CheckRecord:
     start = time.perf_counter()
     potential, alpha = model.potential, model.alpha
     classical = classical_expectation(
-        flip_weight(potential, alpha, sites_mask), potential, alpha
+        flip_weight(potential, alpha, sites_mask), potential, alpha, cap=enumeration_cap
     )
-    max_w = max_abs_flip_energy(potential, sites_mask)
+    max_w = max_abs_flip_energy(potential, sites_mask, cap=enumeration_cap)
     bound = math.exp(-0.5 * alpha * max_w)
     details = {
         "classical": float(classical),
@@ -513,34 +503,42 @@ def order_parameter_scan(
 
     All four observables are classical averages in the Gibbs measure of the
     model's potential (the z observables directly, the x observables through
-    the reweighting exp(-(alpha/2) W)).  Exact enumeration under the cap,
-    Metropolis above it.
+    the reweighting exp(-(alpha/2) W)).  Under the cap one exact enumeration
+    serves the whole grid; above it each alpha runs a Metropolis chain.
     """
     potential = model.potential
-    n = potential.n_sites
+    if potential.n_sites <= enumeration_cap:
+        return [
+            ScanRow(
+                alpha=float(avg.alpha),
+                x=x,
+                y=y,
+                sz_sz=avg.sz_sz[k],
+                sx_sx=avg.sx_sx[k],
+                mz_sq=avg.mz_sq,
+                mx=avg.mx,
+                method="exact",
+            )
+            for avg in order_parameter_averages(
+                potential, alphas, pairs, cap=enumeration_cap
+            )
+            for k, (x, y) in enumerate(pairs)
+        ]
     rows: list[ScanRow] = []
     for alpha in alphas:
         fs = [squared_magnetization(), _mean_site_flip_weight(potential, alpha)]
         for x, y in pairs:
             fs.append(spin_product(x, y))
             fs.append(flip_weight(potential, alpha, (1 << x) | (1 << y)))
-        if n <= enumeration_cap:
-            values = gibbs_averages(fs, potential, alpha, cap=enumeration_cap)
-            errors = [0.0] * len(fs)
-            method = "exact"
-        else:
-            bi = max(1, sweeps // 10) if burn_in is None else burn_in
-            samples, _ = metropolis_samples(
-                potential, alpha, sweeps=sweeps, burn_in=bi, seed=seed
-            )
-            values, errors = [], []
-            for f in fs:
-                est, se = estimate_from_samples(f, samples)
-                values.append(est)
-                errors.append(se)
-            method = "metropolis"
-        mz_sq, mx = values[0], values[1]
-        mz_sq_se, mx_se = errors[0], errors[1]
+        bi = max(1, sweeps // 10) if burn_in is None else burn_in
+        samples, _ = metropolis_samples(
+            potential, alpha, sweeps=sweeps, burn_in=bi, seed=seed
+        )
+        values, errors = [], []
+        for f in fs:
+            est, se = estimate_from_samples(f, samples)
+            values.append(est)
+            errors.append(se)
         for k, (x, y) in enumerate(pairs):
             rows.append(
                 ScanRow(
@@ -549,13 +547,13 @@ def order_parameter_scan(
                     y=y,
                     sz_sz=values[2 + 2 * k],
                     sx_sx=values[3 + 2 * k],
-                    mz_sq=mz_sq,
-                    mx=mx,
-                    method=method,
+                    mz_sq=values[0],
+                    mx=values[1],
+                    method="metropolis",
                     sz_sz_se=errors[2 + 2 * k],
                     sx_sx_se=errors[3 + 2 * k],
-                    mz_sq_se=mz_sq_se,
-                    mx_se=mx_se,
+                    mz_sq_se=errors[0],
+                    mx_se=errors[1],
                 )
             )
     return rows
@@ -585,12 +583,14 @@ def verify_model(
     seed: int = 0,
     pairs: Sequence[tuple[int, int]] | None = None,
     dense_dim_cap: int = 1 << DENSE_SITE_CAP,
+    enumeration_cap: int = ENUMERATION_CAP,
 ) -> VerificationReport:
     """Run the full check suite on one model and collect the records.
 
     Checks that depend on the parity/sign hypotheses are asserted only when
     those hypotheses hold; otherwise they are computed and reported as
-    informational, mapping where the properties actually hold.
+    informational, mapping where the properties actually hold.  Every
+    classical enumeration honours enumeration_cap.
     """
     report = VerificationReport(model_digest=model.digest(), alpha=model.alpha)
     records = report.records
@@ -660,7 +660,7 @@ def verify_model(
     )
 
     started = time.perf_counter()
-    z_value = model.partition_value()
+    z_value = model.partition_value(cap=enumeration_cap)
     norm_sq = model.state_norm_squared()
     gap = abs(norm_sq - z_value)
     records.append(
@@ -684,7 +684,7 @@ def verify_model(
         op = product_operator(3, (1 << x) | (1 << y), model.lattice)
         quantum = quantum_expectation(op, model.state)
         classical = classical_expectation(
-            spin_product(x, y), model.potential, model.alpha
+            spin_product(x, y), model.potential, model.alpha, cap=enumeration_cap
         )
         gap = abs(quantum - classical)
         tol = CLASSICAL_REDUCTION_RTOL * max(1.0, abs(classical))
@@ -702,7 +702,7 @@ def verify_model(
 
     sx_sets = [1 << 0] + [((1 << x) | (1 << y)) for x, y in pairs[:1]]
     for mask in sx_sets:
-        records.append(sx_product_bound(model, mask))
+        records.append(sx_product_bound(model, mask, enumeration_cap))
 
     started = time.perf_counter()
     records.append(

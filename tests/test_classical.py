@@ -16,13 +16,18 @@ from gibbs_ground import (
     spin_product,
     squared_magnetization,
 )
+from gibbs_ground import classical
 from gibbs_ground.classical import (
+    estimate_from_samples,
     gibbs_averages,
     mask_from_spins,
+    max_abs_flip_energy,
     metropolis_samples,
+    monomial_signs,
+    order_parameter_averages,
     spins_from_masks,
 )
-from gibbs_ground.errors import ConstraintError, SizeCapError
+from gibbs_ground.errors import ConstraintError, NumericRangeError, SizeCapError
 
 from .oracles import (
     brute_force_expectation,
@@ -187,6 +192,145 @@ def test_gibbs_averages_consistent_with_single_calls():
     batch = gibbs_averages(fs, pot, 0.8)
     singles = [classical_expectation(f, pot, 0.8) for f in fs]
     assert batch == pytest.approx(singles, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Mask-native evaluation and the batched order-parameter route
+# ---------------------------------------------------------------------------
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=40),
+    st.integers(min_value=0, max_value=255),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=255),
+            st.floats(min_value=-3, max_value=3, allow_nan=False),
+        ),
+        max_size=8,
+        unique_by=lambda t: t[0],
+    ),
+)
+def test_mask_native_energies_equal_decoded_ones(configs, sites_mask, raw_terms):
+    pot = ClassicalPotential(n_sites=8, terms=tuple(raw_terms))
+    masks = np.array(configs, dtype=np.uint64)
+    spins = spins_from_masks(masks, 8)
+    signs = pot.term_signs(masks)
+    assert signs.dtype == np.int8
+    assert np.array_equal(pot.energy_from_signs(signs), pot.value_many(spins))
+    assert np.array_equal(
+        pot.flip_energy_from_signs(signs, sites_mask),
+        pot.flip_energy_many(spins, sites_mask),
+    )
+
+
+def test_monomial_signs_hand_cases():
+    masks = np.array([0b000, 0b001, 0b011, 0b111], dtype=np.uint64)
+    table = monomial_signs(masks, [0, 0b001, 0b011, 0b101])
+    assert table.tolist() == [
+        [1, 1, 1, 1],
+        [1, -1, -1, -1],
+        [1, -1, 1, 1],
+        [1, -1, -1, 1],
+    ]
+
+
+def _mean_site_flip_weight(pot, alpha):
+    def f(spins):
+        acc = np.zeros(spins.shape[0])
+        for x in range(pot.n_sites):
+            acc += np.exp(-0.5 * alpha * pot.flip_energy_many(spins, 1 << x))
+        return acc / pot.n_sites
+
+    return f
+
+
+def _three_body_potential():
+    return ClassicalPotential.from_terms(
+        7,
+        [
+            ([], 0.75),
+            ([0, 2, 5], -0.4),
+            ([1, 3, 4], 0.3),
+            ([6], 0.2),
+            ([2, 3], -0.9),
+        ],
+    )
+
+
+BATCH_POTENTIALS = {
+    "ising_nn": lambda: ClassicalPotential.ising_nn(build_hypercube(1, 7), 1.0),
+    "linear_height_2d": lambda: ClassicalPotential.linear_height(build_hypercube(2, 3)),
+    "constant_and_three_body": _three_body_potential,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_POTENTIALS))
+def test_order_parameter_averages_equal_per_alpha_route(name, monkeypatch):
+    # Small chunks and alpha groups: several chunks per pass, several passes.
+    monkeypatch.setattr(classical, "_CHUNK", 24)
+    monkeypatch.setattr(classical, "_ALPHA_GROUP", 3)
+    pot = BATCH_POTENTIALS[name]()
+    # (5, 5) is a repeated site: s_5 s_5 = 1, and W over the set {5}
+    pairs = [(0, 2), (1, pot.n_sites - 1), (3, 4), (5, 5)]
+    alphas = [0.0, 0.4, 1.3, 2.0, 3.5]
+    batched = order_parameter_averages(pot, alphas, pairs)
+    assert [avg.alpha for avg in batched] == alphas
+    for avg, alpha in zip(batched, alphas):
+        fs = [squared_magnetization(), _mean_site_flip_weight(pot, alpha)]
+        for x, y in pairs:
+            fs += [spin_product(x, y), flip_weight(pot, alpha, (1 << x) | (1 << y))]
+        want = gibbs_averages(fs, pot, alpha)
+        got = [avg.mz_sq, avg.mx]
+        for zz, xx in zip(avg.sz_sz, avg.sx_sx):
+            got += [zz, xx]
+        assert got == want
+
+
+def test_order_parameter_averages_cap_and_alpha_validation():
+    pot = ClassicalPotential.zero(6)
+    with pytest.raises(SizeCapError, match="cap of 5"):
+        order_parameter_averages(pot, [1.0], [(0, 1)], cap=5)
+    with pytest.raises(ConstraintError):
+        order_parameter_averages(pot, [1.0, -0.5], [(0, 1)])
+
+
+def test_max_abs_flip_energy_is_mask_native_and_capped():
+    pot = _three_body_potential()
+    spins = spins_from_masks(np.arange(1 << 7), 7)
+    for sites_mask in (0b1, 0b100, 0b1001100):
+        want = float(np.abs(pot.flip_energy_many(spins, sites_mask)).max())
+        assert max_abs_flip_energy(pot, sites_mask) == want
+    with pytest.raises(SizeCapError, match="cap of 6"):
+        max_abs_flip_energy(pot, 0b1, cap=6)
+
+
+# Negative controls: at large alpha on the 8-site Ising chain the shift
+# rescaling overflows (alpha=120) and exp(-(alpha/2) W) overflows against an
+# underflowed weight (alpha=800); both must end in a named error.
+
+
+def test_partition_function_overflow_is_a_named_error():
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, 8), 1.0)
+    assert math.isfinite(partition_function(pot, 100.0))
+    with pytest.raises(NumericRangeError, match="alpha=120"):
+        partition_function(pot, 120.0)
+
+
+def test_non_finite_average_is_a_named_error():
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, 8), 1.0)
+    with pytest.raises(NumericRangeError, match="alpha=800"):
+        classical_expectation(flip_weight(pot, 800.0, 0b11), pot, 800.0)
+    with pytest.raises(NumericRangeError, match="alpha=800"):
+        order_parameter_averages(pot, [1.0, 800.0], [(0, 3)])
+    # the z observables alone stay finite at the same alpha
+    assert classical_expectation(spin_product(0, 3), pot, 800.0) == 1.0
+
+
+def test_non_finite_metropolis_estimate_is_a_named_error():
+    samples = np.ones((64, 3), dtype=np.int8)
+    with pytest.raises(NumericRangeError):
+        estimate_from_samples(lambda s: np.full(s.shape[0], np.inf), samples)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,65 @@ def test_sweep_matches_closed_form(tmp_path):
         assert row["method"] == "exact"
 
 
+# sweep.csv of an exact 8-site scan, pinned from the per-alpha enumeration
+# route that preceded the batched one; the batched route must reproduce it
+# byte for byte.
+GOLDEN_SWEEP_L8 = """\
+alpha,x,y,sx_sx,sx_sx_se,sz_sz,sz_sz_se,mz_sq,mz_sq_se,mx,mx_se,method\r
+0.0,0,3,1.0,0.0,0.0,0.0,0.125,0.0,1.0,0.0,exact\r
+0.0,2,7,1.0,0.0,0.0,0.0,0.125,0.0,1.0,0.0,exact\r
+0.5,0,3,0.6974367008496385,0.0,0.09868616656821615,0.0,0.28997453880885893,0.0,0.811540520716964,0.0,exact\r
+0.5,2,7,0.6974367008496385,0.0,0.02107465459554468,0.0,0.28997453880885893,0.0,0.811540520716964,0.0,exact\r
+1.5,0,3,0.07681767569418936,0.0,0.7415819550010926,0.0,0.7832831855867369,0.0,0.24180398792830657,0.0,exact\r
+1.5,2,7,0.07681767569418937,0.0,0.6075731724264168,0.0,0.7832831855867369,0.0,0.24180398792830657,0.0,exact\r
+"""
+
+
+def test_sweep_golden_csv(tmp_path):
+    doc = _config(lattice={"d": 1, "L": 8}, pairs=[[0, 3], [2, 7]])
+    del doc["alpha"]
+    doc["alphas"] = [0.0, 0.5, 1.5]
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "sweep.csv").read_bytes() == GOLDEN_SWEEP_L8.encode()
+
+
+def _error_of(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_verify_overflow_exits_2_with_named_error(tmp_path, capsys):
+    # Negative control: Z at alpha=120 on the 8-site chain exceeds double
+    # precision (exp(840) from the shift rescaling).
+    path = _write_config(tmp_path, _config(lattice={"d": 1, "L": 8}, alpha=120.0))
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "NumericRangeError"
+    assert "alpha=120" in error["message"]
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_sweep_non_finite_average_exits_2(tmp_path, capsys):
+    # Negative control: at alpha=800 exp(-(alpha/2) W) overflows where the
+    # Boltzmann weight underflows, which used to write nan and exit 0.
+    doc = _config(lattice={"d": 1, "L": 8})
+    del doc["alpha"]
+    doc["alphas"] = [800.0]
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert _error_of(capsys)["error"] == "NumericRangeError"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_verify_honours_enumeration_cap(tmp_path, capsys):
+    doc = _config(lattice={"d": 1, "L": 10}, caps={"enumeration_sites": 8})
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "SizeCapError"
+    assert "cap of 8" in error["message"]
+
+
 def test_correlate_writes_csv(tmp_path):
     path = _write_config(tmp_path, _config(pairs=[[0, 1], [0, 3]]))
     assert cli.main(["correlate", "--config", str(path), "--out", str(tmp_path)]) == 0

@@ -24,7 +24,7 @@ from gibbs_ground import (
     verify_model,
 )
 from gibbs_ground import verify
-from gibbs_ground.errors import ConstraintError, NonHermitianError
+from gibbs_ground.errors import ConstraintError, NonHermitianError, SizeCapError
 from gibbs_ground.lattice import nearest_neighbor_pairs
 from gibbs_ground.operators import OperatorMatrix, product_operator
 from gibbs_ground.verify import max_abs_flip_energy
@@ -314,6 +314,22 @@ def test_sx_bound_free_site():
     assert record.passed
     assert record.value == pytest.approx(1.0, rel=1e-12)
     assert max_abs_flip_energy(model.potential, 0b1000) == 0.0
+
+
+def test_checks_honour_enumeration_cap():
+    model = _ising_chain_model(10, 1.0)
+    with pytest.raises(SizeCapError, match="cap of 8"):
+        sx_product_bound(model, 0b11, enumeration_cap=8)
+    with pytest.raises(SizeCapError, match="cap of 8"):
+        model.partition_value(cap=8)
+    with pytest.raises(SizeCapError, match="cap of 8"):
+        verify_model(model, trials=2, enumeration_cap=8)
+    # a cap the model fits under changes nothing in the report
+    small = _ising_chain_model(6, 1.0)
+    assert (
+        verify_model(small, trials=2, enumeration_cap=6).to_payload()
+        == verify_model(small, trials=2).to_payload()
+    )
 
 
 def test_sx_bound_classical_only_between_caps():
