@@ -260,6 +260,9 @@ def classical_expectation(
     return gibbs_averages([f], potential, alpha, cap=cap)[0]
 
 
+# Overflow here ends as a non-finite average, which _finite names, so
+# numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def gibbs_averages(
     fs: Sequence[Functional],
     potential: ClassicalPotential,
@@ -327,6 +330,9 @@ def order_parameter_averages(
     return out
 
 
+# Overflow here ends as a non-finite average, which _finite names, so
+# numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def _reweight_order_parameters(potential, alphas, pairs, shift) -> list[OrderAverages]:
     n = potential.n_sites
     weight_totals = [0.0] * len(alphas)

@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -284,11 +283,14 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 
 def _model(config: RunConfig, alpha: float) -> ModelInstance:
+    # Matrices are built on first use, so the scan commands, which only read
+    # the potential, never build one.
     return ModelInstance(
         lattice=config.lattice,
         table=config.table,
         potential=config.potential,
         alpha=alpha,
+        quantum_cap=config.caps.quantum_sites,
     )
 
 
@@ -368,6 +370,8 @@ def _cmd_verify(config: RunConfig, out: Path, threads: int) -> int:
         )
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(one, config.alphas))
     else:
@@ -393,7 +397,7 @@ def _cmd_verify(config: RunConfig, out: Path, threads: int) -> int:
 def _scan_rows(config: RunConfig) -> list:
     if not config.pairs:
         raise GibbsGroundError("this command needs a nonempty 'pairs' list")
-    model = _model_for_scan(config)
+    model = _model(config, config.alphas[0])
     return order_parameter_scan(
         model,
         config.pairs,
@@ -402,17 +406,6 @@ def _scan_rows(config: RunConfig) -> list:
         burn_in=config.burn_in,
         seed=config.mc_seed,
         enumeration_cap=config.caps.enumeration_sites,
-    )
-
-
-def _model_for_scan(config: RunConfig) -> ModelInstance:
-    # The scan observables depend only on the potential; reuse the model
-    # container without building any matrices.
-    return ModelInstance(
-        lattice=config.lattice,
-        table=config.table,
-        potential=config.potential,
-        alpha=config.alphas[0],
     )
 
 
@@ -520,7 +513,12 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override all seeds")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="worker threads over the alpha grid (used by verify only)",
+        )
     args = parser.parse_args(argv)
 
     try:

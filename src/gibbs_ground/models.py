@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .classical import (
     ENUMERATION_CAP,
@@ -45,6 +44,7 @@ from .classical import (
 from .errors import ConstraintError, InternalConsistencyError, UnsupportedModelError
 from .lattice import Lattice, nearest_neighbor_pairs, sites_from_mask
 from .operators import (
+    QUANTUM_SITE_CAP,
     OperatorMatrix,
     all_masks,
     diagonal_from_values,
@@ -179,13 +179,16 @@ def diagonal_couplings(table: CouplingTable) -> tuple[DiagonalCoupling, ...]:
 # ---------------------------------------------------------------------------
 
 
-def build_h0(table: CouplingTable, lattice: Lattice) -> OperatorMatrix:
+def build_h0(
+    table: CouplingTable, lattice: Lattice, cap: int = QUANTUM_SITE_CAP
+) -> OperatorMatrix:
     """Off-diagonal part sum phi(A, B) X_[A] Y_[B].
 
     On basis state m each entry contributes phi * i^|B| * sign_B(m) at row
     m XOR (A | B); the Hermitian flag on the result is computed, never assumed.
+    Raises SizeCapError above cap sites, as do the other builders here.
     """
-    n = _common_size(table.n_sites, lattice)
+    n = _common_size(table.n_sites, lattice, cap=cap)
     dim = 1 << n
     masks = all_masks(n)
     rows, cols, vals = [], [], []
@@ -197,9 +200,11 @@ def build_h0(table: CouplingTable, lattice: Lattice) -> OperatorMatrix:
     return _from_triplets(rows, cols, vals, dim)
 
 
-def offdiagonal_from_couplings(table: CouplingTable, lattice: Lattice) -> OperatorMatrix:
+def offdiagonal_from_couplings(
+    table: CouplingTable, lattice: Lattice, cap: int = QUANTUM_SITE_CAP
+) -> OperatorMatrix:
     """Second route to the off-diagonal part, sum_C J_C(sigma^z) X_[C]."""
-    n = _common_size(table.n_sites, lattice)
+    n = _common_size(table.n_sites, lattice, cap=cap)
     dim = 1 << n
     masks = all_masks(n)
     spins = spins_from_masks(masks, n)
@@ -218,9 +223,10 @@ def build_v(
     potential: ClassicalPotential,
     alpha: float,
     lattice: Lattice,
+    cap: int = QUANTUM_SITE_CAP,
 ) -> OperatorMatrix:
     """Diagonal part with entry -sum_C J_C(s) exp(-(alpha/2) W_C(s)) at s."""
-    n = _common_size(table.n_sites, lattice, potential.n_sites)
+    n = _common_size(table.n_sites, lattice, potential.n_sites, cap=cap)
     masks = all_masks(n)
     spins = spins_from_masks(masks, n)
     diag = np.zeros(1 << n, dtype=complex)
@@ -237,10 +243,11 @@ def _flip_form_h(
     potential: ClassicalPotential,
     alpha: float,
     lattice: Lattice,
+    cap: int = QUANTUM_SITE_CAP,
 ) -> OperatorMatrix:
     """Independent route to H: sum over nonempty union sets of
     J_C(sigma^z) (X_[C] - exp(-(alpha/2) W_C(sigma^z)))."""
-    n = _common_size(table.n_sites, lattice, potential.n_sites)
+    n = _common_size(table.n_sites, lattice, potential.n_sites, cap=cap)
     dim = 1 << n
     masks = all_masks(n)
     spins = spins_from_masks(masks, n)
@@ -258,15 +265,16 @@ def _flip_form_h(
             -0.5 * alpha * potential.flip_energy_many(spins, coupling.sites_mask)
         )
         diag -= j_vals * weights
-    out = _from_triplets(rows, cols, vals, dim)
-    return OperatorMatrix(out.mat + sparse.diags_array(diag, format="csr"))
+    return _from_triplets(rows, cols, vals, dim) + diagonal_from_values(diag)
 
 
 def build_h(model: "ModelInstance") -> OperatorMatrix:
     """Full Hamiltonian H = H0 + V, cross-checked entrywise against the
     flip-form assembly; disagreement beyond 1e-12 * |H|_max is a builder bug."""
     h = model.h0 + model.v
-    other = _flip_form_h(model.table, model.potential, model.alpha, model.lattice)
+    other = _flip_form_h(
+        model.table, model.potential, model.alpha, model.lattice, cap=model.quantum_cap
+    )
     diff = max_entry_diff(h, other)
     tol = TWO_PATH_RTOL * h.norm_max
     if diff > tol:
@@ -278,10 +286,13 @@ def build_h(model: "ModelInstance") -> OperatorMatrix:
 
 
 def build_gibbs_state(
-    potential: ClassicalPotential, alpha: float, lattice: Lattice
+    potential: ClassicalPotential,
+    alpha: float,
+    lattice: Lattice,
+    cap: int = QUANTUM_SITE_CAP,
 ) -> np.ndarray:
     """Non-normalized Boltzmann-amplitude vector, exp(-(alpha/2) U(s)) at s."""
-    n = _common_size(potential.n_sites, lattice)
+    n = _common_size(potential.n_sites, lattice, cap=cap)
     energies = potential.value_many(spins_from_masks(all_masks(n), n))
     return np.exp(-0.5 * alpha * energies)
 
@@ -314,11 +325,12 @@ def conjugate_hamiltonian(model: "ModelInstance") -> OperatorMatrix:
         cols.append(masks ^ coupling.sites_mask)
         vals.append(rates)
         diag -= rates
-    direct = _from_triplets(rows, cols, vals, dim)
-    direct = OperatorMatrix(direct.mat + sparse.diags_array(diag, format="csr"))
+    direct = _from_triplets(rows, cols, vals, dim) + diagonal_from_values(diag)
 
     # Similarity-transform route, with U shifted by its minimum so the
     # diagonal scaling stays well-conditioned (the transform is shift-invariant).
+    from scipy import sparse
+
     energies = model.potential.value_many(spins)
     shifted = energies - energies.min()
     left = sparse.diags_array(np.exp(0.5 * model.alpha * shifted), format="csr")
@@ -443,8 +455,7 @@ def xxz_hamiltonian(coupling: float, alpha: float, lattice: Lattice) -> Operator
         vals.append(coupling * (1.0 - sxsy).astype(complex))
         diag += coupling * ch * (sxsy - 1.0)
     diag += spins @ xxz_site_field(coupling, alpha, lattice)
-    out = _from_triplets(rows, cols, vals, dim)
-    return OperatorMatrix(out.mat + sparse.diags_array(diag.astype(complex), format="csr"))
+    return _from_triplets(rows, cols, vals, dim) + diagonal_from_values(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +466,14 @@ def xxz_hamiltonian(coupling: float, alpha: float, lattice: Lattice) -> Operator
 @dataclass(frozen=True)
 class ModelInstance:
     """A lattice, coupling table, classical potential and alpha, with the
-    derived matrices and state cached on first use."""
+    derived matrices and state cached on first use.  quantum_cap bounds the
+    site count of every operator and state built from it."""
 
     lattice: Lattice
     table: CouplingTable
     potential: ClassicalPotential
     alpha: float
+    quantum_cap: int = QUANTUM_SITE_CAP
 
     def __post_init__(self):
         if self.alpha < 0 or not math.isfinite(self.alpha):
@@ -483,11 +496,13 @@ class ModelInstance:
 
     @cached_property
     def h0(self) -> OperatorMatrix:
-        return build_h0(self.table, self.lattice)
+        return build_h0(self.table, self.lattice, cap=self.quantum_cap)
 
     @cached_property
     def v(self) -> OperatorMatrix:
-        return build_v(self.table, self.potential, self.alpha, self.lattice)
+        return build_v(
+            self.table, self.potential, self.alpha, self.lattice, cap=self.quantum_cap
+        )
 
     @cached_property
     def h(self) -> OperatorMatrix:
@@ -499,7 +514,9 @@ class ModelInstance:
 
     @cached_property
     def state(self) -> np.ndarray:
-        return build_gibbs_state(self.potential, self.alpha, self.lattice)
+        return build_gibbs_state(
+            self.potential, self.alpha, self.lattice, cap=self.quantum_cap
+        )
 
     @property
     def two_path_diff(self) -> float:
@@ -537,18 +554,20 @@ class ModelInstance:
 # ---------------------------------------------------------------------------
 
 
-def _common_size(*n_values) -> int:
+def _common_size(*n_values, cap: int = QUANTUM_SITE_CAP) -> int:
     sizes = set()
     for n in n_values:
         sizes.add(n.n_sites if isinstance(n, Lattice) else int(n))
     if len(sizes) != 1:
         raise ConstraintError(f"inconsistent site counts: {sorted(sizes)}")
     n = sizes.pop()
-    _check_quantum_size(n)
+    _check_quantum_size(n, cap)
     return n
 
 
 def _from_triplets(rows, cols, vals, dim) -> OperatorMatrix:
+    from scipy import sparse
+
     if not rows:
         return OperatorMatrix(sparse.csr_array((dim, dim), dtype=complex))
     mat = sparse.coo_array(

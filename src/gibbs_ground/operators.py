@@ -4,20 +4,25 @@ Basis vector m is the product state with spin -1 exactly at the sites whose
 bit is set in m, so sigma^z_x is diagonal with entry +-1, sigma^x over a
 site set A maps m to m XOR A, and sigma^y follows from
 sigma^y = -i sigma^z sigma^x.  All operators are stored as sparse complex
-CSR matrices holding only structurally nonzero entries.
+CSR matrices holding only structurally nonzero entries.  scipy.sparse is
+imported where an operator is built, so importing this module (and the
+classical commands that never build one) does not load scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .classical import ClassicalPotential, Functional, monomial_signs, spins_from_masks
 from .errors import ConstraintError, SizeCapError
 from .lattice import Lattice
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Operators above 14 sites (dimension 16384) are out of desk range.
 QUANTUM_SITE_CAP = 14
@@ -119,15 +124,20 @@ def basis_vector(config: int, n_sites: int) -> np.ndarray:
     return v
 
 
-def product_operator(axis: int, sites_mask: int, lattice: Lattice) -> OperatorMatrix:
+def product_operator(
+    axis: int, sites_mask: int, lattice: Lattice, cap: int = QUANTUM_SITE_CAP
+) -> OperatorMatrix:
     """Tensor product of one Pauli over a site set, identity elsewhere.
 
     axis 1 permutes basis states by XOR with the set, axis 3 is diagonal
     with the spin product over the set, and axis 2 combines both with the
-    phase i^|A| from sigma^y = -i sigma^z sigma^x applied per site.
+    phase i^|A| from sigma^y = -i sigma^z sigma^x applied per site.  Raises
+    SizeCapError above cap sites.
     """
+    from scipy import sparse
+
     n = lattice.n_sites
-    _check_quantum_size(n)
+    _check_quantum_size(n, cap)
     _check_sites_mask(sites_mask, lattice)
     if axis not in (1, 2, 3):
         raise ConstraintError(f"Pauli axis must be 1, 2 or 3, got {axis}")
@@ -149,8 +159,17 @@ def product_operator(axis: int, sites_mask: int, lattice: Lattice) -> OperatorMa
     return OperatorMatrix(mat)
 
 
+def _eigsh(*args, **kwargs):
+    """scipy.sparse.linalg.eigsh, imported on first call."""
+    from scipy.sparse.linalg import eigsh
+
+    return eigsh(*args, **kwargs)
+
+
 def diagonal_from_values(values: np.ndarray) -> OperatorMatrix:
     """Diagonal operator from a dense vector of per-configuration values."""
+    from scipy import sparse
+
     vals = np.asarray(values, dtype=complex)
     return OperatorMatrix(sparse.diags_array(vals, format="csr"))
 

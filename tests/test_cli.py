@@ -1,11 +1,12 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
 from gibbs_ground import cli
-from gibbs_ground.errors import ConfigError
+from gibbs_ground.errors import ConfigError, SizeCapError
 
 
 def _config(**overrides):
@@ -273,6 +274,47 @@ def test_sweep_non_finite_average_exits_2(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert _error_of(capsys)["error"] == "NumericRangeError"
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, alphas",
+    [("verify", [120.0]), ("sweep", [800.0])],
+)
+def test_overflow_error_is_the_only_stderr_output(tmp_path, capsys, command, alphas):
+    # The runs above used to print numpy RuntimeWarnings (an overflowing
+    # state norm at alpha=120, overflowing flip weights at alpha=800) before
+    # the JSON error line; as errors they would escape as tracebacks.
+    doc = _config(lattice={"d": 1, "L": 8})
+    del doc["alpha"]
+    doc["alphas"] = alphas
+    path = _write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        status = cli.main([command, "--config", str(path), "--out", str(tmp_path)])
+    assert status == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "NumericRangeError"
+
+
+def test_build_honours_quantum_cap(tmp_path):
+    doc = _config(lattice={"d": 1, "L": 15}, caps={"quantum_sites": 16, "dense_sites": 8})
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["build", "--config", str(path), "--out", str(tmp_path)]) == 0
+    (matrix,) = json.loads((tmp_path / "summary.json").read_text())["matrices"]
+    assert matrix["dimension"] == 1 << 15
+    assert matrix["hermitian"]
+    assert matrix["two_route_gap"] <= matrix["two_route_tolerance"]
+
+
+def test_default_quantum_cap_still_stops_15_sites(tmp_path, capsys):
+    path = _write_config(tmp_path, _config(lattice={"d": 1, "L": 15}))
+    assert cli.main(["build", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["matrices"] is None
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "quantum cap of 14" in _error_of(capsys)["message"]
+    model = cli._model(cli.parse_config(path.read_text()), 1.0)
+    with pytest.raises(SizeCapError, match="cap of 14"):
+        model.h
 
 
 def test_verify_honours_enumeration_cap(tmp_path, capsys):

@@ -175,6 +175,13 @@ def test_quantum_site_cap():
         basis_vector(0, 15)
 
 
+def test_product_operator_honours_its_cap(chain4):
+    with pytest.raises(SizeCapError, match="cap of 3"):
+        product_operator(1, 0b1, chain4, cap=3)
+    wide = product_operator(1, 0b1, build_hypercube(1, 15), cap=15)
+    assert wide.dim == 1 << 15
+
+
 def test_weighted_inner_product_reduces_to_euclidean():
     pot = ClassicalPotential.from_terms(3, [([0], 0.4)])
     rng = np.random.default_rng(0)

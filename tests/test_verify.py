@@ -242,6 +242,21 @@ def test_iterative_route_agrees_with_dense_route(xx_weight):
 # ---------------------------------------------------------------------------
 
 
+def test_sx_product_bound_follows_the_model_quantum_cap():
+    lat = build_hypercube(1, 6)
+    parts = dict(
+        lattice=lat,
+        table=CouplingTable.xx_nearest_neighbor(lat, -1.0),
+        potential=ClassicalPotential.ising_nn(lat, 1.0),
+        alpha=1.0,
+    )
+    full = sx_product_bound(ModelInstance(**parts), 0b11)
+    capped = sx_product_bound(ModelInstance(**parts, quantum_cap=4), 0b11)
+    assert full.details["quantum"] is not None
+    assert capped.details["quantum"] is None
+    assert capped.passed and capped.value == full.value
+
+
 def test_hypotheses_ferro_xx():
     lat = build_hypercube(1, 4)
     ferro = CouplingTable.xx_nearest_neighbor(lat, -1.0)
