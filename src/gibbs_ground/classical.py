@@ -30,7 +30,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConstraintError, NumericRangeError, SizeCapError
-from .lattice import Lattice, nearest_neighbor_pairs, height_field, sites_from_mask
+from .lattice import (
+    Lattice,
+    height_field,
+    mask_from_sites,
+    nearest_neighbor_pairs,
+    sites_from_mask,
+)
 
 # Exact Gibbs sums enumerate 2^n configurations; 24 sites (16.7M terms)
 # keeps them in the seconds range.  Larger systems go through Metropolis.
@@ -110,13 +116,9 @@ class ClassicalPotential:
     def from_terms(
         cls, n_sites: int, terms: Iterable[tuple[Iterable[int], float]]
     ) -> "ClassicalPotential":
-        """Build from (site index list, coefficient) pairs."""
-        packed = []
-        for sites, coeff in terms:
-            mask = 0
-            for s in sites:
-                mask |= 1 << s
-            packed.append((mask, float(coeff)))
+        """Build from (site index list, coefficient) pairs; a site repeated
+        within one list raises ConstraintError."""
+        packed = [(mask_from_sites(sites), float(coeff)) for sites, coeff in terms]
         return cls(n_sites=n_sites, terms=tuple(packed))
 
     @classmethod
@@ -280,6 +282,7 @@ def gibbs_averages(
     weight_total = 0.0
     totals = [0.0] * len(fs)
     for masks in _mask_chunks(potential.n_sites):
+        # Functionals read decoded spins: the classical witness of the operators.
         spins = spins_from_masks(masks, potential.n_sites)
         weights = np.exp(-alpha * (potential.value_many(spins) - shift))
         weight_total += weights.sum()
@@ -470,6 +473,8 @@ def metropolis_samples(
     _validate_alpha(alpha)
     if sweeps <= 0:
         raise ConstraintError("sweeps must be positive")
+    if burn_in < 0:
+        raise ConstraintError("burn_in must be nonnegative")
     n = potential.n_sites
     if n > 64:
         raise SizeCapError("Metropolis sampling supports at most 64 sites")

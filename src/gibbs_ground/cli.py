@@ -244,11 +244,13 @@ def parse_config(text: str) -> RunConfig:
     burn_in = _get(mc_raw, "burn_in", int, "mc", None)
     mc_seed = _get(mc_raw, "seed", int, "mc", 0)
     _require(sweeps > 0, "field 'mc.sweeps' must be positive")
+    _require(burn_in is None or burn_in >= 0, "field 'mc.burn_in' must be nonnegative")
 
     checks_raw = doc.get("checks", {})
     _require(isinstance(checks_raw, dict), "field 'checks' must be an object")
     check_trials = _get(checks_raw, "trials", int, "checks", 20)
     check_seed = _get(checks_raw, "seed", int, "checks", 0)
+    _require(check_trials >= 1, "field 'checks.trials' must be at least 1")
 
     return RunConfig(
         lattice=lattice,
@@ -303,7 +305,7 @@ def _check_quantum(config: RunConfig):
         )
 
 
-def _cmd_build(config: RunConfig, out: Path, threads: int) -> int:
+def _cmd_build(config: RunConfig, out: Path) -> int:
     hypotheses = groundstate_hypotheses(config.table)
     warnings = []
     if hypotheses.odd_entries:
@@ -355,28 +357,19 @@ def _cmd_build(config: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def _cmd_verify(config: RunConfig, out: Path, threads: int) -> int:
+def _cmd_verify(config: RunConfig, out: Path) -> int:
     _check_quantum(config)
-
-    def one(alpha: float):
-        model = _model(config, alpha)
-        return verify_model(
-            model,
+    reports = [
+        verify_model(
+            _model(config, alpha),
             trials=config.check_trials,
             seed=config.check_seed,
             pairs=config.pairs or None,
             dense_dim_cap=1 << config.caps.dense_sites,
             enumeration_cap=config.caps.enumeration_sites,
         )
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(one, config.alphas))
-    else:
-        reports = [one(alpha) for alpha in config.alphas]
-
+        for alpha in config.alphas
+    ]
     all_passed = all(r.all_passed for r in reports)
     payload = {
         "command": "verify",
@@ -409,7 +402,7 @@ def _scan_rows(config: RunConfig) -> list:
     )
 
 
-def _cmd_correlate(config: RunConfig, out: Path, threads: int) -> int:
+def _cmd_correlate(config: RunConfig, out: Path) -> int:
     rows = _scan_rows(config)
     path = out / "correlations.csv"
     _write_csv(
@@ -421,7 +414,7 @@ def _cmd_correlate(config: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def _cmd_sweep(config: RunConfig, out: Path, threads: int) -> int:
+def _cmd_sweep(config: RunConfig, out: Path) -> int:
     rows = _scan_rows(config)
     path = out / "sweep.csv"
     _write_csv(
@@ -433,7 +426,7 @@ def _cmd_sweep(config: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def _cmd_sample(config: RunConfig, out: Path, threads: int) -> int:
+def _cmd_sample(config: RunConfig, out: Path) -> int:
     burn_in = (
         max(1, config.sweeps // 10) if config.burn_in is None else config.burn_in
     )
@@ -482,11 +475,11 @@ _COMMANDS = {
 }
 
 
-def run(command: str, config: RunConfig, out_dir: str = ".", threads: int = 1) -> int:
+def run(command: str, config: RunConfig, out_dir: str = ".") -> int:
     """Dispatch one command; returns the process exit status."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[command](config, out, threads)
+    return _COMMANDS[command](config, out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -513,12 +506,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override all seeds")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads over the alpha grid (used by verify only)",
-        )
     args = parser.parse_args(argv)
 
     try:
@@ -531,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             config.mc_seed = args.seed
             config.check_seed = args.seed
-        return run(args.command, config, out_dir=args.out, threads=args.threads)
+        return run(args.command, config, out_dir=args.out)
     except GibbsGroundError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True),

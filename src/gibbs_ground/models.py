@@ -38,18 +38,18 @@ import numpy as np
 from .classical import (
     ENUMERATION_CAP,
     ClassicalPotential,
+    monomial_signs,
     partition_function,
     spins_from_masks,
 )
 from .errors import ConstraintError, InternalConsistencyError, UnsupportedModelError
-from .lattice import Lattice, nearest_neighbor_pairs, sites_from_mask
+from .lattice import Lattice, mask_from_sites, nearest_neighbor_pairs, sites_from_mask
 from .operators import (
     QUANTUM_SITE_CAP,
     OperatorMatrix,
     all_masks,
-    diagonal_from_values,
+    flip_operator,
     max_entry_diff,
-    parity_signs,
     _check_quantum_size,
 )
 
@@ -94,15 +94,12 @@ class CouplingTable:
         n_sites: int,
         entries: Iterable[tuple[Iterable[int], Iterable[int], float]],
     ) -> "CouplingTable":
-        packed = []
-        for a_sites, b_sites, phi in entries:
-            a = 0
-            for s in a_sites:
-                a |= 1 << s
-            b = 0
-            for s in b_sites:
-                b |= 1 << s
-            packed.append((a, b, float(phi)))
+        """Build from (x-site list, y-site list, phi) triples; a site
+        repeated within one list raises ConstraintError."""
+        packed = [
+            (mask_from_sites(a_sites), mask_from_sites(b_sites), float(phi))
+            for a_sites, b_sites, phi in entries
+        ]
         return cls(n_sites=n_sites, entries=tuple(packed))
 
     @classmethod
@@ -138,27 +135,22 @@ class DiagonalCoupling:
     def is_real(self) -> bool:
         return all(not (b.bit_count() & 1) for b, _ in self.terms)
 
-    def values(self, spins: np.ndarray) -> np.ndarray:
-        """Evaluate J on a (nconf, n) spins array; complex output."""
-        out = np.zeros(spins.shape[0], dtype=complex)
-        for b_mask, coeff in self.terms:
-            sites = sites_from_mask(b_mask)
-            if sites:
-                out += coeff * np.prod(spins[:, list(sites)], axis=1)
-            else:
-                out += coeff
+    def values(self, masks: np.ndarray) -> np.ndarray:
+        """Evaluate J at configuration masks, term by term; complex output."""
+        out = np.zeros(len(masks), dtype=complex)
+        signs = monomial_signs(masks, [b_mask for b_mask, _ in self.terms])
+        for row, (_, coeff) in zip(signs, self.terms):
+            out += coeff * row
         return out
 
     def restricted_values(self) -> np.ndarray:
         """J over all 2^|C| assignments of its own sites (other spins moot)."""
         members = sites_from_mask(self.sites_mask)
-        k = len(members)
-        local = np.arange(1 << k, dtype=np.uint64)
-        masks = np.zeros(1 << k, dtype=np.uint64)
+        local = np.arange(1 << len(members), dtype=np.uint64)
+        masks = np.zeros(1 << len(members), dtype=np.uint64)
         for j, site in enumerate(members):
             masks |= ((local >> np.uint64(j)) & np.uint64(1)) << np.uint64(site)
-        n_needed = (max(members) + 1) if members else 1
-        return self.values(spins_from_masks(masks, n_needed))
+        return self.values(masks)
 
 
 def diagonal_couplings(table: CouplingTable) -> tuple[DiagonalCoupling, ...]:
@@ -189,15 +181,14 @@ def build_h0(
     Raises SizeCapError above cap sites, as do the other builders here.
     """
     n = _common_size(table.n_sites, lattice, cap=cap)
-    dim = 1 << n
-    masks = all_masks(n)
-    rows, cols, vals = [], [], []
-    for a, b, phi in table.entries:
-        union = a | b
-        rows.append(masks ^ union)
-        cols.append(masks)
-        vals.append(phi * (1j ** b.bit_count()) * parity_signs(masks, b))
-    return _from_triplets(rows, cols, vals, dim)
+    signs = monomial_signs(all_masks(n), [b for _, b, _ in table.entries])
+    return flip_operator(
+        n,
+        [
+            (a | b, phi * (1j ** b.bit_count()) * row)
+            for (a, b, phi), row in zip(table.entries, signs)
+        ],
+    )
 
 
 def offdiagonal_from_couplings(
@@ -205,17 +196,14 @@ def offdiagonal_from_couplings(
 ) -> OperatorMatrix:
     """Second route to the off-diagonal part, sum_C J_C(sigma^z) X_[C]."""
     n = _common_size(table.n_sites, lattice, cap=cap)
-    dim = 1 << n
     masks = all_masks(n)
-    spins = spins_from_masks(masks, n)
-    rows, cols, vals = [], [], []
-    for coupling in diagonal_couplings(table):
-        j_vals = coupling.values(spins)
-        flipped = masks ^ coupling.sites_mask
-        rows.append(flipped)
-        cols.append(masks)
-        vals.append(j_vals[flipped])
-    return _from_triplets(rows, cols, vals, dim)
+    return flip_operator(
+        n,
+        [
+            (c.sites_mask, c.values(masks ^ c.sites_mask))
+            for c in diagonal_couplings(table)
+        ],
+    )
 
 
 def build_v(
@@ -228,14 +216,14 @@ def build_v(
     """Diagonal part with entry -sum_C J_C(s) exp(-(alpha/2) W_C(s)) at s."""
     n = _common_size(table.n_sites, lattice, potential.n_sites, cap=cap)
     masks = all_masks(n)
-    spins = spins_from_masks(masks, n)
+    signs = potential.term_signs(masks)
     diag = np.zeros(1 << n, dtype=complex)
     for coupling in diagonal_couplings(table):
         weights = np.exp(
-            -0.5 * alpha * potential.flip_energy_many(spins, coupling.sites_mask)
+            -0.5 * alpha * potential.flip_energy_from_signs(signs, coupling.sites_mask)
         )
-        diag -= coupling.values(spins) * weights
-    return diagonal_from_values(diag)
+        diag -= coupling.values(masks) * weights
+    return flip_operator(n, [(0, diag)])
 
 
 def _flip_form_h(
@@ -248,24 +236,20 @@ def _flip_form_h(
     """Independent route to H: sum over nonempty union sets of
     J_C(sigma^z) (X_[C] - exp(-(alpha/2) W_C(sigma^z)))."""
     n = _common_size(table.n_sites, lattice, potential.n_sites, cap=cap)
-    dim = 1 << n
     masks = all_masks(n)
-    spins = spins_from_masks(masks, n)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(dim, dtype=complex)
+    signs = potential.term_signs(masks)
+    terms = []
+    diag = np.zeros(1 << n, dtype=complex)
     for coupling in diagonal_couplings(table):
         if coupling.sites_mask == 0:
             continue
-        j_vals = coupling.values(spins)
-        flipped = masks ^ coupling.sites_mask
-        rows.append(flipped)
-        cols.append(masks)
-        vals.append(j_vals[flipped])
+        j_vals = coupling.values(masks)
+        terms.append((coupling.sites_mask, j_vals[masks ^ coupling.sites_mask]))
         weights = np.exp(
-            -0.5 * alpha * potential.flip_energy_many(spins, coupling.sites_mask)
+            -0.5 * alpha * potential.flip_energy_from_signs(signs, coupling.sites_mask)
         )
         diag -= j_vals * weights
-    return _from_triplets(rows, cols, vals, dim) + diagonal_from_values(diag)
+    return flip_operator(n, terms + [(0, diag)])
 
 
 def build_h(model: "ModelInstance") -> OperatorMatrix:
@@ -293,6 +277,7 @@ def build_gibbs_state(
 ) -> np.ndarray:
     """Non-normalized Boltzmann-amplitude vector, exp(-(alpha/2) U(s)) at s."""
     n = _common_size(potential.n_sites, lattice, cap=cap)
+    # Decoded spins: state_norm_partition compares this with the mask-native Z.
     energies = potential.value_many(spins_from_masks(all_masks(n), n))
     return np.exp(-0.5 * alpha * energies)
 
@@ -307,31 +292,28 @@ def conjugate_hamiltonian(model: "ModelInstance") -> OperatorMatrix:
     Gibbs measure stationary.
     """
     n = model.lattice.n_sites
-    dim = 1 << n
     masks = all_masks(n)
-    spins = spins_from_masks(masks, n)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(dim, dtype=complex)
+    signs = model.potential.term_signs(masks)
+    terms = []
+    diag = np.zeros(1 << n, dtype=complex)
     for coupling in diagonal_couplings(model.table):
         if coupling.sites_mask == 0:
             continue
-        rates = coupling.values(spins) * np.exp(
+        rates = coupling.values(masks) * np.exp(
             -0.5
             * model.alpha
-            * model.potential.flip_energy_many(spins, coupling.sites_mask)
+            * model.potential.flip_energy_from_signs(signs, coupling.sites_mask)
         )
         # Row s couples to column flip(s, C) with weight +rate(s).
-        rows.append(masks)
-        cols.append(masks ^ coupling.sites_mask)
-        vals.append(rates)
+        terms.append((coupling.sites_mask, rates[masks ^ coupling.sites_mask]))
         diag -= rates
-    direct = _from_triplets(rows, cols, vals, dim) + diagonal_from_values(diag)
+    direct = flip_operator(n, terms + [(0, diag)])
 
     # Similarity-transform route, with U shifted by its minimum so the
     # diagonal scaling stays well-conditioned (the transform is shift-invariant).
     from scipy import sparse
 
-    energies = model.potential.value_many(spins)
+    energies = model.potential.energy_from_signs(signs)
     shifted = energies - energies.min()
     left = sparse.diags_array(np.exp(0.5 * model.alpha * shifted), format="csr")
     right = sparse.diags_array(np.exp(-0.5 * model.alpha * shifted), format="csr")
@@ -398,15 +380,14 @@ def xxz_diagonal(
     n = _common_size(table.n_sites, lattice)
     if len(field) != n:
         raise ConstraintError(f"field has {len(field)} values for {n} sites")
-    masks = all_masks(n)
-    spins = spins_from_masks(masks, n).astype(np.float64)
+    spins = monomial_signs(all_masks(n), [1 << x for x in range(n)]).astype(np.float64)
     diag = np.zeros(1 << n)
     for x, y, phi in xx_pair_couplings(table):
         du = alpha * (field[x] - field[y])
         ch, sh = math.cosh(du), math.sinh(du)
-        sx, sy = spins[:, x], spins[:, y]
+        sx, sy = spins[x], spins[y]
         diag += phi * (sx * sy * ch - (sx - sy) * sh - ch)
-    return diagonal_from_values(diag)
+    return flip_operator(n, [(0, diag)])
 
 
 def xxz_site_field(coupling: float, alpha: float, lattice: Lattice) -> np.ndarray:
@@ -437,25 +418,21 @@ def xxz_hamiltonian(coupling: float, alpha: float, lattice: Lattice) -> Operator
     """
     n = lattice.n_sites
     _check_quantum_size(n)
-    dim = 1 << n
     masks = all_masks(n)
-    spins = spins_from_masks(masks, n).astype(np.float64)
     ch = math.cosh(alpha)
-    pairs = nearest_neighbor_pairs(lattice)
+    bonds = [(1 << x) | (1 << y) for x, y in nearest_neighbor_pairs(lattice)]
 
-    rows, cols, vals = [], [], []
-    diag = np.zeros(dim)
-    for x, y in pairs:
-        pair_mask = (1 << x) | (1 << y)
-        flipped = masks ^ pair_mask
+    terms = []
+    diag = np.zeros(1 << n)
+    for bond, sxsy in zip(bonds, monomial_signs(masks, bonds).astype(np.float64)):
         # X_x X_y maps m -> m ^ pair; Y_x Y_y adds i^2 * s_x s_y = -s_x s_y.
-        sxsy = spins[:, x] * spins[:, y]
-        rows.append(flipped)
-        cols.append(masks)
-        vals.append(coupling * (1.0 - sxsy).astype(complex))
+        terms.append((bond, coupling * (1.0 - sxsy)))
         diag += coupling * ch * (sxsy - 1.0)
-    diag += spins @ xxz_site_field(coupling, alpha, lattice)
-    return _from_triplets(rows, cols, vals, dim) + diagonal_from_values(diag)
+    field = ClassicalPotential.from_terms(
+        n, [([x], u) for x, u in enumerate(xxz_site_field(coupling, alpha, lattice))]
+    )
+    diag += field.energy_from_signs(field.term_signs(masks))
+    return flip_operator(n, terms + [(0, diag)])
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +541,3 @@ def _common_size(*n_values, cap: int = QUANTUM_SITE_CAP) -> int:
     _check_quantum_size(n, cap)
     return n
 
-
-def _from_triplets(rows, cols, vals, dim) -> OperatorMatrix:
-    from scipy import sparse
-
-    if not rows:
-        return OperatorMatrix(sparse.csr_array((dim, dim), dtype=complex))
-    mat = sparse.coo_array(
-        (
-            np.concatenate(vals).astype(complex),
-            (np.concatenate(rows), np.concatenate(cols)),
-        ),
-        shape=(dim, dim),
-    ).tocsr()
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    return OperatorMatrix(mat)

@@ -3,8 +3,9 @@
 Basis vector m is the product state with spin -1 exactly at the sites whose
 bit is set in m, so sigma^z_x is diagonal with entry +-1, sigma^x over a
 site set A maps m to m XOR A, and sigma^y follows from
-sigma^y = -i sigma^z sigma^x.  All operators are stored as sparse complex
-CSR matrices holding only structurally nonzero entries.  scipy.sparse is
+sigma^y = -i sigma^z sigma^x.  Every operator is a sum of flip terms
+diag(d) X_[C], assembled by flip_operator into a sparse complex CSR matrix
+holding only structurally nonzero entries.  scipy.sparse is
 imported where an operator is built, so importing this module (and the
 classical commands that never build one) does not load scipy.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -79,9 +80,6 @@ class OperatorMatrix:
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return OperatorMatrix(self.mat + other.mat)
 
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.mat - other.mat)
-
 
 def max_entry_diff(a: OperatorMatrix, b: OperatorMatrix) -> float:
     """Largest absolute entrywise difference of two operators."""
@@ -95,9 +93,30 @@ def all_masks(n_sites: int) -> np.ndarray:
     return np.arange(1 << n_sites, dtype=np.int64)
 
 
-def parity_signs(masks: np.ndarray, subset_mask: int) -> np.ndarray:
-    """(-1)^(number of set bits of m & subset) for each mask m, as float64."""
-    return monomial_signs(masks, [subset_mask])[0].astype(np.float64)
+def flip_operator(
+    n_sites: int, terms: Sequence[tuple[int, np.ndarray]]
+) -> OperatorMatrix:
+    """The operator sum_C diag(d) X_[C] over (C, d) terms.
+
+    Term (C, d) places d[m] at row m XOR C, column m, so C = 0 is a diagonal
+    term.  Entries at the same position are summed and exact zeros
+    dropped; no terms give the zero matrix.
+    """
+    from scipy import sparse
+
+    dim = 1 << n_sites
+    if not terms:
+        return OperatorMatrix(sparse.csr_array((dim, dim), dtype=complex))
+    masks = all_masks(n_sites)
+    mat = sparse.coo_array(
+        (
+            np.concatenate([d for _, d in terms]).astype(complex),
+            (np.concatenate([masks ^ c for c, _ in terms]), np.tile(masks, len(terms))),
+        ),
+        shape=(dim, dim),
+    ).tocsr()
+    mat.eliminate_zeros()
+    return OperatorMatrix(mat)
 
 
 def _check_quantum_size(n_sites: int, cap: int = QUANTUM_SITE_CAP):
@@ -134,29 +153,17 @@ def product_operator(
     phase i^|A| from sigma^y = -i sigma^z sigma^x applied per site.  Raises
     SizeCapError above cap sites.
     """
-    from scipy import sparse
-
     n = lattice.n_sites
     _check_quantum_size(n, cap)
     _check_sites_mask(sites_mask, lattice)
     if axis not in (1, 2, 3):
         raise ConstraintError(f"Pauli axis must be 1, 2 or 3, got {axis}")
-    dim = 1 << n
-    masks = all_masks(n)
+    if axis == 1:
+        return flip_operator(n, [(sites_mask, np.ones(1 << n))])
+    signs = monomial_signs(all_masks(n), [sites_mask])[0]
     if axis == 3:
-        rows = masks
-        vals = parity_signs(masks, sites_mask).astype(complex)
-    else:
-        rows = masks ^ sites_mask
-        if axis == 1:
-            vals = np.ones(dim, dtype=complex)
-        else:
-            phase = 1j ** sites_mask.bit_count()
-            vals = phase * parity_signs(masks, sites_mask)
-    mat = sparse.csr_array(
-        sparse.coo_array((vals, (rows, masks)), shape=(dim, dim))
-    )
-    return OperatorMatrix(mat)
+        return flip_operator(n, [(0, signs)])
+    return flip_operator(n, [(sites_mask, 1j ** sites_mask.bit_count() * signs)])
 
 
 def _eigsh(*args, **kwargs):
@@ -166,18 +173,11 @@ def _eigsh(*args, **kwargs):
     return eigsh(*args, **kwargs)
 
 
-def diagonal_from_values(values: np.ndarray) -> OperatorMatrix:
-    """Diagonal operator from a dense vector of per-configuration values."""
-    from scipy import sparse
-
-    vals = np.asarray(values, dtype=complex)
-    return OperatorMatrix(sparse.diags_array(vals, format="csr"))
-
-
 def diagonal_operator(g: Functional, lattice: Lattice) -> OperatorMatrix:
     """Diagonal operator with entry g(s) at the basis index of s."""
     n = lattice.n_sites
     _check_quantum_size(n)
+    # g is a Functional, which reads decoded spins (the classical witness).
     spins = spins_from_masks(all_masks(n), n)
     values = np.asarray(g(spins), dtype=complex)
     bad = np.flatnonzero(~np.isfinite(values))
@@ -185,7 +185,7 @@ def diagonal_operator(g: Functional, lattice: Lattice) -> OperatorMatrix:
         raise ConstraintError(
             f"diagonal observable is not finite at configuration mask {int(bad[0]):#x}"
         )
-    return diagonal_from_values(values)
+    return flip_operator(n, [(0, values)])
 
 
 def apply(op: OperatorMatrix, vector: np.ndarray) -> np.ndarray:
@@ -211,6 +211,6 @@ def weighted_inner_product(
     g = np.asarray(g)
     if f.shape != (dim,) or g.shape != (dim,):
         raise ConstraintError("vector dimensions do not match the potential's lattice")
-    energies = potential.value_many(spins_from_masks(all_masks(n), n))
+    energies = potential.energy_from_signs(potential.term_signs(all_masks(n)))
     weights = np.exp(-alpha * energies)
     return complex(np.sum(weights * np.conj(f) * g))

@@ -27,7 +27,6 @@ from .classical import (
     metropolis_samples,
     order_parameter_averages,
     spin_product,
-    spins_from_masks,
     squared_magnetization,
 )
 from .errors import (
@@ -341,6 +340,8 @@ def sx_product_bound(
 
 
 def _random_vectors(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    if count < 1:
+        raise ConstraintError(f"a randomized check needs at least 1 trial, got {count}")
     return rng.uniform(-1.0, 1.0, size=(count, dim))
 
 
@@ -353,8 +354,7 @@ def reversibility_check(
     shifted by its minimum, which rescales both sides identically."""
     start = time.perf_counter()
     n = model.lattice.n_sites
-    spins = spins_from_masks(all_masks(n), n)
-    energies = model.potential.value_many(spins)
+    energies = model.potential.energy_from_signs(model.potential.term_signs(all_masks(n)))
     shifted = energies - energies.min()
     w = np.exp(-model.alpha * shifted)
     wh = np.exp(-0.5 * model.alpha * shifted)
@@ -409,8 +409,7 @@ def dirichlet_form_check(
     start = time.perf_counter()
     n = model.lattice.n_sites
     masks = all_masks(n)
-    spins = spins_from_masks(masks, n)
-    energies = model.potential.value_many(spins)
+    energies = model.potential.energy_from_signs(model.potential.term_signs(masks))
     shifted = energies - energies.min()
     w = np.exp(-model.alpha * shifted)
     hc = model.h_conjugate.mat
@@ -420,7 +419,7 @@ def dirichlet_form_check(
     for coupling in couplings:
         perm = masks ^ coupling.sites_mask
         weight2 = np.exp(-0.5 * model.alpha * (shifted + shifted[perm]))
-        flip_data.append((perm, coupling.values(spins) * weight2))
+        flip_data.append((perm, coupling.values(masks) * weight2))
 
     rng = np.random.default_rng(seed)
     fs = _random_vectors(rng, 1 << n, trials)

@@ -382,6 +382,21 @@ def test_metropolis_site_cap():
         )
 
 
+def test_metropolis_rejects_negative_burn_in():
+    # a negative burn-in would return uninitialised sample rows
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, 4), 1.0)
+    with pytest.raises(ConstraintError, match="burn_in"):
+        metropolis_samples(pot, 1.0, sweeps=8, burn_in=-5, seed=0)
+    with pytest.raises(ConstraintError, match="burn_in"):
+        metropolis_estimate(squared_magnetization(), pot, 1.0, sweeps=8, burn_in=-1, seed=0)
+
+
+def test_from_terms_rejects_a_repeated_site():
+    # s_1 s_1 = 1, not the monomial s_1 a single-bit mask would encode
+    with pytest.raises(ConstraintError, match="duplicate site index 1"):
+        ClassicalPotential.from_terms(3, [([1, 1], 2.0)])
+
+
 def test_brute_force_flip_oracle_agrees():
     # sanity for the oracle itself on a hand case
     terms = [([0, 1], -1.0)]

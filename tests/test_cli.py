@@ -98,6 +98,46 @@ def test_parse_rejects_out_of_range_site():
         cli.parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "couplings, potential",
+    [
+        ({"entries": [{"x_sites": [0, 0], "phi": -0.5}]}, None),
+        ({"entries": [{"x_sites": [2], "y_sites": [1, 1], "phi": -0.5}]}, None),
+        ({"preset": "xx", "J": -1.0}, {"terms": [{"sites": [1, 1], "coeff": 1.0}]}),
+    ],
+)
+def test_parse_rejects_a_repeated_site(couplings, potential):
+    # X_0 X_0 = I and s_1 s_1 = 1: a repeated site does not mean the set
+    # that holds it once
+    doc = _config(couplings=couplings)
+    if potential is not None:
+        doc["potential"] = potential
+    with pytest.raises(ConfigError, match="duplicate site index"):
+        cli.parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "command, section, value, field",
+    [
+        # zero trials would pass reversibility and dirichlet_form at 0.0
+        # from no samples
+        ("verify", "checks", {"trials": 0, "seed": 11}, "checks.trials"),
+        # a negative burn-in would return uninitialised sample rows
+        ("sample", "mc", {"sweeps": 8, "burn_in": -5, "seed": 7}, "mc.burn_in"),
+    ],
+)
+def test_zero_trials_and_negative_burn_in_exit_2(
+    tmp_path, capsys, command, section, value, field
+):
+    doc = _config(lattice={"d": 1, "L": 4}, **{section: value})
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "ConfigError" and field in error["message"]
+    assert not out.exists()
+
+
 def test_parse_xxz_preset_defaults_to_height_potential():
     doc = _config(couplings={"preset": "xxz", "J": -1.0})
     del doc["potential"]
@@ -161,7 +201,7 @@ def test_verify_iterative_route_is_byte_identical(tmp_path):
     assert (details["blocks"], details["largest_block"]) == (1, 64)
 
 
-def test_verify_multithreaded_matches_single(tmp_path):
+def test_verify_two_alpha_rerun_is_byte_identical(tmp_path):
     doc = _config()
     del doc["alpha"]
     doc["alphas"] = [0.0, 0.8]
@@ -169,13 +209,12 @@ def test_verify_multithreaded_matches_single(tmp_path):
     out1 = tmp_path / "t1"
     out2 = tmp_path / "t2"
     assert cli.main(["verify", "--config", str(path), "--out", str(out1)]) == 0
-    assert (
-        cli.main(
-            ["verify", "--config", str(path), "--out", str(out2), "--threads", "2"]
-        )
-        == 0
-    )
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    assert cli.main(["verify", "--config", str(path), "--out", str(out2)]) == 0
+    b1 = (out1 / "report.json").read_bytes()
+    assert b1 == (out2 / "report.json").read_bytes()
+    assert [r["alpha"] for r in json.loads(b1)["reports"]] == [0.0, 0.8]
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--config", str(path), "--threads", "2"])
 
 
 def test_verify_fails_when_a_check_fails(tmp_path, monkeypatch):
@@ -248,6 +287,96 @@ def test_sweep_golden_csv(tmp_path):
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "sweep.csv").read_bytes() == GOLDEN_SWEEP_L8.encode()
 
+
+# A generic model for build: three entries on the union set {0, 1}, odd
+# y-sets, and a potential with a constant and a 3-body term.
+GOLDEN_BUILD_CONFIG = {
+    "schema": 1,
+    "lattice": {"d": 1, "L": 6},
+    "couplings": {
+        "entries": [
+            {"x_sites": [0, 1], "phi": -0.5},
+            {"y_sites": [0, 1], "phi": -0.5},
+            {"x_sites": [0], "y_sites": [1], "phi": 0.3},
+            {"x_sites": [2], "y_sites": [3, 4], "phi": 0.25},
+            {"y_sites": [5], "phi": 0.4},
+            {"x_sites": [3, 4], "phi": -0.7},
+        ]
+    },
+    "potential": {
+        "terms": [
+            {"sites": [], "coeff": 0.5},
+            {"sites": [0], "coeff": 0.3},
+            {"sites": [1, 2], "coeff": -0.8},
+            {"sites": [2, 3, 4], "coeff": 0.6},
+        ]
+    },
+    "alphas": [0.5, 1.25],
+}
+
+# summary.json of GOLDEN_BUILD_CONFIG, pinned from the per-builder COO
+# assembly that preceded flip_operator; the flip-term assembly must
+# reproduce it byte for byte.
+GOLDEN_BUILD_SUMMARY = """\
+{
+  "alphas": [
+    0.5,
+    1.25
+  ],
+  "command": "build",
+  "couplings": {
+    "entries": 6,
+    "odd_y_sets": [
+      [
+        1,
+        2
+      ],
+      [
+        0,
+        32
+      ]
+    ]
+  },
+  "hypotheses_satisfied": false,
+  "lattice": {
+    "L": 6,
+    "d": 1,
+    "n_sites": 6
+  },
+  "matrices": [
+    {
+      "alpha": 0.5,
+      "dimension": 64,
+      "h_norm_max": 3.0774195098617154,
+      "hermitian": false,
+      "nnz": 320,
+      "two_route_gap": 0.0,
+      "two_route_tolerance": 3.0774195098617153e-12
+    },
+    {
+      "alpha": 1.25,
+      "dimension": 64,
+      "h_norm_max": 6.296869762837604,
+      "hermitian": false,
+      "nnz": 320,
+      "two_route_gap": 0.0,
+      "two_route_tolerance": 6.2968697628376035e-12
+    }
+  ],
+  "potential_terms": 4,
+  "schema": 1,
+  "warnings": [
+    "ground-state hypotheses violated: odd y-sets present",
+    "ground-state hypotheses violated: positive diagonal couplings"
+  ]
+}
+"""
+
+
+def test_build_golden_summary(tmp_path):
+    path = _write_config(tmp_path, GOLDEN_BUILD_CONFIG)
+    assert cli.main(["build", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "summary.json").read_bytes() == GOLDEN_BUILD_SUMMARY.encode()
 
 def _error_of(capsys) -> dict:
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -21,7 +21,7 @@ from gibbs_ground import (
 from gibbs_ground.errors import ConstraintError, UnsupportedModelError
 from gibbs_ground.lattice import nearest_neighbor_pairs
 from gibbs_ground.models import offdiagonal_from_couplings
-from gibbs_ground.operators import max_entry_diff
+from gibbs_ground.operators import flip_operator, max_entry_diff
 
 from .conftest import random_coupling_table, random_model, random_potential
 
@@ -44,6 +44,13 @@ def test_table_rejects_overlap_and_duplicates():
         CouplingTable.from_site_lists(3, [([0, 1], [1], 1.0)])
     with pytest.raises(ConstraintError, match="duplicate"):
         CouplingTable.from_site_lists(3, [([0], [], 1.0), ([0], [], 2.0)])
+
+
+@pytest.mark.parametrize("entry", [([0, 0], [], 1.0), ([2], [1, 1], 1.0)])
+def test_table_rejects_a_repeated_site(entry):
+    # X_0 X_0 = I, not the X_0 a single-bit mask would encode
+    with pytest.raises(ConstraintError, match="duplicate site index"):
+        CouplingTable.from_site_lists(3, [entry])
 
 
 def test_xx_pair_coupling_expands_by_hand():
@@ -105,6 +112,8 @@ def test_empty_table_builds_zero():
     )
     assert model.h.norm_max == 0.0
     assert model.h.mat.nnz == 0
+    zero = flip_operator(3, [])
+    assert zero.mat.shape == (8, 8) and zero.mat.nnz == 0 and zero.mat.dtype == complex
 
 
 def test_h0_grouping_identity_randomized():

@@ -16,7 +16,7 @@ from gibbs_ground import (
     weighted_inner_product,
 )
 from gibbs_ground.errors import ConstraintError, SizeCapError
-from gibbs_ground.operators import OperatorMatrix, max_entry_diff
+from gibbs_ground.operators import OperatorMatrix, flip_operator, max_entry_diff
 
 
 def test_pauli_matrices():
@@ -111,6 +111,26 @@ def test_pauli_is_hermitian_flag(chain4):
     assert product_operator(2, 0b1011, chain4).is_hermitian
     skew = OperatorMatrix(1j * product_operator(1, 0b1, chain4).mat)
     assert not skew.is_hermitian
+
+
+def test_flip_operator_by_hand():
+    # term (C, d) puts d[m] at (m ^ C, m); the two C = 0b01 terms sum at
+    # each position in term order, (2, 3) cancels to an exact zero and is
+    # dropped with the d = 0 entries, and C = 0 is the diagonal
+    op = flip_operator(
+        2,
+        [
+            (0b01, np.array([1.0, 2.0, 0.0, 4.0])),
+            (0, np.array([0.0, 5.0, 0.0, 0.0])),
+            (0b01, np.array([0.5, 0.0, 0.0, -4.0])),
+        ],
+    )
+    want = np.zeros((4, 4), dtype=complex)
+    want[1, 0] = 1.5
+    want[0, 1] = 2.0
+    want[1, 1] = 5.0
+    assert np.array_equal(op.to_dense(), want)
+    assert op.mat.nnz == 3 and op.mat.has_canonical_format
 
 
 def test_diagonal_operator_eigenbasis(chain4):

@@ -397,6 +397,14 @@ def test_dirichlet_form_even_models_identity():
         assert record.passed, record.details
 
 
+@pytest.mark.parametrize("check", [reversibility_check, dirichlet_form_check])
+def test_randomized_checks_reject_zero_trials(check):
+    # with no trials the check would pass at value 0.0 from no samples
+    model = _ising_chain_model(4, 1.0)
+    with pytest.raises(ConstraintError, match="at least 1 trial"):
+        check(model, trials=0)
+
+
 def test_dirichlet_form_nonnegative_for_ferro():
     rng = np.random.default_rng(227)
     for _ in range(6):
@@ -504,6 +512,37 @@ def test_verify_model_odd_still_passes_asserted_subset():
     by_name = {r.name: r for r in report.records}
     assert not by_name["eigenstate_residual"].asserted
     assert by_name["eigenstat" + "e_residual"].passed
+
+
+def test_operator_layer_decodes_spins_only_for_the_gibbs_state(monkeypatch):
+    # Outside the classical module's own Functional route, the operators
+    # and checks work on configuration masks; only build_gibbs_state
+    # decodes spins, to stay independent of the mask-native Z.
+    import sys
+
+    from gibbs_ground import classical, models
+
+    original = classical.spins_from_masks
+    callers = []
+
+    def counting(masks, n_sites):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(masks, n_sites)
+
+    for name, module in list(sys.modules.items()):
+        if (
+            name.startswith("gibbs_ground.")
+            and module is not classical
+            and getattr(module, "spins_from_masks", None) is original
+        ):
+            monkeypatch.setattr(module, "spins_from_masks", counting)
+    model = random_model(np.random.default_rng(5), flavor="generic")
+    model.h
+    model.h_conjugate
+    models.offdiagonal_from_couplings(model.table, model.lattice)
+    assert callers == []
+    verify_model(model, trials=2)
+    assert callers == ["build_gibbs_state"]
 
 
 def test_verify_report_payload_shape():
