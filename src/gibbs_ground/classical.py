@@ -455,6 +455,11 @@ class MetropolisResult:
     batches: int
 
 
+def default_burn_in(sweeps: int, burn_in: int | None = None) -> int:
+    """burn_in if given, else a tenth of the sweeps (at least one)."""
+    return max(1, sweeps // 10) if burn_in is None else burn_in
+
+
 def metropolis_samples(
     potential: ClassicalPotential,
     alpha: float,
@@ -541,8 +546,7 @@ def metropolis_estimate(
 ) -> MetropolisResult:
     """Metropolis estimate of the Gibbs expectation of f, with standard error
     from batch means.  Fully deterministic for a fixed seed."""
-    if burn_in is None:
-        burn_in = max(1, sweeps // 10)
+    burn_in = default_burn_in(sweeps, burn_in)
     samples, acceptance = metropolis_samples(
         potential, alpha, sweeps=sweeps, burn_in=burn_in, seed=seed
     )

@@ -18,6 +18,7 @@ from . import __version__
 from .classical import (
     ENUMERATION_CAP,
     ClassicalPotential,
+    default_burn_in,
     estimate_from_samples,
     metropolis_samples,
     spin_product,
@@ -179,6 +180,8 @@ def parse_config(text: str) -> RunConfig:
         enumeration_sites=_get(caps_raw, "enumeration_sites", int, "caps", ENUMERATION_CAP),
         dense_sites=_get(caps_raw, "dense_sites", int, "caps", DENSE_SITE_CAP),
     )
+    for name, value in vars(caps).items():
+        _require(value >= 1, f"field 'caps.{name}' must be at least 1, got {value}")
 
     lat_raw = doc.get("lattice")
     _require(isinstance(lat_raw, dict), "missing required object 'lattice'")
@@ -337,7 +340,7 @@ def _cmd_build(config: RunConfig, out: Path) -> int:
                 {
                     "alpha": alpha,
                     "dimension": model.h.dim,
-                    "nnz": int(model.h.mat.nnz),
+                    "nnz": model.h.nnz,
                     "hermitian": bool(model.h.is_hermitian),
                     "h_norm_max": model.h.norm_max,
                     "two_route_gap": model.two_path_diff,
@@ -427,9 +430,7 @@ def _cmd_sweep(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_sample(config: RunConfig, out: Path) -> int:
-    burn_in = (
-        max(1, config.sweeps // 10) if config.burn_in is None else config.burn_in
-    )
+    burn_in = default_burn_in(config.sweeps, config.burn_in)
     results = []
     for alpha in config.alphas:
         samples, acceptance = metropolis_samples(

@@ -310,14 +310,16 @@ def conjugate_hamiltonian(model: "ModelInstance") -> OperatorMatrix:
     direct = flip_operator(n, terms + [(0, diag)])
 
     # Similarity-transform route, with U shifted by its minimum so the
-    # diagonal scaling stays well-conditioned (the transform is shift-invariant).
-    from scipy import sparse
-
+    # diagonal scaling stays well-conditioned (the transform is shift-invariant):
+    # the entry d_C[m] of H at row m XOR C, column m is scaled by
+    # left[m XOR C] and right[m].
     energies = model.potential.energy_from_signs(signs)
     shifted = energies - energies.min()
-    left = sparse.diags_array(np.exp(0.5 * model.alpha * shifted), format="csr")
-    right = sparse.diags_array(np.exp(-0.5 * model.alpha * shifted), format="csr")
-    transformed = OperatorMatrix((left @ model.h.mat @ right).tocsr())
+    left = np.exp(0.5 * model.alpha * shifted)
+    right = np.exp(-0.5 * model.alpha * shifted)
+    transformed = OperatorMatrix(
+        n, {c: (left[masks ^ c] * d) * right for c, d in model.h.terms.items()}
+    )
     diff = max_entry_diff(direct, transformed)
     tol = CONJUGATE_RTOL * model.h.norm_max
     if diff > tol:

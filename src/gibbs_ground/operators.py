@@ -4,10 +4,11 @@ Basis vector m is the product state with spin -1 exactly at the sites whose
 bit is set in m, so sigma^z_x is diagonal with entry +-1, sigma^x over a
 site set A maps m to m XOR A, and sigma^y follows from
 sigma^y = -i sigma^z sigma^x.  Every operator is a sum of flip terms
-diag(d) X_[C], assembled by flip_operator into a sparse complex CSR matrix
-holding only structurally nonzero entries.  scipy.sparse is
-imported where an operator is built, so importing this module (and the
-classical commands that never build one) does not load scipy.
+diag(d_C) X_[C], and OperatorMatrix holds exactly that: one complex vector
+d_C per flip set C.  Products, norms, the Hermitian flag and the dense form
+are computed from the terms with numpy.  scipy is imported only where a
+scipy object is needed: the CSR view OperatorMatrix.mat, built on first
+access, and the Lanczos solver.
 """
 
 from __future__ import annotations
@@ -46,47 +47,124 @@ def pauli(axis: int) -> np.ndarray:
         raise ConstraintError(f"Pauli axis must be 1, 2 or 3, got {axis}") from None
 
 
-@dataclass
+@dataclass(eq=False)
 class OperatorMatrix:
-    """A sparse complex operator on the 2^n tensor-product space."""
+    """A complex operator on the 2^n tensor-product space, held as its flip
+    terms sum_C diag(d_C) X_[C]: terms maps each flip set C to the complex
+    vector d_C, whose entry d_C[m] sits at row m XOR C, column m.
 
-    mat: sparse.csr_array
+    Everything the checks read (products, norms, the Hermitian flag, the
+    dense form) is computed from the terms with numpy; the scipy CSR form
+    is built only when mat is first read.
+    """
+
+    n_sites: int
+    terms: dict[int, np.ndarray]
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return 1 << self.n_sites
+
+    @cached_property
+    def nnz(self) -> int:
+        """Number of nonzero entries."""
+        return sum(int(np.count_nonzero(d)) for d in self.terms.values())
 
     @cached_property
     def norm_max(self) -> float:
         """Largest absolute entry (0 for the zero matrix)."""
-        if self.mat.nnz == 0:
-            return 0.0
-        return float(np.abs(self.mat.data).max())
+        return max((float(np.abs(d).max()) for d in self.terms.values()), default=0.0)
+
+    @cached_property
+    def is_real(self) -> bool:
+        """True when every entry has a zero imaginary part."""
+        return not any(d.imag.any() for d in self.terms.values())
 
     @cached_property
     def is_hermitian(self) -> bool:
-        """Computed flag: max |A - A^dagger| <= 1e-14 * norm_max."""
-        diff = (self.mat - self.mat.conj().T).tocoo()
-        if diff.nnz == 0:
-            return True
-        return float(np.abs(diff.data).max()) <= HERMITIAN_RTOL * self.norm_max
+        """Computed flag: max |A - A^dagger| <= 1e-14 * norm_max.
 
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        return apply(self, vector)
+        X_[C] is its own transpose, so A^dagger has the term conj(d_C[m XOR C])
+        wherever A has d_C[m].
+        """
+        masks = all_masks(self.n_sites)
+        gap = max(
+            (float(np.abs(d - d[masks ^ c].conj()).max()) for c, d in self.terms.items()),
+            default=0.0,
+        )
+        return gap <= HERMITIAN_RTOL * self.norm_max
 
     def to_dense(self) -> np.ndarray:
-        return self.mat.toarray()
+        masks = all_masks(self.n_sites)
+        dense = np.zeros((self.dim, self.dim), dtype=complex)
+        for c, d in self.terms.items():
+            dense[masks ^ c, masks] = d
+        return dense
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.mat + other.mat)
+        """Term-by-term sum; a term one side lacks reads as zeros."""
+        _check_same_space(self, other)
+        return OperatorMatrix(
+            self.n_sites,
+            {
+                c: self.terms.get(c, 0) + other.terms.get(c, 0)
+                for c in self.terms | other.terms
+            },
+        )
+
+    @cached_property
+    def mat(self) -> sparse.csr_array:
+        """Canonical CSR form with exact zeros dropped; imports scipy."""
+        from scipy import sparse
+
+        dim = self.dim
+        if not self.terms:
+            return sparse.csr_array((dim, dim), dtype=complex)
+        masks = all_masks(self.n_sites)
+        mat = sparse.coo_array(
+            (
+                np.concatenate(list(self.terms.values())),
+                (
+                    np.concatenate([masks ^ c for c in self.terms]),
+                    np.tile(masks, len(self.terms)),
+                ),
+            ),
+            shape=(dim, dim),
+        ).tocsr()
+        mat.eliminate_zeros()
+        return mat
+
+    @cached_property
+    def _row_gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(terms x dim) tables: row m's columns m XOR C in ascending order,
+        and the real and imaginary parts of the entries found there."""
+        masks = all_masks(self.n_sites)
+        flips = np.fromiter(self.terms, dtype=np.int64, count=len(self.terms))
+        columns = masks[None, :] ^ flips[:, None]
+        order = np.argsort(columns, axis=0)
+        columns = np.take_along_axis(columns, order, axis=0)
+        entries = np.stack(list(self.terms.values()))[order, columns]
+        return columns, entries.real.copy(), entries.imag.copy()
+
+
+def _check_same_space(a: OperatorMatrix, b: OperatorMatrix):
+    if a.n_sites != b.n_sites:
+        raise ConstraintError(
+            f"operators on {a.n_sites} and {b.n_sites} sites do not combine"
+        )
 
 
 def max_entry_diff(a: OperatorMatrix, b: OperatorMatrix) -> float:
-    """Largest absolute entrywise difference of two operators."""
-    diff = (a.mat - b.mat).tocoo()
-    if diff.nnz == 0:
-        return 0.0
-    return float(np.abs(diff.data).max())
+    """Largest absolute entrywise difference of two operators, compared
+    term by term (a term one side lacks reads as zeros)."""
+    _check_same_space(a, b)
+    return max(
+        (
+            float(np.abs(a.terms.get(c, 0) - b.terms.get(c, 0)).max())
+            for c in a.terms | b.terms
+        ),
+        default=0.0,
+    )
 
 
 def all_masks(n_sites: int) -> np.ndarray:
@@ -99,24 +177,14 @@ def flip_operator(
     """The operator sum_C diag(d) X_[C] over (C, d) terms.
 
     Term (C, d) places d[m] at row m XOR C, column m, so C = 0 is a diagonal
-    term.  Entries at the same position are summed and exact zeros
-    dropped; no terms give the zero matrix.
+    term.  Terms that share a C are summed in the order given; no terms
+    give the zero operator.
     """
-    from scipy import sparse
-
-    dim = 1 << n_sites
-    if not terms:
-        return OperatorMatrix(sparse.csr_array((dim, dim), dtype=complex))
-    masks = all_masks(n_sites)
-    mat = sparse.coo_array(
-        (
-            np.concatenate([d for _, d in terms]).astype(complex),
-            (np.concatenate([masks ^ c for c, _ in terms]), np.tile(masks, len(terms))),
-        ),
-        shape=(dim, dim),
-    ).tocsr()
-    mat.eliminate_zeros()
-    return OperatorMatrix(mat)
+    summed: dict[int, np.ndarray] = {}
+    for c, d in terms:
+        d = np.asarray(d).astype(complex)
+        summed[c] = summed[c] + d if c in summed else d
+    return OperatorMatrix(n_sites, summed)
 
 
 def _check_quantum_size(n_sites: int, cap: int = QUANTUM_SITE_CAP):
@@ -188,14 +256,40 @@ def diagonal_operator(g: Functional, lattice: Lattice) -> OperatorMatrix:
     return flip_operator(n, [(0, values)])
 
 
+def _ascending_sum(products: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a (terms x dim) table, from zero, in row order."""
+    total = np.zeros(products.shape[1])
+    for row in products:
+        total += row
+    return total
+
+
 def apply(op: OperatorMatrix, vector: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product."""
+    """Matrix-vector product from the flip terms,
+
+        out[m] = sum_C d_C[m XOR C] v[m XOR C],
+
+    with each row summed from zero in ascending column order and each
+    complex product formed from its real and imaginary parts, as a CSR
+    product does; the result has the same bits as op.mat @ vector.
+    """
     vector = np.asarray(vector)
     if vector.shape != (op.dim,):
         raise ConstraintError(
             f"vector of shape {vector.shape} does not match operator dimension {op.dim}"
         )
-    return op.mat @ vector
+    out = np.zeros(op.dim, dtype=complex)
+    if not op.terms:
+        return out
+    columns, entries_re, entries_im = op._row_gather
+    if op.is_real and not np.iscomplexobj(vector):
+        # Real entries on a real vector: the imaginary parts stay zero.
+        out.real = _ascending_sum(entries_re * vector[columns])
+        return out
+    v_re, v_im = vector.real[columns], vector.imag[columns]
+    out.real = _ascending_sum(entries_re * v_re - entries_im * v_im)
+    out.imag = _ascending_sum(entries_re * v_im + entries_im * v_re)
+    return out
 
 
 def weighted_inner_product(

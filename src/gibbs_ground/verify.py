@@ -21,6 +21,7 @@ from .classical import (
     ENUMERATION_CAP,
     ClassicalPotential,
     classical_expectation,
+    default_burn_in,
     estimate_from_samples,
     flip_weight,
     max_abs_flip_energy,
@@ -45,7 +46,13 @@ from .models import (
     diagonal_couplings,
     offdiagonal_from_couplings,
 )
-from .operators import OperatorMatrix, all_masks, max_entry_diff, product_operator
+from .operators import (
+    OperatorMatrix,
+    all_masks,
+    apply,
+    max_entry_diff,
+    product_operator,
+)
 
 # min_eigenvalue calls Lanczos through this module name, which
 # perfbench/spans.py replaces with a matvec-counting solver.  It is private
@@ -160,7 +167,34 @@ def eigen_residual(h: OperatorMatrix, psi: np.ndarray) -> float:
     norm = float(np.linalg.norm(psi))
     if norm == 0.0:
         raise ConstraintError("cannot compute an eigen residual of the zero vector")
-    return float(np.linalg.norm(h.mat @ psi)) / norm
+    return float(np.linalg.norm(apply(h, psi))) / norm
+
+
+def _flip_graph_labels(h: OperatorMatrix) -> np.ndarray:
+    """Connected components of the flip graph of h, whose edges join m and
+    m XOR C wherever either entry between them is nonzero.
+
+    Min-label propagation along the edges, with pointer jumping between
+    rounds, until no label moves; each label ends as the smallest mask of
+    its component.
+    """
+    masks = all_masks(h.n_sites)
+    edges = []
+    for c, d in h.terms.items():
+        if c:
+            partner = masks ^ c
+            linked = d != 0
+            edges.append((partner, linked | linked[partner]))
+    labels = masks
+    while True:
+        before = labels
+        for partner, linked in edges:
+            labels = np.where(linked, np.minimum(labels, labels[partner]), labels)
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+        if np.array_equal(labels, before):
+            return labels
 
 
 def min_eigenvalue(
@@ -170,52 +204,64 @@ def min_eigenvalue(
 ) -> SpectralResult:
     """Smallest eigenvalue of a Hermitian operator.
 
-    Arithmetic is real when every stored entry has a zero imaginary part.
-    Up to dense_dim_cap the matrix is split into the connected components
-    of its flip graph (H couples m only to m XOR C), and the lowest
-    eigenpair of each block comes from a dense solve; the minimum over
-    blocks wins.  Above the cap, Lanczos finds the top eigenvector of the
-    flipped matrix c*I - H, with c the largest absolute row sum (a
-    Gershgorin bound), from a fixed-seed random start vector, and the
-    eigenvalue is its Rayleigh quotient on H.  The residual is always
-    measured against the full H, which also proves the blocks closed.
+    Arithmetic is real when every entry has a zero imaginary part.  Up to
+    dense_dim_cap the operator is split into the connected components of
+    its flip graph (H couples m only to m XOR C), numbered by smallest
+    mask; each block is assembled dense from the flip terms, its lowest
+    eigenvalue decides the winner, and the winning block's eigenvector comes
+    from a second, full dense solve.  Above the cap, Lanczos finds the top
+    eigenvector of the flipped matrix c*I - H, with c the largest absolute
+    row sum (a Gershgorin bound), from a fixed-seed random start vector,
+    and the eigenvalue is its Rayleigh quotient on H.  The residual is
+    always measured against the full H, which also proves the blocks closed.
 
     Raises NonHermitianError on non-Hermitian input and ConvergenceError if
     the iterative path fails to converge.
     """
-    from scipy import sparse
-
     if not h.is_hermitian:
         raise NonHermitianError(
             "smallest-eigenvalue computation requires a Hermitian matrix"
         )
-    mat = h.mat if h.mat.data.imag.any() else h.mat.real
+    real = h.is_real
     dim = h.dim
     if dim <= dense_dim_cap:
-        from scipy.linalg import eigh
-        from scipy.sparse.csgraph import connected_components
-
-        pattern = sparse.csr_array(
-            (np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape
-        )
-        n_blocks, labels = connected_components(pattern, directed=False)
+        _, labels = np.unique(_flip_graph_labels(h), return_inverse=True)
+        n_blocks = int(labels.max()) + 1
         order = np.argsort(labels, kind="stable")
         bounds = np.searchsorted(labels[order], np.arange(n_blocks + 1))
-        permuted = mat[order][:, order]
+        # Every nonzero entry as (row, column) positions in block order,
+        # sorted by column so that each block's entries form one slice.
+        position = np.empty(dim, dtype=np.int64)
+        position[order] = np.arange(dim)
+        rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        vals = [np.zeros(0, dtype=float if real else complex)]
+        for c, d in h.terms.items():
+            nonzero = np.flatnonzero(d)
+            rows.append(position[nonzero ^ c])
+            cols.append(position[nonzero])
+            vals.append(d[nonzero].real if real else d[nonzero])
+        rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+        by_col = np.argsort(cols)
+        rows, cols, vals = rows[by_col], cols[by_col], vals[by_col]
+        cuts = np.searchsorted(cols, bounds)
         lam, best = math.inf, None
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            evals, evecs = eigh(
-                permuted[start:stop, start:stop].toarray(), subset_by_index=[0, 0]
-            )
-            if evals[0] < lam:
-                lam, best = float(evals[0]), (start, stop, evecs[:, 0])
-        start, stop, block_vec = best
-        vec = np.zeros(dim, dtype=block_vec.dtype)
-        vec[order[start:stop]] = block_vec
+        for start, stop, lo, hi in zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:]):
+            block = np.zeros((stop - start, stop - start), dtype=vals.dtype)
+            block[rows[lo:hi] - start, cols[lo:hi] - start] = vals[lo:hi]
+            low = np.linalg.eigvalsh(block)[0]
+            if low < lam:
+                lam, best = low, (start, stop, block)
+        start, stop, block = best
+        evals, evecs = np.linalg.eigh(block)
+        lam = float(evals[0])
+        vec = np.zeros(dim, dtype=evecs.dtype)
+        vec[order[start:stop]] = evecs[:, 0]
         method, blocks, largest_block = "dense", n_blocks, int(np.diff(bounds).max())
     else:
+        from scipy import sparse
         from scipy.sparse.linalg import ArpackNoConvergence
 
+        mat = h.mat.real if real else h.mat
         shift = float(abs(mat).sum(axis=1).max())
         flipped = sparse.eye_array(dim, dtype=mat.dtype, format="csr") * shift - mat
         # A fixed-seed start vector makes reruns repeat exactly; a generic
@@ -232,9 +278,9 @@ def min_eigenvalue(
         vec = evecs[:, 0]
         # The Rayleigh quotient on H itself, not shift - evals[0], which
         # would lose the digits the shift cancels.
-        lam = float(np.vdot(vec, h.mat @ vec).real)
+        lam = float(np.vdot(vec, apply(h, vec)).real)
         method, blocks, largest_block = "iterative", 1, dim
-    residual = float(np.linalg.norm(h.mat @ vec - lam * vec))
+    residual = float(np.linalg.norm(apply(h, vec) - lam * vec))
     if residual > 1e-10 * max(h.norm_max, abs(lam)):
         raise InternalConsistencyError(
             f"{method} eigensolver residual {residual:.3e} is implausibly large"
@@ -286,7 +332,7 @@ def quantum_expectation(
     denom = float(np.vdot(psi, psi).real)
     if denom == 0.0:
         raise ConstraintError("expectation in the zero vector is undefined")
-    value = complex(np.vdot(psi, op.mat @ psi)) / denom
+    value = complex(np.vdot(psi, apply(op, psi))) / denom
     if op.is_hermitian and abs(value.imag) > imag_tol * max(1.0, abs(value.real)):
         raise InternalConsistencyError(
             f"Hermitian expectation has imaginary part {value.imag:.3e}"
@@ -358,8 +404,7 @@ def reversibility_check(
     shifted = energies - energies.min()
     w = np.exp(-model.alpha * shifted)
     wh = np.exp(-0.5 * model.alpha * shifted)
-    hc = model.h_conjugate.mat
-    hmat = model.h.mat
+    hc = model.h_conjugate
     rng = np.random.default_rng(seed)
     fs = _random_vectors(rng, 1 << n, trials)
     gs = _random_vectors(rng, 1 << n, trials)
@@ -368,11 +413,11 @@ def reversibility_check(
     for f, g in zip(fs, gs):
         scale = model.h.norm_max * np.linalg.norm(f) * np.linalg.norm(g)
         scale = max(scale, np.finfo(float).tiny)
-        hcf = hc @ f
-        hcg = hc @ g
+        hcf = apply(hc, f)
+        hcg = apply(hc, g)
         sym_gap = abs(np.sum(w * np.conj(hcf) * g) - np.sum(w * f * hcg))
         conj_gap = abs(
-            np.sum(w * np.conj(hcf) * g) - np.vdot(hmat @ (wh * f), wh * g)
+            np.sum(w * np.conj(hcf) * g) - np.vdot(apply(model.h, wh * f), wh * g)
         )
         max_sym = max(max_sym, sym_gap / scale)
         max_conj = max(max_conj, conj_gap / scale)
@@ -412,7 +457,7 @@ def dirichlet_form_check(
     energies = model.potential.energy_from_signs(model.potential.term_signs(masks))
     shifted = energies - energies.min()
     w = np.exp(-model.alpha * shifted)
-    hc = model.h_conjugate.mat
+    hc = model.h_conjugate
 
     couplings = [c for c in diagonal_couplings(model.table) if c.sites_mask != 0]
     flip_data = []
@@ -427,7 +472,7 @@ def dirichlet_form_check(
     min_form = math.inf
     for f in fs:
         scale = max(model.h.norm_max * float(np.dot(f, f)), np.finfo(float).tiny)
-        lhs = complex(np.sum(w * np.conj(hc @ f) * f))
+        lhs = complex(np.sum(w * np.conj(apply(hc, f)) * f))
         rhs = 0.0 + 0.0j
         for perm, jw in flip_data:
             diff = f - f[perm]
@@ -531,9 +576,12 @@ def order_parameter_scan(
         for x, y in pairs:
             fs.append(spin_product(x, y))
             fs.append(flip_weight(potential, alpha, (1 << x) | (1 << y)))
-        bi = max(1, sweeps // 10) if burn_in is None else burn_in
         samples, _ = metropolis_samples(
-            potential, alpha, sweeps=sweeps, burn_in=bi, seed=seed
+            potential,
+            alpha,
+            sweeps=sweeps,
+            burn_in=default_burn_in(sweeps, burn_in),
+            seed=seed,
         )
         values, errors = [], []
         for f in fs:
@@ -727,7 +775,7 @@ def verify_model(
 
     started = time.perf_counter()
     ones = np.ones(model.h_conjugate.dim)
-    row_sum = float(np.abs(model.h_conjugate.mat @ ones).max())
+    row_sum = float(np.abs(apply(model.h_conjugate, ones)).max())
     records.append(
         _record(
             "conjugate_row_sums",
@@ -762,7 +810,7 @@ def verify_model(
 
         started = time.perf_counter()
         rayleigh = abs(
-            float(np.vdot(model.state, model.h.mat @ model.state).real)
+            float(np.vdot(model.state, apply(model.h, model.state)).real)
         ) / model.state_norm_squared()
         records.append(
             _record(

@@ -1,0 +1,24 @@
+"""Flip terms of a dense matrix, for tests that need an arbitrary operator.
+
+Any 2^n x 2^n matrix A is a sum of flip terms: term C collects the entries
+A[m XOR C, m] over all columns m.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gibbs_ground.operators import OperatorMatrix, all_masks
+
+
+def operator_from_dense(dense) -> OperatorMatrix:
+    """The OperatorMatrix equal to a square matrix whose side is a power of
+    two; flip sets with no nonzero entry get no term."""
+    dense = np.asarray(dense, dtype=complex)
+    dim = dense.shape[0]
+    n_sites = dim.bit_length() - 1
+    if dense.shape != (dim, dim) or dim != 1 << n_sites:
+        raise ValueError(f"need a square matrix with a power-of-two side, got {dense.shape}")
+    masks = all_masks(n_sites)
+    terms = {c: dense[masks ^ c, masks] for c in range(dim)}
+    return OperatorMatrix(n_sites, {c: d for c, d in terms.items() if d.any()})

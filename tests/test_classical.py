@@ -18,6 +18,7 @@ from gibbs_ground import (
 )
 from gibbs_ground import classical
 from gibbs_ground.classical import (
+    default_burn_in,
     estimate_from_samples,
     gibbs_averages,
     mask_from_spins,
@@ -389,6 +390,14 @@ def test_metropolis_rejects_negative_burn_in():
         metropolis_samples(pot, 1.0, sweeps=8, burn_in=-5, seed=0)
     with pytest.raises(ConstraintError, match="burn_in"):
         metropolis_estimate(squared_magnetization(), pot, 1.0, sweeps=8, burn_in=-1, seed=0)
+
+
+def test_default_burn_in_is_a_tenth_of_the_sweeps():
+    assert [default_burn_in(s) for s in (1, 9, 10, 25, 200)] == [1, 1, 1, 2, 20]
+    assert default_burn_in(200, 0) == 0 and default_burn_in(200, 7) == 7
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, 4), 1.0)
+    result = metropolis_estimate(squared_magnetization(), pot, 1.0, sweeps=50, seed=0)
+    assert result.burn_in == 5
 
 
 def test_from_terms_rejects_a_repeated_site():

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +136,22 @@ def test_zero_trials_and_negative_burn_in_exit_2(
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
     error = _error_of(capsys)
     assert error["error"] == "ConfigError" and field in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize(
+    "cap", ["lattice_sites", "quantum_sites", "enumeration_sites", "dense_sites"]
+)
+def test_caps_below_one_exit_2(tmp_path, capsys, cap, value):
+    # dense_sites -1 once ended verify in a bare "negative shift count"
+    # ValueError, and enumeration_sites -3 in a SizeCapError naming a cap of -3
+    doc = _config(lattice={"d": 1, "L": 5}, caps={cap: value})
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "ConfigError" and f"caps.{cap}" in error["message"]
     assert not out.exists()
 
 
@@ -377,6 +394,40 @@ def test_build_golden_summary(tmp_path):
     path = _write_config(tmp_path, GOLDEN_BUILD_CONFIG)
     assert cli.main(["build", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "summary.json").read_bytes() == GOLDEN_BUILD_SUMMARY.encode()
+
+# report.json of verify on two XX/Ising chains, pinned on the CSR-based
+# operator layer that preceded the flip-term one.  On the dense route the
+# eigensolver changed, so the ground energy and its residual (roundoff-sized
+# for this model) are blanked; the iterative route is pinned in full.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _verify_report(tmp_path, doc) -> str:
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    return (tmp_path / "report.json").read_text()
+
+
+def test_verify_golden_report_dense_route(tmp_path):
+    raw = _verify_report(tmp_path, _config(lattice={"d": 1, "L": 8}))
+    doc = json.loads(raw)
+    # Re-serialising reproduces the file, so blanking two fields below
+    # leaves every other byte as written.
+    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == raw
+    (ground,) = [c for c in doc["reports"][0]["checks"] if c["name"] == "ground_energy"]
+    assert ground["details"]["method"] == "dense"
+    assert abs(ground["value"]) <= 1e-12 and ground["details"]["residual"] <= 1e-12
+    ground["value"] = None
+    ground["details"]["residual"] = None
+    blanked = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert blanked == (GOLDEN / "verify_chain8_dense.json").read_text()
+
+
+def test_verify_golden_report_iterative_route(tmp_path):
+    raw = _verify_report(tmp_path, _config(caps={"dense_sites": 4}))
+    assert '"method": "iterative"' in raw
+    assert raw == (GOLDEN / "verify_chain6_iterative.json").read_text()
+
 
 def _error_of(capsys) -> dict:
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])

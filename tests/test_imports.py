@@ -1,9 +1,11 @@
 """Which commands load scipy.
 
 The classical commands (sweep, correlate, sample) only take Gibbs averages,
-so neither ``import gibbs_ground`` nor those commands may import scipy;
-verify builds operators and must.  Each check runs in a fresh interpreter,
-since this test process has long since loaded scipy.
+and build and verify up to the dense cap compute everything from the flip
+terms with numpy, so neither ``import gibbs_ground`` nor those commands may
+import scipy; verify above the dense cap runs Lanczos on the CSR form and
+must.  Each check runs in a fresh interpreter, since this test process has
+long since loaded scipy.
 """
 
 import json
@@ -61,8 +63,17 @@ def test_classical_commands_do_not_load_scipy(tmp_path, command):
     assert not _scipy_loaded_after(_command(command), tmp_path)
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_operator_commands_under_the_dense_cap_do_not_load_scipy(tmp_path, command):
+    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    assert not _scipy_loaded_after(_command(command), tmp_path)
+
+
 def test_verify_loads_scipy(tmp_path):
     # Positive control: without it the checks above could pass because the
-    # probe never sees scipy at all.
-    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    # probe never sees scipy at all.  Above the dense cap of 4 sites the
+    # ground energy comes from Lanczos, which needs scipy.
+    (tmp_path / "config.json").write_text(
+        json.dumps({**CONFIG, "caps": {"dense_sites": 4}})
+    )
     assert _scipy_loaded_after(_command("verify"), tmp_path)

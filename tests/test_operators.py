@@ -16,7 +16,9 @@ from gibbs_ground import (
     weighted_inner_product,
 )
 from gibbs_ground.errors import ConstraintError, SizeCapError
-from gibbs_ground.operators import OperatorMatrix, flip_operator, max_entry_diff
+from gibbs_ground.operators import flip_operator, max_entry_diff
+
+from .flip_terms import operator_from_dense
 
 
 def test_pauli_matrices():
@@ -74,7 +76,7 @@ def test_y_on_basis_vector():
 def test_empty_set_gives_identity(chain4):
     for axis in (1, 2, 3):
         op = product_operator(axis, 0, chain4)
-        assert max_entry_diff(op, OperatorMatrix(op.mat)) == 0
+        assert max_entry_diff(op, operator_from_dense(np.eye(16))) == 0
         v = np.arange(16, dtype=complex)
         assert np.array_equal(apply(op, v), v)
 
@@ -109,7 +111,7 @@ def test_different_sites_commute(chain4):
 
 def test_pauli_is_hermitian_flag(chain4):
     assert product_operator(2, 0b1011, chain4).is_hermitian
-    skew = OperatorMatrix(1j * product_operator(1, 0b1, chain4).mat)
+    skew = operator_from_dense(1j * product_operator(1, 0b1, chain4).to_dense())
     assert not skew.is_hermitian
 
 

@@ -26,11 +26,11 @@ from gibbs_ground import (
 from gibbs_ground import verify
 from gibbs_ground.errors import ConstraintError, NonHermitianError, SizeCapError
 from gibbs_ground.lattice import nearest_neighbor_pairs
-from gibbs_ground.operators import OperatorMatrix, product_operator
+from gibbs_ground.operators import product_operator
 from gibbs_ground.verify import max_abs_flip_energy
-from scipy import sparse
 
 from .conftest import random_model
+from .flip_terms import operator_from_dense
 from .oracles import enumerate_spins, open_chain_correlation_closed_form
 
 
@@ -84,7 +84,7 @@ def _sector_violating_model(alpha=0.5):
 
 
 def test_eigen_residual_zero_matrix():
-    zero = OperatorMatrix(sparse.csr_array((4, 4), dtype=complex))
+    zero = operator_from_dense(np.zeros((4, 4)))
     assert eigen_residual(zero, np.ones(4)) == 0.0
     with pytest.raises(ConstraintError):
         eigen_residual(zero, np.zeros(4))
@@ -206,12 +206,12 @@ def test_min_eigenvalue_matches_full_dense_spectrum(flavor, seed):
 
 def test_min_eigenvalue_complex_hermitian_blocks():
     rng = np.random.default_rng(227)
-    dim = 48
+    dim = 64
     labels = rng.integers(3, size=dim)
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     raw *= labels[:, None] == labels[None, :]
     dense = raw + raw.conj().T
-    h = OperatorMatrix(sparse.csr_array(dense))
+    h = operator_from_dense(dense)
     expected = eigvalsh(dense)[0]
     # dropping the imaginary parts would give a visibly different minimum
     assert abs(eigvalsh(dense.real)[0] - expected) > 1e-3
