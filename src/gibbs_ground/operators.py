@@ -112,27 +112,28 @@ class OperatorMatrix:
             },
         )
 
+    def nonzero_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, columns, values) of every nonzero entry, term by term:
+        d_C[m] at row m XOR C, column m.  No two share a position."""
+        rows, cols, vals = [], [], []
+        for c, d in self.terms.items():
+            nonzero = np.flatnonzero(d)
+            rows.append(nonzero ^ c)
+            cols.append(nonzero)
+            vals.append(d[nonzero])
+        if not rows:
+            return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex)
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
     @cached_property
     def mat(self) -> sparse.csr_array:
-        """Canonical CSR form with exact zeros dropped; imports scipy."""
+        """Canonical CSR form of the nonzero entries; imports scipy."""
         from scipy import sparse
 
-        dim = self.dim
-        if not self.terms:
-            return sparse.csr_array((dim, dim), dtype=complex)
-        masks = all_masks(self.n_sites)
-        mat = sparse.coo_array(
-            (
-                np.concatenate(list(self.terms.values())),
-                (
-                    np.concatenate([masks ^ c for c in self.terms]),
-                    np.tile(masks, len(self.terms)),
-                ),
-            ),
-            shape=(dim, dim),
+        rows, cols, vals = self.nonzero_entries()
+        return sparse.coo_array(
+            (vals, (rows, cols)), shape=(self.dim, self.dim)
         ).tocsr()
-        mat.eliminate_zeros()
-        return mat
 
     @cached_property
     def _row_gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,6 +170,33 @@ def max_entry_diff(a: OperatorMatrix, b: OperatorMatrix) -> float:
 
 def all_masks(n_sites: int) -> np.ndarray:
     return np.arange(1 << n_sites, dtype=np.int64)
+
+
+def flip_graph_labels(op: OperatorMatrix) -> np.ndarray:
+    """Connected components of the flip graph of op, whose edges join m and
+    m XOR C wherever either entry between them is nonzero.
+
+    Min-label propagation along the edges, with pointer jumping between
+    rounds, until no label moves; each label ends as the smallest mask of
+    its component.
+    """
+    masks = all_masks(op.n_sites)
+    edges = []
+    for c, d in op.terms.items():
+        if c:
+            partner = masks ^ c
+            linked = d != 0
+            edges.append((partner, linked | linked[partner]))
+    labels = masks
+    while True:
+        before = labels
+        for partner, linked in edges:
+            labels = np.where(linked, np.minimum(labels, labels[partner]), labels)
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+        if np.array_equal(labels, before):
+            return labels
 
 
 def flip_operator(

@@ -50,6 +50,7 @@ from .operators import (
     OperatorMatrix,
     all_masks,
     apply,
+    flip_graph_labels,
     max_entry_diff,
     product_operator,
 )
@@ -78,6 +79,11 @@ IMAG_PART_TOL = 1e-10
 
 # Dense blocked eigensolves up to 2^12 states; Lanczos above.
 DENSE_SITE_CAP = 12
+# Blocks of at least this many states go to scipy's one-eigenpair eigh
+# (LAPACK syevr), which beats numpy's eigvalsh plus an inverse-iteration
+# solve once the block outweighs the cost of importing scipy (about 0.25 s);
+# on a 2-vCPU machine the two cross near 1800 states.
+SUBSET_EIGH_MIN_BLOCK = 2048
 HYPOTHESIS_SET_CAP = 20
 
 
@@ -170,31 +176,32 @@ def eigen_residual(h: OperatorMatrix, psi: np.ndarray) -> float:
     return float(np.linalg.norm(apply(h, psi))) / norm
 
 
-def _flip_graph_labels(h: OperatorMatrix) -> np.ndarray:
-    """Connected components of the flip graph of h, whose edges join m and
-    m XOR C wherever either entry between them is nonzero.
+def _lowest_vector(block: np.ndarray, lam: float) -> np.ndarray:
+    """A unit eigenvector of a Hermitian block for its lowest eigenvalue
+    lam: one step of inverse iteration, a solve with block - lam*I from a
+    fixed-seed start vector, which blows up along the wanted direction.  An
+    exactly singular solve (an eigenvalue met exactly, as in a 1x1 block)
+    falls back to a full dense solve."""
+    start = np.random.default_rng(0).standard_normal(len(block))
+    try:
+        vec = np.linalg.solve(block - lam * np.eye(len(block)), start)
+    except np.linalg.LinAlgError:
+        vec = None
+    if vec is None or not np.isfinite(vec).all():
+        return np.linalg.eigh(block)[1][:, 0]
+    return vec / np.linalg.norm(vec)
 
-    Min-label propagation along the edges, with pointer jumping between
-    rounds, until no label moves; each label ends as the smallest mask of
-    its component.
-    """
-    masks = all_masks(h.n_sites)
-    edges = []
-    for c, d in h.terms.items():
-        if c:
-            partner = masks ^ c
-            linked = d != 0
-            edges.append((partner, linked | linked[partner]))
-    labels = masks
-    while True:
-        before = labels
-        for partner, linked in edges:
-            labels = np.where(linked, np.minimum(labels, labels[partner]), labels)
-        jumped = labels[labels]
-        while not np.array_equal(jumped, labels):
-            labels, jumped = jumped, jumped[jumped]
-        if np.array_equal(labels, before):
-            return labels
+
+def _block_minimum(block: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """Lowest eigenvalue of a Hermitian block, with its eigenvector where
+    the solver gives it: numpy's eigvalsh below SUBSET_EIGH_MIN_BLOCK
+    states (no vector), scipy's one-eigenpair eigh from there on."""
+    if len(block) < SUBSET_EIGH_MIN_BLOCK:
+        return float(np.linalg.eigvalsh(block)[0]), None
+    from scipy.linalg import eigh
+
+    evals, evecs = eigh(block, subset_by_index=[0, 0])
+    return float(evals[0]), evecs[:, 0]
 
 
 def min_eigenvalue(
@@ -207,13 +214,16 @@ def min_eigenvalue(
     Arithmetic is real when every entry has a zero imaginary part.  Up to
     dense_dim_cap the operator is split into the connected components of
     its flip graph (H couples m only to m XOR C), numbered by smallest
-    mask; each block is assembled dense from the flip terms, its lowest
-    eigenvalue decides the winner, and the winning block's eigenvector comes
-    from a second, full dense solve.  Above the cap, Lanczos finds the top
-    eigenvector of the flipped matrix c*I - H, with c the largest absolute
-    row sum (a Gershgorin bound), from a fixed-seed random start vector,
-    and the eigenvalue is its Rayleigh quotient on H.  The residual is
-    always measured against the full H, which also proves the blocks closed.
+    mask; each block is assembled dense from the flip terms and its lowest
+    eigenvalue decides the winner.  Below SUBSET_EIGH_MIN_BLOCK states a
+    block is solved by numpy alone, values first, and the winner's
+    eigenvector comes from one step of inverse iteration at its eigenvalue;
+    larger blocks go to scipy's one-eigenpair eigh.  Above the cap, Lanczos
+    finds the top eigenvector of the flipped matrix c*I - H, with c the
+    largest absolute row sum (a Gershgorin bound), from a fixed-seed random
+    start vector, and the eigenvalue is its Rayleigh quotient on H.  The
+    residual is always measured against the full H, which also proves the
+    blocks closed.
 
     Raises NonHermitianError on non-Hermitian input and ConvergenceError if
     the iterative path fails to converge.
@@ -225,7 +235,7 @@ def min_eigenvalue(
     real = h.is_real
     dim = h.dim
     if dim <= dense_dim_cap:
-        _, labels = np.unique(_flip_graph_labels(h), return_inverse=True)
+        _, labels = np.unique(flip_graph_labels(h), return_inverse=True)
         n_blocks = int(labels.max()) + 1
         order = np.argsort(labels, kind="stable")
         bounds = np.searchsorted(labels[order], np.arange(n_blocks + 1))
@@ -233,29 +243,24 @@ def min_eigenvalue(
         # sorted by column so that each block's entries form one slice.
         position = np.empty(dim, dtype=np.int64)
         position[order] = np.arange(dim)
-        rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        vals = [np.zeros(0, dtype=float if real else complex)]
-        for c, d in h.terms.items():
-            nonzero = np.flatnonzero(d)
-            rows.append(position[nonzero ^ c])
-            cols.append(position[nonzero])
-            vals.append(d[nonzero].real if real else d[nonzero])
-        rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+        rows, cols, vals = h.nonzero_entries()
+        rows, cols = position[rows], position[cols]
         by_col = np.argsort(cols)
-        rows, cols, vals = rows[by_col], cols[by_col], vals[by_col]
+        rows, cols = rows[by_col], cols[by_col]
+        vals = vals.real[by_col] if real else vals[by_col]
         cuts = np.searchsorted(cols, bounds)
         lam, best = math.inf, None
         for start, stop, lo, hi in zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:]):
             block = np.zeros((stop - start, stop - start), dtype=vals.dtype)
             block[rows[lo:hi] - start, cols[lo:hi] - start] = vals[lo:hi]
-            low = np.linalg.eigvalsh(block)[0]
+            low, block_vec = _block_minimum(block)
             if low < lam:
-                lam, best = low, (start, stop, block)
-        start, stop, block = best
-        evals, evecs = np.linalg.eigh(block)
-        lam = float(evals[0])
-        vec = np.zeros(dim, dtype=evecs.dtype)
-        vec[order[start:stop]] = evecs[:, 0]
+                lam, best = low, (start, stop, block, block_vec)
+        start, stop, block, block_vec = best
+        if block_vec is None:
+            block_vec = _lowest_vector(block, lam)
+        vec = np.zeros(dim, dtype=block.dtype)
+        vec[order[start:stop]] = block_vec
         method, blocks, largest_block = "dense", n_blocks, int(np.diff(bounds).max())
     else:
         from scipy import sparse

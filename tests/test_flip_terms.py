@@ -14,8 +14,12 @@ from scipy.sparse.csgraph import connected_components
 from gibbs_ground import apply, product_operator, xxz_hamiltonian
 from gibbs_ground.errors import ConstraintError
 from gibbs_ground.models import _flip_form_h, offdiagonal_from_couplings
-from gibbs_ground.operators import HERMITIAN_RTOL, flip_operator, max_entry_diff
-from gibbs_ground.verify import _flip_graph_labels
+from gibbs_ground.operators import (
+    HERMITIAN_RTOL,
+    flip_graph_labels,
+    flip_operator,
+    max_entry_diff,
+)
 
 from .conftest import random_model
 
@@ -70,6 +74,12 @@ def test_derived_quantities_match_csr(flavor):
             hermitian = _csr_max_abs(mat - mat.conj().T) <= HERMITIAN_RTOL * op.norm_max
             assert op.is_hermitian == hermitian, name
             assert np.array_equal(op.to_dense(), mat.toarray()), name
+            rows, cols, vals = op.nonzero_entries()
+            coo = mat.tocoo()
+            got, want = np.lexsort((cols, rows)), np.lexsort((coo.col, coo.row))
+            assert np.array_equal(rows[got], coo.row[want]), name
+            assert np.array_equal(cols[got], coo.col[want]), name
+            assert np.array_equal(vals[got], coo.data[want]), name
         for a, b in [("h", "flip_form_h"), ("h0", "grouped"), ("h", "h_conjugate"), ("h0", "v")]:
             want = _csr_max_abs(ops[a].mat - ops[b].mat)
             assert max_entry_diff(ops[a], ops[b]) == want, (a, b)
@@ -84,7 +94,7 @@ def test_flip_graph_labels_match_connected_components(flavor):
                 (np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape
             )
             _, want = connected_components(pattern, directed=False)
-            _, got = np.unique(_flip_graph_labels(op), return_inverse=True)
+            _, got = np.unique(flip_graph_labels(op), return_inverse=True)
             assert np.array_equal(got, want), name
 
 
@@ -97,8 +107,8 @@ def test_flip_graph_labels_by_hand():
     x12 = np.zeros(8)
     x12[0] = 2.0
     op = flip_operator(3, [(0b001, x0), (0b110, x12), (0, np.arange(8.0))])
-    assert _flip_graph_labels(op).tolist() == [0, 0, 2, 2, 4, 4, 0, 7]
-    assert _flip_graph_labels(flip_operator(2, [])).tolist() == [0, 1, 2, 3]
+    assert flip_graph_labels(op).tolist() == [0, 0, 2, 2, 4, 4, 0, 7]
+    assert flip_graph_labels(flip_operator(2, [])).tolist() == [0, 1, 2, 3]
 
 
 def test_sum_and_difference_read_a_missing_term_as_zeros():

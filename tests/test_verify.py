@@ -223,6 +223,48 @@ def test_min_eigenvalue_complex_hermitian_blocks():
         assert abs(spectral.eigenvalue - expected) <= 1e-12 * h.norm_max
 
 
+def test_min_eigenvalue_exact_eigenvalue_falls_back_to_full_solve():
+    # An eigenvalue met exactly makes the inverse-iteration solve singular:
+    # 1x1 blocks of a diagonal operator, and X on one site.
+    diagonal = operator_from_dense(np.diag([3.0, -2.0, 5.0, -2.0]))
+    x = operator_from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for h, expected in [(diagonal, -2.0), (x, -1.0)]:
+        result = min_eigenvalue(h)
+        assert result.method == "dense"
+        assert result.eigenvalue == expected
+        assert result.residual <= 1e-15
+
+
+def test_min_eigenvalue_near_degenerate_ground_pair():
+    # Inverse iteration at the lowest eigenvalue, with the next one 1e-9
+    # above it, still returns a vector of the pair: the residual stays at
+    # rounding level.
+    rng = np.random.default_rng(229)
+    q, _ = np.linalg.qr(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
+    spectrum = np.concatenate([[-1.0, -1.0 + 1e-9], rng.uniform(0.0, 2.0, 30)])
+    h = operator_from_dense((q * spectrum) @ q.conj().T)
+    result = min_eigenvalue(h)
+    assert (result.blocks, result.largest_block) == (1, 32)
+    assert abs(result.eigenvalue + 1.0) <= 1e-13
+    assert result.residual <= 1e-13
+
+
+@pytest.mark.parametrize("min_block", [2, 16])
+def test_min_eigenvalue_large_blocks_use_the_subset_solver(monkeypatch, min_block):
+    # Lowering the size from which blocks go to scipy's one-eigenpair eigh
+    # mixes the two block solvers on blocks of 1, 10, 20 and 1 states: at 2
+    # the winning 10-state block is solved by scipy, at 16 by numpy while
+    # the 20-state block goes to scipy.  The value, the block counts and a
+    # rounding-level residual stay.
+    model = _sector_violating_model()
+    numpy_only = min_eigenvalue(model.h)
+    monkeypatch.setattr(verify, "SUBSET_EIGH_MIN_BLOCK", min_block)
+    mixed = min_eigenvalue(model.h)
+    assert (mixed.blocks, mixed.largest_block) == (4, 20)
+    assert abs(mixed.eigenvalue - numpy_only.eigenvalue) <= 1e-12 * model.h.norm_max
+    assert mixed.residual <= 1e-12 * model.h.norm_max
+
+
 @pytest.mark.parametrize("xx_weight", [-1.0, 1.0])
 def test_iterative_route_agrees_with_dense_route(xx_weight):
     model = _ising_chain_model(9, 1.0, xx_weight=xx_weight)
