@@ -6,9 +6,10 @@ site set A maps m to m XOR A, and sigma^y follows from
 sigma^y = -i sigma^z sigma^x.  Every operator is a sum of flip terms
 diag(d_C) X_[C], and OperatorMatrix holds exactly that: one complex vector
 d_C per flip set C.  Products, norms, the Hermitian flag and the dense form
-are computed from the terms with numpy.  scipy is imported only where a
-scipy object is needed: the CSR view OperatorMatrix.mat, built on first
-access, and the Lanczos solver.
+are computed from the terms with numpy, and the product apply is all that
+the thick-restart Lanczos solver in verify needs.  scipy is imported only
+for the CSR view OperatorMatrix.mat, built on first access, which no
+solver reads: it is the independent form the product is tested against.
 """
 
 from __future__ import annotations
@@ -260,13 +261,6 @@ def product_operator(
     if axis == 3:
         return flip_operator(n, [(0, signs)])
     return flip_operator(n, [(sites_mask, 1j ** sites_mask.bit_count() * signs)])
-
-
-def _eigsh(*args, **kwargs):
-    """scipy.sparse.linalg.eigsh, imported on first call."""
-    from scipy.sparse.linalg import eigsh
-
-    return eigsh(*args, **kwargs)
 
 
 def diagonal_operator(g: Functional, lattice: Lattice) -> OperatorMatrix:

@@ -55,12 +55,6 @@ from .operators import (
     product_operator,
 )
 
-# min_eigenvalue calls Lanczos through this module name, which
-# perfbench/spans.py replaces with a matvec-counting solver.  It is private
-# to operators so the tracer's span wrappers leave it alone, and it imports
-# scipy on first call.
-from .operators import _eigsh as eigsh
-
 # Pinned tolerances, all relative to the largest Hamiltonian entry except
 # where noted.
 EIGEN_RESIDUAL_RTOL = 1e-10
@@ -79,6 +73,14 @@ IMAG_PART_TOL = 1e-10
 
 # Dense blocked eigensolves up to 2^12 states; Lanczos above.
 DENSE_SITE_CAP = 12
+# Thick-restart Lanczos: the basis holds at most LANCZOS_BASIS vectors, a
+# restart keeps the LANCZOS_KEEP lowest Ritz vectors, and the lowest one is
+# accepted once its residual is at most LANCZOS_RTOL * |H|_max (100 times
+# inside the residual guard).  The default budget counts products with H.
+LANCZOS_BASIS = 100
+LANCZOS_KEEP = 30
+LANCZOS_RTOL = 1e-12
+LANCZOS_MAX_PRODUCTS = 10_000
 # Blocks of at least this many states go to scipy's one-eigenpair eigh
 # (LAPACK syevr), which beats numpy's eigvalsh plus an inverse-iteration
 # solve once the block outweighs the cost of importing scipy (about 0.25 s);
@@ -204,6 +206,68 @@ def _block_minimum(block: np.ndarray) -> tuple[float, np.ndarray | None]:
     return float(evals[0]), evecs[:, 0]
 
 
+def _lanczos_lowest(h: OperatorMatrix, maxiter: int) -> np.ndarray:
+    """A unit vector for the lowest eigenvalue of Hermitian h, by
+    thick-restart Lanczos (Wu & Simon 2000) on the flip-term product.
+
+    The basis starts from a fixed-seed random vector and is kept
+    orthonormal by two Gram-Schmidt passes per product; the projected
+    matrix is assembled from their coefficients.  When the basis is full,
+    Rayleigh-Ritz on it either accepts the lowest Ritz vector, whose
+    residual is beta * |last component| with beta the norm of the next,
+    not yet normalised, Lanczos vector, or restarts from the LANCZOS_KEEP
+    lowest Ritz vectors and that next vector.  A beta within tolerance
+    means an invariant subspace, so Rayleigh-Ritz runs early.  Raises
+    ConvergenceError once maxiter products have not sufficed.
+    """
+    dim = h.dim
+    real = h.is_real
+    size = min(LANCZOS_BASIS, dim)
+    keep = min(LANCZOS_KEEP, size - 1)
+    tol = LANCZOS_RTOL * h.norm_max
+    basis = np.empty((size, dim), dtype=float if real else complex)
+    projected = np.zeros((size, size), dtype=basis.dtype)
+    # A fixed-seed start vector makes reruns repeat exactly; a generic one
+    # cannot be orthogonal to the lowest mode by symmetry.
+    start = np.random.default_rng(0).standard_normal(dim)
+    basis[0] = start / np.linalg.norm(start)
+    kept, products = 0, 0
+    while True:
+        for j in range(kept, size):
+            w = apply(h, basis[j])
+            if real:
+                w = w.real.copy()
+            products += 1
+            span = basis[: j + 1]
+            coeffs = np.zeros(j + 1, dtype=basis.dtype)
+            for _ in range(2):
+                step = (span @ w.conj()).conj()
+                w -= step @ span
+                coeffs += step
+            projected[: j + 1, j] = coeffs
+            projected[j, : j + 1] = coeffs.conj()
+            beta = float(np.linalg.norm(w))
+            if beta <= tol or products >= maxiter or j == size - 1:
+                break
+            basis[j + 1] = w / beta
+        n = j + 1
+        theta, ritz = np.linalg.eigh(projected[:n, :n])
+        residual = beta * abs(ritz[-1, 0])
+        if residual <= tol:
+            vec = ritz[:, 0] @ basis[:n]
+            return vec / np.linalg.norm(vec)
+        if products >= maxiter:
+            raise ConvergenceError(
+                f"Lanczos did not converge within {maxiter} products: the lowest "
+                f"Ritz residual is {residual:.3e}, above {tol:.3e}"
+            )
+        basis[:keep] = ritz[:, :keep].T @ basis[:n]
+        basis[keep] = w / beta
+        projected[:] = 0.0
+        projected[:keep, :keep] = np.diag(theta[:keep])
+        kept = keep
+
+
 def min_eigenvalue(
     h: OperatorMatrix,
     dense_dim_cap: int = 1 << DENSE_SITE_CAP,
@@ -218,15 +282,17 @@ def min_eigenvalue(
     eigenvalue decides the winner.  Below SUBSET_EIGH_MIN_BLOCK states a
     block is solved by numpy alone, values first, and the winner's
     eigenvector comes from one step of inverse iteration at its eigenvalue;
-    larger blocks go to scipy's one-eigenpair eigh.  Above the cap, Lanczos
-    finds the top eigenvector of the flipped matrix c*I - H, with c the
-    largest absolute row sum (a Gershgorin bound), from a fixed-seed random
-    start vector, and the eigenvalue is its Rayleigh quotient on H.  The
-    residual is always measured against the full H, which also proves the
-    blocks closed.
+    larger blocks go to scipy's one-eigenpair eigh.  Above the cap,
+    thick-restart Lanczos on H itself, with numpy and the flip-term product
+    alone, finds the lowest eigenvector from a fixed-seed random start
+    vector (see _lanczos_lowest), and the eigenvalue is its Rayleigh
+    quotient on H.  The residual is always measured against the full H,
+    which also proves the blocks closed.
 
-    Raises NonHermitianError on non-Hermitian input and ConvergenceError if
-    the iterative path fails to converge.
+    maxiter bounds the number of products with H on the iterative route;
+    None means LANCZOS_MAX_PRODUCTS.  Raises NonHermitianError on
+    non-Hermitian input and ConvergenceError if the iterative route does
+    not converge within that budget.
     """
     if not h.is_hermitian:
         raise NonHermitianError(
@@ -263,26 +329,9 @@ def min_eigenvalue(
         vec[order[start:stop]] = block_vec
         method, blocks, largest_block = "dense", n_blocks, int(np.diff(bounds).max())
     else:
-        from scipy import sparse
-        from scipy.sparse.linalg import ArpackNoConvergence
-
-        mat = h.mat.real if real else h.mat
-        shift = float(abs(mat).sum(axis=1).max())
-        flipped = sparse.eye_array(dim, dtype=mat.dtype, format="csr") * shift - mat
-        # A fixed-seed start vector makes reruns repeat exactly; a generic
-        # one cannot be orthogonal to the lowest mode by symmetry.
-        v0 = np.random.default_rng(0).standard_normal(dim).astype(mat.dtype)
-        try:
-            _, evecs = eigsh(
-                flipped, k=1, which="LA", maxiter=maxiter, tol=0, v0=v0
-            )
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"Lanczos did not converge within its iteration budget: {exc}"
-            ) from exc
-        vec = evecs[:, 0]
-        # The Rayleigh quotient on H itself, not shift - evals[0], which
-        # would lose the digits the shift cancels.
+        vec = _lanczos_lowest(
+            h, LANCZOS_MAX_PRODUCTS if maxiter is None else maxiter
+        )
         lam = float(np.vdot(vec, apply(h, vec)).real)
         method, blocks, largest_block = "iterative", 1, dim
     residual = float(np.linalg.norm(apply(h, vec) - lam * vec))

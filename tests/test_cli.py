@@ -396,9 +396,11 @@ def test_build_golden_summary(tmp_path):
     assert (tmp_path / "summary.json").read_bytes() == GOLDEN_BUILD_SUMMARY.encode()
 
 # report.json of verify on two XX/Ising chains, pinned on the CSR-based
-# operator layer that preceded the flip-term one.  On the dense route the
-# eigensolver changed, so the ground energy and its residual (roundoff-sized
-# for this model) are blanked; the iterative route is pinned in full.
+# operator layer that preceded the flip-term one.  On both routes the
+# eigensolver has changed since (numpy blocks on the dense route, numpy
+# thick-restart Lanczos in place of ARPACK on the iterative one), so the
+# ground energy and its residual (roundoff-sized for these models) are
+# blanked; every other byte is pinned.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -408,25 +410,32 @@ def _verify_report(tmp_path, doc) -> str:
     return (tmp_path / "report.json").read_text()
 
 
-def test_verify_golden_report_dense_route(tmp_path):
-    raw = _verify_report(tmp_path, _config(lattice={"d": 1, "L": 8}))
+def _blank_ground_energy(raw: str, method: str) -> str:
     doc = json.loads(raw)
     # Re-serialising reproduces the file, so blanking two fields below
     # leaves every other byte as written.
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == raw
-    (ground,) = [c for c in doc["reports"][0]["checks"] if c["name"] == "ground_energy"]
-    assert ground["details"]["method"] == "dense"
-    assert abs(ground["value"]) <= 1e-12 and ground["details"]["residual"] <= 1e-12
-    ground["value"] = None
-    ground["details"]["residual"] = None
-    blanked = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    for report in doc["reports"]:
+        (ground,) = [c for c in report["checks"] if c["name"] == "ground_energy"]
+        assert ground["details"]["method"] == method
+        assert abs(ground["value"]) <= 1e-12 and ground["details"]["residual"] <= 1e-12
+        ground["value"] = None
+        ground["details"]["residual"] = None
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_verify_golden_report_dense_route(tmp_path):
+    raw = _verify_report(tmp_path, _config(lattice={"d": 1, "L": 8}))
+    blanked = _blank_ground_energy(raw, "dense")
     assert blanked == (GOLDEN / "verify_chain8_dense.json").read_text()
 
 
 def test_verify_golden_report_iterative_route(tmp_path):
     raw = _verify_report(tmp_path, _config(caps={"dense_sites": 4}))
-    assert '"method": "iterative"' in raw
-    assert raw == (GOLDEN / "verify_chain6_iterative.json").read_text()
+    golden = (GOLDEN / "verify_chain6_iterative.json").read_text()
+    assert _blank_ground_energy(raw, "iterative") == _blank_ground_energy(
+        golden, "iterative"
+    )
 
 
 def _error_of(capsys) -> dict:
@@ -441,6 +450,41 @@ def test_verify_overflow_exits_2_with_named_error(tmp_path, capsys):
     error = _error_of(capsys)
     assert error["error"] == "NumericRangeError"
     assert "alpha=120" in error["message"]
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "L, alpha, dense_sites", [(6, 2.0, 4), (6, 3.0, 4), (6, 5.0, 4), (8, 2.0, 7)]
+)
+def test_verify_iterative_route_converges_above_alpha_one(tmp_path, L, alpha, dense_sites):
+    # ARPACK on the flipped spectrum c*I - H ran out of iterations on these
+    # chains; Lanczos on H itself must pass and match the dense route.
+    def ground_energy(name, **caps):
+        doc = _config(lattice={"d": 1, "L": L}, alpha=alpha, **caps)
+        path = _write_config(tmp_path, doc, f"{name}.json")
+        out = tmp_path / name
+        assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 0
+        checks = json.loads((out / "report.json").read_text())["reports"][0]["checks"]
+        by_name = {c["name"]: c for c in checks}
+        return by_name["ground_energy"], by_name["eigenstate_residual"]["details"]["h_norm_max"]
+
+    iterative, norm = ground_energy("iterative", caps={"dense_sites": dense_sites})
+    dense, _ = ground_energy("dense")
+    assert iterative["passed"] and iterative["details"]["method"] == "iterative"
+    assert dense["details"]["method"] == "dense"
+    assert abs(iterative["value"] - dense["value"]) <= 1e-12 * norm
+
+
+def test_verify_lanczos_budget_exits_2_with_named_error(tmp_path, capsys, monkeypatch):
+    # Negative control: a product budget too small for the 6-site chain.
+    from gibbs_ground import verify
+
+    monkeypatch.setattr(verify, "LANCZOS_MAX_PRODUCTS", 5)
+    path = _write_config(tmp_path, _config(caps={"dense_sites": 4}))
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "ConvergenceError"
+    assert "within 5 products" in error["message"]
     assert not (tmp_path / "report.json").exists()
 
 

@@ -1,10 +1,11 @@
 """Which commands load scipy.
 
 The classical commands (sweep, correlate, sample) only take Gibbs averages,
-and build and verify up to the dense cap compute everything from the flip
-terms with numpy, so neither ``import gibbs_ground`` nor those commands may
-import scipy; verify above the dense cap runs Lanczos on the CSR form and
-must.  Each check runs in a fresh interpreter, since this test process has
+and build and verify compute everything from the flip terms with numpy,
+the Lanczos route above the dense cap included, so neither ``import
+gibbs_ground`` nor those commands may import scipy.  Only a dense
+flip-graph block of SUBSET_EIGH_MIN_BLOCK states or more goes to scipy's
+eigh.  Each check runs in a fresh interpreter, since this test process has
 long since loaded scipy.
 """
 
@@ -46,9 +47,9 @@ def _scipy_loaded_after(code: str, cwd: Path) -> bool:
     return proc.stdout.splitlines()[-1] == "True"
 
 
-def _command(name: str) -> str:
+def _command(name: str, setup: str = "") -> str:
     return (
-        "from gibbs_ground.cli import main\n"
+        f"{setup}from gibbs_ground.cli import main\n"
         f"assert main([{name!r}, '--config', 'config.json', '--out', 'out']) == 0"
     )
 
@@ -69,11 +70,19 @@ def test_operator_commands_under_the_dense_cap_do_not_load_scipy(tmp_path, comma
     assert not _scipy_loaded_after(_command(command), tmp_path)
 
 
-def test_verify_loads_scipy(tmp_path):
-    # Positive control: without it the checks above could pass because the
-    # probe never sees scipy at all.  Above the dense cap of 4 sites the
-    # ground energy comes from Lanczos, which needs scipy.
+def test_verify_above_the_dense_cap_does_not_load_scipy(tmp_path):
+    # Above the dense cap of 4 sites the ground energy comes from Lanczos
+    # on the flip-term product.
     (tmp_path / "config.json").write_text(
         json.dumps({**CONFIG, "caps": {"dense_sites": 4}})
     )
-    assert _scipy_loaded_after(_command("verify"), tmp_path)
+    assert not _scipy_loaded_after(_command("verify"), tmp_path)
+
+
+def test_verify_loads_scipy(tmp_path):
+    # Positive control: without it the checks above could pass because the
+    # probe never sees scipy at all.  With the subset-solver threshold at 2
+    # states, every dense block of two or more goes to scipy's eigh.
+    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    setup = "import gibbs_ground.verify\ngibbs_ground.verify.SUBSET_EIGH_MIN_BLOCK = 2\n"
+    assert _scipy_loaded_after(_command("verify", setup), tmp_path)

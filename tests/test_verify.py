@@ -24,9 +24,14 @@ from gibbs_ground import (
     verify_model,
 )
 from gibbs_ground import verify
-from gibbs_ground.errors import ConstraintError, NonHermitianError, SizeCapError
+from gibbs_ground.errors import (
+    ConstraintError,
+    ConvergenceError,
+    NonHermitianError,
+    SizeCapError,
+)
 from gibbs_ground.lattice import nearest_neighbor_pairs
-from gibbs_ground.operators import product_operator
+from gibbs_ground.operators import apply, product_operator
 from gibbs_ground.verify import max_abs_flip_energy
 
 from .conftest import random_model
@@ -235,18 +240,45 @@ def test_min_eigenvalue_exact_eigenvalue_falls_back_to_full_solve():
         assert result.residual <= 1e-15
 
 
+def _near_degenerate_operator(dim):
+    """A random complex Hermitian operator with spectrum -1, -1 + 1e-9 and
+    dim - 2 values uniform in [0, 2)."""
+    rng = np.random.default_rng(229)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    spectrum = np.concatenate([[-1.0, -1.0 + 1e-9], rng.uniform(0.0, 2.0, dim - 2)])
+    return operator_from_dense((q * spectrum) @ q.conj().T)
+
+
 def test_min_eigenvalue_near_degenerate_ground_pair():
     # Inverse iteration at the lowest eigenvalue, with the next one 1e-9
     # above it, still returns a vector of the pair: the residual stays at
     # rounding level.
-    rng = np.random.default_rng(229)
-    q, _ = np.linalg.qr(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
-    spectrum = np.concatenate([[-1.0, -1.0 + 1e-9], rng.uniform(0.0, 2.0, 30)])
-    h = operator_from_dense((q * spectrum) @ q.conj().T)
+    h = _near_degenerate_operator(32)
     result = min_eigenvalue(h)
     assert (result.blocks, result.largest_block) == (1, 32)
     assert abs(result.eigenvalue + 1.0) <= 1e-13
     assert result.residual <= 1e-13
+
+
+def test_min_eigenvalue_iterative_near_degenerate_ground_pair():
+    # Lanczos on a complex 256-state operator whose two lowest eigenvalues
+    # are 1e-9 apart: the value and the residual stay at rounding level.
+    h = _near_degenerate_operator(256)
+    result = min_eigenvalue(h, dense_dim_cap=16)
+    assert (result.method, result.blocks, result.largest_block) == ("iterative", 1, 256)
+    assert abs(result.eigenvalue + 1.0) <= 1e-13
+    assert result.residual <= 1e-13
+
+
+def test_min_eigenvalue_iterative_budget_raises_convergence_error(monkeypatch):
+    # Negative control: maxiter counts products with H, and 5 of them
+    # cannot resolve the lowest of 256 eigenvalues.
+    h = _near_degenerate_operator(256)
+    products = []
+    monkeypatch.setattr(verify, "apply", lambda op, v: products.append(1) or apply(op, v))
+    with pytest.raises(ConvergenceError, match="within 5 products"):
+        min_eigenvalue(h, dense_dim_cap=16, maxiter=5)
+    assert len(products) == 5
 
 
 @pytest.mark.parametrize("min_block", [2, 16])
