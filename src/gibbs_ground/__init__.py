@@ -12,7 +12,6 @@ from .classical import (
     ClassicalPotential,
     MetropolisResult,
     classical_expectation,
-    flip,
     flip_weight,
     metropolis_estimate,
     partition_function,

@@ -14,14 +14,20 @@ so every monomial evaluates to +-c_B exactly and flip energies
 carry no floating-point cancellation beyond the final sum.
 
 Exact enumeration evaluates the monomials straight from the bitmasks: the
-monomial of B at configuration m is (-1)^popcount(m & B).  Observables
-("configuration functionals") for the generic routes and for Metropolis are
-vectorized callables taking a (nconf, n) spins array and returning a
-length-nconf float array.
+monomial of B at configuration m is (-1)^popcount(m & B).  The masks run in
+chunks of 2^_CHUNK_BITS that share their low bits, so each monomial is its
+low-bit sign row, built once, times a sign fixed per chunk, and sums over
+terms and sites that see only low bits are taken once and reused in every
+chunk (_Enumeration).  partition_function, max_abs_flip_energy and
+order_parameter_averages run on it; gibbs_averages, the independent witness,
+decodes spins.  Observables ("configuration functionals") for the generic
+routes and for Metropolis are vectorized callables taking a (nconf, n)
+spins array and returning a length-nconf float array.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,20 +48,17 @@ from .lattice import (
 # keeps them in the seconds range.  Larger systems go through Metropolis.
 ENUMERATION_CAP = 24
 
-# Chunk size for enumeration, bounds peak memory at a few hundred MB.
-_CHUNK = 1 << 18
+# Enumeration runs over chunks of 2^_CHUNK_BITS configuration masks (one
+# chunk of 2^n below that), which bounds its memory at tens of MB at the cap.
+_CHUNK_BITS = 18
 
 # Alphas reweighted together by one accumulation pass of the exact order-
-# parameter scan; each holds a chunk-sized accumulator, so a longer grid
-# takes further passes instead of more memory.
+# parameter scan; each holds two chunk-sized arrays (its cached site-flip
+# prefix and its accumulator), so a longer grid takes further passes
+# instead of more memory.
 _ALPHA_GROUP = 8
 
 Functional = Callable[[np.ndarray], np.ndarray]
-
-
-def flip(config: int, sites_mask: int) -> int:
-    """Negate the spins on a site set: a bitmask XOR (an involution)."""
-    return config ^ sites_mask
 
 
 def spins_from_masks(masks: np.ndarray, n_sites: int) -> np.ndarray:
@@ -74,17 +77,6 @@ def monomial_signs(masks: np.ndarray, subset_masks: Sequence[int]) -> np.ndarray
         odd = np.bitwise_count(masks & np.uint64(subset)) & np.uint8(1)
         np.subtract(1, 2 * odd.view(np.int8), out=row)
     return table
-
-
-def mask_from_spins(spins: Sequence[int]) -> int:
-    """Inverse of spins_from_masks for a single configuration."""
-    mask = 0
-    for i, s in enumerate(spins):
-        if s == -1:
-            mask |= 1 << i
-        elif s != 1:
-            raise ConstraintError(f"spin value {s} at site {i} is not +-1")
-    return mask
 
 
 @dataclass(frozen=True)
@@ -201,8 +193,102 @@ class ClassicalPotential:
 def _mask_chunks(n_sites: int):
     """Yield uint64 configuration-mask chunks covering all 2^n configurations."""
     total = 1 << n_sites
-    for start in range(0, total, _CHUNK):
-        yield np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
+    size = 1 << _CHUNK_BITS
+    for start in range(0, total, size):
+        yield np.arange(start, min(start + size, total), dtype=np.uint64)
+
+
+def _leading_run(flags: Iterable[bool]) -> int:
+    """Number of leading true flags."""
+    return sum(1 for _ in itertools.takewhile(bool, flags))
+
+
+class _Enumeration:
+    """Mask-native enumeration of a potential, one chunk of masks at a time.
+
+    With c = min(n, _CHUNK_BITS), chunk k holds the masks (k << c) | lo for
+    lo < 2^c, the same chunks as _mask_chunks.  There the monomial of term B
+    is eps * row(B), where row(B) is the sign row of B's low bits over lo,
+    built once, and eps = (-1)^popcount((k << c) & B).  chunks() folds eps
+    into the coefficients: (-c)*row and c*(-row) are the same +-c exactly.
+    A term without high bits has eps = 1 in every chunk, so the energy over
+    the leading run of such terms is summed once, and every chunk copies it
+    and adds the remaining terms in term order, as energy_from_signs does.
+    """
+
+    def __init__(self, potential: ClassicalPotential):
+        n = potential.n_sites
+        self.n_sites = n
+        self.bits = min(n, _CHUNK_BITS)
+        self.size = 1 << self.bits
+        self.low = self.size - 1
+        self.masks = [mask for mask, _ in potential.terms]
+        self.base = [coeff for _, coeff in potential.terms]
+        self.coeffs = list(self.base)
+        self.high = 0
+        self.rows = self.low_rows(self.masks)
+        self.low_popcount = np.bitwise_count(np.arange(self.size, dtype=np.uint64))
+        # Scratch of term_sum, free for callers between kernel calls.
+        self.tmp = self.buffer()
+        self.prefix = _leading_run(self.is_low(mask) for mask in self.masks)
+        self.energy_prefix = (
+            self.term_sum(range(self.prefix), None, self.buffer()) if self.prefix else None
+        )
+
+    def buffer(self) -> np.ndarray:
+        return np.empty(self.size)
+
+    def low_rows(self, masks: Sequence[int]) -> np.ndarray:
+        """Sign rows of the site sets' low bits over lo (monomial_signs)."""
+        lo = np.arange(self.size, dtype=np.uint64)
+        return monomial_signs(lo, [mask & self.low for mask in masks])
+
+    def is_low(self, mask: int) -> bool:
+        """True when the site set lies in the low bits, the same in every chunk."""
+        return mask & self.low == mask
+
+    def odd_terms(self, sites_mask: int) -> list[int]:
+        """Indices of the terms whose flip energy over sites_mask is nonzero."""
+        return [t for t, mask in enumerate(self.masks) if (mask & sites_mask).bit_count() & 1]
+
+    def chunks(self):
+        """Select each chunk in turn; yield the popcount of its high bits."""
+        for k in range(1 << (self.n_sites - self.bits)):
+            self.high = k << self.bits
+            self.coeffs = [-c if self.odd(mask) else c for mask, c in zip(self.masks, self.base)]
+            yield k.bit_count()
+
+    def odd(self, mask: int) -> bool:
+        """True when the monomial of mask is eps = -1 times its low row here."""
+        return bool((self.high & mask).bit_count() & 1)
+
+    def term_sum(self, terms, start, out: np.ndarray) -> np.ndarray:
+        """start + sum_t c_t row_t over the terms in order (start None is
+        zeros, as in energy_from_signs); returns out, or start if no terms."""
+        for t in terms:
+            coeff = self.coeffs[t]
+            if start is None:
+                # 0.0 + c*row is c*row, except that it is +0.0 where c is zero.
+                if coeff:
+                    np.multiply(self.rows[t], coeff, out=out)
+                else:
+                    out.fill(0.0)
+            else:
+                np.multiply(self.rows[t], coeff, out=self.tmp)
+                np.add(start, self.tmp, out=out)
+            start = out
+        if start is None:
+            out.fill(0.0)
+            return out
+        return start
+
+    def energy(self, out: np.ndarray) -> np.ndarray:
+        """U over the selected chunk (the cached prefix itself if it is all)."""
+        return self.term_sum(range(self.prefix, len(self.masks)), self.energy_prefix, out)
+
+    def flip_energy(self, terms, out: np.ndarray) -> np.ndarray:
+        """W_A over the selected chunk, given A's odd_terms."""
+        return np.multiply(self.term_sum(terms, None, out), -2.0, out=out)
 
 
 def _check_enumerable(n_sites: int, cap: int):
@@ -213,11 +299,9 @@ def _check_enumerable(n_sites: int, cap: int):
         )
 
 
-def _min_energy(potential: ClassicalPotential) -> float:
-    lo = math.inf
-    for masks in _mask_chunks(potential.n_sites):
-        lo = min(lo, potential.energy_from_signs(potential.term_signs(masks)).min())
-    return lo
+def _min_energy(enum: _Enumeration) -> float:
+    out = enum.buffer()
+    return min(enum.energy(out).min() for _ in enum.chunks())
 
 
 def _finite(values: list, what: str) -> list:
@@ -240,11 +324,14 @@ def partition_function(
     """
     _validate_alpha(alpha)
     _check_enumerable(potential.n_sites, cap)
-    shift = _min_energy(potential)
+    enum = _Enumeration(potential)
+    shift = _min_energy(enum)
+    energy, weights = enum.buffer(), enum.buffer()
     total = 0.0
-    for masks in _mask_chunks(potential.n_sites):
-        energy = potential.energy_from_signs(potential.term_signs(masks))
-        total += np.exp(-alpha * (energy - shift)).sum()
+    for _ in enum.chunks():
+        np.subtract(enum.energy(energy), shift, out=weights)
+        np.multiply(weights, -alpha, out=weights)
+        total += np.exp(weights, out=weights).sum()
     try:
         z = float(total) * math.exp(-alpha * shift)
     except OverflowError:
@@ -278,7 +365,7 @@ def gibbs_averages(
     """
     _validate_alpha(alpha)
     _check_enumerable(potential.n_sites, cap)
-    shift = _min_energy(potential)
+    shift = _min_energy(_Enumeration(potential))
     weight_total = 0.0
     totals = [0.0] * len(fs)
     for masks in _mask_chunks(potential.n_sites):
@@ -305,6 +392,9 @@ class OrderAverages:
     sx_sx: tuple[float, ...]
 
 
+# Overflow here ends as a non-finite average, which _finite names, so
+# numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def order_parameter_averages(
     potential: ClassicalPotential,
     alphas: Sequence[float],
@@ -314,69 +404,87 @@ def order_parameter_averages(
     """Exact order parameters over an alpha grid from one enumeration.
 
     A shift pass finds min U; an accumulation pass (one per _ALPHA_GROUP
-    alphas) evaluates the term signs, U, every W_x and W_{x,y}, mz^2 and the
-    z-pair signs once per chunk of configuration masks, and reweights them
-    for every alpha of the group.  Sums run in the same order as
-    gibbs_averages over squared_magnetization, the mean of the site
-    flip_weights, spin_product and flip_weight, so every value equals that
-    route's bit for bit.  Raises NumericRangeError on a non-finite average.
+    alphas) evaluates U, every W_x and W_{x,y}, mz^2 and the z-pair signs
+    once per chunk of configuration masks, and reweights them for every
+    alpha of the group.  Over the leading run of sites whose W_x is the same
+    in every chunk, the sum of exp(-(alpha/2) W_x) is taken once per pass,
+    and each chunk adds the remaining sites to it.  Sums run in the same
+    order as gibbs_averages over squared_magnetization, the mean of the
+    site flip_weights, spin_product and flip_weight, so every value equals
+    that route's bit for bit.  Raises NumericRangeError on a non-finite
+    average.
     """
     for alpha in alphas:
         _validate_alpha(alpha)
     _check_enumerable(potential.n_sites, cap)
-    shift = _min_energy(potential)
+    enum = _Enumeration(potential)
+    shift = _min_energy(enum)
+    n = enum.n_sites
+    site_terms = [enum.odd_terms(1 << x) for x in range(n)]
+    site_prefix = _leading_run(
+        all(enum.is_low(enum.masks[t]) for t in terms) for terms in site_terms
+    )
+    z_masks = [(1 << x) ^ (1 << y) for x, y in pairs]
+    z_rows = enum.low_rows(z_masks)
+    pair_terms = [enum.odd_terms((1 << x) | (1 << y)) for x, y in pairs]
+    popcount = np.empty(enum.size, dtype=np.uint8)
+    energy, w, weights = enum.buffer(), enum.buffer(), enum.buffer()
+    w_pairs = [enum.buffer() for _ in pairs]
+    t = enum.tmp
+    prefix_buffer = np.empty((min(len(alphas), _ALPHA_GROUP), enum.size))
+    sums_buffer = prefix_buffer if site_prefix == n else np.empty_like(prefix_buffer)
     out: list[OrderAverages] = []
     for start in range(0, len(alphas), _ALPHA_GROUP):
-        out += _reweight_order_parameters(
-            potential, alphas[start : start + _ALPHA_GROUP], pairs, shift
-        )
-    return out
-
-
-# Overflow here ends as a non-finite average, which _finite names, so
-# numpy's warnings would only repeat it.
-@np.errstate(over="ignore", invalid="ignore")
-def _reweight_order_parameters(potential, alphas, pairs, shift) -> list[OrderAverages]:
-    n = potential.n_sites
-    weight_totals = [0.0] * len(alphas)
-    totals = [[0.0] * (2 + 2 * len(pairs)) for _ in alphas]
-    for masks in _mask_chunks(n):
-        signs = potential.term_signs(masks)
-        energy = potential.energy_from_signs(signs)
-        m = (n - 2.0 * np.bitwise_count(masks)) / n
-        mz_sq = m * m
-        flip_sums = [np.zeros(len(masks)) for _ in alphas]
-        for x in range(n):
-            w_x = potential.flip_energy_from_signs(signs, 1 << x)
-            for acc, alpha in zip(flip_sums, alphas):
-                acc += np.exp(-0.5 * alpha * w_x)
-        z_pairs = monomial_signs(masks, [(1 << x) ^ (1 << y) for x, y in pairs])
-        w_pairs = [
-            potential.flip_energy_from_signs(signs, (1 << x) | (1 << y))
-            for x, y in pairs
-        ]
-        for k, alpha in enumerate(alphas):
-            weights = np.exp(-alpha * (energy - shift))
-            weight_totals[k] += weights.sum()
-            row = totals[k]
-            row[0] += float(np.dot(weights, mz_sq))
-            row[1] += float(np.dot(weights, flip_sums[k] / n))
-            for j, (z, w) in enumerate(zip(z_pairs, w_pairs)):
-                row[2 + 2 * j] += float(np.dot(weights, z.astype(np.float64)))
-                row[3 + 2 * j] += float(np.dot(weights, np.exp(-0.5 * alpha * w)))
-    out = []
-    for alpha, row, weight_total in zip(alphas, totals, weight_totals):
-        v = [t / weight_total for t in row]
-        _finite(v, f"an order parameter at alpha={alpha:g}")
-        out.append(
-            OrderAverages(
-                alpha=alpha,
-                mz_sq=v[0],
-                mx=v[1],
-                sz_sz=tuple(v[2::2]),
-                sx_sx=tuple(v[3::2]),
+        group = alphas[start : start + _ALPHA_GROUP]
+        flip_prefix = prefix_buffer[: len(group)]
+        flip_prefix.fill(0.0)
+        flip_sums = sums_buffer[: len(group)]
+        for x in range(site_prefix):
+            enum.flip_energy(site_terms[x], w)
+            for acc, alpha in zip(flip_prefix, group):
+                np.multiply(w, -0.5 * alpha, out=t)
+                np.add(acc, np.exp(t, out=t), out=acc)
+        weight_totals = [0.0] * len(group)
+        totals = [[0.0] * (2 + 2 * len(pairs)) for _ in group]
+        for high_popcount in enum.chunks():
+            energy_now = enum.energy(energy)
+            for x in range(site_prefix, n):
+                enum.flip_energy(site_terms[x], w)
+                for acc, prefix, alpha in zip(flip_sums, flip_prefix, group):
+                    np.multiply(w, -0.5 * alpha, out=t)
+                    np.add(prefix if x == site_prefix else acc, np.exp(t, out=t), out=acc)
+            for terms, w_pair in zip(pair_terms, w_pairs):
+                enum.flip_energy(terms, w_pair)
+            z_signs = [-1.0 if enum.odd(z) else 1.0 for z in z_masks]
+            # mz^2 = ((n - 2 popcount) / n)^2, into w, which the sites are done with
+            np.add(enum.low_popcount, high_popcount, out=popcount)
+            mz_sq = np.subtract(n, np.multiply(popcount, 2.0, out=w), out=w)
+            np.divide(mz_sq, n, out=mz_sq)
+            np.multiply(mz_sq, mz_sq, out=mz_sq)
+            for k, alpha in enumerate(group):
+                np.subtract(energy_now, shift, out=weights)
+                np.multiply(weights, -alpha, out=weights)
+                np.exp(weights, out=weights)
+                weight_totals[k] += weights.sum()
+                row = totals[k]
+                row[0] += float(np.dot(weights, mz_sq))
+                row[1] += float(np.dot(weights, np.divide(flip_sums[k], n, out=t)))
+                for j, (z_row, z_sign, w_pair) in enumerate(zip(z_rows, z_signs, w_pairs)):
+                    row[2 + 2 * j] += float(np.dot(weights, np.multiply(z_row, z_sign, out=t)))
+                    np.multiply(w_pair, -0.5 * alpha, out=t)
+                    row[3 + 2 * j] += float(np.dot(weights, np.exp(t, out=t)))
+        for alpha, row, weight_total in zip(group, totals, weight_totals):
+            v = [s / weight_total for s in row]
+            _finite(v, f"an order parameter at alpha={alpha:g}")
+            out.append(
+                OrderAverages(
+                    alpha=alpha,
+                    mz_sq=v[0],
+                    mx=v[1],
+                    sz_sz=tuple(v[2::2]),
+                    sx_sx=tuple(v[3::2]),
+                )
             )
-        )
     return out
 
 
@@ -385,14 +493,11 @@ def max_abs_flip_energy(
 ) -> float:
     """max_s |W_A(s)| by exact enumeration."""
     _check_enumerable(potential.n_sites, cap)
-    return float(
-        max(
-            np.abs(
-                potential.flip_energy_from_signs(potential.term_signs(masks), sites_mask)
-            ).max()
-            for masks in _mask_chunks(potential.n_sites)
-        )
-    )
+    enum = _Enumeration(potential)
+    terms = enum.odd_terms(sites_mask)
+    w = enum.buffer()
+    return float(max(np.abs(enum.flip_energy(terms, w), out=w).max() for _ in enum.chunks()))
+
 
 
 def _validate_alpha(alpha: float):

@@ -12,6 +12,24 @@ import math
 
 import numpy as np
 
+from gibbs_ground.errors import ConstraintError
+
+
+def flip(config: int, sites_mask: int) -> int:
+    """Negate the spins on a site set: a bitmask XOR (an involution)."""
+    return config ^ sites_mask
+
+
+def mask_from_spins(spins) -> int:
+    """The bitmask of one spin tuple: bit i set where spin i is -1."""
+    mask = 0
+    for i, s in enumerate(spins):
+        if s == -1:
+            mask |= 1 << i
+        elif s != 1:
+            raise ConstraintError(f"spin value {s} at site {i} is not +-1")
+    return mask
+
 
 def enumerate_spins(n: int):
     """All 2^n spin tuples, in the package's bitmask order: tuple k has

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from gibbs_ground import (
     ClassicalPotential,
     build_hypercube,
     classical_expectation,
-    flip,
     flip_weight,
     metropolis_estimate,
     partition_function,
@@ -21,7 +21,6 @@ from gibbs_ground.classical import (
     default_burn_in,
     estimate_from_samples,
     gibbs_averages,
-    mask_from_spins,
     max_abs_flip_energy,
     metropolis_samples,
     monomial_signs,
@@ -34,6 +33,8 @@ from .oracles import (
     brute_force_expectation,
     brute_force_flip_energy,
     brute_force_partition,
+    flip,
+    mask_from_spins,
     open_chain_correlation,
     open_chain_correlation_closed_form,
 )
@@ -269,7 +270,7 @@ BATCH_POTENTIALS = {
 @pytest.mark.parametrize("name", sorted(BATCH_POTENTIALS))
 def test_order_parameter_averages_equal_per_alpha_route(name, monkeypatch):
     # Small chunks and alpha groups: several chunks per pass, several passes.
-    monkeypatch.setattr(classical, "_CHUNK", 24)
+    monkeypatch.setattr(classical, "_CHUNK_BITS", 4)
     monkeypatch.setattr(classical, "_ALPHA_GROUP", 3)
     pot = BATCH_POTENTIALS[name]()
     # (5, 5) is a repeated site: s_5 s_5 = 1, and W over the set {5}
@@ -286,6 +287,130 @@ def test_order_parameter_averages_equal_per_alpha_route(name, monkeypatch):
         for zz, xx in zip(avg.sz_sz, avg.sx_sx):
             got += [zz, xx]
         assert got == want
+
+
+# Multi-chunk bit identity of the mask-native kernel.  With _CHUNK_BITS = c
+# the sites below c are the low bits every chunk shares; each potential
+# below stresses one way a chunk-invariant sum or a chunk sign can go wrong.
+KERNEL_POTENTIALS = {
+    # The first term has high bits, so no energy prefix is cached.  The
+    # -0.0 term is the only odd one for the flip set {0, 1, 2, 5}, where W
+    # must still come out as -2.0 * (0.0 + (-0.0)) = -0.0.
+    "empty_prefix": (
+        7,
+        [
+            ([0, 5], 0.4),
+            ([1], -0.0),
+            ([], 0.75),
+            ([0, 1], -1.0),
+            ([1, 2], -0.8),
+            ([2, 3, 5], 0.3),
+            ([6], 0.2),
+            ([3, 4], -0.6),
+        ],
+    ),
+    # The energy prefix (four terms, one constant) and the site prefix
+    # (site 0) both end inside the low bits; [1, 4, 6] straddles the
+    # chunk boundary.
+    "prefix_mid_lattice": (
+        7,
+        [
+            ([0, 1], -1.0),
+            ([1, 2], -0.9),
+            ([], 0.5),
+            ([2, 3], -0.7),
+            ([1, 4, 6], 0.35),
+            ([3, 4], -0.6),
+            ([4, 5], -0.5),
+            ([5, 6], -0.4),
+            ([0], 0.25),
+        ],
+    ),
+    "ising_chain": (7, [([x, x + 1], -1.0) for x in range(6)]),
+    # Fewer sites than the chunk bits: one short chunk, everything cached.
+    "below_chunk_bits": (3, [([0, 1, 2], 0.5), ([], -0.25), ([1], 1.0)]),
+}
+
+# Nine alphas: more than _ALPHA_GROUP, so the scan takes two passes.
+KERNEL_ALPHAS = [0.0, 0.3, 0.7, 1.0, 1.6, 2.0, 2.5, 3.1, 4.0]
+
+
+def _kernel_case(name):
+    n, terms = KERNEL_POTENTIALS[name]
+    pot = ClassicalPotential.from_terms(n, terms)
+    # (0, n-1) and (1, n-2) put a site in the high bits; (1, 1) is a repeat
+    pairs = [(0, n - 1), (0, 1), (1, n - 2), (1, 1)]
+    return pot, pairs
+
+
+@pytest.mark.parametrize("bits", [2, 4])
+@pytest.mark.parametrize("name", sorted(KERNEL_POTENTIALS))
+def test_enumeration_kernel_equals_decoded_spins_per_chunk(name, bits, monkeypatch):
+    monkeypatch.setattr(classical, "_CHUNK_BITS", bits)
+    pot, _ = _kernel_case(name)
+    enum = classical._Enumeration(pot)
+    out = enum.buffer()
+    chunks = 0
+    for _, masks in zip(enum.chunks(), classical._mask_chunks(pot.n_sites), strict=True):
+        spins = spins_from_masks(masks, pot.n_sites)
+        # compared as bytes, so that a signed zero counts too
+        assert enum.energy(out).tobytes() == pot.value_many(spins).tobytes()
+        for sites_mask in range(1 << pot.n_sites):
+            got = enum.flip_energy(enum.odd_terms(sites_mask), out)
+            assert got.tobytes() == pot.flip_energy_many(spins, sites_mask).tobytes()
+        chunks += 1
+    assert chunks == 1 << max(0, pot.n_sites - bits)
+
+
+def _decoded_partition_function(pot, alpha):
+    """partition_function on decoded spins, chunk by chunk like the kernel."""
+    chunks = list(classical._mask_chunks(pot.n_sites))
+    energies = [pot.value_many(spins_from_masks(m, pot.n_sites)) for m in chunks]
+    shift = min(e.min() for e in energies)
+    total = 0.0
+    for energy in energies:
+        total += np.exp(-alpha * (energy - shift)).sum()
+    return float(total) * math.exp(-alpha * shift)
+
+
+@pytest.mark.parametrize("bits", [2, 4])
+@pytest.mark.parametrize("name", sorted(KERNEL_POTENTIALS))
+def test_mask_native_routes_equal_decoded_routes_across_chunks(name, bits, monkeypatch):
+    monkeypatch.setattr(classical, "_CHUNK_BITS", bits)
+    pot, pairs = _kernel_case(name)
+    spins = spins_from_masks(np.arange(1 << pot.n_sites), pot.n_sites)
+    assert classical._min_energy(classical._Enumeration(pot)) == pot.value_many(spins).min()
+    for alpha in (0.0, 0.7, 3.1):
+        assert partition_function(pot, alpha) == _decoded_partition_function(pot, alpha)
+    for sites_mask in range(1 << pot.n_sites):
+        want = float(np.abs(pot.flip_energy_many(spins, sites_mask)).max())
+        assert max_abs_flip_energy(pot, sites_mask) == want
+    batched = order_parameter_averages(pot, KERNEL_ALPHAS, pairs)
+    assert [avg.alpha for avg in batched] == KERNEL_ALPHAS
+    for avg, alpha in zip(batched, KERNEL_ALPHAS):
+        fs = [squared_magnetization(), _mean_site_flip_weight(pot, alpha)]
+        for x, y in pairs:
+            fs += [spin_product(x, y), flip_weight(pot, alpha, (1 << x) | (1 << y))]
+        got = [avg.mz_sq, avg.mx]
+        for zz, xx in zip(avg.sz_sz, avg.sx_sx):
+            got += [zz, xx]
+        assert got == gibbs_averages(fs, pot, alpha)
+
+
+def test_order_parameter_scan_peak_memory_at_19_sites():
+    # The scan holds per chunk of 2^18 masks: the low-bit sign rows (one
+    # byte per term and mask), the cached energy, U, the weights, mz^2 and
+    # a scratch array, W_{x,y} per pair, and the cached site-flip prefix
+    # and accumulator per alpha: 31.6 MiB here with numpy 2.4.  Evaluating
+    # a full sign table per chunk instead peaked at 34.0 MiB.
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, 19), 1.0)
+    tracemalloc.start()
+    try:
+        order_parameter_averages(pot, [0.5, 1.0, 2.0], [(0, 5), (4, 12)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 33 * 2**20
 
 
 def test_order_parameter_averages_cap_and_alpha_validation():
