@@ -30,6 +30,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .lattice import (
+    Caps,
     Lattice,
     build_hypercube,
     linear_height,
@@ -51,15 +52,7 @@ from .models import (
     xxz_hamiltonian,
     xxz_site_field,
 )
-from .operators import (
-    OperatorMatrix,
-    apply,
-    basis_vector,
-    diagonal_operator,
-    pauli,
-    product_operator,
-    weighted_inner_product,
-)
+from .operators import OperatorMatrix, apply, diagonal_operator, product_operator
 from .verify import (
     CheckRecord,
     HypothesisReport,

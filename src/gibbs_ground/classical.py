@@ -37,16 +37,14 @@ import numpy as np
 
 from .errors import ConstraintError, NumericRangeError, SizeCapError
 from .lattice import (
+    MASK_BITS,
+    Caps,
     Lattice,
     height_field,
     mask_from_sites,
     nearest_neighbor_pairs,
     sites_from_mask,
 )
-
-# Exact Gibbs sums enumerate 2^n configurations; 24 sites (16.7M terms)
-# keeps them in the seconds range.  Larger systems go through Metropolis.
-ENUMERATION_CAP = 24
 
 # Enumeration runs over chunks of 2^_CHUNK_BITS configuration masks (one
 # chunk of 2^n below that), which bounds its memory at tens of MB at the cap.
@@ -134,14 +132,6 @@ class ClassicalPotential:
     def _site_lists(self) -> tuple[tuple[tuple[int, ...], float], ...]:
         return tuple((sites_from_mask(mask), coeff) for mask, coeff in self.terms)
 
-    def value(self, config: int) -> float:
-        """Evaluate U at a single bitmask configuration."""
-        total = 0.0
-        for mask, coeff in self.terms:
-            sign = -1.0 if (config & mask).bit_count() & 1 else 1.0
-            total += coeff * sign
-        return total
-
     def value_many(self, spins: np.ndarray) -> np.ndarray:
         """Evaluate U on a (nconf, n) spins array."""
         out = np.zeros(spins.shape[0])
@@ -151,15 +141,6 @@ class ClassicalPotential:
             else:
                 out += coeff
         return out
-
-    def flip_energy(self, config: int, sites_mask: int) -> float:
-        """W_A(s) = U(flip(s, A)) - U(s), computed incrementally."""
-        total = 0.0
-        for mask, coeff in self.terms:
-            if (mask & sites_mask).bit_count() & 1:
-                sign = -1.0 if (config & mask).bit_count() & 1 else 1.0
-                total += coeff * sign
-        return -2.0 * total
 
     def flip_energy_many(self, spins: np.ndarray, sites_mask: int) -> np.ndarray:
         """W_A on a (nconf, n) spins array."""
@@ -315,7 +296,7 @@ def _finite(values: list, what: str) -> list:
 
 
 def partition_function(
-    potential: ClassicalPotential, alpha: float, cap: int = ENUMERATION_CAP
+    potential: ClassicalPotential, alpha: float, cap: int = Caps.enumeration_sites
 ) -> float:
     """Z(alpha) = sum_s exp(-alpha U(s)) by exact enumeration.
 
@@ -343,7 +324,7 @@ def classical_expectation(
     f: Functional,
     potential: ClassicalPotential,
     alpha: float,
-    cap: int = ENUMERATION_CAP,
+    cap: int = Caps.enumeration_sites,
 ) -> float:
     """Gibbs expectation <f> = Z^-1 sum_s f(s) exp(-alpha U(s)), exactly."""
     return gibbs_averages([f], potential, alpha, cap=cap)[0]
@@ -356,7 +337,7 @@ def gibbs_averages(
     fs: Sequence[Functional],
     potential: ClassicalPotential,
     alpha: float,
-    cap: int = ENUMERATION_CAP,
+    cap: int = Caps.enumeration_sites,
 ) -> list[float]:
     """Exact Gibbs expectations of several functionals in one sweep.
 
@@ -399,7 +380,7 @@ def order_parameter_averages(
     potential: ClassicalPotential,
     alphas: Sequence[float],
     pairs: Sequence[tuple[int, int]],
-    cap: int = ENUMERATION_CAP,
+    cap: int = Caps.enumeration_sites,
 ) -> list[OrderAverages]:
     """Exact order parameters over an alpha grid from one enumeration.
 
@@ -489,7 +470,7 @@ def order_parameter_averages(
 
 
 def max_abs_flip_energy(
-    potential: ClassicalPotential, sites_mask: int, cap: int = ENUMERATION_CAP
+    potential: ClassicalPotential, sites_mask: int, cap: int = Caps.enumeration_sites
 ) -> float:
     """max_s |W_A(s)| by exact enumeration."""
     _check_enumerable(potential.n_sites, cap)
@@ -586,8 +567,8 @@ def metropolis_samples(
     if burn_in < 0:
         raise ConstraintError("burn_in must be nonnegative")
     n = potential.n_sites
-    if n > 64:
-        raise SizeCapError("Metropolis sampling supports at most 64 sites")
+    if n > MASK_BITS:
+        raise SizeCapError(f"Metropolis sampling supports at most {MASK_BITS} sites")
     rng = np.random.default_rng(seed)
 
     # Per-site term lists: W_x(s) = -2 s_x * sum_{B containing x} c_B prod_{y in B, y != x} s_y

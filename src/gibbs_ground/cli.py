@@ -11,12 +11,11 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
 from .classical import (
-    ENUMERATION_CAP,
     ClassicalPotential,
     default_burn_in,
     estimate_from_samples,
@@ -25,15 +24,9 @@ from .classical import (
     squared_magnetization,
 )
 from .errors import ConfigError, GibbsGroundError
-from .lattice import DEFAULT_SITE_CAP, Lattice, build_hypercube
+from .lattice import Caps, Lattice, build_hypercube
 from .models import TWO_PATH_RTOL, CouplingTable, ModelInstance
-from .operators import QUANTUM_SITE_CAP
-from .verify import (
-    DENSE_SITE_CAP,
-    groundstate_hypotheses,
-    order_parameter_scan,
-    verify_model,
-)
+from .verify import groundstate_hypotheses, order_parameter_scan, verify_model
 
 SCHEMA_VERSION = 1
 
@@ -49,14 +42,6 @@ _CORRELATE_COLUMNS = [
 
 
 @dataclass
-class Caps:
-    lattice_sites: int = DEFAULT_SITE_CAP
-    quantum_sites: int = QUANTUM_SITE_CAP
-    enumeration_sites: int = ENUMERATION_CAP
-    dense_sites: int = DENSE_SITE_CAP
-
-
-@dataclass
 class RunConfig:
     lattice: Lattice
     table: CouplingTable
@@ -68,7 +53,7 @@ class RunConfig:
     mc_seed: int = 0
     check_trials: int = 20
     check_seed: int = 0
-    caps: Caps = field(default_factory=Caps)
+    caps: Caps = Caps()
 
 
 def _require(condition: bool, message: str):
@@ -174,14 +159,12 @@ def parse_config(text: str) -> RunConfig:
 
     caps_raw = doc.get("caps", {})
     _require(isinstance(caps_raw, dict), "field 'caps' must be an object")
-    caps = Caps(
-        lattice_sites=_get(caps_raw, "lattice_sites", int, "caps", DEFAULT_SITE_CAP),
-        quantum_sites=_get(caps_raw, "quantum_sites", int, "caps", QUANTUM_SITE_CAP),
-        enumeration_sites=_get(caps_raw, "enumeration_sites", int, "caps", ENUMERATION_CAP),
-        dense_sites=_get(caps_raw, "dense_sites", int, "caps", DENSE_SITE_CAP),
-    )
-    for name, value in vars(caps).items():
-        _require(value >= 1, f"field 'caps.{name}' must be at least 1, got {value}")
+    try:
+        caps = Caps(
+            **{f.name: _get(caps_raw, f.name, int, "caps", f.default) for f in fields(Caps)}
+        )
+    except GibbsGroundError as exc:
+        raise ConfigError(f"invalid caps: {exc}") from exc
 
     lat_raw = doc.get("lattice")
     _require(isinstance(lat_raw, dict), "missing required object 'lattice'")
@@ -295,21 +278,12 @@ def _model(config: RunConfig, alpha: float) -> ModelInstance:
         table=config.table,
         potential=config.potential,
         alpha=alpha,
-        quantum_cap=config.caps.quantum_sites,
+        caps=config.caps,
     )
 
 
-def _check_quantum(config: RunConfig):
-    n = config.lattice.n_sites
-    if n > config.caps.quantum_sites:
-        raise GibbsGroundError(
-            f"this command builds 2^{n}-dimensional operators, above the "
-            f"quantum cap of {config.caps.quantum_sites} sites"
-        )
-
-
 def _cmd_build(config: RunConfig, out: Path) -> int:
-    hypotheses = groundstate_hypotheses(config.table)
+    hypotheses = groundstate_hypotheses(config.table, cap=config.caps.enumeration_sites)
     warnings = []
     if hypotheses.odd_entries:
         warnings.append("ground-state hypotheses violated: odd y-sets present")
@@ -361,15 +335,12 @@ def _cmd_build(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_verify(config: RunConfig, out: Path) -> int:
-    _check_quantum(config)
     reports = [
         verify_model(
             _model(config, alpha),
             trials=config.check_trials,
             seed=config.check_seed,
             pairs=config.pairs or None,
-            dense_dim_cap=1 << config.caps.dense_sites,
-            enumeration_cap=config.caps.enumeration_sites,
         )
         for alpha in config.alphas
     ]
@@ -401,7 +372,6 @@ def _scan_rows(config: RunConfig) -> list:
         sweeps=config.sweeps,
         burn_in=config.burn_in,
         seed=config.mc_seed,
-        enumeration_cap=config.caps.enumeration_sites,
     )
 
 
@@ -484,14 +454,16 @@ def run(command: str, config: RunConfig, out_dir: str = ".") -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    caps = Caps()
     parser = argparse.ArgumentParser(
         prog="gibbs-ground",
         description=(
             "Build spin-1/2 lattice models with Boltzmann-amplitude ground "
             "states, verify their defining properties, and tabulate order "
-            f"parameters. Default caps: {QUANTUM_SITE_CAP} sites for operator "
-            f"work, {DENSE_SITE_CAP} for dense eigensolves, {ENUMERATION_CAP} "
-            "for exact Gibbs sums (configurable via the 'caps' config object)."
+            f"parameters. Default caps: {caps.quantum_sites} sites for operator "
+            f"work, {caps.dense_sites} for dense eigensolves, "
+            f"{caps.enumeration_sites} for exact Gibbs sums (configurable via "
+            "the 'caps' config object)."
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)

@@ -12,15 +12,43 @@ exactly one coordinate, with no wraparound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from .errors import ConstraintError, SizeCapError
 
-# Geometry cap: bitmasks must fit a machine word so that configurations
-# stay cheap to store and sample.  The classical-enumeration and quantum
-# layers enforce their own, much tighter caps (24 and 14 sites).
-DEFAULT_SITE_CAP = 64
+# Configuration bitmasks are uint64 words.
+MASK_BITS = 64
+
+
+@dataclass(frozen=True)
+class Caps:
+    """Every size cap, in sites; each exact route runs only under its cap.
+
+    lattice_sites: configuration bitmasks fit a uint64 word, so at most
+    MASK_BITS.  quantum_sites: operators and states over 2^14 = 16384
+    basis states stay in desk range.  enumeration_sites: exact Gibbs sums
+    over 2^24 (16.7M) configurations, and the hypothesis enumeration of a
+    union set, stay in the seconds range; larger systems go through
+    Metropolis.  dense_sites: blocked dense eigensolves up to 2^12 states,
+    Lanczos above.
+    """
+
+    lattice_sites: int = MASK_BITS
+    quantum_sites: int = 14
+    enumeration_sites: int = 24
+    dense_sites: int = 12
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 1:
+                raise ConstraintError(f"caps.{f.name} must be at least 1, got {value}")
+        if self.lattice_sites > MASK_BITS:
+            raise ConstraintError(
+                f"caps.lattice_sites must be at most {MASK_BITS}, the width of a "
+                f"configuration mask, got {self.lattice_sites}"
+            )
 
 
 @dataclass(frozen=True)
@@ -56,7 +84,7 @@ class Lattice:
         return self.coords[index]
 
 
-def build_hypercube(d: int, L: int, site_cap: int = DEFAULT_SITE_CAP) -> Lattice:
+def build_hypercube(d: int, L: int, site_cap: int = Caps.lattice_sites) -> Lattice:
     """Build the L^d hypercube; raises SizeCapError when L^d > site_cap."""
     if d < 1 or L < 1:
         raise ConstraintError(f"need d >= 1 and L >= 1, got d={d}, L={L}")

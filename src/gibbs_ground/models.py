@@ -36,16 +36,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classical import (
-    ENUMERATION_CAP,
     ClassicalPotential,
     monomial_signs,
     partition_function,
     spins_from_masks,
 )
 from .errors import ConstraintError, InternalConsistencyError, UnsupportedModelError
-from .lattice import Lattice, mask_from_sites, nearest_neighbor_pairs, sites_from_mask
+from .lattice import Caps, Lattice, mask_from_sites, nearest_neighbor_pairs, sites_from_mask
 from .operators import (
-    QUANTUM_SITE_CAP,
     OperatorMatrix,
     all_masks,
     flip_operator,
@@ -143,12 +141,12 @@ class DiagonalCoupling:
             out += coeff * row
         return out
 
-    def restricted_values(self) -> np.ndarray:
-        """J over all 2^|C| assignments of its own sites (other spins moot)."""
-        members = sites_from_mask(self.sites_mask)
-        local = np.arange(1 << len(members), dtype=np.uint64)
-        masks = np.zeros(1 << len(members), dtype=np.uint64)
-        for j, site in enumerate(members):
+    def restricted_values(self, local: Iterable[int]) -> np.ndarray:
+        """J at assignments of its own sites alone (other spins moot): bit j
+        of each local mask is the spin of the set's j-th site."""
+        local = np.asarray(local, dtype=np.uint64)
+        masks = np.zeros(len(local), dtype=np.uint64)
+        for j, site in enumerate(sites_from_mask(self.sites_mask)):
             masks |= ((local >> np.uint64(j)) & np.uint64(1)) << np.uint64(site)
         return self.values(masks)
 
@@ -172,7 +170,7 @@ def diagonal_couplings(table: CouplingTable) -> tuple[DiagonalCoupling, ...]:
 
 
 def build_h0(
-    table: CouplingTable, lattice: Lattice, cap: int = QUANTUM_SITE_CAP
+    table: CouplingTable, lattice: Lattice, cap: int = Caps.quantum_sites
 ) -> OperatorMatrix:
     """Off-diagonal part sum phi(A, B) X_[A] Y_[B].
 
@@ -192,7 +190,7 @@ def build_h0(
 
 
 def offdiagonal_from_couplings(
-    table: CouplingTable, lattice: Lattice, cap: int = QUANTUM_SITE_CAP
+    table: CouplingTable, lattice: Lattice, cap: int = Caps.quantum_sites
 ) -> OperatorMatrix:
     """Second route to the off-diagonal part, sum_C J_C(sigma^z) X_[C]."""
     n = _common_size(table.n_sites, lattice, cap=cap)
@@ -211,7 +209,7 @@ def build_v(
     potential: ClassicalPotential,
     alpha: float,
     lattice: Lattice,
-    cap: int = QUANTUM_SITE_CAP,
+    cap: int = Caps.quantum_sites,
 ) -> OperatorMatrix:
     """Diagonal part with entry -sum_C J_C(s) exp(-(alpha/2) W_C(s)) at s."""
     n = _common_size(table.n_sites, lattice, potential.n_sites, cap=cap)
@@ -231,7 +229,7 @@ def _flip_form_h(
     potential: ClassicalPotential,
     alpha: float,
     lattice: Lattice,
-    cap: int = QUANTUM_SITE_CAP,
+    cap: int = Caps.quantum_sites,
 ) -> OperatorMatrix:
     """Independent route to H: sum over nonempty union sets of
     J_C(sigma^z) (X_[C] - exp(-(alpha/2) W_C(sigma^z)))."""
@@ -257,7 +255,7 @@ def build_h(model: "ModelInstance") -> OperatorMatrix:
     flip-form assembly; disagreement beyond 1e-12 * |H|_max is a builder bug."""
     h = model.h0 + model.v
     other = _flip_form_h(
-        model.table, model.potential, model.alpha, model.lattice, cap=model.quantum_cap
+        model.table, model.potential, model.alpha, model.lattice, cap=model.caps.quantum_sites
     )
     diff = max_entry_diff(h, other)
     tol = TWO_PATH_RTOL * h.norm_max
@@ -273,7 +271,7 @@ def build_gibbs_state(
     potential: ClassicalPotential,
     alpha: float,
     lattice: Lattice,
-    cap: int = QUANTUM_SITE_CAP,
+    cap: int = Caps.quantum_sites,
 ) -> np.ndarray:
     """Non-normalized Boltzmann-amplitude vector, exp(-(alpha/2) U(s)) at s."""
     n = _common_size(potential.n_sites, lattice, cap=cap)
@@ -445,14 +443,15 @@ def xxz_hamiltonian(coupling: float, alpha: float, lattice: Lattice) -> Operator
 @dataclass(frozen=True)
 class ModelInstance:
     """A lattice, coupling table, classical potential and alpha, with the
-    derived matrices and state cached on first use.  quantum_cap bounds the
-    site count of every operator and state built from it."""
+    derived matrices and state cached on first use.  Every check on it runs
+    under its size caps: caps.quantum_sites bounds every operator and state
+    built from it, caps.enumeration_sites every exact enumeration."""
 
     lattice: Lattice
     table: CouplingTable
     potential: ClassicalPotential
     alpha: float
-    quantum_cap: int = QUANTUM_SITE_CAP
+    caps: Caps = Caps()
 
     def __post_init__(self):
         if self.alpha < 0 or not math.isfinite(self.alpha):
@@ -475,12 +474,12 @@ class ModelInstance:
 
     @cached_property
     def h0(self) -> OperatorMatrix:
-        return build_h0(self.table, self.lattice, cap=self.quantum_cap)
+        return build_h0(self.table, self.lattice, cap=self.caps.quantum_sites)
 
     @cached_property
     def v(self) -> OperatorMatrix:
         return build_v(
-            self.table, self.potential, self.alpha, self.lattice, cap=self.quantum_cap
+            self.table, self.potential, self.alpha, self.lattice, cap=self.caps.quantum_sites
         )
 
     @cached_property
@@ -494,7 +493,7 @@ class ModelInstance:
     @cached_property
     def state(self) -> np.ndarray:
         return build_gibbs_state(
-            self.potential, self.alpha, self.lattice, cap=self.quantum_cap
+            self.potential, self.alpha, self.lattice, cap=self.caps.quantum_sites
         )
 
     @property
@@ -512,8 +511,10 @@ class ModelInstance:
     def state_norm_squared(self) -> float:
         return float(np.dot(self.state, self.state))
 
-    def partition_value(self, cap: int = ENUMERATION_CAP) -> float:
-        return partition_function(self.potential, self.alpha, cap=cap)
+    def partition_value(self) -> float:
+        return partition_function(
+            self.potential, self.alpha, cap=self.caps.enumeration_sites
+        )
 
     def digest(self) -> str:
         """Stable hash of the model's defining data."""
@@ -533,7 +534,7 @@ class ModelInstance:
 # ---------------------------------------------------------------------------
 
 
-def _common_size(*n_values, cap: int = QUANTUM_SITE_CAP) -> int:
+def _common_size(*n_values, cap: int = Caps.quantum_sites) -> int:
     sizes = set()
     for n in n_values:
         sizes.add(n.n_sites if isinstance(n, Lattice) else int(n))

@@ -20,32 +20,15 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .classical import ClassicalPotential, Functional, monomial_signs, spins_from_masks
+from .classical import Functional, monomial_signs, spins_from_masks
 from .errors import ConstraintError, SizeCapError
-from .lattice import Lattice
+from .lattice import Caps, Lattice
 
 if TYPE_CHECKING:
     from scipy import sparse
 
-# Operators above 14 sites (dimension 16384) are out of desk range.
-QUANTUM_SITE_CAP = 14
-
 # Relative tolerance (on the max-entry norm) for the computed Hermitian flag.
 HERMITIAN_RTOL = 1e-14
-
-_PAULI = {
-    1: np.array([[0, 1], [1, 0]], dtype=complex),
-    2: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    3: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def pauli(axis: int) -> np.ndarray:
-    """The 2x2 Pauli matrix for axis 1 (x), 2 (y) or 3 (z)."""
-    try:
-        return _PAULI[axis].copy()
-    except KeyError:
-        raise ConstraintError(f"Pauli axis must be 1, 2 or 3, got {axis}") from None
 
 
 @dataclass(eq=False)
@@ -216,10 +199,10 @@ def flip_operator(
     return OperatorMatrix(n_sites, summed)
 
 
-def _check_quantum_size(n_sites: int, cap: int = QUANTUM_SITE_CAP):
+def _check_quantum_size(n_sites: int, cap: int = Caps.quantum_sites):
     if n_sites > cap:
         raise SizeCapError(
-            f"quantum operators over {n_sites} sites exceed the cap of {cap}"
+            f"quantum operators over {n_sites} sites exceed the quantum cap of {cap}"
         )
 
 
@@ -230,18 +213,8 @@ def _check_sites_mask(sites_mask: int, lattice: Lattice):
         )
 
 
-def basis_vector(config: int, n_sites: int) -> np.ndarray:
-    """The tensor-product basis vector of a configuration bitmask."""
-    _check_quantum_size(n_sites)
-    if config < 0 or config >= (1 << n_sites):
-        raise ConstraintError(f"configuration {config:#x} outside {n_sites} sites")
-    v = np.zeros(1 << n_sites, dtype=complex)
-    v[config] = 1.0
-    return v
-
-
 def product_operator(
-    axis: int, sites_mask: int, lattice: Lattice, cap: int = QUANTUM_SITE_CAP
+    axis: int, sites_mask: int, lattice: Lattice, cap: int = Caps.quantum_sites
 ) -> OperatorMatrix:
     """Tensor product of one Pauli over a site set, identity elsewhere.
 
@@ -312,21 +285,3 @@ def apply(op: OperatorMatrix, vector: np.ndarray) -> np.ndarray:
     out.real = _ascending_sum(entries_re * v_re - entries_im * v_im)
     out.imag = _ascending_sum(entries_re * v_im + entries_im * v_re)
     return out
-
-
-def weighted_inner_product(
-    f: np.ndarray,
-    g: np.ndarray,
-    potential: ClassicalPotential,
-    alpha: float,
-) -> complex:
-    """Boltzmann-weighted inner product sum_s e^{-alpha U(s)} conj(f_s) g_s."""
-    n = potential.n_sites
-    dim = 1 << n
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != (dim,) or g.shape != (dim,):
-        raise ConstraintError("vector dimensions do not match the potential's lattice")
-    energies = potential.energy_from_signs(potential.term_signs(all_masks(n)))
-    weights = np.exp(-alpha * energies)
-    return complex(np.sum(weights * np.conj(f) * g))

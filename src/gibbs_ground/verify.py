@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .classical import (
-    ENUMERATION_CAP,
     ClassicalPotential,
+    _mask_chunks,
     classical_expectation,
     default_burn_in,
     estimate_from_samples,
@@ -37,7 +37,7 @@ from .errors import (
     NonHermitianError,
     SizeCapError,
 )
-from .lattice import nearest_neighbor_pairs, sites_from_mask
+from .lattice import Caps, nearest_neighbor_pairs, sites_from_mask
 from .models import (
     CONJUGATE_RTOL,
     TWO_PATH_RTOL,
@@ -48,6 +48,7 @@ from .models import (
 )
 from .operators import (
     OperatorMatrix,
+    _check_quantum_size,
     all_masks,
     apply,
     flip_graph_labels,
@@ -71,8 +72,6 @@ DIRICHLET_RTOL = 1e-10
 DIRICHLET_NONNEG_SLACK = 1e-12
 IMAG_PART_TOL = 1e-10
 
-# Dense blocked eigensolves up to 2^12 states; Lanczos above.
-DENSE_SITE_CAP = 12
 # Thick-restart Lanczos: the basis holds at most LANCZOS_BASIS vectors, a
 # restart keeps the LANCZOS_KEEP lowest Ritz vectors, and the lowest one is
 # accepted once its residual is at most LANCZOS_RTOL * |H|_max (100 times
@@ -86,7 +85,6 @@ LANCZOS_MAX_PRODUCTS = 10_000
 # solve once the block outweighs the cost of importing scipy (about 0.25 s);
 # on a 2-vCPU machine the two cross near 1800 states.
 SUBSET_EIGH_MIN_BLOCK = 2048
-HYPOTHESIS_SET_CAP = 20
 
 
 def _plain(value):
@@ -112,8 +110,8 @@ class CheckRecord:
     details: dict
     wall_time_s: float = 0.0
 
-    def to_payload(self, include_timing: bool = False) -> dict:
-        payload = {
+    def to_payload(self) -> dict:
+        return {
             "name": self.name,
             "passed": bool(self.passed),
             "asserted": bool(self.asserted),
@@ -121,9 +119,6 @@ class CheckRecord:
             "threshold": None if self.threshold is None else float(self.threshold),
             "details": _plain(self.details),
         }
-        if include_timing:
-            payload["wall_time_s"] = self.wall_time_s
-        return payload
 
 
 @dataclass
@@ -138,12 +133,12 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.records if r.asserted)
 
-    def to_payload(self, include_timing: bool = False) -> dict:
+    def to_payload(self) -> dict:
         return {
             "model_digest": self.model_digest,
             "alpha": self.alpha,
             "all_passed": self.all_passed,
-            "checks": [r.to_payload(include_timing) for r in self.records],
+            "checks": [r.to_payload() for r in self.records],
         }
 
 
@@ -270,15 +265,15 @@ def _lanczos_lowest(h: OperatorMatrix, maxiter: int) -> np.ndarray:
 
 def min_eigenvalue(
     h: OperatorMatrix,
-    dense_dim_cap: int = 1 << DENSE_SITE_CAP,
+    dense_sites: int = Caps.dense_sites,
     maxiter: int | None = None,
 ) -> SpectralResult:
     """Smallest eigenvalue of a Hermitian operator.
 
-    Arithmetic is real when every entry has a zero imaginary part.  Up to
-    dense_dim_cap the operator is split into the connected components of
-    its flip graph (H couples m only to m XOR C), numbered by smallest
-    mask; each block is assembled dense from the flip terms and its lowest
+    Arithmetic is real when every entry has a zero imaginary part.  On at
+    most dense_sites sites the operator is split into the connected
+    components of its flip graph (H couples m only to m XOR C), numbered by
+    smallest mask; each block is assembled dense from the flip terms and its lowest
     eigenvalue decides the winner.  Below SUBSET_EIGH_MIN_BLOCK states a
     block is solved by numpy alone, values first, and the winner's
     eigenvector comes from one step of inverse iteration at its eigenvalue;
@@ -300,7 +295,7 @@ def min_eigenvalue(
         )
     real = h.is_real
     dim = h.dim
-    if dim <= dense_dim_cap:
+    if h.n_sites <= dense_sites:
         _, labels = np.unique(flip_graph_labels(h), return_inverse=True)
         n_blocks = int(labels.max()) + 1
         order = np.argsort(labels, kind="stable")
@@ -349,27 +344,27 @@ def min_eigenvalue(
 
 
 def groundstate_hypotheses(
-    table: CouplingTable, set_cap: int = HYPOTHESIS_SET_CAP
+    table: CouplingTable, cap: int = Caps.enumeration_sites
 ) -> HypothesisReport:
     """Flag odd y-sets and enumerate the sign of every diagonal coupling
-    over all assignments of its own sites (exact, 2^|C| cases per set)."""
+    over all assignments of its own sites (exact, 2^|C| cases per set, at
+    most cap sites), one chunk of assignments at a time."""
     odd = table.odd_entries
     positive = []
     for coupling in diagonal_couplings(table):
         size = coupling.sites_mask.bit_count()
-        if size > set_cap:
+        if size > cap:
             raise SizeCapError(
                 f"hypothesis enumeration over a {size}-site union set exceeds "
-                f"the cap of {set_cap}"
+                f"the cap of {cap}"
             )
-        values = coupling.restricted_values()
-        worst = int(np.argmax(values.real))
-        if values.real[worst] > 0.0:
+        worst = max(
+            float(coupling.restricted_values(local).real.max())
+            for local in _mask_chunks(size)
+        )
+        if worst > 0.0:
             positive.append(
-                {
-                    "sites": list(sites_from_mask(coupling.sites_mask)),
-                    "max_value": float(values.real[worst]),
-                }
+                {"sites": list(sites_from_mask(coupling.sites_mask)), "max_value": worst}
             )
     return HypothesisReport(
         odd_entries=odd,
@@ -394,9 +389,7 @@ def quantum_expectation(
     return float(value.real)
 
 
-def sx_product_bound(
-    model: ModelInstance, sites_mask: int, enumeration_cap: int = ENUMERATION_CAP
-) -> CheckRecord:
+def sx_product_bound(model: ModelInstance, sites_mask: int) -> CheckRecord:
     """Expectation of the x-Pauli product over a site set in the Boltzmann
     state: the matrix route must match the classical reweighted average
     <exp(-(alpha/2) W_A)>, and both obey the positive lower bound
@@ -406,11 +399,14 @@ def sx_product_bound(
     the bound are checked (the 2^n operator would be out of range).
     """
     start = time.perf_counter()
-    potential, alpha = model.potential, model.alpha
+    potential, alpha, caps = model.potential, model.alpha, model.caps
     classical = classical_expectation(
-        flip_weight(potential, alpha, sites_mask), potential, alpha, cap=enumeration_cap
+        flip_weight(potential, alpha, sites_mask),
+        potential,
+        alpha,
+        cap=caps.enumeration_sites,
     )
-    max_w = max_abs_flip_energy(potential, sites_mask, cap=enumeration_cap)
+    max_w = max_abs_flip_energy(potential, sites_mask, cap=caps.enumeration_sites)
     bound = math.exp(-0.5 * alpha * max_w)
     details = {
         "classical": float(classical),
@@ -418,8 +414,8 @@ def sx_product_bound(
         "max_abs_flip_energy": float(max_w),
     }
     agree_ok = True
-    if model.lattice.n_sites <= model.quantum_cap:
-        op = product_operator(1, sites_mask, model.lattice, cap=model.quantum_cap)
+    if model.lattice.n_sites <= caps.quantum_sites:
+        op = product_operator(1, sites_mask, model.lattice, cap=caps.quantum_sites)
         quantum = quantum_expectation(op, model.state)
         agreement = abs(quantum - classical) / abs(classical)
         agree_ok = agreement <= SX_AGREEMENT_RTOL
@@ -596,18 +592,18 @@ def order_parameter_scan(
     sweeps: int = 20000,
     burn_in: int | None = None,
     seed: int = 0,
-    enumeration_cap: int = ENUMERATION_CAP,
 ) -> list[ScanRow]:
     """Two-point x and z correlations, squared z-magnetization and mean
     x-magnetization across an alpha grid.
 
     All four observables are classical averages in the Gibbs measure of the
     model's potential (the z observables directly, the x observables through
-    the reweighting exp(-(alpha/2) W)).  Under the cap one exact enumeration
-    serves the whole grid; above it each alpha runs a Metropolis chain.
+    the reweighting exp(-(alpha/2) W)).  Under the model's enumeration cap
+    one exact enumeration serves the whole grid; above it each alpha runs a
+    Metropolis chain.
     """
-    potential = model.potential
-    if potential.n_sites <= enumeration_cap:
+    potential, cap = model.potential, model.caps.enumeration_sites
+    if potential.n_sites <= cap:
         return [
             ScanRow(
                 alpha=float(avg.alpha),
@@ -619,9 +615,7 @@ def order_parameter_scan(
                 mx=avg.mx,
                 method="exact",
             )
-            for avg in order_parameter_averages(
-                potential, alphas, pairs, cap=enumeration_cap
-            )
+            for avg in order_parameter_averages(potential, alphas, pairs, cap=cap)
             for k, (x, y) in enumerate(pairs)
         ]
     rows: list[ScanRow] = []
@@ -685,26 +679,27 @@ def verify_model(
     trials: int = 20,
     seed: int = 0,
     pairs: Sequence[tuple[int, int]] | None = None,
-    dense_dim_cap: int = 1 << DENSE_SITE_CAP,
-    enumeration_cap: int = ENUMERATION_CAP,
 ) -> VerificationReport:
     """Run the full check suite on one model and collect the records.
 
     Checks that depend on the parity/sign hypotheses are asserted only when
     those hypotheses hold; otherwise they are computed and reported as
-    informational, mapping where the properties actually hold.  Every
-    classical enumeration honours enumeration_cap.
+    informational, mapping where the properties actually hold.  Every check
+    runs under model.caps: a model above caps.quantum_sites stops first,
+    with SizeCapError.
     """
+    caps = model.caps
+    _check_quantum_size(model.lattice.n_sites, caps.quantum_sites)
     report = VerificationReport(model_digest=model.digest(), alpha=model.alpha)
     records = report.records
     # Z is the squared norm of the Boltzmann state: an alpha whose state
     # leaves double precision stops here with NumericRangeError, before any
     # check computes with that state.
-    z_value = model.partition_value(cap=enumeration_cap)
+    z_value = model.partition_value()
     norm = model.h.norm_max
 
     started = time.perf_counter()
-    hypotheses = groundstate_hypotheses(model.table)
+    hypotheses = groundstate_hypotheses(model.table, cap=caps.enumeration_sites)
     records.append(
         _record(
             "groundstate_hypotheses",
@@ -752,7 +747,7 @@ def verify_model(
     started = time.perf_counter()
     h0_direct = model.h0
     h0_grouped = offdiagonal_from_couplings(
-        model.table, model.lattice, cap=model.quantum_cap
+        model.table, model.lattice, cap=caps.quantum_sites
     )
     off_diff = max_entry_diff(h0_direct, h0_grouped)
     off_tol = OFFDIAG_RTOL * max(h0_direct.norm_max, 1e-300)
@@ -790,11 +785,11 @@ def verify_model(
     for x, y in pairs:
         started = time.perf_counter()
         op = product_operator(
-            3, (1 << x) | (1 << y), model.lattice, cap=model.quantum_cap
+            3, (1 << x) | (1 << y), model.lattice, cap=caps.quantum_sites
         )
         quantum = quantum_expectation(op, model.state)
         classical = classical_expectation(
-            spin_product(x, y), model.potential, model.alpha, cap=enumeration_cap
+            spin_product(x, y), model.potential, model.alpha, cap=caps.enumeration_sites
         )
         gap = abs(quantum - classical)
         tol = CLASSICAL_REDUCTION_RTOL * max(1.0, abs(classical))
@@ -812,7 +807,7 @@ def verify_model(
 
     sx_sets = [1 << 0] + [((1 << x) | (1 << y)) for x, y in pairs[:1]]
     for mask in sx_sets:
-        records.append(sx_product_bound(model, mask, enumeration_cap))
+        records.append(sx_product_bound(model, mask))
 
     started = time.perf_counter()
     records.append(
@@ -844,7 +839,7 @@ def verify_model(
 
     if model.h.is_hermitian:
         started = time.perf_counter()
-        spectral = min_eigenvalue(model.h, dense_dim_cap=dense_dim_cap)
+        spectral = min_eigenvalue(model.h, dense_sites=caps.dense_sites)
         records.append(
             _record(
                 "ground_energy",

@@ -14,6 +14,13 @@ import numpy as np
 
 from gibbs_ground.errors import ConstraintError
 
+# The 2x2 Pauli matrices by axis: 1 (x), 2 (y) and 3 (z).
+PAULI = {
+    1: np.array([[0, 1], [1, 0]], dtype=complex),
+    2: np.array([[0, -1j], [1j, 0]], dtype=complex),
+    3: np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
 
 def flip(config: int, sites_mask: int) -> int:
     """Negate the spins on a site set: a bitmask XOR (an involution)."""
@@ -31,11 +38,15 @@ def mask_from_spins(spins) -> int:
     return mask
 
 
+def spins_of_mask(mask: int, n: int) -> tuple[int, ...]:
+    """The spin tuple of one bitmask: spin -1 exactly at its set bits."""
+    return tuple(-1 if (mask >> i) & 1 else 1 for i in range(n))
+
+
 def enumerate_spins(n: int):
-    """All 2^n spin tuples, in the package's bitmask order: tuple k has
-    spin -1 exactly at the positions whose bit is set in k."""
+    """All 2^n spin tuples, in the package's bitmask order."""
     for mask in range(1 << n):
-        yield tuple(-1 if (mask >> i) & 1 else 1 for i in range(n))
+        yield spins_of_mask(mask, n)
 
 
 def potential_value(terms, spins) -> float:

@@ -28,6 +28,7 @@ from gibbs_ground.classical import (
     spins_from_masks,
 )
 from gibbs_ground.errors import ConstraintError, NumericRangeError, SizeCapError
+from gibbs_ground.lattice import sites_from_mask
 
 from .oracles import (
     brute_force_expectation,
@@ -37,15 +38,27 @@ from .oracles import (
     mask_from_spins,
     open_chain_correlation,
     open_chain_correlation_closed_form,
+    spins_of_mask,
 )
+
+
+def _value(pot, config):
+    """U at one bitmask configuration, through value_many."""
+    return pot.value_many(spins_from_masks(np.array([config]), pot.n_sites))[0]
+
+
+def _flip_energy(pot, config, sites_mask):
+    """W_A at one bitmask configuration, through flip_energy_many."""
+    spins = spins_from_masks(np.array([config]), pot.n_sites)
+    return pot.flip_energy_many(spins, sites_mask)[0]
 
 
 def test_eval_potential_hand_cases():
     bond = ClassicalPotential.from_terms(2, [([0, 1], -1.0)])
-    assert bond.value(0b00) == -1.0  # both +1
+    assert _value(bond, 0b00) == -1.0  # both +1
     fields = ClassicalPotential.from_terms(2, [([0], 2.0), ([1], 3.0)])
-    assert fields.value(0b10) == -1.0  # s0=+1, s1=-1
-    assert ClassicalPotential.zero(3).value(0b101) == 0.0
+    assert _value(fields, 0b10) == -1.0  # s0=+1, s1=-1
+    assert _value(ClassicalPotential.zero(3), 0b101) == 0.0
 
 
 def test_duplicate_term_rejected():
@@ -62,13 +75,13 @@ def test_flip_is_xor():
 def test_flip_energy_hand_cases():
     bond = ClassicalPotential.from_terms(2, [([0, 1], -1.0)])
     # flipping one end of a satisfied ferro bond costs 2
-    assert bond.flip_energy(0b00, 0b01) == 2.0
-    assert bond.flip_energy(0b00, 0) == 0.0
+    assert _flip_energy(bond, 0b00, 0b01) == 2.0
+    assert _flip_energy(bond, 0b00, 0) == 0.0
     # linear potential, flipping both sites of a pair
     lin = ClassicalPotential.from_terms(2, [([0], 0.7), ([1], -0.4)])
     s = 0b10  # s0=+1, s1=-1
     expected = -2 * (0.7 * 1 + (-0.4) * (-1))
-    assert lin.flip_energy(s, 0b11) == pytest.approx(expected, rel=1e-15)
+    assert _flip_energy(lin, s, 0b11) == pytest.approx(expected, rel=1e-15)
 
 
 @given(
@@ -85,8 +98,11 @@ def test_flip_energy_hand_cases():
 )
 def test_flip_energy_matches_direct_difference(config, sites_mask, raw_terms):
     pot = ClassicalPotential(n_sites=6, terms=tuple(raw_terms))
-    direct = pot.value(flip(config, sites_mask)) - pot.value(config)
-    incremental = pot.flip_energy(config, sites_mask)
+    terms = [(sites_from_mask(mask), coeff) for mask, coeff in raw_terms]
+    direct = brute_force_flip_energy(
+        terms, spins_of_mask(config, 6), sites_from_mask(sites_mask)
+    )
+    incremental = _flip_energy(pot, config, sites_mask)
     assert incremental == pytest.approx(direct, abs=1e-12)
 
 
@@ -102,8 +118,8 @@ def test_flip_energy_antisymmetry(config, sites_mask):
     )
     pot = ClassicalPotential(n_sites=8, terms=tuple(dict(terms).items()))
     # exact antisymmetry: both values are the same +-2c sums with signs flipped
-    assert pot.flip_energy(flip(config, sites_mask), sites_mask) == -pot.flip_energy(
-        config, sites_mask
+    assert _flip_energy(pot, flip(config, sites_mask), sites_mask) == -_flip_energy(
+        pot, config, sites_mask
     )
 
 
@@ -115,8 +131,8 @@ def test_half_flip_weight_symmetric():
     for _ in range(20):
         s = int(rng.integers(0, 32))
         a = int(rng.integers(0, 32))
-        w1 = math.exp(-0.5 * (pot.value(s) + pot.value(flip(s, a))))
-        w2 = math.exp(-0.5 * (pot.value(flip(s, a)) + pot.value(s)))
+        w1 = math.exp(-0.5 * (_value(pot, s) + _value(pot, flip(s, a))))
+        w2 = math.exp(-0.5 * (_value(pot, flip(s, a)) + _value(pot, s)))
         assert w1 == w2
 
 

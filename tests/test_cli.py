@@ -155,6 +155,18 @@ def test_caps_below_one_exit_2(tmp_path, capsys, cap, value):
     assert not out.exists()
 
 
+def test_lattice_cap_above_64_exit_2(tmp_path, capsys):
+    # configuration masks are uint64 words: a 100-site cap let a 100-site
+    # lattice through to a bare OverflowError in monomial_signs
+    doc = _config(lattice={"d": 2, "L": 10}, caps={"lattice_sites": 100})
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main(["build", "--config", str(path), "--out", str(out)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "ConfigError" and "caps.lattice_sites" in error["message"]
+    assert not out.exists()
+
+
 def test_parse_xxz_preset_defaults_to_height_potential():
     doc = _config(couplings={"preset": "xxz", "J": -1.0})
     del doc["potential"]
@@ -261,8 +273,9 @@ def test_verify_rejects_above_quantum_cap(tmp_path, capsys):
     path = _write_config(tmp_path, doc)
     code = cli.main(["verify", "--config", str(path), "--out", str(tmp_path)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert json.loads(err.strip())["error"] == "GibbsGroundError"
+    error = _error_of(capsys)
+    assert error["error"] == "SizeCapError"
+    assert "quantum cap of 14" in error["message"]
 
 
 def test_sweep_matches_closed_form(tmp_path):
@@ -541,6 +554,23 @@ def test_default_quantum_cap_still_stops_15_sites(tmp_path, capsys):
         model.h
 
 
+def test_build_hypothesis_enumeration_follows_enumeration_cap(tmp_path, capsys):
+    # one 21-site union set: 2^21 assignments, under the default cap of 24
+    doc = _config(
+        lattice={"d": 1, "L": 22},
+        couplings={"entries": [{"x_sites": list(range(21)), "phi": -1.0}]},
+    )
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["build", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["hypotheses_satisfied"] and summary["matrices"] is None
+    path = _write_config(tmp_path, {**doc, "caps": {"enumeration_sites": 20}})
+    assert cli.main(["build", "--config", str(path), "--out", str(tmp_path / "b")]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "SizeCapError" and "cap of 20" in error["message"]
+    assert not (tmp_path / "b" / "summary.json").exists()
+
+
 def test_verify_honours_enumeration_cap(tmp_path, capsys):
     doc = _config(lattice={"d": 1, "L": 10}, caps={"enumeration_sites": 8})
     path = _write_config(tmp_path, doc)
@@ -558,6 +588,46 @@ def test_correlate_writes_csv(tmp_path):
     assert len(rows) == 2
     assert {row["x"] for row in rows} == {"0"}
     assert all(0 < float(row["sx_sx"]) <= 1 for row in rows)
+
+
+# correlations.csv of an exact 10-site scan with a generic potential (a
+# constant, a field, a 3-body term and nonuniform bonds), pinned before the
+# size caps moved onto the model.  At 10 sites every np.dot is 1024 entries
+# long, too short for OpenBLAS to split across threads.
+GOLDEN_CORRELATE_L10 = """\
+alpha,x,y,sx_sx,sx_sx_se,sz_sz,sz_sz_se,method\r
+0.0,1,2,1.0,0.0,0.0,0.0,exact\r
+0.0,3,8,1.0,0.0,0.0,0.0,exact\r
+0.0,0,9,1.0,0.0,0.0,0.0,exact\r
+0.75,1,2,0.7229097391942328,0.0,0.5556043219059277,0.0,exact\r
+0.75,3,8,0.6631518139757737,0.0,0.026660399300736718,0.0,exact\r
+0.75,0,9,0.7259386270372054,0.0,1.3495202827874417e-17,0.0,exact\r
+2.0,1,2,0.13205157271336793,0.0,0.9636424007689889,0.0,exact\r
+2.0,3,8,0.06828205630863411,0.0,0.49369204741781375,0.0,exact\r
+2.0,0,9,0.1307079444957336,0.0,9.133105388403134e-19,0.0,exact\r
+"""
+
+
+def test_correlate_golden_csv(tmp_path):
+    doc = _config(
+        lattice={"d": 1, "L": 10},
+        potential={
+            "terms": [
+                {"sites": sites, "coeff": coeff}
+                for sites, coeff in [
+                    ([], 0.5), ([0], 0.3), ([0, 1], -0.9), ([1, 2], -0.8),
+                    ([2, 3, 4], 0.6), ([3, 4], -0.7), ([4, 5], -1.1),
+                    ([5, 6], -1.0), ([6, 7], -0.4), ([7, 8], -0.6), ([8, 9], -0.5),
+                ]
+            ]
+        },
+        pairs=[[1, 2], [3, 8], [0, 9]],
+    )
+    del doc["alpha"]
+    doc["alphas"] = [0.0, 0.75, 2.0]
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["correlate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "correlations.csv").read_bytes() == GOLDEN_CORRELATE_L10.encode()
 
 
 def test_sample_deterministic_and_seed_echo(tmp_path):

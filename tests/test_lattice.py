@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from gibbs_ground import build_hypercube, linear_height, mask_from_sites, nearest_neighbor_pairs, sites_from_mask
 from gibbs_ground.errors import ConstraintError, SizeCapError
-from gibbs_ground.lattice import height_field
+from gibbs_ground.lattice import Caps, height_field
 
 
 @pytest.mark.parametrize(
@@ -54,6 +54,17 @@ def test_site_cap():
         build_hypercube(1, 25, site_cap=24)
     with pytest.raises(ConstraintError):
         build_hypercube(0, 3)
+
+
+def test_caps_check_their_fields():
+    assert Caps() == Caps(lattice_sites=64, quantum_sites=14, enumeration_sites=24, dense_sites=12)
+    assert Caps(lattice_sites=64, dense_sites=1).dense_sites == 1
+    # configuration masks are uint64 words
+    with pytest.raises(ConstraintError, match="caps.lattice_sites must be at most 64"):
+        Caps(lattice_sites=65)
+    for name in ("lattice_sites", "quantum_sites", "enumeration_sites", "dense_sites"):
+        with pytest.raises(ConstraintError, match=f"caps.{name} must be at least 1"):
+            Caps(**{name: 0})
 
 
 def test_linear_height():

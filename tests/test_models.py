@@ -13,7 +13,6 @@ from gibbs_ground import (
     build_v,
     diagonal_couplings,
     partition_function,
-    pauli,
     xxz_diagonal,
     xxz_hamiltonian,
     xxz_site_field,
@@ -24,6 +23,7 @@ from gibbs_ground.models import offdiagonal_from_couplings
 from gibbs_ground.operators import flip_operator, max_entry_diff
 
 from .conftest import random_coupling_table, random_model, random_potential
+from .oracles import PAULI
 
 
 def _xx_table(n, pairs_with_phi):
@@ -58,7 +58,7 @@ def test_xx_pair_coupling_expands_by_hand():
     table = _xx_table(2, [(0, 1, 0.7)])
     (coupling,) = diagonal_couplings(table)
     assert coupling.sites_mask == 0b11
-    values = coupling.restricted_values()
+    values = coupling.restricted_values(range(4))
     spins = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
     for local, (s0, s1) in enumerate(spins):
         assert values[local] == pytest.approx(0.7 * (1 - s0 * s1))
@@ -68,7 +68,7 @@ def test_xx_pair_coupling_expands_by_hand():
 def test_constant_coupling_when_y_sets_empty():
     table = CouplingTable.from_site_lists(3, [([0, 2], [], -0.9)])
     (coupling,) = diagonal_couplings(table)
-    assert np.allclose(coupling.restricted_values(), -0.9)
+    assert np.allclose(coupling.restricted_values(range(4)), -0.9)
 
 
 def test_single_odd_y_coupling_is_imaginary():
@@ -76,7 +76,7 @@ def test_single_odd_y_coupling_is_imaginary():
     table = CouplingTable.from_site_lists(2, [([], [1], 0.5)])
     (coupling,) = diagonal_couplings(table)
     assert coupling.sites_mask == 0b10
-    values = coupling.restricted_values()
+    values = coupling.restricted_values(range(2))
     assert values[0] == pytest.approx(-0.5j)  # s_1 = +1
     assert values[1] == pytest.approx(0.5j)  # s_1 = -1
     assert not coupling.is_real
@@ -91,7 +91,7 @@ def test_h0_single_site_is_pauli_x():
     lat = build_hypercube(1, 1)
     table = CouplingTable.from_site_lists(1, [([0], [], 1.0)])
     h0 = build_h0(table, lat)
-    assert np.array_equal(h0.to_dense(), pauli(1))
+    assert np.array_equal(h0.to_dense(), PAULI[1])
 
 
 def test_h0_xx_pair_matches_kron():
@@ -99,8 +99,8 @@ def test_h0_xx_pair_matches_kron():
     table = _xx_table(2, [(0, 1, 0.6)])
     h0 = build_h0(table, lat)
     # site 0 is the fast bit, so the first kron factor acts on site 0
-    xx = np.kron(pauli(1), pauli(1))
-    yy = np.kron(pauli(2), pauli(2))
+    xx = np.kron(PAULI[1], PAULI[1])
+    yy = np.kron(PAULI[2], PAULI[2])
     assert np.allclose(h0.to_dense(), 0.6 * (xx + yy), atol=1e-15)
 
 
@@ -137,8 +137,8 @@ def test_build_v_alpha_zero_xx():
     lat = build_hypercube(1, 2)
     table = _xx_table(2, [(0, 1, 0.8)])
     v = build_v(table, ClassicalPotential.zero(2), 0.0, lat)
-    sz0 = np.kron(np.eye(2), pauli(3))  # site 0 fast bit
-    sz1 = np.kron(pauli(3), np.eye(2))
+    sz0 = np.kron(np.eye(2), PAULI[3])  # site 0 fast bit
+    sz1 = np.kron(PAULI[3], np.eye(2))
     want = -0.8 * (np.eye(4) - sz0 @ sz1)
     assert np.allclose(v.to_dense(), want, atol=1e-15)
 
@@ -153,7 +153,7 @@ def test_build_h_single_site_hand_case():
             potential=ClassicalPotential.zero(1),
             alpha=alpha,
         )
-        assert np.allclose(model.h.to_dense(), -(pauli(1) - np.eye(2)), atol=1e-15)
+        assert np.allclose(model.h.to_dense(), -(PAULI[1] - np.eye(2)), atol=1e-15)
         assert sorted(np.linalg.eigvalsh(model.h.to_dense())) == pytest.approx([0.0, 2.0])
 
 
@@ -269,8 +269,8 @@ def test_xxz_diagonal_constant_field():
     lat = build_hypercube(1, 2)
     table = _xx_table(2, [(0, 1, 0.9)])
     got = xxz_diagonal(table, [2.0, 2.0], 1.7, lat)
-    sz0 = np.kron(np.eye(2), pauli(3))
-    sz1 = np.kron(pauli(3), np.eye(2))
+    sz0 = np.kron(np.eye(2), PAULI[3])
+    sz1 = np.kron(PAULI[3], np.eye(2))
     want = 0.9 * (sz0 @ sz1 - np.eye(4))
     assert np.allclose(got.to_dense(), want, atol=1e-15)
 
@@ -315,12 +315,11 @@ def test_xxz_alpha_zero_is_isotropic():
     h = xxz_hamiltonian(-1.0, 0.0, lat)
     # cosh 0 = 1, sinh 0 = 0: plain xx + yy + zz exchange minus a constant
     want = np.zeros((16, 16), dtype=complex)
-    mats = {1: pauli(1), 2: pauli(2), 3: pauli(3)}
     for x, y in nearest_neighbor_pairs(lat):
         for axis in (1, 2, 3):
             ops = [np.eye(2)] * 4
-            ops[x] = mats[axis]
-            ops[y] = mats[axis]
+            ops[x] = PAULI[axis]
+            ops[y] = PAULI[axis]
             term = ops[3]
             for k in (2, 1, 0):
                 term = np.kron(term, ops[k])

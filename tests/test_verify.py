@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import eigvalsh
 
 from gibbs_ground import (
+    Caps,
     ClassicalPotential,
     CouplingTable,
     ModelInstance,
@@ -23,7 +24,7 @@ from gibbs_ground import (
     sx_product_bound,
     verify_model,
 )
-from gibbs_ground import verify
+from gibbs_ground import classical, verify
 from gibbs_ground.errors import (
     ConstraintError,
     ConvergenceError,
@@ -171,15 +172,20 @@ def test_min_eigenvalue_finds_negative_block_off_the_largest_and_first():
 
     blocked = min_eigenvalue(model.h)
     assert (blocked.method, blocked.blocks, blocked.largest_block) == ("dense", 4, 20)
-    iterative = min_eigenvalue(model.h, dense_dim_cap=16)
+    iterative = min_eigenvalue(model.h, dense_sites=4)
     assert iterative.method == "iterative"
     for result in (blocked, iterative):
         assert abs(result.eigenvalue - sector_min[(1, 4)]) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("dense_dim_cap, method", [(32, "dense"), (16, "iterative")])
+# The ids name the largest dimension solved densely, 2^dense_sites.
+@pytest.mark.parametrize(
+    "dense_sites, method",
+    [(5, "dense"), (4, "iterative")],
+    ids=["32-dense", "16-iterative"],
+)
 def test_verify_model_fails_sector_local_sign_violation(
-    monkeypatch, dense_dim_cap, method
+    monkeypatch, dense_sites, method
 ):
     # Report the hypotheses as satisfied, so ground_energy is asserted and
     # must catch the violation on its own.
@@ -187,11 +193,12 @@ def test_verify_model_fails_sector_local_sign_violation(
     monkeypatch.setattr(
         verify,
         "groundstate_hypotheses",
-        lambda table: dataclasses.replace(scan(table), satisfied=True),
+        lambda table, **kw: dataclasses.replace(scan(table, **kw), satisfied=True),
     )
-    report = verify_model(
-        _sector_violating_model(), trials=5, seed=1, dense_dim_cap=dense_dim_cap
+    model = dataclasses.replace(
+        _sector_violating_model(), caps=Caps(dense_sites=dense_sites)
     )
+    report = verify_model(model, trials=5, seed=1)
     ground = {r.name: r for r in report.records}["ground_energy"]
     assert ground.asserted and not ground.passed
     assert ground.details["method"] == method
@@ -222,7 +229,7 @@ def test_min_eigenvalue_complex_hermitian_blocks():
     assert abs(eigvalsh(dense.real)[0] - expected) > 1e-3
     result = min_eigenvalue(h)
     assert (result.blocks, result.largest_block) == (3, np.bincount(labels).max())
-    iterative = min_eigenvalue(h, dense_dim_cap=16)
+    iterative = min_eigenvalue(h, dense_sites=4)
     assert iterative.method == "iterative"
     for spectral in (result, iterative):
         assert abs(spectral.eigenvalue - expected) <= 1e-12 * h.norm_max
@@ -264,7 +271,7 @@ def test_min_eigenvalue_iterative_near_degenerate_ground_pair():
     # Lanczos on a complex 256-state operator whose two lowest eigenvalues
     # are 1e-9 apart: the value and the residual stay at rounding level.
     h = _near_degenerate_operator(256)
-    result = min_eigenvalue(h, dense_dim_cap=16)
+    result = min_eigenvalue(h, dense_sites=4)
     assert (result.method, result.blocks, result.largest_block) == ("iterative", 1, 256)
     assert abs(result.eigenvalue + 1.0) <= 1e-13
     assert result.residual <= 1e-13
@@ -277,7 +284,7 @@ def test_min_eigenvalue_iterative_budget_raises_convergence_error(monkeypatch):
     products = []
     monkeypatch.setattr(verify, "apply", lambda op, v: products.append(1) or apply(op, v))
     with pytest.raises(ConvergenceError, match="within 5 products"):
-        min_eigenvalue(h, dense_dim_cap=16, maxiter=5)
+        min_eigenvalue(h, dense_sites=4, maxiter=5)
     assert len(products) == 5
 
 
@@ -301,7 +308,7 @@ def test_min_eigenvalue_large_blocks_use_the_subset_solver(monkeypatch, min_bloc
 def test_iterative_route_agrees_with_dense_route(xx_weight):
     model = _ising_chain_model(9, 1.0, xx_weight=xx_weight)
     dense = min_eigenvalue(model.h)
-    iterative = min_eigenvalue(model.h, dense_dim_cap=256)
+    iterative = min_eigenvalue(model.h, dense_sites=8)
     assert dense.method == "dense"
     assert (iterative.method, iterative.blocks, iterative.largest_block) == (
         "iterative",
@@ -325,7 +332,7 @@ def test_sx_product_bound_follows_the_model_quantum_cap():
         alpha=1.0,
     )
     full = sx_product_bound(ModelInstance(**parts), 0b11)
-    capped = sx_product_bound(ModelInstance(**parts, quantum_cap=4), 0b11)
+    capped = sx_product_bound(ModelInstance(**parts, caps=Caps(quantum_sites=4)), 0b11)
     assert full.details["quantum"] is not None
     assert capped.details["quantum"] is None
     assert capped.passed and capped.value == full.value
@@ -353,6 +360,17 @@ def test_hypotheses_odd_flag():
 def test_hypotheses_empty_table_vacuous():
     report = groundstate_hypotheses(CouplingTable(n_sites=3, entries=()))
     assert report.satisfied
+
+
+def test_hypotheses_scan_every_chunk_of_assignments(monkeypatch):
+    # J = -0.2 - 0.3 s_1 s_2 is positive only where s_1 s_2 = -1, which no
+    # assignment in the first chunk of two has
+    table = CouplingTable.from_site_lists(3, [([0, 1, 2], [], -0.2), ([0], [1, 2], 0.3)])
+    monkeypatch.setattr(classical, "_CHUNK_BITS", 1)
+    (positive,) = groundstate_hypotheses(table).positive_couplings
+    assert positive == {"sites": [0, 1, 2], "max_value": pytest.approx(0.1)}
+    with pytest.raises(SizeCapError, match="cap of 2"):
+        groundstate_hypotheses(table, cap=2)
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +424,20 @@ def test_sx_bound_free_site():
 
 
 def test_checks_honour_enumeration_cap():
-    model = _ising_chain_model(10, 1.0)
+    model = dataclasses.replace(
+        _ising_chain_model(10, 1.0), caps=Caps(enumeration_sites=8)
+    )
     with pytest.raises(SizeCapError, match="cap of 8"):
-        sx_product_bound(model, 0b11, enumeration_cap=8)
+        sx_product_bound(model, 0b11)
     with pytest.raises(SizeCapError, match="cap of 8"):
-        model.partition_value(cap=8)
+        model.partition_value()
     with pytest.raises(SizeCapError, match="cap of 8"):
-        verify_model(model, trials=2, enumeration_cap=8)
+        verify_model(model, trials=2)
     # a cap the model fits under changes nothing in the report
     small = _ising_chain_model(6, 1.0)
+    capped = dataclasses.replace(small, caps=Caps(enumeration_sites=6))
     assert (
-        verify_model(small, trials=2, enumeration_cap=6).to_payload()
+        verify_model(capped, trials=2).to_payload()
         == verify_model(small, trials=2).to_payload()
     )
 
@@ -625,5 +646,3 @@ def test_verify_report_payload_shape():
     payload = report.to_payload()
     assert payload["model_digest"] == model.digest()
     assert all("wall_time_s" not in check for check in payload["checks"])
-    timed = report.to_payload(include_timing=True)
-    assert all("wall_time_s" in check for check in timed["checks"])
