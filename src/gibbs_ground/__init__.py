@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 
 from .classical import (
     ClassicalPotential,
-    MetropolisResult,
     classical_expectation,
     flip_weight,
-    metropolis_estimate,
     partition_function,
     spin_product,
     squared_magnetization,
@@ -42,17 +40,12 @@ from .models import (
     CouplingTable,
     DiagonalCoupling,
     ModelInstance,
-    build_gibbs_state,
-    build_h,
-    build_h0,
-    build_v,
-    conjugate_hamiltonian,
     diagonal_couplings,
     xxz_diagonal,
     xxz_hamiltonian,
     xxz_site_field,
 )
-from .operators import OperatorMatrix, apply, diagonal_operator, product_operator
+from .operators import OperatorMatrix, apply, product_operator
 from .verify import (
     CheckRecord,
     HypothesisReport,

@@ -85,6 +85,11 @@ class ClassicalPotential:
     terms: tuple[tuple[int, float], ...]  # (site-set bitmask, coefficient)
 
     def __post_init__(self):
+        if self.n_sites > MASK_BITS:
+            raise SizeCapError(
+                f"a potential on {self.n_sites} sites exceeds the {MASK_BITS}-bit "
+                "configuration mask"
+            )
         seen = set()
         top = 1 << self.n_sites
         for mask, coeff in self.terms:
@@ -530,17 +535,6 @@ def flip_weight(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetropolisResult:
-    estimate: float
-    std_error: float
-    acceptance_rate: float
-    sweeps: int
-    burn_in: int
-    seed: int
-    batches: int
-
-
 def default_burn_in(sweeps: int, burn_in: int | None = None) -> int:
     """burn_in if given, else a tenth of the sweeps (at least one)."""
     return max(1, sweeps // 10) if burn_in is None else burn_in
@@ -567,8 +561,6 @@ def metropolis_samples(
     if burn_in < 0:
         raise ConstraintError("burn_in must be nonnegative")
     n = potential.n_sites
-    if n > MASK_BITS:
-        raise SizeCapError(f"Metropolis sampling supports at most {MASK_BITS} sites")
     rng = np.random.default_rng(seed)
 
     # Per-site term lists: W_x(s) = -2 s_x * sum_{B containing x} c_B prod_{y in B, y != x} s_y
@@ -618,31 +610,3 @@ def estimate_from_samples(
         return estimate, math.inf
     std_error = float(means.std(ddof=1) / math.sqrt(nb))
     return estimate, std_error
-
-
-def metropolis_estimate(
-    f: Functional,
-    potential: ClassicalPotential,
-    alpha: float,
-    *,
-    sweeps: int,
-    burn_in: int | None = None,
-    seed: int,
-    batches: int = 32,
-) -> MetropolisResult:
-    """Metropolis estimate of the Gibbs expectation of f, with standard error
-    from batch means.  Fully deterministic for a fixed seed."""
-    burn_in = default_burn_in(sweeps, burn_in)
-    samples, acceptance = metropolis_samples(
-        potential, alpha, sweeps=sweeps, burn_in=burn_in, seed=seed
-    )
-    estimate, std_error = estimate_from_samples(f, samples, batches=batches)
-    return MetropolisResult(
-        estimate=estimate,
-        std_error=std_error,
-        acceptance_rate=acceptance,
-        sweeps=sweeps,
-        burn_in=burn_in,
-        seed=seed,
-        batches=min(batches, sweeps),
-    )

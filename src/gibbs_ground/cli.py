@@ -159,6 +159,9 @@ def parse_config(text: str) -> RunConfig:
 
     caps_raw = doc.get("caps", {})
     _require(isinstance(caps_raw, dict), "field 'caps' must be an object")
+    names = [f.name for f in fields(Caps)]
+    for key in caps_raw:
+        _require(key in names, f"unknown field 'caps.{key}' (caps are {', '.join(names)})")
     try:
         caps = Caps(
             **{f.name: _get(caps_raw, f.name, int, "caps", f.default) for f in fields(Caps)}

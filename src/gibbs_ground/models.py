@@ -41,8 +41,15 @@ from .classical import (
     partition_function,
     spins_from_masks,
 )
-from .errors import ConstraintError, InternalConsistencyError, UnsupportedModelError
-from .lattice import Caps, Lattice, mask_from_sites, nearest_neighbor_pairs, sites_from_mask
+from .errors import ConstraintError, InternalConsistencyError, SizeCapError, UnsupportedModelError
+from .lattice import (
+    MASK_BITS,
+    Caps,
+    Lattice,
+    mask_from_sites,
+    nearest_neighbor_pairs,
+    sites_from_mask,
+)
 from .operators import (
     OperatorMatrix,
     all_masks,
@@ -69,6 +76,11 @@ class CouplingTable:
     entries: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
+        if self.n_sites > MASK_BITS:
+            raise SizeCapError(
+                f"a coupling table on {self.n_sites} sites exceeds the {MASK_BITS}-bit "
+                "configuration mask"
+            )
         seen = set()
         top = 1 << self.n_sites
         for a, b, phi in self.entries:
@@ -169,95 +181,66 @@ def diagonal_couplings(table: CouplingTable) -> tuple[DiagonalCoupling, ...]:
 # ---------------------------------------------------------------------------
 
 
-def build_h0(
-    table: CouplingTable, lattice: Lattice, cap: int = Caps.quantum_sites
-) -> OperatorMatrix:
+def build_h0(model: "ModelInstance") -> OperatorMatrix:
     """Off-diagonal part sum phi(A, B) X_[A] Y_[B].
 
     On basis state m each entry contributes phi * i^|B| * sign_B(m) at row
     m XOR (A | B); the Hermitian flag on the result is computed, never assumed.
-    Raises SizeCapError above cap sites, as do the other builders here.
+    Like every builder here it reads model.masks, so it raises SizeCapError
+    above the model's quantum cap.
     """
-    n = _common_size(table.n_sites, lattice, cap=cap)
-    signs = monomial_signs(all_masks(n), [b for _, b, _ in table.entries])
+    entries = model.table.entries
+    signs = monomial_signs(model.masks, [b for _, b, _ in entries])
     return flip_operator(
-        n,
-        [
-            (a | b, phi * (1j ** b.bit_count()) * row)
-            for (a, b, phi), row in zip(table.entries, signs)
-        ],
+        model.lattice.n_sites,
+        [(a | b, phi * (1j ** b.bit_count()) * row) for (a, b, phi), row in zip(entries, signs)],
     )
 
 
-def offdiagonal_from_couplings(
-    table: CouplingTable, lattice: Lattice, cap: int = Caps.quantum_sites
-) -> OperatorMatrix:
+def offdiagonal_from_couplings(model: "ModelInstance") -> OperatorMatrix:
     """Second route to the off-diagonal part, sum_C J_C(sigma^z) X_[C]."""
-    n = _common_size(table.n_sites, lattice, cap=cap)
-    masks = all_masks(n)
+    masks = model.masks
     return flip_operator(
-        n,
-        [
-            (c.sites_mask, c.values(masks ^ c.sites_mask))
-            for c in diagonal_couplings(table)
-        ],
+        model.lattice.n_sites,
+        [(c.sites_mask, c.values(masks ^ c.sites_mask)) for c in model.couplings],
     )
 
 
-def build_v(
-    table: CouplingTable,
-    potential: ClassicalPotential,
-    alpha: float,
-    lattice: Lattice,
-    cap: int = Caps.quantum_sites,
-) -> OperatorMatrix:
+def build_v(model: "ModelInstance") -> OperatorMatrix:
     """Diagonal part with entry -sum_C J_C(s) exp(-(alpha/2) W_C(s)) at s."""
-    n = _common_size(table.n_sites, lattice, potential.n_sites, cap=cap)
-    masks = all_masks(n)
-    signs = potential.term_signs(masks)
-    diag = np.zeros(1 << n, dtype=complex)
-    for coupling in diagonal_couplings(table):
+    masks, potential = model.masks, model.potential
+    diag = np.zeros(len(masks), dtype=complex)
+    for coupling in model.couplings:
         weights = np.exp(
-            -0.5 * alpha * potential.flip_energy_from_signs(signs, coupling.sites_mask)
+            -0.5 * model.alpha * potential.flip_energy_from_signs(model.signs, coupling.sites_mask)
         )
         diag -= coupling.values(masks) * weights
-    return flip_operator(n, [(0, diag)])
+    return flip_operator(model.lattice.n_sites, [(0, diag)])
 
 
-def _flip_form_h(
-    table: CouplingTable,
-    potential: ClassicalPotential,
-    alpha: float,
-    lattice: Lattice,
-    cap: int = Caps.quantum_sites,
-) -> OperatorMatrix:
+def _flip_form_h(model: "ModelInstance") -> OperatorMatrix:
     """Independent route to H: sum over nonempty union sets of
     J_C(sigma^z) (X_[C] - exp(-(alpha/2) W_C(sigma^z)))."""
-    n = _common_size(table.n_sites, lattice, potential.n_sites, cap=cap)
-    masks = all_masks(n)
-    signs = potential.term_signs(masks)
+    masks, potential = model.masks, model.potential
     terms = []
-    diag = np.zeros(1 << n, dtype=complex)
-    for coupling in diagonal_couplings(table):
+    diag = np.zeros(len(masks), dtype=complex)
+    for coupling in model.couplings:
         if coupling.sites_mask == 0:
             continue
         j_vals = coupling.values(masks)
         terms.append((coupling.sites_mask, j_vals[masks ^ coupling.sites_mask]))
         weights = np.exp(
-            -0.5 * alpha * potential.flip_energy_from_signs(signs, coupling.sites_mask)
+            -0.5 * model.alpha * potential.flip_energy_from_signs(model.signs, coupling.sites_mask)
         )
         diag -= j_vals * weights
-    return flip_operator(n, terms + [(0, diag)])
+    return flip_operator(model.lattice.n_sites, terms + [(0, diag)])
 
 
 def build_h(model: "ModelInstance") -> OperatorMatrix:
     """Full Hamiltonian H = H0 + V, cross-checked entrywise against the
     flip-form assembly; disagreement beyond 1e-12 * |H|_max is a builder bug."""
     h = model.h0 + model.v
-    other = _flip_form_h(
-        model.table, model.potential, model.alpha, model.lattice, cap=model.caps.quantum_sites
-    )
-    diff = max_entry_diff(h, other)
+    diff = max_entry_diff(h, _flip_form_h(model))
     tol = TWO_PATH_RTOL * h.norm_max
     if diff > tol:
         raise InternalConsistencyError(
@@ -267,17 +250,11 @@ def build_h(model: "ModelInstance") -> OperatorMatrix:
     return h
 
 
-def build_gibbs_state(
-    potential: ClassicalPotential,
-    alpha: float,
-    lattice: Lattice,
-    cap: int = Caps.quantum_sites,
-) -> np.ndarray:
+def build_gibbs_state(model: "ModelInstance") -> np.ndarray:
     """Non-normalized Boltzmann-amplitude vector, exp(-(alpha/2) U(s)) at s."""
-    n = _common_size(potential.n_sites, lattice, cap=cap)
     # Decoded spins: state_norm_partition compares this with the mask-native Z.
-    energies = potential.value_many(spins_from_masks(all_masks(n), n))
-    return np.exp(-0.5 * alpha * energies)
+    spins = spins_from_masks(model.masks, model.lattice.n_sites)
+    return np.exp(-0.5 * model.alpha * model.potential.value_many(spins))
 
 
 def conjugate_hamiltonian(model: "ModelInstance") -> OperatorMatrix:
@@ -289,18 +266,15 @@ def conjugate_hamiltonian(model: "ModelInstance") -> OperatorMatrix:
     to zero, so up to sign it is a Markov jump generator with the classical
     Gibbs measure stationary.
     """
+    masks, potential = model.masks, model.potential
     n = model.lattice.n_sites
-    masks = all_masks(n)
-    signs = model.potential.term_signs(masks)
     terms = []
-    diag = np.zeros(1 << n, dtype=complex)
-    for coupling in diagonal_couplings(model.table):
+    diag = np.zeros(len(masks), dtype=complex)
+    for coupling in model.couplings:
         if coupling.sites_mask == 0:
             continue
         rates = coupling.values(masks) * np.exp(
-            -0.5
-            * model.alpha
-            * model.potential.flip_energy_from_signs(signs, coupling.sites_mask)
+            -0.5 * model.alpha * potential.flip_energy_from_signs(model.signs, coupling.sites_mask)
         )
         # Row s couples to column flip(s, C) with weight +rate(s).
         terms.append((coupling.sites_mask, rates[masks ^ coupling.sites_mask]))
@@ -311,10 +285,8 @@ def conjugate_hamiltonian(model: "ModelInstance") -> OperatorMatrix:
     # diagonal scaling stays well-conditioned (the transform is shift-invariant):
     # the entry d_C[m] of H at row m XOR C, column m is scaled by
     # left[m XOR C] and right[m].
-    energies = model.potential.energy_from_signs(signs)
-    shifted = energies - energies.min()
-    left = np.exp(0.5 * model.alpha * shifted)
-    right = np.exp(-0.5 * model.alpha * shifted)
+    left = np.exp(0.5 * model.alpha * model.shifted_energies)
+    right = np.exp(-0.5 * model.alpha * model.shifted_energies)
     transformed = OperatorMatrix(
         n, {c: (left[masks ^ c] * d) * right for c, d in model.h.terms.items()}
     )
@@ -377,9 +349,13 @@ def xxz_diagonal(
 
     Must agree entrywise with build_v on the same model.
     """
-    n = _common_size(table.n_sites, lattice)
-    if len(field) != n:
-        raise ConstraintError(f"field has {len(field)} values for {n} sites")
+    n = lattice.n_sites
+    _check_quantum_size(n)
+    if table.n_sites != n or len(field) != n:
+        raise ConstraintError(
+            f"table, field and lattice disagree on the site count: "
+            f"{table.n_sites}, {len(field)} and {n}"
+        )
     spins = monomial_signs(all_masks(n), [1 << x for x in range(n)]).astype(np.float64)
     diag = np.zeros(1 << n)
     for x, y, phi in xx_pair_couplings(table):
@@ -428,10 +404,12 @@ def xxz_hamiltonian(coupling: float, alpha: float, lattice: Lattice) -> Operator
         # X_x X_y maps m -> m ^ pair; Y_x Y_y adds i^2 * s_x s_y = -s_x s_y.
         terms.append((bond, coupling * (1.0 - sxsy)))
         diag += coupling * ch * (sxsy - 1.0)
-    field = ClassicalPotential.from_terms(
-        n, [([x], u) for x, u in enumerate(xxz_site_field(coupling, alpha, lattice))]
-    )
-    diag += field.energy_from_signs(field.term_signs(masks))
+    # The linear term sum_x u_x s_x, summed from zero in site order.
+    field = np.zeros(1 << n)
+    spins = monomial_signs(masks, [1 << x for x in range(n)])
+    for u, row in zip(xxz_site_field(coupling, alpha, lattice), spins):
+        field += u * row
+    diag += field
     return flip_operator(n, terms + [(0, diag)])
 
 
@@ -443,9 +421,10 @@ def xxz_hamiltonian(coupling: float, alpha: float, lattice: Lattice) -> Operator
 @dataclass(frozen=True)
 class ModelInstance:
     """A lattice, coupling table, classical potential and alpha, with the
-    derived matrices and state cached on first use.  Every check on it runs
-    under its size caps: caps.quantum_sites bounds every operator and state
-    built from it, caps.enumeration_sites every exact enumeration."""
+    derived matrices and state, and the inputs they share, cached on first
+    use.  Every check on it runs under its size caps: caps.quantum_sites
+    bounds every operator and state built from it (the first read of masks
+    checks it), caps.enumeration_sites every exact enumeration."""
 
     lattice: Lattice
     table: CouplingTable
@@ -473,14 +452,34 @@ class ModelInstance:
         )
 
     @cached_property
+    def masks(self) -> np.ndarray:
+        """All 2^n configuration masks; SizeCapError above caps.quantum_sites."""
+        _check_quantum_size(self.lattice.n_sites, self.caps.quantum_sites)
+        return all_masks(self.lattice.n_sites)
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """The potential's monomial table over the masks (term_signs)."""
+        return self.potential.term_signs(self.masks)
+
+    @cached_property
+    def shifted_energies(self) -> np.ndarray:
+        """U over the masks minus its minimum, for well-scaled weights."""
+        energies = self.potential.energy_from_signs(self.signs)
+        return energies - energies.min()
+
+    @cached_property
+    def couplings(self) -> tuple[DiagonalCoupling, ...]:
+        """The diagonal coupling of every union set of the table."""
+        return diagonal_couplings(self.table)
+
+    @cached_property
     def h0(self) -> OperatorMatrix:
-        return build_h0(self.table, self.lattice, cap=self.caps.quantum_sites)
+        return build_h0(self)
 
     @cached_property
     def v(self) -> OperatorMatrix:
-        return build_v(
-            self.table, self.potential, self.alpha, self.lattice, cap=self.caps.quantum_sites
-        )
+        return build_v(self)
 
     @cached_property
     def h(self) -> OperatorMatrix:
@@ -492,9 +491,7 @@ class ModelInstance:
 
     @cached_property
     def state(self) -> np.ndarray:
-        return build_gibbs_state(
-            self.potential, self.alpha, self.lattice, cap=self.caps.quantum_sites
-        )
+        return build_gibbs_state(self)
 
     @property
     def two_path_diff(self) -> float:
@@ -527,20 +524,3 @@ class ModelInstance:
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-# ---------------------------------------------------------------------------
-# Internal helpers
-# ---------------------------------------------------------------------------
-
-
-def _common_size(*n_values, cap: int = Caps.quantum_sites) -> int:
-    sizes = set()
-    for n in n_values:
-        sizes.add(n.n_sites if isinstance(n, Lattice) else int(n))
-    if len(sizes) != 1:
-        raise ConstraintError(f"inconsistent site counts: {sorted(sizes)}")
-    n = sizes.pop()
-    _check_quantum_size(n, cap)
-    return n
-

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .classical import Functional, monomial_signs, spins_from_masks
+from .classical import monomial_signs
 from .errors import ConstraintError, SizeCapError
 from .lattice import Caps, Lattice
 
@@ -234,21 +234,6 @@ def product_operator(
     if axis == 3:
         return flip_operator(n, [(0, signs)])
     return flip_operator(n, [(sites_mask, 1j ** sites_mask.bit_count() * signs)])
-
-
-def diagonal_operator(g: Functional, lattice: Lattice) -> OperatorMatrix:
-    """Diagonal operator with entry g(s) at the basis index of s."""
-    n = lattice.n_sites
-    _check_quantum_size(n)
-    # g is a Functional, which reads decoded spins (the classical witness).
-    spins = spins_from_masks(all_masks(n), n)
-    values = np.asarray(g(spins), dtype=complex)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ConstraintError(
-            f"diagonal observable is not finite at configuration mask {int(bad[0]):#x}"
-        )
-    return flip_operator(n, [(0, values)])
 
 
 def _ascending_sum(products: np.ndarray) -> np.ndarray:

@@ -48,8 +48,6 @@ from .models import (
 )
 from .operators import (
     OperatorMatrix,
-    _check_quantum_size,
-    all_masks,
     apply,
     flip_graph_labels,
     max_entry_diff,
@@ -449,15 +447,13 @@ def reversibility_check(
     half-weighted vectors.  Weights are evaluated with the potential
     shifted by its minimum, which rescales both sides identically."""
     start = time.perf_counter()
-    n = model.lattice.n_sites
-    energies = model.potential.energy_from_signs(model.potential.term_signs(all_masks(n)))
-    shifted = energies - energies.min()
+    shifted = model.shifted_energies
     w = np.exp(-model.alpha * shifted)
     wh = np.exp(-0.5 * model.alpha * shifted)
     hc = model.h_conjugate
     rng = np.random.default_rng(seed)
-    fs = _random_vectors(rng, 1 << n, trials)
-    gs = _random_vectors(rng, 1 << n, trials)
+    fs = _random_vectors(rng, len(shifted), trials)
+    gs = _random_vectors(rng, len(shifted), trials)
     max_sym = 0.0
     max_conj = 0.0
     for f, g in zip(fs, gs):
@@ -502,14 +498,11 @@ def dirichlet_form_check(
     nonnegative.
     """
     start = time.perf_counter()
-    n = model.lattice.n_sites
-    masks = all_masks(n)
-    energies = model.potential.energy_from_signs(model.potential.term_signs(masks))
-    shifted = energies - energies.min()
+    masks, shifted = model.masks, model.shifted_energies
     w = np.exp(-model.alpha * shifted)
     hc = model.h_conjugate
 
-    couplings = [c for c in diagonal_couplings(model.table) if c.sites_mask != 0]
+    couplings = [c for c in model.couplings if c.sites_mask != 0]
     flip_data = []
     for coupling in couplings:
         perm = masks ^ coupling.sites_mask
@@ -517,7 +510,7 @@ def dirichlet_form_check(
         flip_data.append((perm, coupling.values(masks) * weight2))
 
     rng = np.random.default_rng(seed)
-    fs = _random_vectors(rng, 1 << n, trials)
+    fs = _random_vectors(rng, len(masks), trials)
     max_gap = 0.0
     min_form = math.inf
     for f in fs:
@@ -689,7 +682,7 @@ def verify_model(
     with SizeCapError.
     """
     caps = model.caps
-    _check_quantum_size(model.lattice.n_sites, caps.quantum_sites)
+    model.masks  # the model's quantum-cap check, before any enumeration
     report = VerificationReport(model_digest=model.digest(), alpha=model.alpha)
     records = report.records
     # Z is the squared norm of the Boltzmann state: an alpha whose state
@@ -746,9 +739,7 @@ def verify_model(
 
     started = time.perf_counter()
     h0_direct = model.h0
-    h0_grouped = offdiagonal_from_couplings(
-        model.table, model.lattice, cap=caps.quantum_sites
-    )
+    h0_grouped = offdiagonal_from_couplings(model)
     off_diff = max_entry_diff(h0_direct, h0_grouped)
     off_tol = OFFDIAG_RTOL * max(h0_direct.norm_max, 1e-300)
     records.append(

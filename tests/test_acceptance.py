@@ -19,12 +19,10 @@ from gibbs_ground import (
     CouplingTable,
     ModelInstance,
     build_hypercube,
-    build_v,
     classical_expectation,
     dirichlet_form_check,
     eigen_residual,
     groundstate_hypotheses,
-    metropolis_estimate,
     min_eigenvalue,
     quantum_expectation,
     reversibility_check,
@@ -36,6 +34,8 @@ from gibbs_ground import (
     xxz_site_field,
 )
 from gibbs_ground import cli
+from gibbs_ground.classical import estimate_from_samples, metropolis_samples
+from gibbs_ground.models import build_v
 from gibbs_ground.operators import max_entry_diff, product_operator
 
 from .conftest import ALPHA_GRID, MODEL_SHAPES, random_model
@@ -113,7 +113,7 @@ def test_criterion_04_xxz_reduction():
 
         heights = [float(sum(c)) for c in lat.coords]
         closed_v = xxz_diagonal(model.table, heights, alpha, lat)
-        generic_v = build_v(model.table, model.potential, alpha, lat)
+        generic_v = build_v(model)
         assert max_entry_diff(closed_v, generic_v) <= 1e-12
 
         closed_h = xxz_hamiltonian(coupling, alpha, lat)
@@ -198,29 +198,21 @@ def test_criterion_08_metropolis_consistency():
     lat = build_hypercube(1, 8)
     potential = ClassicalPotential.ising_nn(lat, 1.0)
     exact = classical_expectation(spin_product(0, 1), potential, 0.5)
-    result = metropolis_estimate(
-        spin_product(0, 1),
-        potential,
-        0.5,
-        sweeps=100_000,
-        burn_in=10_000,
-        seed=20240501,
+    samples, _ = metropolis_samples(
+        potential, 0.5, sweeps=100_000, burn_in=10_000, seed=20240501
     )
-    assert abs(result.estimate - exact) <= 3 * result.std_error
+    estimate, std_error = estimate_from_samples(spin_product(0, 1), samples)
+    assert abs(estimate - exact) <= 3 * std_error
 
     lat2 = build_hypercube(2, 8)
     potential2 = ClassicalPotential.ising_nn(lat2, 1.0)
     for alpha in (0.2, 1.0):
-        res = metropolis_estimate(
-            squared_magnetization(),
-            potential2,
-            alpha,
-            sweeps=20_000,
-            burn_in=2_000,
-            seed=20240502,
+        samples, _ = metropolis_samples(
+            potential2, alpha, sweeps=20_000, burn_in=2_000, seed=20240502
         )
-        assert math.isfinite(res.estimate)
-        assert res.std_error < 0.02, (alpha, res)
+        estimate, std_error = estimate_from_samples(squared_magnetization(), samples)
+        assert math.isfinite(estimate)
+        assert std_error < 0.02, (alpha, estimate, std_error)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     print(f"\nACCEPTANCE 8 (Metropolis consistency, {elapsed:.1f}s): PASS")

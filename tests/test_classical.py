@@ -11,7 +11,6 @@ from gibbs_ground import (
     build_hypercube,
     classical_expectation,
     flip_weight,
-    metropolis_estimate,
     partition_function,
     spin_product,
     squared_magnetization,
@@ -483,31 +482,28 @@ def test_non_finite_metropolis_estimate_is_a_named_error():
 def test_metropolis_uniform_at_zero_alpha():
     lat = build_hypercube(1, 6)
     pot = ClassicalPotential.ising_nn(lat, 1.0)
-    res = metropolis_estimate(
-        spin_product(2), pot, 0.0, sweeps=4000, burn_in=200, seed=5
-    )
-    assert res.acceptance_rate == 1.0
-    assert abs(res.estimate) <= 3 * res.std_error
+    samples, acceptance = metropolis_samples(pot, 0.0, sweeps=4000, burn_in=200, seed=5)
+    estimate, std_error = estimate_from_samples(spin_product(2), samples)
+    assert acceptance == 1.0
+    assert abs(estimate) <= 3 * std_error
 
 
 def test_metropolis_constant_observable_is_exact():
     pot = ClassicalPotential.zero(4)
-    res = metropolis_estimate(
-        spin_product(), pot, 0.9, sweeps=500, burn_in=50, seed=1
-    )
-    assert res.estimate == 1.0
-    assert res.std_error == 0.0
+    samples, _ = metropolis_samples(pot, 0.9, sweeps=500, burn_in=50, seed=1)
+    estimate, std_error = estimate_from_samples(spin_product(), samples)
+    assert estimate == 1.0
+    assert std_error == 0.0
 
 
 def test_metropolis_matches_enumeration():
     lat = build_hypercube(1, 8)
     pot = ClassicalPotential.ising_nn(lat, 1.0)
     exact = classical_expectation(spin_product(0, 1), pot, 0.5)
-    res = metropolis_estimate(
-        spin_product(0, 1), pot, 0.5, sweeps=20000, burn_in=2000, seed=42
-    )
-    assert abs(res.estimate - exact) <= 3 * res.std_error
-    assert res.std_error < 0.05
+    samples, _ = metropolis_samples(pot, 0.5, sweeps=20000, burn_in=2000, seed=42)
+    estimate, std_error = estimate_from_samples(spin_product(0, 1), samples)
+    assert abs(estimate - exact) <= 3 * std_error
+    assert std_error < 0.05
 
 
 def test_metropolis_deterministic_given_seed():
@@ -530,15 +526,12 @@ def test_metropolis_rejects_negative_burn_in():
     with pytest.raises(ConstraintError, match="burn_in"):
         metropolis_samples(pot, 1.0, sweeps=8, burn_in=-5, seed=0)
     with pytest.raises(ConstraintError, match="burn_in"):
-        metropolis_estimate(squared_magnetization(), pot, 1.0, sweeps=8, burn_in=-1, seed=0)
+        metropolis_samples(pot, 1.0, sweeps=8, burn_in=-1, seed=0)
 
 
 def test_default_burn_in_is_a_tenth_of_the_sweeps():
     assert [default_burn_in(s) for s in (1, 9, 10, 25, 200)] == [1, 1, 1, 2, 20]
     assert default_burn_in(200, 0) == 0 and default_burn_in(200, 7) == 7
-    pot = ClassicalPotential.ising_nn(build_hypercube(1, 4), 1.0)
-    result = metropolis_estimate(squared_magnetization(), pot, 1.0, sweeps=50, seed=0)
-    assert result.burn_in == 5
 
 
 def test_from_terms_rejects_a_repeated_site():

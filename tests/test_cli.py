@@ -167,6 +167,19 @@ def test_lattice_cap_above_64_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_caps_key_exit_2(tmp_path, capsys):
+    # a misspelt cap used to parse silently to the default caps
+    doc = _config(caps={"enumeration_site": 8, "dense": 4})
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "ConfigError" and "caps.enumeration_site" in error["message"]
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="caps.dense'"):
+        cli.parse_config(json.dumps(_config(caps={"dense": 4})))
+
+
 def test_parse_xxz_preset_defaults_to_height_potential():
     doc = _config(couplings={"preset": "xxz", "J": -1.0})
     del doc["potential"]

@@ -37,9 +37,9 @@ def _family_operators(flavor, count=4):
             "h0": model.h0,
             "v": model.v,
             "h": model.h,
-            "flip_form_h": _flip_form_h(model.table, model.potential, model.alpha, lat),
+            "flip_form_h": _flip_form_h(model),
             "h_conjugate": model.h_conjugate,
-            "grouped": offdiagonal_from_couplings(model.table, lat),
+            "grouped": offdiagonal_from_couplings(model),
             "xxz": xxz_hamiltonian(-0.7, model.alpha, lat),
         }
         for axis in (1, 2, 3):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,20 +8,25 @@ from gibbs_ground import (
     ClassicalPotential,
     CouplingTable,
     ModelInstance,
-    build_gibbs_state,
-    build_h0,
     build_hypercube,
-    build_v,
     diagonal_couplings,
     partition_function,
     xxz_diagonal,
     xxz_hamiltonian,
     xxz_site_field,
 )
-from gibbs_ground.errors import ConstraintError, UnsupportedModelError
-from gibbs_ground.lattice import nearest_neighbor_pairs
-from gibbs_ground.models import offdiagonal_from_couplings
+from gibbs_ground.errors import ConstraintError, SizeCapError, UnsupportedModelError
+from gibbs_ground.lattice import Caps, nearest_neighbor_pairs
+from gibbs_ground.models import (
+    _flip_form_h,
+    build_gibbs_state,
+    build_h0,
+    build_v,
+    conjugate_hamiltonian,
+    offdiagonal_from_couplings,
+)
 from gibbs_ground.operators import flip_operator, max_entry_diff
+from gibbs_ground.verify import groundstate_hypotheses
 
 from .conftest import random_coupling_table, random_model, random_potential
 from .oracles import PAULI
@@ -34,6 +40,17 @@ def _xx_table(n, pairs_with_phi):
     return CouplingTable.from_site_lists(n, entries)
 
 
+def _model(lat, table=None, potential=None, alpha=0.0):
+    """The model the builders take; the table and potential default to zero."""
+    n = lat.n_sites
+    return ModelInstance(
+        lattice=lat,
+        table=CouplingTable(n_sites=n, entries=()) if table is None else table,
+        potential=ClassicalPotential.zero(n) if potential is None else potential,
+        alpha=alpha,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Coupling tables and diagonal couplings
 # ---------------------------------------------------------------------------
@@ -44,6 +61,21 @@ def test_table_rejects_overlap_and_duplicates():
         CouplingTable.from_site_lists(3, [([0, 1], [1], 1.0)])
     with pytest.raises(ConstraintError, match="duplicate"):
         CouplingTable.from_site_lists(3, [([0], [], 1.0), ([0], [], 2.0)])
+
+
+def test_sites_beyond_the_mask_width_are_a_size_cap_error():
+    # Configuration masks are 64-bit words: a 100-site table or potential
+    # used to end in a bare OverflowError once it was evaluated.
+    with pytest.raises(SizeCapError, match="64-bit"):
+        groundstate_hypotheses(CouplingTable.from_site_lists(100, [([70, 71], [72, 73], -1.0)]))
+    with pytest.raises(SizeCapError, match="64-bit"):
+        ClassicalPotential.from_terms(100, [([70, 71], 1.0)]).term_signs(np.zeros(1, np.uint64))
+    # 64 sites still fit, up to the last bit.
+    table = CouplingTable.from_site_lists(64, [([62, 63], [61], -1.0)])
+    assert not groundstate_hypotheses(table).satisfied
+    potential = ClassicalPotential.from_terms(64, [([62, 63], 1.0)])
+    masks = np.array([0, 1 << 63, 3 << 62], dtype=np.uint64)
+    assert potential.term_signs(masks).tolist() == [[1, -1, 1]]
 
 
 @pytest.mark.parametrize("entry", [([0, 0], [], 1.0), ([2], [1, 1], 1.0)])
@@ -90,14 +122,14 @@ def test_single_odd_y_coupling_is_imaginary():
 def test_h0_single_site_is_pauli_x():
     lat = build_hypercube(1, 1)
     table = CouplingTable.from_site_lists(1, [([0], [], 1.0)])
-    h0 = build_h0(table, lat)
+    h0 = build_h0(_model(lat, table))
     assert np.array_equal(h0.to_dense(), PAULI[1])
 
 
 def test_h0_xx_pair_matches_kron():
     lat = build_hypercube(1, 2)
     table = _xx_table(2, [(0, 1, 0.6)])
-    h0 = build_h0(table, lat)
+    h0 = build_h0(_model(lat, table))
     # site 0 is the fast bit, so the first kron factor acts on site 0
     xx = np.kron(PAULI[1], PAULI[1])
     yy = np.kron(PAULI[2], PAULI[2])
@@ -121,7 +153,7 @@ def test_h0_grouping_identity_randomized():
     for _ in range(10):
         model = random_model(rng, flavor="generic", shapes=[(1, 5), (1, 6), (2, 2)])
         direct = model.h0
-        grouped = offdiagonal_from_couplings(model.table, model.lattice)
+        grouped = offdiagonal_from_couplings(model)
         scale = max(direct.norm_max, 1.0)
         assert max_entry_diff(direct, grouped) <= 1e-12 * scale
 
@@ -129,14 +161,14 @@ def test_h0_grouping_identity_randomized():
 def test_build_v_zero_couplings():
     lat = build_hypercube(1, 3)
     table = CouplingTable(n_sites=3, entries=())
-    v = build_v(table, ClassicalPotential.zero(3), 1.0, lat)
+    v = build_v(_model(lat, table, alpha=1.0))
     assert v.mat.nnz == 0
 
 
 def test_build_v_alpha_zero_xx():
     lat = build_hypercube(1, 2)
     table = _xx_table(2, [(0, 1, 0.8)])
-    v = build_v(table, ClassicalPotential.zero(2), 0.0, lat)
+    v = build_v(_model(lat, table))
     sz0 = np.kron(np.eye(2), PAULI[3])  # site 0 fast bit
     sz1 = np.kron(PAULI[3], np.eye(2))
     want = -0.8 * (np.eye(4) - sz0 @ sz1)
@@ -180,6 +212,42 @@ def test_hermitian_iff_even_real():
     assert not odd.h.is_hermitian
 
 
+def _xx_ising_model(n, caps):
+    lat = build_hypercube(1, n)
+    return ModelInstance(
+        lattice=lat,
+        table=CouplingTable.xx_nearest_neighbor(lat, -1.0),
+        potential=ClassicalPotential.ising_nn(lat, 1.0),
+        alpha=0.5,
+        caps=caps,
+    )
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        build_h0,
+        offdiagonal_from_couplings,
+        build_v,
+        _flip_form_h,
+        build_gibbs_state,
+        conjugate_hamiltonian,
+    ],
+    ids=lambda builder: builder.__name__,
+)
+def test_the_model_quantum_cap_reaches_every_builder(builder):
+    with pytest.raises(SizeCapError, match="cap of 3"):
+        builder(_xx_ising_model(4, Caps(quantum_sites=3)))
+
+
+def test_a_raised_quantum_cap_admits_a_larger_state():
+    # Positive control for the test above: the cap, not the size, decides.
+    model = _xx_ising_model(15, Caps(quantum_sites=15))
+    assert model.state.shape == (1 << 15,)
+    with pytest.raises(SizeCapError, match="cap of 14"):
+        dataclasses.replace(model, caps=Caps()).state
+
+
 # ---------------------------------------------------------------------------
 # Gibbs state
 # ---------------------------------------------------------------------------
@@ -187,14 +255,14 @@ def test_hermitian_iff_even_real():
 
 def test_gibbs_state_uniform_at_zero_alpha():
     lat = build_hypercube(1, 3)
-    psi = build_gibbs_state(ClassicalPotential.zero(3), 0.0, lat)
+    psi = build_gibbs_state(_model(lat))
     assert np.array_equal(psi, np.ones(8))
 
 
 def test_gibbs_state_single_site_amplitudes():
     lat = build_hypercube(1, 1)
     pot = ClassicalPotential.from_terms(1, [([0], 0.9)])
-    psi = build_gibbs_state(pot, 1.4, lat)
+    psi = build_gibbs_state(_model(lat, potential=pot, alpha=1.4))
     assert psi[0] == pytest.approx(math.exp(-1.4 * 0.9 / 2))
     assert psi[1] == pytest.approx(math.exp(1.4 * 0.9 / 2))
 
@@ -205,7 +273,7 @@ def test_gibbs_state_norm_squared_is_partition_value():
         lat = build_hypercube(1, int(rng.integers(3, 8)))
         pot = random_potential(rng, lat)
         alpha = float(rng.uniform(0, 2))
-        psi = build_gibbs_state(pot, alpha, lat)
+        psi = build_gibbs_state(_model(lat, potential=pot, alpha=alpha))
         z = partition_function(pot, alpha)
         assert float(psi @ psi) == pytest.approx(z, rel=1e-12)
 
@@ -294,7 +362,7 @@ def test_xxz_diagonal_matches_build_v_randomized():
             n, [([x], float(u)) for x, u in enumerate(field) if u != 0.0]
         )
         closed = xxz_diagonal(table, field, alpha, lat)
-        generic = build_v(table, pot, alpha, lat)
+        generic = build_v(_model(lat, table, pot, alpha))
         assert max_entry_diff(closed, generic) <= 1e-12
 
 

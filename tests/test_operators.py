@@ -7,14 +7,14 @@ from gibbs_ground import (
     ClassicalPotential,
     apply,
     build_hypercube,
-    diagonal_operator,
     product_operator,
 )
+from gibbs_ground.classical import spins_from_masks
 from gibbs_ground.errors import ConstraintError, SizeCapError
 from gibbs_ground.operators import flip_operator, max_entry_diff
 
 from .flip_terms import operator_from_dense
-from .oracles import PAULI, potential_value, spins_of_mask
+from .oracles import PAULI
 
 
 def test_pauli_matrices():
@@ -117,32 +117,6 @@ def test_flip_operator_by_hand():
     assert op.mat.nnz == 3 and op.mat.has_canonical_format
 
 
-def test_diagonal_operator_eigenbasis(chain4):
-    terms = [([0], 1.0), ([1, 2], -2.0)]
-    pot = ClassicalPotential.from_terms(4, terms)
-    op = diagonal_operator(lambda spins: pot.value_many(spins), chain4)
-    for m in (0b0000, 0b0110, 0b1111):
-        out = apply(op, np.eye(16)[m])
-        want = potential_value(terms, spins_of_mask(m, 4))
-        assert np.array_equal(out, want * np.eye(16)[m])
-
-
-def test_diagonal_operator_identity(chain4):
-    op = diagonal_operator(lambda spins: np.ones(spins.shape[0]), chain4)
-    v = np.arange(16, dtype=complex)
-    assert np.array_equal(apply(op, v), v)
-
-
-def test_diagonal_operator_rejects_nonfinite(chain4):
-    def bad(spins):
-        out = np.ones(spins.shape[0])
-        out[3] = np.inf
-        return out
-
-    with pytest.raises(ConstraintError, match="0x3"):
-        diagonal_operator(bad, chain4)
-
-
 def test_apply_dimension_mismatch(chain4):
     op = product_operator(1, 0b1, chain4)
     with pytest.raises(ConstraintError):
@@ -154,18 +128,11 @@ def test_diagonal_conjugation_identity(chain4):
     # for U(flip(s, A)) in the exponent
     pot = ClassicalPotential.from_terms(4, [([0], 0.6), ([1, 2], -0.9)])
     alpha = 1.1
+    spins = spins_from_masks(np.arange(16), 4)
     for mask in (0b0001, 0b0110, 0b1011):
-        d_plain = diagonal_operator(
-            lambda spins: np.exp(-0.5 * alpha * pot.value_many(spins)), chain4
-        )
-        d_flipped = diagonal_operator(
-            lambda spins: np.exp(
-                -0.5
-                * alpha
-                * (pot.value_many(spins) + pot.flip_energy_many(spins, mask))
-            ),
-            chain4,
-        )
+        d_plain = flip_operator(4, [(0, np.exp(-0.5 * alpha * pot.value_many(spins)))])
+        flipped = pot.value_many(spins) + pot.flip_energy_many(spins, mask)
+        d_flipped = flip_operator(4, [(0, np.exp(-0.5 * alpha * flipped))])
         x_op = product_operator(1, mask, chain4)
         left = d_plain.mat @ x_op.mat
         right = x_op.mat @ d_flipped.mat
@@ -177,8 +144,6 @@ def test_quantum_site_cap():
     lat = build_hypercube(1, 15)
     with pytest.raises(SizeCapError):
         product_operator(1, 0b1, lat)
-    with pytest.raises(SizeCapError):
-        diagonal_operator(lambda spins: np.ones(spins.shape[0]), lat)
 
 
 def test_product_operator_honours_its_cap(chain4):

@@ -634,7 +634,7 @@ def test_operator_layer_decodes_spins_only_for_the_gibbs_state(monkeypatch):
     model = random_model(np.random.default_rng(5), flavor="generic")
     model.h
     model.h_conjugate
-    models.offdiagonal_from_couplings(model.table, model.lattice)
+    models.offdiagonal_from_couplings(model)
     assert callers == []
     verify_model(model, trials=2)
     assert callers == ["build_gibbs_state"]
