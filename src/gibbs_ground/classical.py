@@ -18,11 +18,12 @@ monomial of B at configuration m is (-1)^popcount(m & B).  The masks run in
 chunks of 2^_CHUNK_BITS that share their low bits, so each monomial is its
 low-bit sign row, built once, times a sign fixed per chunk, and sums over
 terms and sites that see only low bits are taken once and reused in every
-chunk (_Enumeration).  partition_function, max_abs_flip_energy and
-order_parameter_averages run on it; gibbs_averages, the independent witness,
-decodes spins.  Observables ("configuration functionals") for the generic
-routes and for Metropolis are vectorized callables taking a (nconf, n)
-spins array and returning a length-nconf float array.
+chunk (_Enumeration).  partition_function, max_abs_flip_energy,
+order_parameter_averages and the operators of a ModelInstance (one chunk
+over all masks) run on it; gibbs_averages, the independent witness, decodes
+spins.  Observables ("configuration functionals") for the generic routes and
+for Metropolis are vectorized callables taking a (nconf, n) spins array and
+returning a length-nconf float array.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ import numpy as np
 
 from .errors import ConstraintError, NumericRangeError, SizeCapError
 from .lattice import (
-    MASK_BITS,
     Caps,
     Lattice,
+    _check_mask_width,
     height_field,
     mask_from_sites,
     nearest_neighbor_pairs,
@@ -55,6 +56,8 @@ _CHUNK_BITS = 18
 # prefix and its accumulator), so a longer grid takes further passes
 # instead of more memory.
 _ALPHA_GROUP = 8
+
+_BATCHES = 32  # batch means behind a Metropolis standard error
 
 Functional = Callable[[np.ndarray], np.ndarray]
 
@@ -85,11 +88,7 @@ class ClassicalPotential:
     terms: tuple[tuple[int, float], ...]  # (site-set bitmask, coefficient)
 
     def __post_init__(self):
-        if self.n_sites > MASK_BITS:
-            raise SizeCapError(
-                f"a potential on {self.n_sites} sites exceeds the {MASK_BITS}-bit "
-                "configuration mask"
-            )
+        _check_mask_width(self.n_sites, "a potential")
         seen = set()
         top = 1 << self.n_sites
         for mask, coeff in self.terms:
@@ -155,26 +154,6 @@ class ClassicalPotential:
                 out += coeff * np.prod(spins[:, sites], axis=1).astype(np.float64)
         return -2.0 * out
 
-    def term_signs(self, masks: np.ndarray) -> np.ndarray:
-        """Monomial table of the terms at configuration masks, shape
-        (len(terms), nconf); the input of the two *_from_signs methods."""
-        return monomial_signs(masks, [mask for mask, _ in self.terms])
-
-    def energy_from_signs(self, signs: np.ndarray) -> np.ndarray:
-        """U from a term_signs table, summed in term order like value_many."""
-        out = np.zeros(signs.shape[1])
-        for row, (_, coeff) in zip(signs, self.terms):
-            out += coeff * row
-        return out
-
-    def flip_energy_from_signs(self, signs: np.ndarray, sites_mask: int) -> np.ndarray:
-        """W_A from a term_signs table, summed like flip_energy_many."""
-        out = np.zeros(signs.shape[1])
-        for row, (mask, coeff) in zip(signs, self.terms):
-            if (mask & sites_mask).bit_count() & 1:
-                out += coeff * row
-        return -2.0 * out
-
 
 def _mask_chunks(n_sites: int):
     """Yield uint64 configuration-mask chunks covering all 2^n configurations."""
@@ -190,22 +169,23 @@ def _leading_run(flags: Iterable[bool]) -> int:
 
 
 class _Enumeration:
-    """Mask-native enumeration of a potential, one chunk of masks at a time.
+    """Mask-native evaluation of a potential, one chunk of masks at a time.
 
-    With c = min(n, _CHUNK_BITS), chunk k holds the masks (k << c) | lo for
-    lo < 2^c, the same chunks as _mask_chunks.  There the monomial of term B
-    is eps * row(B), where row(B) is the sign row of B's low bits over lo,
-    built once, and eps = (-1)^popcount((k << c) & B).  chunks() folds eps
-    into the coefficients: (-c)*row and c*(-row) are the same +-c exactly.
-    A term without high bits has eps = 1 in every chunk, so the energy over
-    the leading run of such terms is summed once, and every chunk copies it
-    and adds the remaining terms in term order, as energy_from_signs does.
+    With c = min(n, chunk_bits), chunk k holds the masks (k << c) | lo for
+    lo < 2^c: the chunks of _mask_chunks at the default, and all 2^n masks
+    in order, one chunk, at chunk_bits = n (ModelInstance.enumeration).  There
+    the monomial of term B is eps * row(B), where row(B) is the sign row of
+    B's low bits over lo, built once, and eps = (-1)^popcount((k << c) & B).
+    chunks() folds eps into the coefficients (chunk 0 until it first runs):
+    (-c)*row and c*(-row) are the same +-c exactly.  A term without high
+    bits has eps = 1 in every chunk, so the energy over the leading run of
+    such terms is summed once, and every chunk copies it and adds the
+    remaining terms in term order, as value_many does.
     """
 
-    def __init__(self, potential: ClassicalPotential):
-        n = potential.n_sites
-        self.n_sites = n
-        self.bits = min(n, _CHUNK_BITS)
+    def __init__(self, potential: ClassicalPotential, chunk_bits: int | None = None):
+        self.n_sites = potential.n_sites
+        self.bits = min(self.n_sites, _CHUNK_BITS if chunk_bits is None else chunk_bits)
         self.size = 1 << self.bits
         self.low = self.size - 1
         self.masks = [mask for mask, _ in potential.terms]
@@ -213,7 +193,6 @@ class _Enumeration:
         self.coeffs = list(self.base)
         self.high = 0
         self.rows = self.low_rows(self.masks)
-        self.low_popcount = np.bitwise_count(np.arange(self.size, dtype=np.uint64))
         # Scratch of term_sum, free for callers between kernel calls.
         self.tmp = self.buffer()
         self.prefix = _leading_run(self.is_low(mask) for mask in self.masks)
@@ -250,7 +229,7 @@ class _Enumeration:
 
     def term_sum(self, terms, start, out: np.ndarray) -> np.ndarray:
         """start + sum_t c_t row_t over the terms in order (start None is
-        zeros, as in energy_from_signs); returns out, or start if no terms."""
+        zeros, as in value_many); returns out, or start if no terms."""
         for t in terms:
             coeff = self.coeffs[t]
             if start is None:
@@ -413,6 +392,7 @@ def order_parameter_averages(
     z_masks = [(1 << x) ^ (1 << y) for x, y in pairs]
     z_rows = enum.low_rows(z_masks)
     pair_terms = [enum.odd_terms((1 << x) | (1 << y)) for x, y in pairs]
+    low_popcount = np.bitwise_count(np.arange(enum.size, dtype=np.uint64))
     popcount = np.empty(enum.size, dtype=np.uint8)
     energy, w, weights = enum.buffer(), enum.buffer(), enum.buffer()
     w_pairs = [enum.buffer() for _ in pairs]
@@ -443,7 +423,7 @@ def order_parameter_averages(
                 enum.flip_energy(terms, w_pair)
             z_signs = [-1.0 if enum.odd(z) else 1.0 for z in z_masks]
             # mz^2 = ((n - 2 popcount) / n)^2, into w, which the sites are done with
-            np.add(enum.low_popcount, high_popcount, out=popcount)
+            np.add(low_popcount, high_popcount, out=popcount)
             mz_sq = np.subtract(n, np.multiply(popcount, 2.0, out=w), out=w)
             np.divide(mz_sq, n, out=mz_sq)
             np.multiply(mz_sq, mz_sq, out=mz_sq)
@@ -483,7 +463,6 @@ def max_abs_flip_energy(
     terms = enum.odd_terms(sites_mask)
     w = enum.buffer()
     return float(max(np.abs(enum.flip_energy(terms, w), out=w).max() for _ in enum.chunks()))
-
 
 
 def _validate_alpha(alpha: float):
@@ -595,13 +574,11 @@ def metropolis_samples(
     return samples, accepted / total_steps
 
 
-def estimate_from_samples(
-    f: Functional, samples: np.ndarray, batches: int = 32
-) -> tuple[float, float]:
+def estimate_from_samples(f: Functional, samples: np.ndarray) -> tuple[float, float]:
     """Estimate mean and batch-means standard error of f over a sample chain;
     NumericRangeError if the mean is not finite."""
     values = np.asarray(f(samples), dtype=np.float64)
-    nb = min(batches, len(values))
+    nb = min(_BATCHES, len(values))
     per = len(values) // nb
     trimmed = values[: nb * per].reshape(nb, per)
     means = trimmed.mean(axis=1)
@@ -610,3 +587,15 @@ def estimate_from_samples(
         return estimate, math.inf
     std_error = float(means.std(ddof=1) / math.sqrt(nb))
     return estimate, std_error
+
+
+def metropolis_averages(
+    fs: Sequence[Functional], potential: ClassicalPotential, alpha: float,
+    *, sweeps: int, burn_in: int, seed: int,
+) -> tuple[list[tuple[float, float]], float]:
+    """(mean, standard error) of each functional over one Metropolis chain,
+    and the chain's acceptance rate."""
+    samples, acceptance = metropolis_samples(
+        potential, alpha, sweeps=sweeps, burn_in=burn_in, seed=seed
+    )
+    return [estimate_from_samples(f, samples) for f in fs], acceptance

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, fields
@@ -18,8 +19,7 @@ from . import __version__
 from .classical import (
     ClassicalPotential,
     default_burn_in,
-    estimate_from_samples,
-    metropolis_samples,
+    metropolis_averages,
     spin_product,
     squared_magnetization,
 )
@@ -38,6 +38,10 @@ _SWEEP_COLUMNS = [
 ]
 _CORRELATE_COLUMNS = [
     "alpha", "x", "y", "sx_sx", "sx_sx_se", "sz_sz", "sz_sz_se", "method",
+]
+_CONFIG_FIELDS = [
+    "schema", "lattice", "couplings", "potential", "alpha", "alphas",
+    "pairs", "mc", "checks", "caps",
 ]
 
 
@@ -59,6 +63,14 @@ class RunConfig:
 def _require(condition: bool, message: str):
     if not condition:
         raise ConfigError(message)
+
+
+def _require_known(section: dict, where: str, known: list[str]):
+    """ConfigError naming the first key of section that is not in known."""
+    for key in section:
+        _require(
+            key in known, f"unknown field '{where}.{key}' (known: {', '.join(known)})"
+        )
 
 
 def _get(section: dict, key: str, kind, where: str, default=None, required=False):
@@ -87,11 +99,13 @@ def _site_list(raw, where: str, n_sites: int) -> list[int]:
 def _parse_couplings(raw, lattice: Lattice) -> CouplingTable:
     _require(isinstance(raw, dict), "field 'couplings' must be an object")
     if "preset" in raw:
+        _require_known(raw, "couplings", ["preset", "J"])
         preset = raw["preset"]
         j = _get(raw, "J", float, "couplings", required=True)
         if preset in ("xx", "xxz"):
             return CouplingTable.xx_nearest_neighbor(lattice, j)
         raise ConfigError(f"unknown couplings preset '{preset}'")
+    _require_known(raw, "couplings", ["entries"])
     entries_raw = raw.get("entries")
     _require(
         isinstance(entries_raw, list),
@@ -101,6 +115,7 @@ def _parse_couplings(raw, lattice: Lattice) -> CouplingTable:
     for k, entry in enumerate(entries_raw):
         where = f"couplings.entries[{k}]"
         _require(isinstance(entry, dict), f"field '{where}' must be an object")
+        _require_known(entry, where, ["x_sites", "y_sites", "phi"])
         a = _site_list(entry.get("x_sites", []), f"{where}.x_sites", lattice.n_sites)
         b = _site_list(entry.get("y_sites", []), f"{where}.y_sites", lattice.n_sites)
         phi = _get(entry, "phi", float, where, required=True)
@@ -117,6 +132,7 @@ def _parse_potential(raw, lattice: Lattice) -> ClassicalPotential:
         return ClassicalPotential.zero(lattice.n_sites)
     _require(isinstance(raw, dict), "field 'potential' must be an object")
     if "preset" in raw:
+        _require_known(raw, "potential", ["preset", "K"])
         preset = raw["preset"]
         if preset == "ising-nn":
             k = _get(raw, "K", float, "potential", required=True)
@@ -124,6 +140,7 @@ def _parse_potential(raw, lattice: Lattice) -> ClassicalPotential:
         if preset == "linear-height":
             return ClassicalPotential.linear_height(lattice)
         raise ConfigError(f"unknown potential preset '{preset}'")
+    _require_known(raw, "potential", ["terms"])
     terms_raw = raw.get("terms")
     _require(
         isinstance(terms_raw, list),
@@ -133,6 +150,7 @@ def _parse_potential(raw, lattice: Lattice) -> ClassicalPotential:
     for k, term in enumerate(terms_raw):
         where = f"potential.terms[{k}]"
         _require(isinstance(term, dict), f"field '{where}' must be an object")
+        _require_known(term, where, ["sites", "coeff"])
         sites = _site_list(term.get("sites", []), f"{where}.sites", lattice.n_sites)
         coeff = _get(term, "coeff", float, where, required=True)
         terms.append((sites, coeff))
@@ -156,12 +174,11 @@ def parse_config(text: str) -> RunConfig:
         schema == SCHEMA_VERSION,
         f"config field 'schema' must be {SCHEMA_VERSION}, got {schema!r}",
     )
+    _require_known(doc, "config", _CONFIG_FIELDS)
 
     caps_raw = doc.get("caps", {})
     _require(isinstance(caps_raw, dict), "field 'caps' must be an object")
-    names = [f.name for f in fields(Caps)]
-    for key in caps_raw:
-        _require(key in names, f"unknown field 'caps.{key}' (caps are {', '.join(names)})")
+    _require_known(caps_raw, "caps", [f.name for f in fields(Caps)])
     try:
         caps = Caps(
             **{f.name: _get(caps_raw, f.name, int, "caps", f.default) for f in fields(Caps)}
@@ -171,6 +188,7 @@ def parse_config(text: str) -> RunConfig:
 
     lat_raw = doc.get("lattice")
     _require(isinstance(lat_raw, dict), "missing required object 'lattice'")
+    _require_known(lat_raw, "lattice", ["d", "L"])
     d = _get(lat_raw, "d", int, "lattice", required=True)
     side = _get(lat_raw, "L", int, "lattice", required=True)
     try:
@@ -181,16 +199,13 @@ def parse_config(text: str) -> RunConfig:
     potential_raw = doc.get("potential")
     couplings_raw = doc.get("couplings")
     _require(couplings_raw is not None, "missing required object 'couplings'")
-    if (
-        isinstance(couplings_raw, dict)
-        and couplings_raw.get("preset") == "xxz"
-    ):
+    if isinstance(couplings_raw, dict) and couplings_raw.get("preset") == "xxz":
         if potential_raw is None:
             potential_raw = {"preset": "linear-height"}
-        elif potential_raw.get("preset") != "linear-height":
-            raise ConfigError(
-                "the 'xxz' preset requires the 'linear-height' potential"
-            )
+        _require(
+            isinstance(potential_raw, dict) and potential_raw.get("preset") == "linear-height",
+            "the 'xxz' preset requires the 'linear-height' potential",
+        )
     table = _parse_couplings(couplings_raw, lattice)
     potential = _parse_potential(potential_raw, lattice)
 
@@ -229,6 +244,7 @@ def parse_config(text: str) -> RunConfig:
 
     mc_raw = doc.get("mc", {})
     _require(isinstance(mc_raw, dict), "field 'mc' must be an object")
+    _require_known(mc_raw, "mc", ["sweeps", "burn_in", "seed"])
     sweeps = _get(mc_raw, "sweeps", int, "mc", 20000)
     burn_in = _get(mc_raw, "burn_in", int, "mc", None)
     mc_seed = _get(mc_raw, "seed", int, "mc", 0)
@@ -237,6 +253,7 @@ def parse_config(text: str) -> RunConfig:
 
     checks_raw = doc.get("checks", {})
     _require(isinstance(checks_raw, dict), "field 'checks' must be an object")
+    _require_known(checks_raw, "checks", ["trials", "seed"])
     check_trials = _get(checks_raw, "trials", int, "checks", 20)
     check_seed = _get(checks_raw, "seed", int, "checks", 0)
     _require(check_trials >= 1, "field 'checks.trials' must be at least 1")
@@ -364,40 +381,20 @@ def _cmd_verify(config: RunConfig, out: Path) -> int:
     return 0 if all_passed else 1
 
 
-def _scan_rows(config: RunConfig) -> list:
+def _cmd_scan(file_name: str, columns: list[str], config: RunConfig, out: Path) -> int:
+    """correlate and sweep: the order-parameter scan as CSV, in columns."""
     if not config.pairs:
         raise GibbsGroundError("this command needs a nonempty 'pairs' list")
-    model = _model(config, config.alphas[0])
-    return order_parameter_scan(
-        model,
+    rows = order_parameter_scan(
+        _model(config, config.alphas[0]),
         config.pairs,
         config.alphas,
         sweeps=config.sweeps,
         burn_in=config.burn_in,
         seed=config.mc_seed,
     )
-
-
-def _cmd_correlate(config: RunConfig, out: Path) -> int:
-    rows = _scan_rows(config)
-    path = out / "correlations.csv"
-    _write_csv(
-        path,
-        _CORRELATE_COLUMNS,
-        [{k: getattr(r, k) for k in _CORRELATE_COLUMNS} for r in rows],
-    )
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_sweep(config: RunConfig, out: Path) -> int:
-    rows = _scan_rows(config)
-    path = out / "sweep.csv"
-    _write_csv(
-        path,
-        _SWEEP_COLUMNS,
-        [{k: getattr(r, k) for k in _SWEEP_COLUMNS} for r in rows],
-    )
+    path = out / file_name
+    _write_csv(path, columns, [{k: getattr(r, k) for k in columns} for r in rows])
     print(f"wrote {path}")
     return 0
 
@@ -406,25 +403,26 @@ def _cmd_sample(config: RunConfig, out: Path) -> int:
     burn_in = default_burn_in(config.sweeps, config.burn_in)
     results = []
     for alpha in config.alphas:
-        samples, acceptance = metropolis_samples(
+        fs = [squared_magnetization()] + [spin_product(x, y) for x, y in config.pairs]
+        estimates, acceptance = metropolis_averages(
+            fs,
             config.potential,
             alpha,
             sweeps=config.sweeps,
             burn_in=burn_in,
             seed=config.mc_seed,
         )
-        mz_sq, mz_sq_se = estimate_from_samples(squared_magnetization(), samples)
-        pair_stats = []
-        for x, y in config.pairs:
-            est, se = estimate_from_samples(spin_product(x, y), samples)
-            pair_stats.append({"x": x, "y": y, "sz_sz": est, "sz_sz_se": se})
+        (mz_sq, mz_sq_se), pair_estimates = estimates[0], estimates[1:]
         results.append(
             {
                 "alpha": alpha,
                 "acceptance_rate": acceptance,
                 "mz_sq": mz_sq,
                 "mz_sq_se": mz_sq_se,
-                "pairs": pair_stats,
+                "pairs": [
+                    {"x": x, "y": y, "sz_sz": est, "sz_sz_se": se}
+                    for (x, y), (est, se) in zip(config.pairs, pair_estimates)
+                ],
             }
         )
     payload = {
@@ -443,8 +441,8 @@ def _cmd_sample(config: RunConfig, out: Path) -> int:
 _COMMANDS = {
     "build": _cmd_build,
     "verify": _cmd_verify,
-    "correlate": _cmd_correlate,
-    "sweep": _cmd_sweep,
+    "correlate": functools.partial(_cmd_scan, "correlations.csv", _CORRELATE_COLUMNS),
+    "sweep": functools.partial(_cmd_scan, "sweep.csv", _SWEEP_COLUMNS),
     "sample": _cmd_sample,
 }
 

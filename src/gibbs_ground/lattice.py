@@ -21,6 +21,14 @@ from .errors import ConstraintError, SizeCapError
 MASK_BITS = 64
 
 
+def _check_mask_width(n_sites: int, what: str):
+    """SizeCapError when what, on n_sites sites, is wider than a mask."""
+    if n_sites > MASK_BITS:
+        raise SizeCapError(
+            f"{what} on {n_sites} sites exceeds the {MASK_BITS}-bit configuration mask"
+        )
+
+
 @dataclass(frozen=True)
 class Caps:
     """Every size cap, in sites; each exact route runs only under its cap.

@@ -37,15 +37,16 @@ import numpy as np
 
 from .classical import (
     ClassicalPotential,
+    _Enumeration,
     monomial_signs,
     partition_function,
     spins_from_masks,
 )
-from .errors import ConstraintError, InternalConsistencyError, SizeCapError, UnsupportedModelError
+from .errors import ConstraintError, InternalConsistencyError, UnsupportedModelError
 from .lattice import (
-    MASK_BITS,
     Caps,
     Lattice,
+    _check_mask_width,
     mask_from_sites,
     nearest_neighbor_pairs,
     sites_from_mask,
@@ -76,11 +77,7 @@ class CouplingTable:
     entries: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        if self.n_sites > MASK_BITS:
-            raise SizeCapError(
-                f"a coupling table on {self.n_sites} sites exceeds the {MASK_BITS}-bit "
-                "configuration mask"
-            )
+        _check_mask_width(self.n_sites, "a coupling table")
         seen = set()
         top = 1 << self.n_sites
         for a, b, phi in self.entries:
@@ -208,12 +205,10 @@ def offdiagonal_from_couplings(model: "ModelInstance") -> OperatorMatrix:
 
 def build_v(model: "ModelInstance") -> OperatorMatrix:
     """Diagonal part with entry -sum_C J_C(s) exp(-(alpha/2) W_C(s)) at s."""
-    masks, potential = model.masks, model.potential
+    masks = model.masks
     diag = np.zeros(len(masks), dtype=complex)
     for coupling in model.couplings:
-        weights = np.exp(
-            -0.5 * model.alpha * potential.flip_energy_from_signs(model.signs, coupling.sites_mask)
-        )
+        weights = np.exp(-0.5 * model.alpha * model.flip_energy(coupling.sites_mask))
         diag -= coupling.values(masks) * weights
     return flip_operator(model.lattice.n_sites, [(0, diag)])
 
@@ -221,7 +216,7 @@ def build_v(model: "ModelInstance") -> OperatorMatrix:
 def _flip_form_h(model: "ModelInstance") -> OperatorMatrix:
     """Independent route to H: sum over nonempty union sets of
     J_C(sigma^z) (X_[C] - exp(-(alpha/2) W_C(sigma^z)))."""
-    masks, potential = model.masks, model.potential
+    masks = model.masks
     terms = []
     diag = np.zeros(len(masks), dtype=complex)
     for coupling in model.couplings:
@@ -229,9 +224,7 @@ def _flip_form_h(model: "ModelInstance") -> OperatorMatrix:
             continue
         j_vals = coupling.values(masks)
         terms.append((coupling.sites_mask, j_vals[masks ^ coupling.sites_mask]))
-        weights = np.exp(
-            -0.5 * model.alpha * potential.flip_energy_from_signs(model.signs, coupling.sites_mask)
-        )
+        weights = np.exp(-0.5 * model.alpha * model.flip_energy(coupling.sites_mask))
         diag -= j_vals * weights
     return flip_operator(model.lattice.n_sites, terms + [(0, diag)])
 
@@ -266,16 +259,15 @@ def conjugate_hamiltonian(model: "ModelInstance") -> OperatorMatrix:
     to zero, so up to sign it is a Markov jump generator with the classical
     Gibbs measure stationary.
     """
-    masks, potential = model.masks, model.potential
+    masks = model.masks
     n = model.lattice.n_sites
     terms = []
     diag = np.zeros(len(masks), dtype=complex)
     for coupling in model.couplings:
         if coupling.sites_mask == 0:
             continue
-        rates = coupling.values(masks) * np.exp(
-            -0.5 * model.alpha * potential.flip_energy_from_signs(model.signs, coupling.sites_mask)
-        )
+        weights = np.exp(-0.5 * model.alpha * model.flip_energy(coupling.sites_mask))
+        rates = coupling.values(masks) * weights
         # Row s couples to column flip(s, C) with weight +rate(s).
         terms.append((coupling.sites_mask, rates[masks ^ coupling.sites_mask]))
         diag -= rates
@@ -458,15 +450,22 @@ class ModelInstance:
         return all_masks(self.lattice.n_sites)
 
     @cached_property
-    def signs(self) -> np.ndarray:
-        """The potential's monomial table over the masks (term_signs)."""
-        return self.potential.term_signs(self.masks)
+    def enumeration(self) -> _Enumeration:
+        """The potential's kernel as one chunk over the masks, read first for the quantum cap."""
+        self.masks
+        return _Enumeration(self.potential, chunk_bits=self.lattice.n_sites)
 
     @cached_property
     def shifted_energies(self) -> np.ndarray:
         """U over the masks minus its minimum, for well-scaled weights."""
-        energies = self.potential.energy_from_signs(self.signs)
+        # energy() may hand back the kernel's cached prefix: never write to it.
+        energies = self.enumeration.energy(self.enumeration.buffer())
         return energies - energies.min()
+
+    def flip_energy(self, sites_mask: int) -> np.ndarray:
+        """W_C over the masks for the union set C, a fresh array."""
+        enum = self.enumeration
+        return enum.flip_energy(enum.odd_terms(sites_mask), enum.buffer())
 
     @cached_property
     def couplings(self) -> tuple[DiagonalCoupling, ...]:

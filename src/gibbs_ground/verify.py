@@ -22,10 +22,9 @@ from .classical import (
     _mask_chunks,
     classical_expectation,
     default_burn_in,
-    estimate_from_samples,
     flip_weight,
     max_abs_flip_energy,
-    metropolis_samples,
+    metropolis_averages,
     order_parameter_averages,
     spin_product,
     squared_magnetization,
@@ -371,16 +370,14 @@ def groundstate_hypotheses(
     )
 
 
-def quantum_expectation(
-    op: OperatorMatrix, psi: np.ndarray, imag_tol: float = IMAG_PART_TOL
-) -> float:
+def quantum_expectation(op: OperatorMatrix, psi: np.ndarray) -> float:
     """(psi, O psi) / (psi, psi).  For a Hermitian operator the imaginary
-    part must vanish to imag_tol; it is a builder bug otherwise."""
+    part must vanish to IMAG_PART_TOL; it is a builder bug otherwise."""
     denom = float(np.vdot(psi, psi).real)
     if denom == 0.0:
         raise ConstraintError("expectation in the zero vector is undefined")
     value = complex(np.vdot(psi, apply(op, psi))) / denom
-    if op.is_hermitian and abs(value.imag) > imag_tol * max(1.0, abs(value.real)):
+    if op.is_hermitian and abs(value.imag) > IMAG_PART_TOL * max(1.0, abs(value.real)):
         raise InternalConsistencyError(
             f"Hermitian expectation has imaginary part {value.imag:.3e}"
         )
@@ -617,33 +614,31 @@ def order_parameter_scan(
         for x, y in pairs:
             fs.append(spin_product(x, y))
             fs.append(flip_weight(potential, alpha, (1 << x) | (1 << y)))
-        samples, _ = metropolis_samples(
+        estimates, _ = metropolis_averages(
+            fs,
             potential,
             alpha,
             sweeps=sweeps,
             burn_in=default_burn_in(sweeps, burn_in),
             seed=seed,
         )
-        values, errors = [], []
-        for f in fs:
-            est, se = estimate_from_samples(f, samples)
-            values.append(est)
-            errors.append(se)
+        (mz_sq, mz_sq_se), (mx, mx_se) = estimates[:2]
         for k, (x, y) in enumerate(pairs):
+            (sz_sz, sz_sz_se), (sx_sx, sx_sx_se) = estimates[2 + 2 * k : 4 + 2 * k]
             rows.append(
                 ScanRow(
                     alpha=float(alpha),
                     x=x,
                     y=y,
-                    sz_sz=values[2 + 2 * k],
-                    sx_sx=values[3 + 2 * k],
-                    mz_sq=values[0],
-                    mx=values[1],
+                    sz_sz=sz_sz,
+                    sx_sx=sx_sx,
+                    mz_sq=mz_sq,
+                    mx=mx,
                     method="metropolis",
-                    sz_sz_se=errors[2 + 2 * k],
-                    sx_sx_se=errors[3 + 2 * k],
-                    mz_sq_se=errors[0],
-                    mx_se=errors[1],
+                    sz_sz_se=sz_sz_se,
+                    sx_sx_se=sx_sx_se,
+                    mz_sq_se=mz_sq_se,
+                    mx_se=mx_se,
                 )
             )
     return rows

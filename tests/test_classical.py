@@ -232,13 +232,13 @@ def test_mask_native_energies_equal_decoded_ones(configs, sites_mask, raw_terms)
     pot = ClassicalPotential(n_sites=8, terms=tuple(raw_terms))
     masks = np.array(configs, dtype=np.uint64)
     spins = spins_from_masks(masks, 8)
-    signs = pot.term_signs(masks)
-    assert signs.dtype == np.int8
-    assert np.array_equal(pot.energy_from_signs(signs), pot.value_many(spins))
-    assert np.array_equal(
-        pot.flip_energy_from_signs(signs, sites_mask),
-        pot.flip_energy_many(spins, sites_mask),
-    )
+    # one chunk over all 2^8 masks in order, as a model reads it
+    enum = classical._Enumeration(pot, chunk_bits=8)
+    assert enum.rows.dtype == np.int8
+    energies = enum.energy(enum.buffer())[masks]
+    assert energies.tobytes() == pot.value_many(spins).tobytes()
+    flips = enum.flip_energy(enum.odd_terms(sites_mask), enum.buffer())[masks]
+    assert flips.tobytes() == pot.flip_energy_many(spins, sites_mask).tobytes()
 
 
 def test_monomial_signs_hand_cases():

@@ -180,6 +180,48 @@ def test_unknown_caps_key_exit_2(tmp_path, capsys):
         cli.parse_config(json.dumps(_config(caps={"dense": 4})))
 
 
+_ENTRY = {"x_sites": [0, 1], "phi": -0.5}
+_TERM = {"sites": [0], "coeff": 0.1}
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"alpah": 3}, "config.alpah"),
+        ({"lattice": {"d": 1, "L": 6, "side": 9}}, "lattice.side"),
+        ({"couplings": {"preset": "xx", "J": -1.0, "K": 1.0}}, "couplings.K"),
+        ({"couplings": {"entries": [_ENTRY], "J": -1.0}}, "couplings.J"),
+        (
+            {"couplings": {"entries": [_ENTRY, {"y_site": [0, 1], "phi": -0.5}]}},
+            "couplings.entries[1].y_site",
+        ),
+        ({"potential": {"preset": "ising-nn", "K": 1.0, "J": 1.0}}, "potential.J"),
+        ({"potential": {"terms": [_TERM], "K": 1.0}}, "potential.K"),
+        (
+            {"potential": {"terms": [_TERM, {"site": [1], "coeff": 0.2}]}},
+            "potential.terms[1].site",
+        ),
+        ({"mc": {"sweep": 10}}, "mc.sweep"),
+        ({"checks": {"trail": 5}}, "checks.trail"),
+    ],
+)
+def test_unknown_key_in_any_section_exit_2(tmp_path, capsys, overrides, field):
+    # each of these used to parse silently to the defaults
+    path = _write_config(tmp_path, _config(**overrides))
+    out = tmp_path / "out"
+    assert cli.main(["build", "--config", str(path), "--out", str(out)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "ConfigError" and f"'{field}'" in error["message"]
+    assert not out.exists()
+
+
+def test_xxz_preset_with_a_non_object_potential_is_a_config_error():
+    # this used to end in an AttributeError traceback
+    doc = _config(couplings={"preset": "xxz", "J": -1.0}, potential=5)
+    with pytest.raises(ConfigError, match="linear-height"):
+        cli.parse_config(json.dumps(doc))
+
+
 def test_parse_xxz_preset_defaults_to_height_potential():
     doc = _config(couplings={"preset": "xxz", "J": -1.0})
     del doc["potential"]

@@ -15,6 +15,8 @@ from gibbs_ground import (
     xxz_hamiltonian,
     xxz_site_field,
 )
+from gibbs_ground import classical
+from gibbs_ground.classical import monomial_signs, spins_from_masks
 from gibbs_ground.errors import ConstraintError, SizeCapError, UnsupportedModelError
 from gibbs_ground.lattice import Caps, nearest_neighbor_pairs
 from gibbs_ground.models import (
@@ -69,13 +71,14 @@ def test_sites_beyond_the_mask_width_are_a_size_cap_error():
     with pytest.raises(SizeCapError, match="64-bit"):
         groundstate_hypotheses(CouplingTable.from_site_lists(100, [([70, 71], [72, 73], -1.0)]))
     with pytest.raises(SizeCapError, match="64-bit"):
-        ClassicalPotential.from_terms(100, [([70, 71], 1.0)]).term_signs(np.zeros(1, np.uint64))
+        ClassicalPotential.from_terms(100, [([70, 71], 1.0)])
     # 64 sites still fit, up to the last bit.
     table = CouplingTable.from_site_lists(64, [([62, 63], [61], -1.0)])
     assert not groundstate_hypotheses(table).satisfied
     potential = ClassicalPotential.from_terms(64, [([62, 63], 1.0)])
     masks = np.array([0, 1 << 63, 3 << 62], dtype=np.uint64)
-    assert potential.term_signs(masks).tolist() == [[1, -1, 1]]
+    term_masks = [mask for mask, _ in potential.terms]
+    assert monomial_signs(masks, term_masks).tolist() == [[1, -1, 1]]
 
 
 @pytest.mark.parametrize("entry", [([0, 0], [], 1.0), ([2], [1, 1], 1.0)])
@@ -195,6 +198,45 @@ def test_two_route_agreement_randomized():
         model = random_model(rng)
         # build_h raises InternalConsistencyError itself on disagreement
         assert model.two_path_diff <= 1e-12 * max(model.h.norm_max, 1e-300)
+
+
+def _assert_kernel_equals_decoded_route(model, sites_masks):
+    potential = model.potential
+    spins = spins_from_masks(model.masks, model.lattice.n_sites)
+    energies = potential.value_many(spins)
+    # compared as bytes, so that a signed zero counts too
+    assert model.shifted_energies.tobytes() == (energies - energies.min()).tobytes()
+    for sites_mask in sites_masks:
+        want = potential.flip_energy_many(spins, sites_mask)
+        assert model.flip_energy(sites_mask).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("flavor", ["ferro", "generic", "odd"])
+def test_model_energies_equal_the_decoded_route(flavor):
+    # The operators read U and W_C from the mask-native kernel; the decoded
+    # spins of value_many and flip_energy_many are its independent witness.
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        model = random_model(rng, flavor=flavor)
+        _assert_kernel_equals_decoded_route(model, [c.sites_mask for c in model.couplings])
+
+
+def test_model_kernel_stays_one_chunk_below_the_chunk_bits(monkeypatch):
+    # The operators index U and W_C by mask, so the model's kernel is one
+    # chunk over all 2^n masks whatever chunk size the exact scans use.
+    monkeypatch.setattr(classical, "_CHUNK_BITS", 2)
+    lat = build_hypercube(1, 7)
+    # a high-bit first term (no energy prefix at 2 bits), a constant, and a
+    # -0.0 term that is the only odd one for the flip set {1}
+    potential = ClassicalPotential.from_terms(
+        7, [([0, 5], 0.4), ([], 0.75), ([1], -0.0), ([2, 3, 6], 0.3), ([4], -0.6)]
+    )
+    model = _model(lat, CouplingTable.xx_nearest_neighbor(lat, -1.0), potential, 0.8)
+    assert classical._Enumeration(potential).bits == 2
+    enum = model.enumeration
+    assert enum.bits == 7 and len(list(enum.chunks())) == 1
+    _assert_kernel_equals_decoded_route(model, range(1 << 7))
+    assert model.flip_energy(0b10).tobytes() == np.full(128, -0.0).tobytes()
 
 
 def test_hermitian_iff_even_real():
@@ -411,8 +453,6 @@ def test_xxz_interior_field_vanishes_in_matrix():
     lat = build_hypercube(1, 6)
     h = xxz_hamiltonian(-1.0, 0.9, lat)
     diag = h.to_dense().diagonal().real
-    from gibbs_ground.classical import spins_from_masks
-
     spins = spins_from_masks(np.arange(64), 6).astype(float)
     for k in range(1, 5):
         coeff = float(diag @ spins[:, k]) / 64
