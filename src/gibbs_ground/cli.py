@@ -168,6 +168,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"config is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "config root must be a JSON object")
     schema = doc.get("schema")
     _require(
@@ -249,6 +251,7 @@ def parse_config(text: str) -> RunConfig:
     burn_in = _get(mc_raw, "burn_in", int, "mc", None)
     mc_seed = _get(mc_raw, "seed", int, "mc", 0)
     _require(sweeps > 0, "field 'mc.sweeps' must be positive")
+    _require(mc_seed >= 0, "field 'mc.seed' must be nonnegative")
     _require(burn_in is None or burn_in >= 0, "field 'mc.burn_in' must be nonnegative")
 
     checks_raw = doc.get("checks", {})
@@ -257,6 +260,7 @@ def parse_config(text: str) -> RunConfig:
     check_trials = _get(checks_raw, "trials", int, "checks", 20)
     check_seed = _get(checks_raw, "seed", int, "checks", 0)
     _require(check_trials >= 1, "field 'checks.trials' must be at least 1")
+    _require(check_seed >= 0, "field 'checks.seed' must be nonnegative")
 
     return RunConfig(
         lattice=lattice,
@@ -490,6 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(text)
         if args.seed is not None:
+            _require(args.seed >= 0, "option '--seed' must be nonnegative")
             config.mc_seed = args.seed
             config.check_seed = args.seed
         return run(args.command, config, out_dir=args.out)

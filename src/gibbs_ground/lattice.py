@@ -93,9 +93,13 @@ class Lattice:
 
 
 def build_hypercube(d: int, L: int, site_cap: int = Caps.lattice_sites) -> Lattice:
-    """Build the L^d hypercube; raises SizeCapError when L^d > site_cap."""
+    """Build the L^d hypercube; raises SizeCapError when L, d or L^d
+    exceeds site_cap."""
     if d < 1 or L < 1:
         raise ConstraintError(f"need d >= 1 and L >= 1, got d={d}, L={L}")
+    # Bounding L and d first keeps L**d, and the message below, small.
+    if L > site_cap or d > site_cap:
+        raise SizeCapError(f"lattice L^d needs L and d at most the site cap of {site_cap}")
     n = L**d
     if n > site_cap:
         raise SizeCapError(
@@ -137,14 +141,12 @@ def height_field(lattice: Lattice) -> list[int]:
     return [linear_height(c) for c in lattice.coords]
 
 
-def mask_from_sites(sites: Iterable[int], n_sites: int | None = None) -> int:
+def mask_from_sites(sites: Iterable[int]) -> int:
     """Bitmask of a collection of site indices; rejects duplicates."""
     mask = 0
     for s in sites:
         if s < 0:
             raise ConstraintError(f"negative site index {s}")
-        if n_sites is not None and s >= n_sites:
-            raise ConstraintError(f"site index {s} outside a {n_sites}-site lattice")
         bit = 1 << s
         if mask & bit:
             raise ConstraintError(f"duplicate site index {s}")

@@ -5,11 +5,12 @@ bit is set in m, so sigma^z_x is diagonal with entry +-1, sigma^x over a
 site set A maps m to m XOR A, and sigma^y follows from
 sigma^y = -i sigma^z sigma^x.  Every operator is a sum of flip terms
 diag(d_C) X_[C], and OperatorMatrix holds exactly that: one complex vector
-d_C per flip set C.  Products, norms, the Hermitian flag and the dense form
-are computed from the terms with numpy, and the product apply is all that
-the thick-restart Lanczos solver in verify needs.  scipy is imported only
-for the CSR view OperatorMatrix.mat, built on first access, which no
-solver reads: it is the independent form the product is tested against.
+d_C per flip set C.  Norms, the Hermitian flag and the dense form are
+computed from the terms with numpy.  OperatorMatrix.row_table lays the
+same entries out row by row; the product apply and the dense blocks of
+verify's eigensolver both read it.  scipy is imported only for the CSR
+view OperatorMatrix.mat, built on first access, which no solver reads:
+it is the independent form the product is tested against.
 """
 
 from __future__ import annotations
@@ -120,16 +121,20 @@ class OperatorMatrix:
         ).tocsr()
 
     @cached_property
-    def _row_gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(terms x dim) tables: row m's columns m XOR C in ascending order,
-        and the real and imaginary parts of the entries found there."""
+    def row_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row table (columns, entries), two (terms x dim) arrays: column
+        m holds row m's columns m XOR C in ascending order and the entries
+        found there, zeros included.  Entries are float64 when the operator
+        is real, complex otherwise."""
         masks = all_masks(self.n_sites)
         flips = np.fromiter(self.terms, dtype=np.int64, count=len(self.terms))
         columns = masks[None, :] ^ flips[:, None]
         order = np.argsort(columns, axis=0)
         columns = np.take_along_axis(columns, order, axis=0)
-        entries = np.stack(list(self.terms.values()))[order, columns]
-        return columns, entries.real.copy(), entries.imag.copy()
+        stacked = np.array([*self.terms.values()]).reshape(len(self.terms), self.dim)
+        if self.is_real:
+            stacked = stacked.real
+        return columns, stacked[order, columns]
 
 
 def _check_same_space(a: OperatorMatrix, b: OperatorMatrix):
@@ -236,37 +241,17 @@ def product_operator(
     return flip_operator(n, [(sites_mask, 1j ** sites_mask.bit_count() * signs)])
 
 
-def _ascending_sum(products: np.ndarray) -> np.ndarray:
-    """Sum of the rows of a (terms x dim) table, from zero, in row order."""
-    total = np.zeros(products.shape[1])
-    for row in products:
-        total += row
-    return total
-
-
 def apply(op: OperatorMatrix, vector: np.ndarray) -> np.ndarray:
-    """Matrix-vector product from the flip terms,
+    """Matrix-vector product from the row table,
 
         out[m] = sum_C d_C[m XOR C] v[m XOR C],
 
-    with each row summed from zero in ascending column order and each
-    complex product formed from its real and imaginary parts, as a CSR
-    product does; the result has the same bits as op.mat @ vector.
+    each row summed in ascending column order; the result is complex.
     """
     vector = np.asarray(vector)
     if vector.shape != (op.dim,):
         raise ConstraintError(
             f"vector of shape {vector.shape} does not match operator dimension {op.dim}"
         )
-    out = np.zeros(op.dim, dtype=complex)
-    if not op.terms:
-        return out
-    columns, entries_re, entries_im = op._row_gather
-    if op.is_real and not np.iscomplexobj(vector):
-        # Real entries on a real vector: the imaginary parts stay zero.
-        out.real = _ascending_sum(entries_re * vector[columns])
-        return out
-    v_re, v_im = vector.real[columns], vector.imag[columns]
-    out.real = _ascending_sum(entries_re * v_re - entries_im * v_im)
-    out.imag = _ascending_sum(entries_re * v_im + entries_im * v_re)
-    return out
+    columns, entries = op.row_table
+    return (entries * vector[columns]).sum(axis=0).astype(complex, copy=False)

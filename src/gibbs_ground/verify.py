@@ -72,7 +72,7 @@ IMAG_PART_TOL = 1e-10
 # Thick-restart Lanczos: the basis holds at most LANCZOS_BASIS vectors, a
 # restart keeps the LANCZOS_KEEP lowest Ritz vectors, and the lowest one is
 # accepted once its residual is at most LANCZOS_RTOL * |H|_max (100 times
-# inside the residual guard).  The default budget counts products with H.
+# inside the residual guard).  The budget counts products with H.
 LANCZOS_BASIS = 100
 LANCZOS_KEEP = 30
 LANCZOS_RTOL = 1e-12
@@ -198,7 +198,7 @@ def _block_minimum(block: np.ndarray) -> tuple[float, np.ndarray | None]:
     return float(evals[0]), evecs[:, 0]
 
 
-def _lanczos_lowest(h: OperatorMatrix, maxiter: int) -> np.ndarray:
+def _lanczos_lowest(h: OperatorMatrix) -> np.ndarray:
     """A unit vector for the lowest eigenvalue of Hermitian h, by
     thick-restart Lanczos (Wu & Simon 2000) on the flip-term product.
 
@@ -210,7 +210,7 @@ def _lanczos_lowest(h: OperatorMatrix, maxiter: int) -> np.ndarray:
     not yet normalised, Lanczos vector, or restarts from the LANCZOS_KEEP
     lowest Ritz vectors and that next vector.  A beta within tolerance
     means an invariant subspace, so Rayleigh-Ritz runs early.  Raises
-    ConvergenceError once maxiter products have not sufficed.
+    ConvergenceError once LANCZOS_MAX_PRODUCTS products have not sufficed.
     """
     dim = h.dim
     real = h.is_real
@@ -239,7 +239,7 @@ def _lanczos_lowest(h: OperatorMatrix, maxiter: int) -> np.ndarray:
             projected[: j + 1, j] = coeffs
             projected[j, : j + 1] = coeffs.conj()
             beta = float(np.linalg.norm(w))
-            if beta <= tol or products >= maxiter or j == size - 1:
+            if beta <= tol or products >= LANCZOS_MAX_PRODUCTS or j == size - 1:
                 break
             basis[j + 1] = w / beta
         n = j + 1
@@ -248,9 +248,9 @@ def _lanczos_lowest(h: OperatorMatrix, maxiter: int) -> np.ndarray:
         if residual <= tol:
             vec = ritz[:, 0] @ basis[:n]
             return vec / np.linalg.norm(vec)
-        if products >= maxiter:
+        if products >= LANCZOS_MAX_PRODUCTS:
             raise ConvergenceError(
-                f"Lanczos did not converge within {maxiter} products: the lowest "
+                f"Lanczos did not converge within {LANCZOS_MAX_PRODUCTS} products: the lowest "
                 f"Ritz residual is {residual:.3e}, above {tol:.3e}"
             )
         basis[:keep] = ritz[:, :keep].T @ basis[:n]
@@ -260,57 +260,52 @@ def _lanczos_lowest(h: OperatorMatrix, maxiter: int) -> np.ndarray:
         kept = keep
 
 
-def min_eigenvalue(
-    h: OperatorMatrix,
-    dense_sites: int = Caps.dense_sites,
-    maxiter: int | None = None,
-) -> SpectralResult:
+def min_eigenvalue(h: OperatorMatrix, dense_sites: int = Caps.dense_sites) -> SpectralResult:
     """Smallest eigenvalue of a Hermitian operator.
 
     Arithmetic is real when every entry has a zero imaginary part.  On at
     most dense_sites sites the operator is split into the connected
     components of its flip graph (H couples m only to m XOR C), numbered by
-    smallest mask; each block is assembled dense from the flip terms and its lowest
-    eigenvalue decides the winner.  Below SUBSET_EIGH_MIN_BLOCK states a
-    block is solved by numpy alone, values first, and the winner's
-    eigenvector comes from one step of inverse iteration at its eigenvalue;
-    larger blocks go to scipy's one-eigenpair eigh.  Above the cap,
-    thick-restart Lanczos on H itself, with numpy and the flip-term product
-    alone, finds the lowest eigenvector from a fixed-seed random start
-    vector (see _lanczos_lowest), and the eigenvalue is its Rayleigh
-    quotient on H.  The residual is always measured against the full H,
-    which also proves the blocks closed.
+    smallest mask; each block is filled dense from the rows of
+    h.row_table, the table apply reads, and its lowest eigenvalue decides
+    the winner.  Below SUBSET_EIGH_MIN_BLOCK states a block is solved by
+    numpy alone, values first, and the winner's eigenvector comes from one
+    step of inverse iteration at its eigenvalue; larger blocks go to
+    scipy's one-eigenpair eigh.  Above the cap, thick-restart Lanczos on H
+    itself, with numpy and the flip-term product alone, finds the lowest
+    eigenvector from a fixed-seed random start vector (see
+    _lanczos_lowest), and the eigenvalue is its Rayleigh quotient on H.
+    The residual is always measured against the full H, which also proves
+    the blocks closed.
 
-    maxiter bounds the number of products with H on the iterative route;
-    None means LANCZOS_MAX_PRODUCTS.  Raises NonHermitianError on
-    non-Hermitian input and ConvergenceError if the iterative route does
-    not converge within that budget.
+    Raises NonHermitianError on non-Hermitian input and ConvergenceError
+    if the iterative route does not converge within LANCZOS_MAX_PRODUCTS
+    products with H.
     """
     if not h.is_hermitian:
         raise NonHermitianError(
             "smallest-eigenvalue computation requires a Hermitian matrix"
         )
-    real = h.is_real
     dim = h.dim
     if h.n_sites <= dense_sites:
         _, labels = np.unique(flip_graph_labels(h), return_inverse=True)
         n_blocks = int(labels.max()) + 1
         order = np.argsort(labels, kind="stable")
         bounds = np.searchsorted(labels[order], np.arange(n_blocks + 1))
-        # Every nonzero entry as (row, column) positions in block order,
-        # sorted by column so that each block's entries form one slice.
         position = np.empty(dim, dtype=np.int64)
         position[order] = np.arange(dim)
-        rows, cols, vals = h.nonzero_entries()
-        rows, cols = position[rows], position[cols]
-        by_col = np.argsort(cols)
-        rows, cols = rows[by_col], cols[by_col]
-        vals = vals.real[by_col] if real else vals[by_col]
-        cuts = np.searchsorted(cols, bounds)
+        # Each block's rows come off the row table.  Nonzero entries never
+        # leave their block; a zero may sit in a column of another block,
+        # so only nonzero entries are placed.
+        columns, entries = h.row_table
         lam, best = math.inf, None
-        for start, stop, lo, hi in zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:]):
-            block = np.zeros((stop - start, stop - start), dtype=vals.dtype)
-            block[rows[lo:hi] - start, cols[lo:hi] - start] = vals[lo:hi]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            members = order[start:stop]
+            values = entries[:, members]
+            terms, rows = np.nonzero(values)
+            block = np.zeros((stop - start, stop - start), dtype=entries.dtype)
+            cols = position[columns[terms, members[rows]]] - start
+            block[rows, cols] = values[terms, rows]
             low, block_vec = _block_minimum(block)
             if low < lam:
                 lam, best = low, (start, stop, block, block_vec)
@@ -321,9 +316,7 @@ def min_eigenvalue(
         vec[order[start:stop]] = block_vec
         method, blocks, largest_block = "dense", n_blocks, int(np.diff(bounds).max())
     else:
-        vec = _lanczos_lowest(
-            h, LANCZOS_MAX_PRODUCTS if maxiter is None else maxiter
-        )
+        vec = _lanczos_lowest(h)
         lam = float(np.vdot(vec, apply(h, vec)).real)
         method, blocks, largest_block = "iterative", 1, dim
     residual = float(np.linalg.norm(apply(h, vec) - lam * vec))

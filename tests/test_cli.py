@@ -167,6 +167,51 @@ def test_lattice_cap_above_64_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, flag, field",
+    [
+        ({"mc": {"seed": -1}}, [], "mc.seed"),
+        ({"checks": {"seed": -1}}, [], "checks.seed"),
+        ({}, ["--seed", "-1"], "--seed"),
+    ],
+    ids=["mc.seed", "checks.seed", "flag"],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, overrides, flag, field):
+    # each used to end in numpy's "expected non-negative integer" traceback
+    # with exit 1, the status verify keeps for a failed check
+    path = _write_config(tmp_path, _config(lattice={"d": 1, "L": 4}, **overrides))
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(path), "--out", str(out), *flag]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "ConfigError" and f"'{field}'" in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lattice, wanted",
+    [
+        # 3^10000 once overflowed the digit limit while formatting its message
+        ('{"d": 10000, "L": 3}', "L^d"),
+        # 2^1000 once printed a 302-digit site count
+        ('{"d": 1000, "L": 2}', "L^d"),
+        # an integer literal past the 4300-digit limit once escaped json.loads
+        # as a bare ValueError
+        ('{"d": 1, "L": 1' + "0" * 5000 + "}", "not valid JSON"),
+    ],
+    ids=["3^10000", "2^1000", "5001-digit-L"],
+)
+def test_oversized_lattice_integers_exit_2(tmp_path, capsys, lattice, wanted):
+    text = json.dumps(_config(lattice="LATTICE")).replace('"LATTICE"', lattice)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["build", "--config", str(path), "--out", str(out)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "ConfigError" and wanted in error["message"]
+    assert len(error["message"]) < 200
+    assert not out.exists()
+
+
 def test_unknown_caps_key_exit_2(tmp_path, capsys):
     # a misspelt cap used to parse silently to the default caps
     doc = _config(caps={"enumeration_site": 8, "dense": 4})
@@ -507,7 +552,9 @@ def test_verify_golden_report_iterative_route(tmp_path):
 
 
 def _error_of(capsys) -> dict:
-    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
 
 
 def test_verify_overflow_exits_2_with_named_error(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """The flip-term operator against its CSR view.
 
-Each OperatorMatrix the package assembles computes its products, norms,
-Hermitian flag, entrywise differences and flip-graph blocks from the flip
-terms with numpy; the CSR form from OperatorMatrix.mat is the independent
-reference here.
+Each OperatorMatrix the package assembles computes its norms, Hermitian
+flag, entrywise differences and flip-graph blocks from the flip terms with
+numpy, and its products and dense eigensolver blocks from its row table;
+the CSR form from OperatorMatrix.mat is the independent reference here.
+Products match CSR bit for bit unless both the operator and the vector
+are complex, where they agree within a stated rounding bound.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from scipy.sparse.csgraph import connected_components
 from gibbs_ground import apply, product_operator, xxz_hamiltonian
 from gibbs_ground.errors import ConstraintError
 from gibbs_ground.models import _flip_form_h, offdiagonal_from_couplings
+from gibbs_ground.verify import min_eigenvalue
 from gibbs_ground.operators import (
     HERMITIAN_RTOL,
     flip_graph_labels,
@@ -54,14 +57,32 @@ def _csr_max_abs(mat) -> float:
 
 
 @pytest.mark.parametrize("flavor", sorted(FAMILY_SEEDS))
-def test_products_match_csr_bit_for_bit(flavor):
+def test_products_match_csr_bitwise_unless_both_complex(flavor):
+    # With a real operator or a real vector every product rounds once and
+    # each row is summed in CSR's column order, so the bits agree.  A
+    # complex operator times a complex vector may fuse a multiply-add inside
+    # each complex product.  Either side then errs by at most
+    # (terms + 2 sqrt 2) * eps/2 * S per entry, with S = max_m sum_C
+    # |d_C||v| (recursive summation plus one complex product), so the two
+    # differ by less than (terms + 2) * eps * S.
+    eps = np.finfo(float).eps
+    compared = {"bitwise": 0, "bounded": 0}
     for model, ops in _family_operators(flavor):
         rng = np.random.default_rng(model.lattice.n_sites)
         real = rng.standard_normal(model.h.dim)
         vectors = [real, real + 1j * rng.standard_normal(model.h.dim), model.state]
         for name, op in ops.items():
             for v in vectors:
-                assert apply(op, v).tobytes() == (op.mat @ v).tobytes(), name
+                got, want = apply(op, v), op.mat @ v
+                if op.is_real or not np.iscomplexobj(v):
+                    assert got.tobytes() == want.tobytes(), name
+                    compared["bitwise"] += 1
+                else:
+                    scale = float((abs(op.mat) @ abs(v)).max())
+                    bound = (len(op.terms) + 2) * eps * scale
+                    assert np.abs(got - want).max() <= bound, name
+                    compared["bounded"] += 1
+    assert min(compared.values()) > 0
 
 
 @pytest.mark.parametrize("flavor", sorted(FAMILY_SEEDS))
@@ -109,6 +130,25 @@ def test_flip_graph_labels_by_hand():
     op = flip_operator(3, [(0b001, x0), (0b110, x12), (0, np.arange(8.0))])
     assert flip_graph_labels(op).tolist() == [0, 0, 2, 2, 4, 4, 0, 7]
     assert flip_graph_labels(flip_operator(2, [])).tolist() == [0, 1, 2, 3]
+
+
+def test_min_eigenvalue_blocks_by_hand():
+    # A complex Hermitian version of the operator above: the same flip graph
+    # (now d[6] = conj(d[0]) for X on {1, 2}), so the row table holds zeros
+    # whose columns lie in other blocks, e.g. row 6 at column 7 and row 2 at
+    # column 4.  A block filled transposed would be the complex conjugate:
+    # the same eigenvalues, but an eigenvector whose residual on H is large.
+    phase = np.exp(0.3j)
+    x0 = np.array([phase, phase.conjugate()] * 3 + [0, 0])
+    x12 = np.zeros(8, dtype=complex)
+    x12[0], x12[6] = 2.0 - 1.0j, 2.0 + 1.0j
+    op = flip_operator(3, [(0b001, x0), (0b110, x12), (0, np.arange(8.0))])
+    assert op.is_hermitian and not op.is_real
+    result = min_eigenvalue(op)
+    assert (result.method, result.blocks, result.largest_block) == ("dense", 4, 3)
+    want = np.linalg.eigvalsh(op.to_dense())[0]
+    assert want < 0 and abs(result.eigenvalue - want) <= 1e-14 * op.norm_max
+    assert result.residual <= 1e-14 * op.norm_max
 
 
 def test_sum_and_difference_read_a_missing_term_as_zeros():

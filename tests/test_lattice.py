@@ -93,8 +93,6 @@ def test_masks_roundtrip():
     assert mask_from_sites([]) == 0
     with pytest.raises(ConstraintError):
         mask_from_sites([1, 1])
-    with pytest.raises(ConstraintError):
-        mask_from_sites([4], n_sites=4)
 
 
 @given(st.sets(st.integers(min_value=0, max_value=30)))

@@ -278,13 +278,14 @@ def test_min_eigenvalue_iterative_near_degenerate_ground_pair():
 
 
 def test_min_eigenvalue_iterative_budget_raises_convergence_error(monkeypatch):
-    # Negative control: maxiter counts products with H, and 5 of them
+    # Negative control: the budget counts products with H, and 5 of them
     # cannot resolve the lowest of 256 eigenvalues.
     h = _near_degenerate_operator(256)
     products = []
     monkeypatch.setattr(verify, "apply", lambda op, v: products.append(1) or apply(op, v))
+    monkeypatch.setattr(verify, "LANCZOS_MAX_PRODUCTS", 5)
     with pytest.raises(ConvergenceError, match="within 5 products"):
-        min_eigenvalue(h, dense_sites=4, maxiter=5)
+        min_eigenvalue(h, dense_sites=4)
     assert len(products) == 5
 
 
