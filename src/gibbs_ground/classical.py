@@ -21,7 +21,12 @@ terms and sites that see only low bits are taken once and reused in every
 chunk (_Enumeration).  partition_function, max_abs_flip_energy,
 order_parameter_averages and the operators of a ModelInstance (one chunk
 over all masks) run on it; gibbs_averages, the independent witness, decodes
-spins.  Observables ("configuration functionals") for the generic routes and
+spins.  The kernel's scans run their chunks on worker threads, one per
+usable CPU (_scan).  Each chunk's sums go through np.add.reduce, whose
+pairwise order is fixed, and the chunks' partial sums are added left to
+right in chunk order, on both routes: no value depends on the worker count
+or on the BLAS thread count, and the two routes agree bit for bit.
+Observables ("configuration functionals") for the generic routes and
 for Metropolis are vectorized callables taking a (nconf, n) spins array and
 returning a length-nconf float array.
 """
@@ -30,6 +35,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -48,13 +55,20 @@ from .lattice import (
 )
 
 # Enumeration runs over chunks of 2^_CHUNK_BITS configuration masks (one
-# chunk of 2^n below that), which bounds its memory at tens of MB at the cap.
-_CHUNK_BITS = 18
+# chunk of 2^n below that): 512 KiB per float64 array, so that a chunk's
+# arrays stay in cache.  An exact order-parameter scan holds a few MiB per
+# worker thread (4.6 MiB for 3 alphas and 2 pairs) at any n.
+_CHUNK_BITS = 16
+
+# Worker threads of an exact scan (_scan), the calling thread included;
+# None means one per CPU the process may use.  Never more than the chunks,
+# and no value depends on it.
+_WORKERS: int | None = None
 
 # Alphas reweighted together by one accumulation pass of the exact order-
 # parameter scan; each holds two chunk-sized arrays (its cached site-flip
-# prefix and its accumulator), so a longer grid takes further passes
-# instead of more memory.
+# prefix, which the workers share, and each worker's accumulator), so a
+# longer grid takes further passes instead of more memory.
 _ALPHA_GROUP = 8
 
 _BATCHES = 32  # batch means behind a Metropolis standard error
@@ -175,12 +189,13 @@ class _Enumeration:
     lo < 2^c: the chunks of _mask_chunks at the default, and all 2^n masks
     in order, one chunk, at chunk_bits = n (ModelInstance.enumeration).  There
     the monomial of term B is eps * row(B), where row(B) is the sign row of
-    B's low bits over lo, built once, and eps = (-1)^popcount((k << c) & B).
-    chunks() folds eps into the coefficients (chunk 0 until it first runs):
-    (-c)*row and c*(-row) are the same +-c exactly.  A term without high
-    bits has eps = 1 in every chunk, so the energy over the leading run of
-    such terms is summed once, and every chunk copies it and adds the
-    remaining terms in term order, as value_many does.
+    B's low bits over lo, built once, and eps = (-1)^popcount((k << c) & B),
+    which _Chunk folds into the coefficients.  A term without high bits has
+    eps = 1 in every chunk, so the energy over the leading run of such terms
+    is summed once, and every chunk copies it and adds the remaining terms in
+    term order, as value_many does.  Worker threads share it: after __init__
+    only the scratch of first changes, under energy() and flip_energy(),
+    which the calling thread alone uses.
     """
 
     def __init__(self, potential: ClassicalPotential, chunk_bits: int | None = None):
@@ -188,17 +203,16 @@ class _Enumeration:
         self.bits = min(self.n_sites, _CHUNK_BITS if chunk_bits is None else chunk_bits)
         self.size = 1 << self.bits
         self.low = self.size - 1
+        self.chunk_count = 1 << (self.n_sites - self.bits)
         self.masks = [mask for mask, _ in potential.terms]
         self.base = [coeff for _, coeff in potential.terms]
-        self.coeffs = list(self.base)
-        self.high = 0
         self.rows = self.low_rows(self.masks)
-        # Scratch of term_sum, free for callers between kernel calls.
-        self.tmp = self.buffer()
         self.prefix = _leading_run(self.is_low(mask) for mask in self.masks)
-        self.energy_prefix = (
-            self.term_sum(range(self.prefix), None, self.buffer()) if self.prefix else None
-        )
+        self.energy_prefix = None
+        # Chunk 0 has eps = 1 everywhere, so it also sums the cached prefix.
+        self.first = _Chunk(self, 0)
+        if self.prefix:
+            self.energy_prefix = self.first._term_sum(range(self.prefix), None, self.buffer())
 
     def buffer(self) -> np.ndarray:
         return np.empty(self.size)
@@ -216,30 +230,51 @@ class _Enumeration:
         """Indices of the terms whose flip energy over sites_mask is nonzero."""
         return [t for t, mask in enumerate(self.masks) if (mask & sites_mask).bit_count() & 1]
 
-    def chunks(self):
-        """Select each chunk in turn; yield the popcount of its high bits."""
-        for k in range(1 << (self.n_sites - self.bits)):
-            self.high = k << self.bits
-            self.coeffs = [-c if self.odd(mask) else c for mask, c in zip(self.masks, self.base)]
-            yield k.bit_count()
+    def energy(self, out: np.ndarray) -> np.ndarray:
+        """U over the first chunk, which is every mask at chunk_bits >= n."""
+        return self.first._energy(out)
 
-    def odd(self, mask: int) -> bool:
+    def flip_energy(self, terms, out: np.ndarray) -> np.ndarray:
+        """W_A over the first chunk, given A's odd_terms."""
+        return self.first._flip_energy(terms, out)
+
+
+class _Chunk:
+    """Chunk k of an _Enumeration: its sign selection and its scratch.
+
+    Every chunk gets its own, so chunks run on worker threads at once.  The
+    methods are underscore-named because worker threads call them: the
+    benchmark's tracer wraps the public methods of this module on one span
+    stack.
+    """
+
+    def __init__(self, enum: _Enumeration, k: int):
+        self.enum = enum
+        self.high = k << enum.bits
+        self.high_popcount = k.bit_count()
+        # eps folded in: (-c)*row and c*(-row) are the same +-c exactly.
+        self.coeffs = [-c if self._odd(mask) else c for mask, c in zip(enum.masks, enum.base)]
+        # Scratch of _term_sum, free for callers between kernel calls.
+        self.tmp = np.empty(enum.size)
+
+    def _odd(self, mask: int) -> bool:
         """True when the monomial of mask is eps = -1 times its low row here."""
         return bool((self.high & mask).bit_count() & 1)
 
-    def term_sum(self, terms, start, out: np.ndarray) -> np.ndarray:
+    def _term_sum(self, terms, start, out: np.ndarray) -> np.ndarray:
         """start + sum_t c_t row_t over the terms in order (start None is
         zeros, as in value_many); returns out, or start if no terms."""
+        rows = self.enum.rows
         for t in terms:
             coeff = self.coeffs[t]
             if start is None:
                 # 0.0 + c*row is c*row, except that it is +0.0 where c is zero.
                 if coeff:
-                    np.multiply(self.rows[t], coeff, out=out)
+                    np.multiply(rows[t], coeff, out=out)
                 else:
                     out.fill(0.0)
             else:
-                np.multiply(self.rows[t], coeff, out=self.tmp)
+                np.multiply(rows[t], coeff, out=self.tmp)
                 np.add(start, self.tmp, out=out)
             start = out
         if start is None:
@@ -247,13 +282,78 @@ class _Enumeration:
             return out
         return start
 
-    def energy(self, out: np.ndarray) -> np.ndarray:
-        """U over the selected chunk (the cached prefix itself if it is all)."""
-        return self.term_sum(range(self.prefix, len(self.masks)), self.energy_prefix, out)
+    def _energy(self, out: np.ndarray) -> np.ndarray:
+        """U over the chunk (the cached prefix itself if it is all)."""
+        enum = self.enum
+        return self._term_sum(range(enum.prefix, len(enum.masks)), enum.energy_prefix, out)
 
-    def flip_energy(self, terms, out: np.ndarray) -> np.ndarray:
-        """W_A over the selected chunk, given A's odd_terms."""
-        return np.multiply(self.term_sum(terms, None, out), -2.0, out=out)
+    def _flip_energy(self, terms, out: np.ndarray) -> np.ndarray:
+        """W_A over the chunk, given A's odd_terms."""
+        return np.multiply(self._term_sum(terms, None, out), -2.0, out=out)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _scan(enum: _Enumeration, start_worker) -> list:
+    """Every chunk's result, in chunk order, computed on worker threads.
+
+    Each worker calls start_worker() once for a function of a _Chunk, which
+    owns that worker's buffers, and applies it to the chunks it takes.  The
+    workers are the calling thread and _WORKERS - 1 more (one per usable
+    CPU by default), never more than the chunks, so one chunk starts no
+    thread.  A worker runs under the caller's numpy error state and must
+    call only underscore-named helpers.  Callers fold the results in chunk
+    order, so no value depends on the worker count.
+    """
+    count = enum.chunk_count
+    workers = min(count, _WORKERS or _usable_cpus())
+    results = [None] * count
+    pending = iter(range(count))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+    errstate = np.geterr()
+
+    def run():
+        try:
+            with np.errstate(**errstate):
+                work = start_worker()
+                while not errors:
+                    with lock:
+                        k = next(pending, None)
+                    if k is None:
+                        return
+                    results[k] = work(_Chunk(enum, k))
+        except BaseException as exc:  # raised again below, once every worker stopped
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    run()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _in_order(partials):
+    """The chunks' partial sums added left to right in chunk order (not
+    sum(), which compensates float sums from Python 3.12 on)."""
+    total = 0.0
+    for partial in partials:
+        total = total + partial
+    return total
+
+
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> float:
+    """sum_i a_i b_i within one chunk, in np.add.reduce's fixed pairwise
+    order (a BLAS dot splits a long vector across its threads)."""
+    return np.add.reduce(np.multiply(a, b, out=out))
 
 
 def _check_enumerable(n_sites: int, cap: int):
@@ -265,8 +365,11 @@ def _check_enumerable(n_sites: int, cap: int):
 
 
 def _min_energy(enum: _Enumeration) -> float:
-    out = enum.buffer()
-    return min(enum.energy(out).min() for _ in enum.chunks())
+    def start_worker():
+        out = np.empty(enum.size)
+        return lambda chunk: chunk._energy(out).min()
+
+    return min(_scan(enum, start_worker))
 
 
 def _finite(values: list, what: str) -> list:
@@ -291,12 +394,18 @@ def partition_function(
     _check_enumerable(potential.n_sites, cap)
     enum = _Enumeration(potential)
     shift = _min_energy(enum)
-    energy, weights = enum.buffer(), enum.buffer()
-    total = 0.0
-    for _ in enum.chunks():
-        np.subtract(enum.energy(energy), shift, out=weights)
-        np.multiply(weights, -alpha, out=weights)
-        total += np.exp(weights, out=weights).sum()
+
+    def start_worker():
+        weights = np.empty(enum.size)
+
+        def work(chunk):
+            np.subtract(chunk._energy(weights), shift, out=weights)
+            np.multiply(weights, -alpha, out=weights)
+            return np.add.reduce(np.exp(weights, out=weights))
+
+        return work
+
+    total = _in_order(_scan(enum, start_worker))
     try:
         z = float(total) * math.exp(-alpha * shift)
     except OverflowError:
@@ -337,9 +446,9 @@ def gibbs_averages(
         # Functionals read decoded spins: the classical witness of the operators.
         spins = spins_from_masks(masks, potential.n_sites)
         weights = np.exp(-alpha * (potential.value_many(spins) - shift))
-        weight_total += weights.sum()
+        weight_total += np.add.reduce(weights)
         for k, f in enumerate(fs):
-            totals[k] += float(np.dot(weights, np.asarray(f(spins), dtype=np.float64)))
+            totals[k] += _dot(weights, np.asarray(f(spins), dtype=np.float64))
     averages = [t / weight_total for t in totals]
     return _finite(averages, f"a Gibbs average at alpha={alpha:g}")
 
@@ -393,54 +502,63 @@ def order_parameter_averages(
     z_rows = enum.low_rows(z_masks)
     pair_terms = [enum.odd_terms((1 << x) | (1 << y)) for x, y in pairs]
     low_popcount = np.bitwise_count(np.arange(enum.size, dtype=np.uint64))
-    popcount = np.empty(enum.size, dtype=np.uint8)
-    energy, w, weights = enum.buffer(), enum.buffer(), enum.buffer()
-    w_pairs = [enum.buffer() for _ in pairs]
-    t = enum.tmp
     prefix_buffer = np.empty((min(len(alphas), _ALPHA_GROUP), enum.size))
-    sums_buffer = prefix_buffer if site_prefix == n else np.empty_like(prefix_buffer)
+    w_prefix, t_prefix = enum.buffer(), enum.buffer()
     out: list[OrderAverages] = []
     for start in range(0, len(alphas), _ALPHA_GROUP):
         group = alphas[start : start + _ALPHA_GROUP]
         flip_prefix = prefix_buffer[: len(group)]
         flip_prefix.fill(0.0)
-        flip_sums = sums_buffer[: len(group)]
         for x in range(site_prefix):
-            enum.flip_energy(site_terms[x], w)
+            enum.flip_energy(site_terms[x], w_prefix)
             for acc, alpha in zip(flip_prefix, group):
-                np.multiply(w, -0.5 * alpha, out=t)
-                np.add(acc, np.exp(t, out=t), out=acc)
-        weight_totals = [0.0] * len(group)
-        totals = [[0.0] * (2 + 2 * len(pairs)) for _ in group]
-        for high_popcount in enum.chunks():
-            energy_now = enum.energy(energy)
-            for x in range(site_prefix, n):
-                enum.flip_energy(site_terms[x], w)
-                for acc, prefix, alpha in zip(flip_sums, flip_prefix, group):
-                    np.multiply(w, -0.5 * alpha, out=t)
-                    np.add(prefix if x == site_prefix else acc, np.exp(t, out=t), out=acc)
-            for terms, w_pair in zip(pair_terms, w_pairs):
-                enum.flip_energy(terms, w_pair)
-            z_signs = [-1.0 if enum.odd(z) else 1.0 for z in z_masks]
-            # mz^2 = ((n - 2 popcount) / n)^2, into w, which the sites are done with
-            np.add(low_popcount, high_popcount, out=popcount)
-            mz_sq = np.subtract(n, np.multiply(popcount, 2.0, out=w), out=w)
-            np.divide(mz_sq, n, out=mz_sq)
-            np.multiply(mz_sq, mz_sq, out=mz_sq)
-            for k, alpha in enumerate(group):
-                np.subtract(energy_now, shift, out=weights)
-                np.multiply(weights, -alpha, out=weights)
-                np.exp(weights, out=weights)
-                weight_totals[k] += weights.sum()
-                row = totals[k]
-                row[0] += float(np.dot(weights, mz_sq))
-                row[1] += float(np.dot(weights, np.divide(flip_sums[k], n, out=t)))
-                for j, (z_row, z_sign, w_pair) in enumerate(zip(z_rows, z_signs, w_pairs)):
-                    row[2 + 2 * j] += float(np.dot(weights, np.multiply(z_row, z_sign, out=t)))
-                    np.multiply(w_pair, -0.5 * alpha, out=t)
-                    row[3 + 2 * j] += float(np.dot(weights, np.exp(t, out=t)))
-        for alpha, row, weight_total in zip(group, totals, weight_totals):
-            v = [s / weight_total for s in row]
+                np.multiply(w_prefix, -0.5 * alpha, out=t_prefix)
+                np.add(acc, np.exp(t_prefix, out=t_prefix), out=acc)
+
+        def start_worker():
+            energy, w, weights = (np.empty(enum.size) for _ in range(3))
+            w_pairs = [np.empty(enum.size) for _ in pairs]
+            popcount = np.empty(enum.size, dtype=np.uint8)
+            flip_sums = flip_prefix if site_prefix == n else np.empty_like(flip_prefix)
+
+            def work(chunk):
+                """Per alpha of the group: the chunk's weight sum, then its
+                weighted sums of mz^2, the mean site flip weight and, per
+                pair, s_x s_y and exp(-(alpha/2) W_{x,y})."""
+                t = chunk.tmp
+                energy_now = chunk._energy(energy)
+                for x in range(site_prefix, n):
+                    chunk._flip_energy(site_terms[x], w)
+                    for acc, prefix, alpha in zip(flip_sums, flip_prefix, group):
+                        np.multiply(w, -0.5 * alpha, out=t)
+                        np.add(prefix if x == site_prefix else acc, np.exp(t, out=t), out=acc)
+                for terms, w_pair in zip(pair_terms, w_pairs):
+                    chunk._flip_energy(terms, w_pair)
+                z_signs = [-1.0 if chunk._odd(z) else 1.0 for z in z_masks]
+                # mz^2 = ((n - 2 popcount) / n)^2, into w, which the sites are done with
+                np.add(low_popcount, chunk.high_popcount, out=popcount)
+                mz_sq = np.subtract(n, np.multiply(popcount, 2.0, out=w), out=w)
+                np.divide(mz_sq, n, out=mz_sq)
+                np.multiply(mz_sq, mz_sq, out=mz_sq)
+                sums = np.empty((len(group), 3 + 2 * len(pairs)))
+                for row, acc, alpha in zip(sums, flip_sums, group):
+                    np.subtract(energy_now, shift, out=weights)
+                    np.multiply(weights, -alpha, out=weights)
+                    np.exp(weights, out=weights)
+                    row[0] = np.add.reduce(weights)
+                    row[1] = _dot(weights, mz_sq, t)
+                    row[2] = _dot(weights, np.divide(acc, n, out=t), t)
+                    for j, (z_row, z_sign, w_pair) in enumerate(zip(z_rows, z_signs, w_pairs)):
+                        row[3 + 2 * j] = _dot(weights, np.multiply(z_row, z_sign, out=t), t)
+                        np.multiply(w_pair, -0.5 * alpha, out=t)
+                        row[4 + 2 * j] = _dot(weights, np.exp(t, out=t), t)
+                return sums
+
+            return work
+
+        for alpha, row in zip(group, _in_order(_scan(enum, start_worker)).tolist()):
+            weight_total, *sums = row
+            v = [s / weight_total for s in sums]
             _finite(v, f"an order parameter at alpha={alpha:g}")
             out.append(
                 OrderAverages(
@@ -461,13 +579,23 @@ def max_abs_flip_energy(
     _check_enumerable(potential.n_sites, cap)
     enum = _Enumeration(potential)
     terms = enum.odd_terms(sites_mask)
-    w = enum.buffer()
-    return float(max(np.abs(enum.flip_energy(terms, w), out=w).max() for _ in enum.chunks()))
+
+    def start_worker():
+        w = np.empty(enum.size)
+        return lambda chunk: np.abs(chunk._flip_energy(terms, w), out=w).max()
+
+    return float(max(_scan(enum, start_worker)))
 
 
 def _validate_alpha(alpha: float):
     if alpha < 0 or not math.isfinite(alpha):
         raise ConstraintError(f"alpha must be a finite nonnegative real, got {alpha}")
+
+
+def _validate_seed(seed: int):
+    """numpy's default_rng raises a bare ValueError on a negative seed."""
+    if seed < 0:
+        raise ConstraintError(f"seed must be nonnegative, got {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +667,7 @@ def metropolis_samples(
         raise ConstraintError("sweeps must be positive")
     if burn_in < 0:
         raise ConstraintError("burn_in must be nonnegative")
+    _validate_seed(seed)
     n = potential.n_sites
     rng = np.random.default_rng(seed)
 

@@ -170,6 +170,8 @@ def parse_config(text: str) -> RunConfig:
         ) from exc
     except ValueError as exc:  # an integer literal beyond Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config is not valid JSON: nested too deeply") from exc
     _require(isinstance(doc, dict), "config root must be a JSON object")
     schema = doc.get("schema")
     _require(

@@ -20,6 +20,7 @@ import numpy as np
 from .classical import (
     ClassicalPotential,
     _mask_chunks,
+    _validate_seed,
     classical_expectation,
     default_burn_in,
     flip_weight,
@@ -437,6 +438,7 @@ def reversibility_check(
     half-weighted vectors.  Weights are evaluated with the potential
     shifted by its minimum, which rescales both sides identically."""
     start = time.perf_counter()
+    _validate_seed(seed)
     shifted = model.shifted_energies
     w = np.exp(-model.alpha * shifted)
     wh = np.exp(-0.5 * model.alpha * shifted)
@@ -488,6 +490,7 @@ def dirichlet_form_check(
     nonnegative.
     """
     start = time.perf_counter()
+    _validate_seed(seed)
     masks, shifted = model.masks, model.shifted_energies
     w = np.exp(-model.alpha * shifted)
     hc = model.h_conjugate
@@ -669,6 +672,7 @@ def verify_model(
     runs under model.caps: a model above caps.quantum_sites stops first,
     with SizeCapError.
     """
+    _validate_seed(seed)
     caps = model.caps
     model.masks  # the model's quantum-cap check, before any enumeration
     report = VerificationReport(model_digest=model.digest(), alpha=model.alpha)

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -365,16 +368,23 @@ def test_enumeration_kernel_equals_decoded_spins_per_chunk(name, bits, monkeypat
     pot, _ = _kernel_case(name)
     enum = classical._Enumeration(pot)
     out = enum.buffer()
-    chunks = 0
-    for _, masks in zip(enum.chunks(), classical._mask_chunks(pot.n_sites), strict=True):
-        spins = spins_from_masks(masks, pot.n_sites)
+    assert enum.chunk_count == 1 << max(0, pot.n_sites - bits)
+    # Selected out of order: each chunk's selection is its own, as on the
+    # worker threads, and the first chunk's stays as it was built.
+    order = list(range(1, enum.chunk_count, 2)) + list(range(0, enum.chunk_count, 2))
+    chunks = list(classical._mask_chunks(pot.n_sites))
+    assert len(chunks) == enum.chunk_count
+    for k in order:
+        chunk = classical._Chunk(enum, k)
+        spins = spins_from_masks(chunks[k], pot.n_sites)
+        assert chunk.high_popcount == bin(k).count("1")
         # compared as bytes, so that a signed zero counts too
-        assert enum.energy(out).tobytes() == pot.value_many(spins).tobytes()
+        assert chunk._energy(out).tobytes() == pot.value_many(spins).tobytes()
         for sites_mask in range(1 << pot.n_sites):
-            got = enum.flip_energy(enum.odd_terms(sites_mask), out)
+            got = chunk._flip_energy(enum.odd_terms(sites_mask), out)
             assert got.tobytes() == pot.flip_energy_many(spins, sites_mask).tobytes()
-        chunks += 1
-    assert chunks == 1 << max(0, pot.n_sites - bits)
+    spins = spins_from_masks(chunks[0], pot.n_sites)
+    assert enum.energy(out).tobytes() == pot.value_many(spins).tobytes()
 
 
 def _decoded_partition_function(pot, alpha):
@@ -412,12 +422,14 @@ def test_mask_native_routes_equal_decoded_routes_across_chunks(name, bits, monke
         assert got == gibbs_averages(fs, pot, alpha)
 
 
-def test_order_parameter_scan_peak_memory_at_19_sites():
-    # The scan holds per chunk of 2^18 masks: the low-bit sign rows (one
-    # byte per term and mask), the cached energy, U, the weights, mz^2 and
-    # a scratch array, W_{x,y} per pair, and the cached site-flip prefix
-    # and accumulator per alpha: 31.6 MiB here with numpy 2.4.  Evaluating
-    # a full sign table per chunk instead peaked at 34.0 MiB.
+def test_order_parameter_scan_peak_memory_at_19_sites(monkeypatch):
+    # Each worker holds per chunk of 2^16 masks U, W_x (later mz^2), the
+    # weights, W_{x,y} per pair, a site-flip accumulator per alpha, the
+    # chunk's scratch and its popcounts: 4.6 MiB here.  The workers share
+    # the low-bit sign rows (one byte per term and mask), the cached energy
+    # and the cached site-flip prefix per alpha.  Two workers peak at 14.1
+    # MiB with numpy 2.4; the bound leaves 1.4 MiB.
+    monkeypatch.setattr(classical, "_WORKERS", 2)
     pot = ClassicalPotential.ising_nn(build_hypercube(1, 19), 1.0)
     tracemalloc.start()
     try:
@@ -425,7 +437,126 @@ def test_order_parameter_scan_peak_memory_at_19_sites():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 33 * 2**20
+    assert peak < 15.5 * 2**20
+
+
+def _threads_started(monkeypatch) -> list:
+    """A list that records every thread the scans start."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(classical.threading, "Thread", Recorded)
+    return started
+
+
+def _order_parameter_bytes(pot, pairs) -> bytes:
+    values = []
+    for avg in order_parameter_averages(pot, KERNEL_ALPHAS, pairs):
+        values += [avg.mz_sq, avg.mx, *avg.sz_sz, *avg.sx_sx]
+    return np.array(values).tobytes()
+
+
+def _scan_bytes(pot, pairs) -> bytes:
+    """Every exact scan of the kernel on pot, as the bytes of its values."""
+    values = [partition_function(pot, alpha) for alpha in (0.0, 0.7, 3.1)]
+    values += [max_abs_flip_energy(pot, m) for m in range(1 << pot.n_sites)]
+    return _order_parameter_bytes(pot, pairs) + np.array(values).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_POTENTIALS))
+def test_scans_equal_bit_for_bit_on_one_and_two_workers(name, monkeypatch):
+    monkeypatch.setattr(classical, "_CHUNK_BITS", 2)
+    pot, pairs = _kernel_case(name)
+    started = _threads_started(monkeypatch)
+    monkeypatch.setattr(classical, "_WORKERS", 1)
+    one = _scan_bytes(pot, pairs)
+    assert started == []
+    monkeypatch.setattr(classical, "_WORKERS", 2)
+    assert _scan_bytes(pot, pairs) == one
+    # one thread beside the caller per scan: the shift and two alpha groups
+    # of the order parameters, shift and sum per Z, and each max |W_A|
+    assert len(started) == 3 + 2 * 3 + (1 << pot.n_sites)
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_scan_stress_more_workers_than_cpus(monkeypatch):
+    # 64 chunks on 8 workers that switch as often as the interpreter lets
+    # them: each chunk must be taken once and its result kept in its slot.
+    monkeypatch.setattr(classical, "_CHUNK_BITS", 1)
+    monkeypatch.setattr(classical, "_WORKERS", 8)
+    pot, pairs = _kernel_case("prefix_mid_lattice")
+    enum = classical._Enumeration(pot)
+    taken = []
+
+    def start_worker():
+        return lambda chunk: taken.append(chunk.high) or chunk.high
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = classical._scan(enum, start_worker)
+        stressed = _order_parameter_bytes(pot, pairs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [k << 1 for k in range(64)]
+    assert sorted(taken) == results
+    monkeypatch.setattr(classical, "_WORKERS", 1)
+    assert stressed == _order_parameter_bytes(pot, pairs)
+
+
+def test_scan_workers_are_the_usable_cpus_capped_by_the_chunks(monkeypatch):
+    started = _threads_started(monkeypatch)
+    monkeypatch.setattr(classical, "_usable_cpus", lambda: 3)
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, 6), 1.0)
+    # partition_function scans twice: the shift, then the sum
+    for bits, threads_per_scan in [(6, 0), (5, 1), (2, 2)]:
+        monkeypatch.setattr(classical, "_CHUNK_BITS", bits)
+        started.clear()
+        partition_function(pot, 1.0)
+        assert len(started) == 2 * threads_per_scan, bits
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    monkeypatch.delattr(classical.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(classical.os, "cpu_count", lambda: 5)
+    assert classical._usable_cpus() == 5
+    monkeypatch.setattr(classical.os, "cpu_count", lambda: None)
+    assert classical._usable_cpus() == 1
+
+
+def test_scan_worker_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(classical, "_CHUNK_BITS", 2)
+    monkeypatch.setattr(classical, "_WORKERS", 2)
+    started = _threads_started(monkeypatch)
+    energy = classical._Chunk._energy
+
+    def failing(chunk, out):
+        if chunk.high:
+            raise MemoryError("chunk")
+        return energy(chunk, out)
+
+    monkeypatch.setattr(classical._Chunk, "_energy", failing)
+    with pytest.raises(MemoryError, match="chunk"):
+        partition_function(ClassicalPotential.ising_nn(build_hypercube(1, 6), 1.0), 1.0)
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def test_scan_workers_keep_the_callers_numpy_error_state(monkeypatch):
+    # exp(-(alpha/2) W) overflows at alpha=800 inside the workers; the scan
+    # silences that, and the non-finite average ends in a named error.
+    monkeypatch.setattr(classical, "_CHUNK_BITS", 2)
+    monkeypatch.setattr(classical, "_WORKERS", 2)
+    started = _threads_started(monkeypatch)
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, 8), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericRangeError, match="alpha=800"):
+            order_parameter_averages(pot, [1.0, 800.0], [(0, 3)])
+    assert started
 
 
 def test_order_parameter_averages_cap_and_alpha_validation():
@@ -527,6 +658,13 @@ def test_metropolis_rejects_negative_burn_in():
         metropolis_samples(pot, 1.0, sweeps=8, burn_in=-5, seed=0)
     with pytest.raises(ConstraintError, match="burn_in"):
         metropolis_samples(pot, 1.0, sweeps=8, burn_in=-1, seed=0)
+
+
+def test_metropolis_rejects_a_negative_seed():
+    # numpy's default_rng used to raise a bare ValueError here
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, 4), 1.0)
+    with pytest.raises(ConstraintError, match="seed must be nonnegative, got -3"):
+        metropolis_samples(pot, 1.0, sweeps=8, burn_in=1, seed=-3)
 
 
 def test_default_burn_in_is_a_tenth_of_the_sweeps():

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -212,6 +215,17 @@ def test_oversized_lattice_integers_exit_2(tmp_path, capsys, lattice, wanted):
     assert not out.exists()
 
 
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    # json.loads used to let its RecursionError escape: a traceback, exit 1
+    path = tmp_path / "config.json"
+    path.write_text("[" * 100000)
+    out = tmp_path / "out"
+    assert cli.main(["build", "--config", str(path), "--out", str(out)]) == 2
+    error = _error_of(capsys)
+    assert error == {"error": "ConfigError", "message": "config is not valid JSON: nested too deeply"}
+    assert not out.exists()
+
+
 def test_unknown_caps_key_exit_2(tmp_path, capsys):
     # a misspelt cap used to parse silently to the default caps
     doc = _config(caps={"enumeration_site": 8, "dense": 4})
@@ -397,15 +411,16 @@ def test_sweep_matches_closed_form(tmp_path):
 
 # sweep.csv of an exact 8-site scan, pinned from the per-alpha enumeration
 # route that preceded the batched one; the batched route must reproduce it
-# byte for byte.
+# byte for byte.  Recaptured once when the exact sums moved from BLAS dot to
+# np.add.reduce (last digits only).
 GOLDEN_SWEEP_L8 = """\
 alpha,x,y,sx_sx,sx_sx_se,sz_sz,sz_sz_se,mz_sq,mz_sq_se,mx,mx_se,method\r
 0.0,0,3,1.0,0.0,0.0,0.0,0.125,0.0,1.0,0.0,exact\r
 0.0,2,7,1.0,0.0,0.0,0.0,0.125,0.0,1.0,0.0,exact\r
-0.5,0,3,0.6974367008496385,0.0,0.09868616656821615,0.0,0.28997453880885893,0.0,0.811540520716964,0.0,exact\r
-0.5,2,7,0.6974367008496385,0.0,0.02107465459554468,0.0,0.28997453880885893,0.0,0.811540520716964,0.0,exact\r
-1.5,0,3,0.07681767569418936,0.0,0.7415819550010926,0.0,0.7832831855867369,0.0,0.24180398792830657,0.0,exact\r
-1.5,2,7,0.07681767569418937,0.0,0.6075731724264168,0.0,0.7832831855867369,0.0,0.24180398792830657,0.0,exact\r
+0.5,0,3,0.6974367008496386,0.0,0.09868616656821615,0.0,0.28997453880885893,0.0,0.8115405207169641,0.0,exact\r
+0.5,2,7,0.6974367008496385,0.0,0.021074654595544844,0.0,0.28997453880885893,0.0,0.8115405207169641,0.0,exact\r
+1.5,0,3,0.07681767569418939,0.0,0.7415819550010928,0.0,0.783283185586737,0.0,0.24180398792830657,0.0,exact\r
+1.5,2,7,0.07681767569418936,0.0,0.6075731724264167,0.0,0.783283185586737,0.0,0.24180398792830657,0.0,exact\r
 """
 
 
@@ -416,6 +431,32 @@ def test_sweep_golden_csv(tmp_path):
     path = _write_config(tmp_path, doc)
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "sweep.csv").read_bytes() == GOLDEN_SWEEP_L8.encode()
+
+
+def test_sweep_bytes_ignore_blas_threads(tmp_path):
+    # An 18-site exact scan: four chunks of 2^16 masks on the worker
+    # threads.  A BLAS dot of a whole chunk would split across OpenBLAS's
+    # threads and move the last digits; each run is a fresh interpreter,
+    # since BLAS reads its thread count once, at load.
+    doc = _config(lattice={"d": 1, "L": 18}, pairs=[[0, 5], [4, 12]])
+    del doc["alpha"]
+    doc["alphas"] = [0.5, 2.0]
+    path = _write_config(tmp_path, doc)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        code = (
+            "import sys; from gibbs_ground.cli import main; "
+            f"sys.exit(main(['sweep', '--config', {str(path)!r}, '--out', {str(out)!r}]))"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "sweep.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"exact") == 4
 
 
 # A generic model for build: three entries on the union set {0, 1}, odd
@@ -694,19 +735,20 @@ def test_correlate_writes_csv(tmp_path):
 
 # correlations.csv of an exact 10-site scan with a generic potential (a
 # constant, a field, a 3-body term and nonuniform bonds), pinned before the
-# size caps moved onto the model.  At 10 sites every np.dot is 1024 entries
-# long, too short for OpenBLAS to split across threads.
+# size caps moved onto the model and recaptured once when the exact sums
+# moved from BLAS dot to np.add.reduce (last digits only).  No exact sum
+# depends on the BLAS thread count (test_sweep_bytes_ignore_blas_threads).
 GOLDEN_CORRELATE_L10 = """\
 alpha,x,y,sx_sx,sx_sx_se,sz_sz,sz_sz_se,method\r
 0.0,1,2,1.0,0.0,0.0,0.0,exact\r
 0.0,3,8,1.0,0.0,0.0,0.0,exact\r
 0.0,0,9,1.0,0.0,0.0,0.0,exact\r
-0.75,1,2,0.7229097391942328,0.0,0.5556043219059277,0.0,exact\r
-0.75,3,8,0.6631518139757737,0.0,0.026660399300736718,0.0,exact\r
-0.75,0,9,0.7259386270372054,0.0,1.3495202827874417e-17,0.0,exact\r
-2.0,1,2,0.13205157271336793,0.0,0.9636424007689889,0.0,exact\r
-2.0,3,8,0.06828205630863411,0.0,0.49369204741781375,0.0,exact\r
-2.0,0,9,0.1307079444957336,0.0,9.133105388403134e-19,0.0,exact\r
+0.75,1,2,0.722909739194233,0.0,0.5556043219059277,0.0,exact\r
+0.75,3,8,0.663151813975774,0.0,0.026660399300736725,0.0,exact\r
+0.75,0,9,0.7259386270372054,0.0,-3.6752892807828196e-17,0.0,exact\r
+2.0,1,2,0.13205157271336793,0.0,0.963642400768989,0.0,exact\r
+2.0,3,8,0.0682820563086341,0.0,0.4936920474178138,0.0,exact\r
+2.0,0,9,0.1307079444957336,0.0,1.3360428453892585e-16,0.0,exact\r
 """
 
 

@@ -501,6 +501,14 @@ def test_randomized_checks_reject_zero_trials(check):
         check(model, trials=0)
 
 
+@pytest.mark.parametrize("check", [reversibility_check, dirichlet_form_check, verify_model])
+def test_randomized_checks_reject_a_negative_seed(check):
+    # numpy's default_rng used to raise a bare ValueError here
+    model = _ising_chain_model(4, 1.0)
+    with pytest.raises(ConstraintError, match="seed must be nonnegative, got -1"):
+        check(model, seed=-1)
+
+
 def test_dirichlet_form_nonnegative_for_ferro():
     rng = np.random.default_rng(227)
     for _ in range(6):
