@@ -16,9 +16,10 @@ carry no floating-point cancellation beyond the final sum.
 Exact enumeration evaluates the monomials straight from the bitmasks: the
 monomial of B at configuration m is (-1)^popcount(m & B).  The masks run in
 chunks of 2^_CHUNK_BITS that share their low bits, so each monomial is its
-low-bit sign row, built once, times a sign fixed per chunk, and sums over
+low-bit sign row, built once, times a sign fixed per chunk: sums over
 terms and sites that see only low bits are taken once and reused in every
-chunk (_Enumeration).  partition_function, max_abs_flip_energy,
+chunk, and a term without low bits is one number per chunk
+(_Enumeration).  partition_function, max_abs_flip_energy,
 order_parameter_averages and the operators of a ModelInstance (one chunk
 over all masks) run on it; gibbs_averages, the independent witness, decodes
 spins.  The kernel's scans run their chunks on worker threads, one per
@@ -57,7 +58,9 @@ from .lattice import (
 # Enumeration runs over chunks of 2^_CHUNK_BITS configuration masks (one
 # chunk of 2^n below that): 512 KiB per float64 array, so that a chunk's
 # arrays stay in cache.  An exact order-parameter scan holds a few MiB per
-# worker thread (4.6 MiB for 3 alphas and 2 pairs) at any n.
+# worker thread at any n: four arrays, one per alpha of a pass and one per
+# pair whose W_{x,y} sees high bits (3.6 MiB for 3 alphas and low pairs,
+# whose W_{x,y} the workers share).
 _CHUNK_BITS = 16
 
 # Worker threads of an exact scan (_scan), the calling thread included;
@@ -193,9 +196,10 @@ class _Enumeration:
     which _Chunk folds into the coefficients.  A term without high bits has
     eps = 1 in every chunk, so the energy over the leading run of such terms
     is summed once, and every chunk copies it and adds the remaining terms in
-    term order, as value_many does.  Worker threads share it: after __init__
-    only the scratch of first changes, under energy() and flip_energy(),
-    which the calling thread alone uses.
+    term order, as value_many does.  A term without low bits (flat) has a
+    row of +1s, so it adds the number +-c.  Worker threads share it: after
+    __init__ only the scratch of first changes, under energy() and
+    flip_energy(), which the calling thread alone uses.
     """
 
     def __init__(self, potential: ClassicalPotential, chunk_bits: int | None = None):
@@ -207,10 +211,12 @@ class _Enumeration:
         self.masks = [mask for mask, _ in potential.terms]
         self.base = [coeff for _, coeff in potential.terms]
         self.rows = self.low_rows(self.masks)
+        # A term without low bits has a row of +1s: c*row is the number c.
+        self.flat = [not mask & self.low for mask in self.masks]
         self.prefix = _leading_run(self.is_low(mask) for mask in self.masks)
         self.energy_prefix = None
         # Chunk 0 has eps = 1 everywhere, so it also sums the cached prefix.
-        self.first = _Chunk(self, 0)
+        self.first = _Chunk(self, 0, self.buffer())
         if self.prefix:
             self.energy_prefix = self.first._term_sum(range(self.prefix), None, self.buffer())
 
@@ -226,6 +232,11 @@ class _Enumeration:
         """True when the site set lies in the low bits, the same in every chunk."""
         return mask & self.low == mask
 
+    def _all_low(self, terms) -> bool:
+        """True when the terms lie in the low bits, so that their sums are
+        the same in every chunk."""
+        return all(self.is_low(self.masks[t]) for t in terms)
+
     def odd_terms(self, sites_mask: int) -> list[int]:
         """Indices of the terms whose flip energy over sites_mask is nonzero."""
         return [t for t, mask in enumerate(self.masks) if (mask & sites_mask).bit_count() & 1]
@@ -240,22 +251,24 @@ class _Enumeration:
 
 
 class _Chunk:
-    """Chunk k of an _Enumeration: its sign selection and its scratch.
+    """Chunk k of an _Enumeration: its sign selection and its worker's
+    scratch.
 
-    Every chunk gets its own, so chunks run on worker threads at once.  The
-    methods are underscore-named because worker threads call them: the
-    benchmark's tracer wraps the public methods of this module on one span
-    stack.
+    Chunks on different workers write to nothing they share, so they run at
+    once.  The methods are underscore-named because worker threads call
+    them: the benchmark's tracer wraps the public methods of this module on
+    one span stack.
     """
 
-    def __init__(self, enum: _Enumeration, k: int):
+    def __init__(self, enum: _Enumeration, k: int, tmp: np.ndarray):
         self.enum = enum
         self.high = k << enum.bits
         self.high_popcount = k.bit_count()
         # eps folded in: (-c)*row and c*(-row) are the same +-c exactly.
         self.coeffs = [-c if self._odd(mask) else c for mask, c in zip(enum.masks, enum.base)]
-        # Scratch of _term_sum, free for callers between kernel calls.
-        self.tmp = np.empty(enum.size)
+        # Scratch of _term_sum, one per worker and free for callers between
+        # kernel calls.
+        self.tmp = tmp
 
     def _odd(self, mask: int) -> bool:
         """True when the monomial of mask is eps = -1 times its low row here."""
@@ -264,15 +277,20 @@ class _Chunk:
     def _term_sum(self, terms, start, out: np.ndarray) -> np.ndarray:
         """start + sum_t c_t row_t over the terms in order (start None is
         zeros, as in value_many); returns out, or start if no terms."""
-        rows = self.enum.rows
+        rows, flat = self.enum.rows, self.enum.flat
         for t in terms:
             coeff = self.coeffs[t]
             if start is None:
                 # 0.0 + c*row is c*row, except that it is +0.0 where c is zero.
-                if coeff:
-                    np.multiply(rows[t], coeff, out=out)
-                else:
+                if not coeff:
                     out.fill(0.0)
+                elif flat[t]:
+                    out.fill(coeff)
+                else:
+                    np.multiply(rows[t], coeff, out=out)
+            elif flat[t]:
+                # a row of +1s: c*row is c
+                np.add(start, coeff, out=out)
             else:
                 np.multiply(rows[t], coeff, out=self.tmp)
                 np.add(start, self.tmp, out=out)
@@ -291,6 +309,12 @@ class _Chunk:
         """W_A over the chunk, given A's odd_terms."""
         return np.multiply(self._term_sum(terms, None, out), -2.0, out=out)
 
+    def _flat_flip_energy(self, terms) -> float:
+        """W_A over the chunk, one number, given A's odd_terms, all flat:
+        _flip_energy's sum from 0.0 in the same order, whose first step
+        also turns a -0.0 coefficient into +0.0."""
+        return _in_order(self.coeffs[t] for t in terms) * -2.0
+
 
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
@@ -302,12 +326,13 @@ def _scan(enum: _Enumeration, start_worker) -> list:
     """Every chunk's result, in chunk order, computed on worker threads.
 
     Each worker calls start_worker() once for a function of a _Chunk, which
-    owns that worker's buffers, and applies it to the chunks it takes.  The
-    workers are the calling thread and _WORKERS - 1 more (one per usable
-    CPU by default), never more than the chunks, so one chunk starts no
-    thread.  A worker runs under the caller's numpy error state and must
-    call only underscore-named helpers.  Callers fold the results in chunk
-    order, so no value depends on the worker count.
+    owns that worker's buffers, and applies it to the chunks it takes, each
+    built on the worker's one scratch array.  The workers are the calling
+    thread and _WORKERS - 1 more (one per usable CPU by default), never
+    more than the chunks, so one chunk starts no thread.  A worker runs
+    under the caller's numpy error state and must call only underscore-named
+    helpers.  Callers fold the results in chunk order, so no value depends
+    on the worker count.
     """
     count = enum.chunk_count
     workers = min(count, _WORKERS or _usable_cpus())
@@ -321,12 +346,13 @@ def _scan(enum: _Enumeration, start_worker) -> list:
         try:
             with np.errstate(**errstate):
                 work = start_worker()
+                tmp = np.empty(enum.size)
                 while not errors:
                     with lock:
                         k = next(pending, None)
                     if k is None:
                         return
-                    results[k] = work(_Chunk(enum, k))
+                    results[k] = work(_Chunk(enum, k, tmp))
         except BaseException as exc:  # raised again below, once every worker stopped
             errors.append(exc)
 
@@ -466,6 +492,28 @@ class OrderAverages:
     sx_sx: tuple[float, ...]
 
 
+def _check_pairs(n_sites: int, pairs: Sequence[tuple[int, int]]):
+    """ConstraintError for a pair with a site outside the n sites; a
+    repeated site, as in (5, 5), is a pair."""
+    for pair in pairs:
+        if not all(0 <= site < n_sites for site in pair):
+            raise ConstraintError(f"pair {tuple(pair)} has a site outside the {n_sites} sites")
+
+
+def _site_flip_prefix(enum: _Enumeration, site_terms, group, out: np.ndarray) -> np.ndarray:
+    """Per alpha of the group, sum_x exp(-(alpha/2) W_x) over the first
+    chunk, given each site's odd_terms, into out: the sum in every chunk
+    when those terms lie in the low bits."""
+    out.fill(0.0)
+    w, t = enum.buffer(), enum.first.tmp
+    for terms in site_terms:
+        enum.flip_energy(terms, w)
+        for acc, alpha in zip(out, group):
+            np.multiply(w, -0.5 * alpha, out=t)
+            np.add(acc, np.exp(t, out=t), out=acc)
+    return out
+
+
 # Overflow here ends as a non-finite average, which _finite names, so
 # numpy's warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
@@ -480,44 +528,46 @@ def order_parameter_averages(
     A shift pass finds min U; an accumulation pass (one per _ALPHA_GROUP
     alphas) evaluates U, every W_x and W_{x,y}, mz^2 and the z-pair signs
     once per chunk of configuration masks, and reweights them for every
-    alpha of the group.  Over the leading run of sites whose W_x is the same
-    in every chunk, the sum of exp(-(alpha/2) W_x) is taken once per pass,
-    and each chunk adds the remaining sites to it.  Sums run in the same
-    order as gibbs_averages over squared_magnetization, the mean of the
-    site flip_weights, spin_product and flip_weight, so every value equals
-    that route's bit for bit.  Raises NumericRangeError on a non-finite
-    average.
+    alpha of the group.  A flip energy whose odd terms all lie in the low
+    bits is the same in every chunk: over the leading run of such sites the
+    sum of exp(-(alpha/2) W_x) is taken once per pass, and each chunk adds
+    the remaining sites to it; such a pair's W_{x,y} is evaluated once, into
+    an array the workers share.  A site whose odd terms have no low bits
+    has one W_x per chunk, a number.  Sums run in the same order as
+    gibbs_averages over squared_magnetization, the mean of the site
+    flip_weights, spin_product and flip_weight, so every value equals that
+    route's bit for bit.  Raises ConstraintError on a pair site outside the
+    lattice and NumericRangeError on a non-finite average.
     """
     for alpha in alphas:
         _validate_alpha(alpha)
     _check_enumerable(potential.n_sites, cap)
+    _check_pairs(potential.n_sites, pairs)
     enum = _Enumeration(potential)
     shift = _min_energy(enum)
     n = enum.n_sites
     site_terms = [enum.odd_terms(1 << x) for x in range(n)]
-    site_prefix = _leading_run(
-        all(enum.is_low(enum.masks[t]) for t in terms) for terms in site_terms
-    )
+    site_prefix = _leading_run(enum._all_low(terms) for terms in site_terms)
+    flat_sites = [all(enum.flat[t] for t in terms) for terms in site_terms]
     z_masks = [(1 << x) ^ (1 << y) for x, y in pairs]
     z_rows = enum.low_rows(z_masks)
     pair_terms = [enum.odd_terms((1 << x) | (1 << y)) for x, y in pairs]
+    shared_pairs = [
+        enum.flip_energy(terms, enum.buffer()) if enum._all_low(terms) else None
+        for terms in pair_terms
+    ]
     low_popcount = np.bitwise_count(np.arange(enum.size, dtype=np.uint64))
     prefix_buffer = np.empty((min(len(alphas), _ALPHA_GROUP), enum.size))
-    w_prefix, t_prefix = enum.buffer(), enum.buffer()
     out: list[OrderAverages] = []
     for start in range(0, len(alphas), _ALPHA_GROUP):
         group = alphas[start : start + _ALPHA_GROUP]
-        flip_prefix = prefix_buffer[: len(group)]
-        flip_prefix.fill(0.0)
-        for x in range(site_prefix):
-            enum.flip_energy(site_terms[x], w_prefix)
-            for acc, alpha in zip(flip_prefix, group):
-                np.multiply(w_prefix, -0.5 * alpha, out=t_prefix)
-                np.add(acc, np.exp(t_prefix, out=t_prefix), out=acc)
+        flip_prefix = _site_flip_prefix(
+            enum, site_terms[:site_prefix], group, prefix_buffer[: len(group)]
+        )
 
         def start_worker():
             energy, w, weights = (np.empty(enum.size) for _ in range(3))
-            w_pairs = [np.empty(enum.size) for _ in pairs]
+            w_pairs = [np.empty(enum.size) if s is None else s for s in shared_pairs]
             popcount = np.empty(enum.size, dtype=np.uint8)
             flip_sums = flip_prefix if site_prefix == n else np.empty_like(flip_prefix)
 
@@ -528,12 +578,20 @@ def order_parameter_averages(
                 t = chunk.tmp
                 energy_now = chunk._energy(energy)
                 for x in range(site_prefix, n):
+                    before = flip_prefix if x == site_prefix else flip_sums
+                    if flat_sites[x]:
+                        w_x = chunk._flat_flip_energy(site_terms[x])
+                        for acc, prior, alpha in zip(flip_sums, before, group):
+                            # np.exp, not math.exp, has the bits of the arrays
+                            np.add(prior, np.exp(np.float64(w_x * (-0.5 * alpha))), out=acc)
+                        continue
                     chunk._flip_energy(site_terms[x], w)
-                    for acc, prefix, alpha in zip(flip_sums, flip_prefix, group):
+                    for acc, prior, alpha in zip(flip_sums, before, group):
                         np.multiply(w, -0.5 * alpha, out=t)
-                        np.add(prefix if x == site_prefix else acc, np.exp(t, out=t), out=acc)
-                for terms, w_pair in zip(pair_terms, w_pairs):
-                    chunk._flip_energy(terms, w_pair)
+                        np.add(prior, np.exp(t, out=t), out=acc)
+                for terms, w_pair, shared in zip(pair_terms, w_pairs, shared_pairs):
+                    if shared is None:
+                        chunk._flip_energy(terms, w_pair)
                 z_signs = [-1.0 if chunk._odd(z) else 1.0 for z in z_masks]
                 # mz^2 = ((n - 2 popcount) / n)^2, into w, which the sites are done with
                 np.add(low_popcount, chunk.high_popcount, out=popcount)
@@ -575,8 +633,13 @@ def order_parameter_averages(
 def max_abs_flip_energy(
     potential: ClassicalPotential, sites_mask: int, cap: int = Caps.enumeration_sites
 ) -> float:
-    """max_s |W_A(s)| by exact enumeration."""
+    """max_s |W_A(s)| by exact enumeration; ConstraintError when A is not
+    a set of the potential's sites."""
     _check_enumerable(potential.n_sites, cap)
+    if not 0 <= sites_mask < 1 << potential.n_sites:
+        raise ConstraintError(
+            f"flip set {sites_mask:#x} outside the {potential.n_sites} sites"
+        )
     enum = _Enumeration(potential)
     terms = enum.odd_terms(sites_mask)
 

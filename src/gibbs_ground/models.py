@@ -26,7 +26,6 @@ mismatch raises InternalConsistencyError.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -514,6 +513,7 @@ class ModelInstance:
 
     def digest(self) -> str:
         """Stable hash of the model's defining data."""
+        import hashlib  # only verify needs it, and it maps OpenSSL
         payload = {
             "d": self.lattice.dimension,
             "L": self.lattice.side,

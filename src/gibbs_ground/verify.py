@@ -19,6 +19,7 @@ import numpy as np
 
 from .classical import (
     ClassicalPotential,
+    _check_pairs,
     _mask_chunks,
     _validate_seed,
     classical_expectation,
@@ -586,9 +587,11 @@ def order_parameter_scan(
     model's potential (the z observables directly, the x observables through
     the reweighting exp(-(alpha/2) W)).  Under the model's enumeration cap
     one exact enumeration serves the whole grid; above it each alpha runs a
-    Metropolis chain.
+    Metropolis chain.  A pair site outside the lattice raises
+    ConstraintError on both routes.
     """
     potential, cap = model.potential, model.caps.enumeration_sites
+    _check_pairs(potential.n_sites, pairs)
     if potential.n_sites <= cap:
         return [
             ScanRow(

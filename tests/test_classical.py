@@ -345,6 +345,24 @@ KERNEL_POTENTIALS = {
         ],
     ),
     "ising_chain": (7, [([x, x + 1], -1.0) for x in range(6)]),
+    # At _CHUNK_BITS = 3 the terms [5, 6], [4, 5] and [3, 4, 6] have no low
+    # bits (flat): U adds them as numbers after its cached prefix of three
+    # terms, and W_4 and W_6 are one number per chunk, W_6's sum starting
+    # with the coefficient -0.0.  Sites 0 and 1 are the site prefix; the
+    # pair (0, 1) has a low W, (0, 2) a mixed one and (4, 6) a flat one.
+    "flat_terms": (
+        7,
+        [
+            ([0, 1], -1.0),
+            ([], 0.3),
+            ([1, 2], -0.8),
+            ([2, 3], 0.6),
+            ([5, 6], -0.0),
+            ([4, 5], 0.5),
+            ([3, 4, 6], -0.45),
+            ([2, 5], 0.25),
+        ],
+    ),
     # Fewer sites than the chunk bits: one short chunk, everything cached.
     "below_chunk_bits": (3, [([0, 1, 2], 0.5), ([], -0.25), ([1], 1.0)]),
 }
@@ -375,14 +393,17 @@ def test_enumeration_kernel_equals_decoded_spins_per_chunk(name, bits, monkeypat
     chunks = list(classical._mask_chunks(pot.n_sites))
     assert len(chunks) == enum.chunk_count
     for k in order:
-        chunk = classical._Chunk(enum, k)
+        chunk = classical._Chunk(enum, k, enum.buffer())
         spins = spins_from_masks(chunks[k], pot.n_sites)
         assert chunk.high_popcount == bin(k).count("1")
         # compared as bytes, so that a signed zero counts too
         assert chunk._energy(out).tobytes() == pot.value_many(spins).tobytes()
         for sites_mask in range(1 << pot.n_sites):
-            got = chunk._flip_energy(enum.odd_terms(sites_mask), out)
-            assert got.tobytes() == pot.flip_energy_many(spins, sites_mask).tobytes()
+            terms = enum.odd_terms(sites_mask)
+            want = pot.flip_energy_many(spins, sites_mask).tobytes()
+            assert chunk._flip_energy(terms, out).tobytes() == want
+            if all(enum.flat[t] for t in terms):
+                assert np.full(len(out), chunk._flat_flip_energy(terms)).tobytes() == want
     spins = spins_from_masks(chunks[0], pot.n_sites)
     assert enum.energy(out).tobytes() == pot.value_many(spins).tobytes()
 
@@ -422,22 +443,91 @@ def test_mask_native_routes_equal_decoded_routes_across_chunks(name, bits, monke
         assert got == gibbs_averages(fs, pot, alpha)
 
 
+def _flat_case():
+    n, terms = KERNEL_POTENTIALS["flat_terms"]
+    return ClassicalPotential.from_terms(n, terms), [(0, 1), (0, 2), (4, 6), (3, 3)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_flat_and_low_flip_energies_equal_decoded_spins(workers, monkeypatch):
+    monkeypatch.setattr(classical, "_CHUNK_BITS", 3)
+    monkeypatch.setattr(classical, "_WORKERS", workers)
+    pot, pairs = _flat_case()
+    batched = order_parameter_averages(pot, KERNEL_ALPHAS, pairs)
+    for avg, alpha in zip(batched, KERNEL_ALPHAS):
+        fs = [squared_magnetization(), _mean_site_flip_weight(pot, alpha)]
+        for x, y in pairs:
+            fs += [spin_product(x, y), flip_weight(pot, alpha, (1 << x) | (1 << y))]
+        got = [avg.mz_sq, avg.mx]
+        for zz, xx in zip(avg.sz_sz, avg.sx_sx):
+            got += [zz, xx]
+        assert got == gibbs_averages(fs, pot, alpha)
+
+
+def test_flat_sites_are_numbers_and_low_pairs_are_shared(monkeypatch):
+    # Which flip energies each chunk evaluates as arrays: neither the flat
+    # sites 4 and 6 (numbers per chunk) nor the low pair (0, 1), whose W is
+    # taken once from the first chunk and shared.
+    monkeypatch.setattr(classical, "_CHUNK_BITS", 3)
+    monkeypatch.setattr(classical, "_WORKERS", 2)
+    pot, pairs = _flat_case()
+    enum = classical._Enumeration(pot)
+    arrays, numbers = [], []
+    flip_energy = classical._Chunk._flip_energy
+    flat_flip_energy = classical._Chunk._flat_flip_energy
+
+    def spy_arrays(chunk, terms, out):
+        arrays.append((chunk is chunk.enum.first, tuple(terms)))
+        return flip_energy(chunk, terms, out)
+
+    def spy_numbers(chunk, terms):
+        numbers.append(tuple(terms))
+        return flat_flip_energy(chunk, terms)
+
+    monkeypatch.setattr(classical._Chunk, "_flip_energy", spy_arrays)
+    monkeypatch.setattr(classical._Chunk, "_flat_flip_energy", spy_numbers)
+    order_parameter_averages(pot, KERNEL_ALPHAS, pairs)
+    site = [tuple(enum.odd_terms(1 << x)) for x in range(pot.n_sites)]
+    pair = [tuple(enum.odd_terms((1 << x) | (1 << y))) for x, y in pairs]
+    per_pass = enum.chunk_count
+    passes = 2  # nine alphas, _ALPHA_GROUP 8
+    assert sorted(numbers) == sorted([site[4], site[6]] * per_pass * passes)
+    once = [site[0], site[1]] * passes + [pair[0]]
+    per_chunk = [site[2], site[3], site[5], pair[1], pair[2], pair[3]] * per_pass * passes
+    assert sorted(arrays) == sorted([(True, t) for t in once] + [(False, t) for t in per_chunk])
+
+
 def test_order_parameter_scan_peak_memory_at_19_sites(monkeypatch):
     # Each worker holds per chunk of 2^16 masks U, W_x (later mz^2), the
-    # weights, W_{x,y} per pair, a site-flip accumulator per alpha, the
-    # chunk's scratch and its popcounts: 4.6 MiB here.  The workers share
-    # the low-bit sign rows (one byte per term and mask), the cached energy
-    # and the cached site-flip prefix per alpha.  Two workers peak at 14.1
-    # MiB with numpy 2.4; the bound leaves 1.4 MiB.
+    # weights, its scratch, a site-flip accumulator per alpha and its
+    # popcounts: 3.6 MiB here.  The workers share the low-bit sign rows
+    # (one byte per term and mask), the cached energy, the cached site-flip
+    # prefix per alpha and W_{x,y} of both pairs, whose odd terms lie in the
+    # low bits.  Two workers peak at 12.1 MiB with numpy 2.4; the bound
+    # leaves 1.4 MiB.
     monkeypatch.setattr(classical, "_WORKERS", 2)
     pot = ClassicalPotential.ising_nn(build_hypercube(1, 19), 1.0)
+    assert _scan_peak(pot, [(0, 5), (4, 12)]) < 13.5 * 2**20
+
+
+def test_order_parameter_scan_memory_per_low_pair(monkeypatch):
+    # Eight more low pairs add each a shared W_{x,y} and a z sign row
+    # (4.5 MiB in all), not a W_{x,y} per worker (8 MiB more on two).
+    monkeypatch.setattr(classical, "_WORKERS", 2)
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, 19), 1.0)
+    two = _scan_peak(pot, [(0, 3), (1, 4)])
+    ten = _scan_peak(pot, [(x, x + 3) for x in range(10)])
+    assert ten - two < 8 * (2**19 + 2**16) + 2**20
+
+
+def _scan_peak(pot, pairs) -> int:
+    """Peak traced bytes of an exact scan over three alphas."""
     tracemalloc.start()
     try:
-        order_parameter_averages(pot, [0.5, 1.0, 2.0], [(0, 5), (4, 12)])
-        peak = tracemalloc.get_traced_memory()[1]
+        order_parameter_averages(pot, [0.5, 1.0, 2.0], pairs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 15.5 * 2**20
 
 
 def _threads_started(monkeypatch) -> list:
@@ -565,6 +655,19 @@ def test_order_parameter_averages_cap_and_alpha_validation():
         order_parameter_averages(pot, [1.0], [(0, 1)], cap=5)
     with pytest.raises(ConstraintError):
         order_parameter_averages(pot, [1.0, -0.5], [(0, 1)])
+
+
+@pytest.mark.parametrize("pair", [(0, 9), (-1, 3), (7, 2)])
+def test_order_parameter_averages_reject_a_pair_site_outside_the_lattice(pair):
+    pot = _three_body_potential()
+    with pytest.raises(ConstraintError, match="outside the 7 sites"):
+        order_parameter_averages(pot, [1.0], [(0, 1), pair])
+
+
+@pytest.mark.parametrize("sites_mask", [1 << 7, 1 << 9, -1])
+def test_max_abs_flip_energy_rejects_a_flip_set_outside_the_lattice(sites_mask):
+    with pytest.raises(ConstraintError, match="outside the 7 sites"):
+        max_abs_flip_energy(_three_body_potential(), sites_mask)
 
 
 def test_max_abs_flip_energy_is_mask_native_and_capped():

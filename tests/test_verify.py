@@ -588,6 +588,20 @@ def test_scan_metropolis_path_beyond_cap():
     assert math.isfinite(row.mz_sq)
 
 
+@pytest.mark.parametrize("pair", [(0, 9), (-1, 3), (6, 7)])
+@pytest.mark.parametrize("route", ["exact", "metropolis"])
+def test_scan_rejects_a_pair_site_outside_the_lattice(route, pair):
+    # 7 sites; the metropolis route runs with the enumeration cap below them.
+    model = _ising_chain_model(7, 0.5)
+    if route == "metropolis":
+        model = dataclasses.replace(model, caps=Caps(enumeration_sites=4))
+    with pytest.raises(ConstraintError, match="outside the 7 sites"):
+        order_parameter_scan(model, [(0, 3), pair], [0.5], sweeps=10, seed=1)
+    # a repeated site is a pair
+    (row,) = order_parameter_scan(model, [(5, 5)], [0.5], sweeps=10, seed=1)
+    assert row.method == route and row.sz_sz == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Full driver
 # ---------------------------------------------------------------------------
