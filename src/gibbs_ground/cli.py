@@ -25,8 +25,8 @@ from .classical import (
 )
 from .errors import ConfigError, GibbsGroundError
 from .lattice import Caps, Lattice, build_hypercube
-from .models import TWO_PATH_RTOL, CouplingTable, ModelInstance
-from .verify import groundstate_hypotheses, order_parameter_scan, verify_model
+from .models import CouplingTable, ModelInstance
+from .verify import TWO_PATH_RTOL, groundstate_hypotheses, order_parameter_scan, verify_model
 
 SCHEMA_VERSION = 1
 

@@ -18,7 +18,10 @@ class UnsupportedModelError(GibbsGroundError):
 
 
 class InternalConsistencyError(GibbsGroundError):
-    """Two independent assemblies of the same object disagree."""
+    """A result that correct code cannot produce: an eigensolver residual
+    far above roundoff, or a Hermitian expectation with an imaginary part.
+    Disagreeing assembly routes are not errors; verify records them as
+    failed checks."""
 
 
 class NonHermitianError(GibbsGroundError):

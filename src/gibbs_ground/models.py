@@ -19,9 +19,10 @@ makes the Boltzmann-amplitude vector Psi(s) = exp(-(alpha/2) U(s)) an exact
 null eigenvector of H = H0 + V: acting on Psi, the flip term of each union
 set cancels its own diagonal term configuration by configuration.
 
-Every assembly here is double-checked against an independent second route
-(flip form vs. H0 + V, direct action vs. similarity transform), and a
-mismatch raises InternalConsistencyError.
+H and its Boltzmann conjugate each have a second, independent assembly here
+(flip form vs. H0 + V, similarity transform vs. direct action).  The model
+measures the gap between the two routes and does not judge it:
+gibbs_ground.verify decides whether it is within tolerance.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .classical import (
     partition_function,
     spins_from_masks,
 )
-from .errors import ConstraintError, InternalConsistencyError, UnsupportedModelError
+from .errors import ConstraintError, UnsupportedModelError
 from .lattice import (
     Caps,
     Lattice,
@@ -57,14 +58,6 @@ from .operators import (
     max_entry_diff,
     _check_quantum_size,
 )
-
-# Two independent assemblies of the same Hamiltonian must agree to this
-# fraction of the largest entry.
-TWO_PATH_RTOL = 1e-12
-
-# The conjugated form involves exponential reweighting, so its two routes
-# are compared at a slightly looser tolerance.
-CONJUGATE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -136,10 +129,6 @@ class DiagonalCoupling:
 
     sites_mask: int
     terms: tuple[tuple[int, complex], ...]  # (y-set mask, coefficient)
-
-    @property
-    def is_real(self) -> bool:
-        return all(not (b.bit_count() & 1) for b, _ in self.terms)
 
     def values(self, masks: np.ndarray) -> np.ndarray:
         """Evaluate J at configuration masks, term by term; complex output."""
@@ -229,17 +218,8 @@ def _flip_form_h(model: "ModelInstance") -> OperatorMatrix:
 
 
 def build_h(model: "ModelInstance") -> OperatorMatrix:
-    """Full Hamiltonian H = H0 + V, cross-checked entrywise against the
-    flip-form assembly; disagreement beyond 1e-12 * |H|_max is a builder bug."""
-    h = model.h0 + model.v
-    diff = max_entry_diff(h, _flip_form_h(model))
-    tol = TWO_PATH_RTOL * h.norm_max
-    if diff > tol:
-        raise InternalConsistencyError(
-            f"two Hamiltonian assemblies disagree by {diff:.3e} (tolerance {tol:.3e})"
-        )
-    object.__setattr__(model, "_two_path_diff", diff)
-    return h
+    """Full Hamiltonian H = H0 + V; _flip_form_h is its second route."""
+    return model.h0 + model.v
 
 
 def build_gibbs_state(model: "ModelInstance") -> np.ndarray:
@@ -254,12 +234,11 @@ def conjugate_hamiltonian(model: "ModelInstance") -> OperatorMatrix:
 
     Assembled directly from its action,
         (H+ F)(s) = -sum_C J_C(s) exp(-(alpha/2) W_C(s)) (F(s) - F(flip(s, C))),
-    and cross-checked against the similarity transform of H.  Its rows sum
-    to zero, so up to sign it is a Markov jump generator with the classical
-    Gibbs measure stationary.
+    with _similarity_conjugate as its second route.  Its rows sum to zero,
+    so up to sign it is a Markov jump generator with the classical Gibbs
+    measure stationary.
     """
     masks = model.masks
-    n = model.lattice.n_sites
     terms = []
     diag = np.zeros(len(masks), dtype=complex)
     for coupling in model.couplings:
@@ -270,26 +249,21 @@ def conjugate_hamiltonian(model: "ModelInstance") -> OperatorMatrix:
         # Row s couples to column flip(s, C) with weight +rate(s).
         terms.append((coupling.sites_mask, rates[masks ^ coupling.sites_mask]))
         diag -= rates
-    direct = flip_operator(n, terms + [(0, diag)])
+    return flip_operator(model.lattice.n_sites, terms + [(0, diag)])
 
-    # Similarity-transform route, with U shifted by its minimum so the
-    # diagonal scaling stays well-conditioned (the transform is shift-invariant):
-    # the entry d_C[m] of H at row m XOR C, column m is scaled by
-    # left[m XOR C] and right[m].
+
+def _similarity_conjugate(model: "ModelInstance") -> OperatorMatrix:
+    """Second route to the conjugated Hamiltonian: the similarity transform
+    of H, with U shifted by its minimum so the diagonal scaling stays
+    well-conditioned (the transform is shift-invariant).  The entry d_C[m]
+    of H at row m XOR C, column m is scaled by left[m XOR C] and right[m]."""
+    masks = model.masks
     left = np.exp(0.5 * model.alpha * model.shifted_energies)
     right = np.exp(-0.5 * model.alpha * model.shifted_energies)
-    transformed = OperatorMatrix(
-        n, {c: (left[masks ^ c] * d) * right for c, d in model.h.terms.items()}
+    return OperatorMatrix(
+        model.lattice.n_sites,
+        {c: (left[masks ^ c] * d) * right for c, d in model.h.terms.items()},
     )
-    diff = max_entry_diff(direct, transformed)
-    tol = CONJUGATE_RTOL * model.h.norm_max
-    if diff > tol:
-        raise InternalConsistencyError(
-            f"conjugated-Hamiltonian assemblies disagree by {diff:.3e} "
-            f"(tolerance {tol:.3e})"
-        )
-    object.__setattr__(model, "_conjugate_diff", diff)
-    return direct
 
 
 # ---------------------------------------------------------------------------
@@ -491,17 +465,16 @@ class ModelInstance:
     def state(self) -> np.ndarray:
         return build_gibbs_state(self)
 
-    @property
+    @cached_property
     def two_path_diff(self) -> float:
-        """Measured disagreement of the two Hamiltonian assemblies."""
-        self.h
-        return self.__dict__["_two_path_diff"]
+        """Largest entrywise gap between H0 + V and the flip-form assembly."""
+        return max_entry_diff(self.h, _flip_form_h(self))
 
-    @property
+    @cached_property
     def conjugate_diff(self) -> float:
-        """Measured disagreement of the two conjugated-form assemblies."""
-        self.h_conjugate
-        return self.__dict__["_conjugate_diff"]
+        """Largest entrywise gap between the direct conjugated form and the
+        similarity transform of H."""
+        return max_entry_diff(self.h_conjugate, _similarity_conjugate(self))
 
     def state_norm_squared(self) -> float:
         return float(np.dot(self.state, self.state))

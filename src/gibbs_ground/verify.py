@@ -5,13 +5,14 @@ scaled by the largest Hamiltonian entry, and returns a record carrying the
 measured value, the threshold, and whether the check is asserted (counts
 toward overall pass/fail) or informational.  Checks follow two-route logic
 wherever possible: a matrix-level computation is compared against an
-independent classical or closed-form evaluation.
+independent classical or closed-form evaluation.  The two assemblies of H
+and of its Boltzmann conjugate are built in gibbs_ground.models, which
+measures their gaps; they are judged here, and only here.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,8 +41,6 @@ from .errors import (
 )
 from .lattice import Caps, nearest_neighbor_pairs, sites_from_mask
 from .models import (
-    CONJUGATE_RTOL,
-    TWO_PATH_RTOL,
     CouplingTable,
     ModelInstance,
     diagonal_couplings,
@@ -58,6 +57,11 @@ from .operators import (
 # Pinned tolerances, all relative to the largest Hamiltonian entry except
 # where noted.
 EIGEN_RESIDUAL_RTOL = 1e-10
+# Two independent assemblies of the same Hamiltonian must agree to this
+# fraction of the largest entry; the conjugated form involves exponential
+# reweighting, so its two routes are compared at a slightly looser one.
+TWO_PATH_RTOL = 1e-12
+CONJUGATE_RTOL = 1e-10
 GROUND_ENERGY_RTOL = 1e-9
 RAYLEIGH_RTOL = 1e-10
 OFFDIAG_RTOL = 1e-12
@@ -107,7 +111,6 @@ class CheckRecord:
     value: float | None
     threshold: float | None
     details: dict
-    wall_time_s: float = 0.0
 
     def to_payload(self) -> dict:
         return {
@@ -388,7 +391,6 @@ def sx_product_bound(model: ModelInstance, sites_mask: int) -> CheckRecord:
     Between the quantum and enumeration caps only the classical route and
     the bound are checked (the 2^n operator would be out of range).
     """
-    start = time.perf_counter()
     potential, alpha, caps = model.potential, model.alpha, model.caps
     classical = classical_expectation(
         flip_weight(potential, alpha, sites_mask),
@@ -421,7 +423,6 @@ def sx_product_bound(model: ModelInstance, sites_mask: int) -> CheckRecord:
         value=float(classical),
         threshold=float(bound),
         details=details,
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -438,7 +439,6 @@ def reversibility_check(
     inner product, and its agreement with the plain product of the
     half-weighted vectors.  Weights are evaluated with the potential
     shifted by its minimum, which rescales both sides identically."""
-    start = time.perf_counter()
     _validate_seed(seed)
     shifted = model.shifted_energies
     w = np.exp(-model.alpha * shifted)
@@ -473,7 +473,6 @@ def reversibility_check(
             "trials": trials,
             "seed": seed,
         },
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -490,7 +489,6 @@ def dirichlet_form_check(
     couplings).  When the sign hypothesis holds as well, both routes must be
     nonnegative.
     """
-    start = time.perf_counter()
     _validate_seed(seed)
     masks, shifted = model.masks, model.shifted_energies
     w = np.exp(-model.alpha * shifted)
@@ -530,7 +528,6 @@ def dirichlet_form_check(
             "trials": trials,
             "seed": seed,
         },
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -648,18 +645,6 @@ def order_parameter_scan(
 # ---------------------------------------------------------------------------
 
 
-def _record(name, passed, asserted, value, threshold, details, started) -> CheckRecord:
-    return CheckRecord(
-        name=name,
-        passed=passed,
-        asserted=asserted,
-        value=value,
-        threshold=threshold,
-        details=details,
-        wall_time_s=time.perf_counter() - started,
-    )
-
-
 def verify_model(
     model: ModelInstance,
     *,
@@ -686,10 +671,9 @@ def verify_model(
     z_value = model.partition_value()
     norm = model.h.norm_max
 
-    started = time.perf_counter()
     hypotheses = groundstate_hypotheses(model.table, cap=caps.enumeration_sites)
     records.append(
-        _record(
+        CheckRecord(
             "groundstate_hypotheses",
             True,
             False,
@@ -700,67 +684,58 @@ def verify_model(
                 "odd_y_sets": [list(e[:2]) for e in hypotheses.odd_entries],
                 "positive_couplings": list(hypotheses.positive_couplings),
             },
-            started,
         )
     )
 
-    started = time.perf_counter()
     residual = eigen_residual(model.h, model.state)
     threshold = EIGEN_RESIDUAL_RTOL * norm
     records.append(
-        _record(
+        CheckRecord(
             "eigenstate_residual",
             residual <= threshold,
             not hypotheses.odd_entries,
             residual,
             threshold,
             {"h_norm_max": norm},
-            started,
         )
     )
 
-    started = time.perf_counter()
     records.append(
-        _record(
+        CheckRecord(
             "hamiltonian_two_route",
             model.two_path_diff <= TWO_PATH_RTOL * norm,
             True,
             model.two_path_diff,
             TWO_PATH_RTOL * norm,
             {},
-            started,
         )
     )
 
-    started = time.perf_counter()
     h0_direct = model.h0
     h0_grouped = offdiagonal_from_couplings(model)
     off_diff = max_entry_diff(h0_direct, h0_grouped)
     off_tol = OFFDIAG_RTOL * max(h0_direct.norm_max, 1e-300)
     records.append(
-        _record(
+        CheckRecord(
             "offdiagonal_grouping",
             off_diff <= off_tol if h0_direct.norm_max > 0 else off_diff == 0.0,
             True,
             off_diff,
             off_tol,
             {},
-            started,
         )
     )
 
-    started = time.perf_counter()
     norm_sq = model.state_norm_squared()
     gap = abs(norm_sq - z_value)
     records.append(
-        _record(
+        CheckRecord(
             "state_norm_partition",
             gap <= NORM_PARTITION_RTOL * z_value,
             True,
             gap / z_value,
             NORM_PARTITION_RTOL,
             {"norm_squared": norm_sq, "partition_value": z_value},
-            started,
         )
     )
 
@@ -769,7 +744,6 @@ def verify_model(
         pairs = nn[: min(2, len(nn))]
 
     for x, y in pairs:
-        started = time.perf_counter()
         op = product_operator(
             3, (1 << x) | (1 << y), model.lattice, cap=caps.quantum_sites
         )
@@ -780,14 +754,13 @@ def verify_model(
         gap = abs(quantum - classical)
         tol = CLASSICAL_REDUCTION_RTOL * max(1.0, abs(classical))
         records.append(
-            _record(
+            CheckRecord(
                 f"classical_reduction[{x},{y}]",
                 gap <= tol,
                 True,
                 gap,
                 tol,
                 {"quantum": quantum, "classical": classical},
-                started,
             )
         )
 
@@ -795,39 +768,34 @@ def verify_model(
     for mask in sx_sets:
         records.append(sx_product_bound(model, mask))
 
-    started = time.perf_counter()
     records.append(
-        _record(
+        CheckRecord(
             "conjugate_two_route",
             model.conjugate_diff <= CONJUGATE_RTOL * norm,
             True,
             model.conjugate_diff,
             CONJUGATE_RTOL * norm,
             {},
-            started,
         )
     )
 
-    started = time.perf_counter()
     ones = np.ones(model.h_conjugate.dim)
     row_sum = float(np.abs(apply(model.h_conjugate, ones)).max())
     records.append(
-        _record(
+        CheckRecord(
             "conjugate_row_sums",
             row_sum <= ROW_SUM_RTOL * norm,
             True,
             row_sum,
             ROW_SUM_RTOL * norm,
             {},
-            started,
         )
     )
 
     if model.h.is_hermitian:
-        started = time.perf_counter()
         spectral = min_eigenvalue(model.h, dense_sites=caps.dense_sites)
         records.append(
-            _record(
+            CheckRecord(
                 "ground_energy",
                 spectral.eigenvalue >= -GROUND_ENERGY_RTOL * norm,
                 hypotheses.satisfied,
@@ -839,23 +807,20 @@ def verify_model(
                     "blocks": spectral.blocks,
                     "largest_block": spectral.largest_block,
                 },
-                started,
             )
         )
 
-        started = time.perf_counter()
         rayleigh = abs(
             float(np.vdot(model.state, apply(model.h, model.state)).real)
         ) / model.state_norm_squared()
         records.append(
-            _record(
+            CheckRecord(
                 "rayleigh_quotient",
                 rayleigh <= RAYLEIGH_RTOL * norm,
                 hypotheses.satisfied,
                 rayleigh,
                 RAYLEIGH_RTOL * norm,
                 {},
-                started,
             )
         )
 
@@ -872,7 +837,6 @@ def verify_model(
             seed=seed,
             require_nonneg=hypotheses.satisfied,
         )
-        dirichlet.asserted = True
         records.append(dirichlet)
     else:
         records.append(

@@ -382,6 +382,42 @@ def test_verify_fails_when_a_check_fails(tmp_path, monkeypatch):
     assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "route, failing, passing",
+    [
+        ("_flip_form_h", "hamiltonian_two_route", "conjugate_two_route"),
+        ("conjugate_hamiltonian", "conjugate_two_route", "hamiltonian_two_route"),
+    ],
+)
+def test_verify_reports_a_disagreeing_assembly_route(
+    tmp_path, monkeypatch, route, failing, passing
+):
+    # Negative control: one route's diagonal, which holds |H|_max here, off by
+    # a relative 1e-9 (10 and 1000 times the two records' thresholds) must
+    # fail the record and the command with a written report, not stop it.
+    from gibbs_ground import models
+    from gibbs_ground.operators import OperatorMatrix
+
+    build = getattr(models, route)
+
+    def perturbed(model):
+        terms = dict(build(model).terms)
+        terms[0] = terms[0] * (1.0 + 1e-9)
+        return OperatorMatrix(model.lattice.n_sites, terms)
+
+    monkeypatch.setattr(models, route, perturbed)
+    path = _write_config(tmp_path, _config())
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["all_passed"] is False
+    (model_report,) = report["reports"]
+    assert model_report["all_passed"] is False
+    checks = {c["name"]: c for c in model_report["checks"]}
+    assert (checks[failing]["passed"], checks[failing]["asserted"]) == (False, True)
+    assert checks[failing]["value"] > checks[failing]["threshold"]
+    assert checks[passing]["passed"] is True
+
+
 def test_verify_rejects_above_quantum_cap(tmp_path, capsys):
     doc = _config(lattice={"d": 2, "L": 6}, pairs=[[0, 1]])
     path = _write_config(tmp_path, doc)
