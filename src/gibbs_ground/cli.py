@@ -233,7 +233,10 @@ def parse_config(text: str) -> RunConfig:
             )
             alphas.append(float(a))
     for a in alphas:
-        _require(a >= 0, f"alpha values must be nonnegative, got {a}")
+        # NaN and Infinity fail the chained comparison too
+        _require(
+            0 <= a < float("inf"), f"alpha values must be finite and nonnegative, got {a}"
+        )
 
     pairs = []
     for k, pair in enumerate(doc.get("pairs", [])):
@@ -252,7 +255,8 @@ def parse_config(text: str) -> RunConfig:
     sweeps = _get(mc_raw, "sweeps", int, "mc", 20000)
     burn_in = _get(mc_raw, "burn_in", int, "mc", None)
     mc_seed = _get(mc_raw, "seed", int, "mc", 0)
-    _require(sweeps > 0, "field 'mc.sweeps' must be positive")
+    # the batch-means standard error needs at least two sweeps (two batches)
+    _require(sweeps >= 2, "field 'mc.sweeps' must be at least 2")
     _require(mc_seed >= 0, "field 'mc.seed' must be nonnegative")
     _require(burn_in is None or burn_in >= 0, "field 'mc.burn_in' must be nonnegative")
 

@@ -38,6 +38,7 @@ import numpy as np
 from .classical import (
     ClassicalPotential,
     _Enumeration,
+    _validate_alpha,
     monomial_signs,
     partition_function,
     spins_from_masks,
@@ -398,8 +399,7 @@ class ModelInstance:
     caps: Caps = Caps()
 
     def __post_init__(self):
-        if self.alpha < 0 or not math.isfinite(self.alpha):
-            raise ConstraintError(f"alpha must be finite and nonnegative, got {self.alpha}")
+        _validate_alpha(self.alpha)
         n = self.lattice.n_sites
         if self.table.n_sites != n or self.potential.n_sites != n:
             raise ConstraintError(

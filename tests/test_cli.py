@@ -142,6 +142,30 @@ def test_zero_trials_and_negative_burn_in_exit_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        # one sweep is one batch: the standard error was inf, written to
+        # samples.json as the non-standard JSON token Infinity
+        ("sample", {"mc": {"sweeps": 1, "burn_in": 0, "seed": 7}}, "mc.sweeps"),
+        # an infinite alpha got past the config check to a ConstraintError
+        ("verify", {"alpha": float("inf")}, "alpha"),
+        ("sweep", {"alphas": [0.5, float("inf")]}, "alpha"),
+    ],
+    ids=["one-sweep", "alpha-infinity", "alphas-infinity"],
+)
+def test_one_sweep_and_infinite_alpha_exit_2(tmp_path, capsys, command, overrides, field):
+    doc = _config(lattice={"d": 1, "L": 4}, **overrides)
+    if "alphas" in overrides:
+        del doc["alpha"]
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "ConfigError" and field in error["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [0, -1])
 @pytest.mark.parametrize(
     "cap", ["lattice_sites", "quantum_sites", "enumeration_sites", "dense_sites"]

@@ -24,7 +24,7 @@ from gibbs_ground import (
     sx_product_bound,
     verify_model,
 )
-from gibbs_ground import classical, verify
+from gibbs_ground import classical, models, verify
 from gibbs_ground.errors import (
     ConstraintError,
     ConvergenceError,
@@ -32,7 +32,7 @@ from gibbs_ground.errors import (
     SizeCapError,
 )
 from gibbs_ground.lattice import nearest_neighbor_pairs
-from gibbs_ground.operators import apply, product_operator
+from gibbs_ground.operators import OperatorMatrix, apply, product_operator
 from gibbs_ground.verify import max_abs_flip_energy
 
 from .conftest import random_model
@@ -618,6 +618,81 @@ def test_verify_model_ferro_all_pass():
     for record in report.records:
         if record.asserted:
             assert record.passed, record.name
+
+
+# Negative controls: one route of a record, off by a relative 1e-4, must fail
+# that record.  On the ferro chain every record is asserted, and the
+# smallest margin, reversibility's, is still about 200 times its threshold.
+_NUDGE = 1.0 + 1e-4
+
+
+def _nudged_term(key):
+    """A perturbation of an operator builder: its flip term key (0 is the
+    diagonal, None the first off-diagonal term) scaled by _NUDGE."""
+
+    def nudge(build):
+        def perturbed(model):
+            terms = dict(build(model).terms)
+            k = min(c for c in terms if c) if key is None else key
+            terms[k] = terms[k] * _NUDGE
+            return OperatorMatrix(model.lattice.n_sites, terms)
+
+        return perturbed
+
+    return nudge
+
+
+def _nudged_amplitude(build):
+    def perturbed(model):
+        state = build(model)
+        # one spin down: the all-up amplitude is a null vector of H by itself
+        state[1] *= _NUDGE
+        return state
+
+    return perturbed
+
+
+def _nudged_functional(make):
+    def perturbed(*args):
+        f = make(*args)
+        return lambda spins: f(spins) * _NUDGE
+
+    return perturbed
+
+
+_NEGATIVE_CONTROLS = {
+    # record: (owner, name it is looked up by, perturbation)
+    "eigenstate_residual": (models, "build_gibbs_state", _nudged_amplitude),
+    "offdiagonal_grouping": (verify, "offdiagonal_from_couplings", _nudged_term(None)),
+    "state_norm_partition": (
+        ModelInstance,
+        "partition_value",
+        lambda value: lambda model: value(model) * _NUDGE,
+    ),
+    "classical_reduction[0,1]": (verify, "spin_product", _nudged_functional),
+    # the agreement half: the classical value stays above the lower bound
+    "sx_product_bound[0]": (verify, "flip_weight", _nudged_functional),
+    "conjugate_row_sums": (models, "conjugate_hamiltonian", _nudged_term(None)),
+    "rayleigh_quotient": (models, "build_v", _nudged_term(0)),
+    "reversibility": (models, "conjugate_hamiltonian", _nudged_term(0)),
+    # the two-route half: the form stays nonnegative
+    "dirichlet_form": (models, "conjugate_hamiltonian", _nudged_term(0)),
+}
+
+
+@pytest.mark.parametrize("record", list(_NEGATIVE_CONTROLS))
+def test_verify_model_fails_the_record_of_a_perturbed_route(monkeypatch, record):
+    owner, name, nudge = _NEGATIVE_CONTROLS[record]
+    monkeypatch.setattr(owner, name, nudge(getattr(owner, name)))
+    payload = verify_model(_ising_chain_model(6, 1.0), trials=8, seed=11).to_payload()
+    assert payload["all_passed"] is False
+    (check,) = [c for c in payload["checks"] if c["name"] == record]
+    assert (check["passed"], check["asserted"]) == (False, True)
+    assert check["value"] > check["threshold"]
+    if record.startswith("sx_product_bound"):
+        assert check["details"]["relative_gap"] > verify.SX_AGREEMENT_RTOL
+    if record == "dirichlet_form":
+        assert check["details"]["min_scaled_form"] >= -verify.DIRICHLET_NONNEG_SLACK
 
 
 def test_verify_model_odd_still_passes_asserted_subset():
