@@ -10,8 +10,10 @@ __version__ = "0.1.0"
 
 from .classical import (
     ClassicalPotential,
+    ScanRow,
     classical_expectation,
     flip_weight,
+    order_parameter_scan,
     partition_function,
     spin_product,
     squared_magnetization,
@@ -49,14 +51,12 @@ from .operators import OperatorMatrix, apply, product_operator
 from .verify import (
     CheckRecord,
     HypothesisReport,
-    ScanRow,
     SpectralResult,
     VerificationReport,
     dirichlet_form_check,
     eigen_residual,
     groundstate_hypotheses,
     min_eigenvalue,
-    order_parameter_scan,
     quantum_expectation,
     reversibility_check,
     sx_product_bound,

@@ -479,19 +479,6 @@ def gibbs_averages(
     return _finite(averages, f"a Gibbs average at alpha={alpha:g}")
 
 
-@dataclass(frozen=True)
-class OrderAverages:
-    """Exact Gibbs averages of the order parameters at one alpha: squared
-    z-magnetization, mean site flip weight (1/n) sum_x exp(-(alpha/2) W_x),
-    and per pair s_x s_y and exp(-(alpha/2) W_{x,y})."""
-
-    alpha: float
-    mz_sq: float
-    mx: float
-    sz_sz: tuple[float, ...]
-    sx_sx: tuple[float, ...]
-
-
 def _check_pairs(n_sites: int, pairs: Sequence[tuple[int, int]]):
     """ConstraintError for a pair with a site outside the n sites; a
     repeated site, as in (5, 5), is a pair."""
@@ -522,8 +509,9 @@ def order_parameter_averages(
     alphas: Sequence[float],
     pairs: Sequence[tuple[int, int]],
     cap: int = Caps.enumeration_sites,
-) -> list[OrderAverages]:
-    """Exact order parameters over an alpha grid from one enumeration.
+) -> list[list[float]]:
+    """Exact order parameters over an alpha grid from one enumeration: per
+    alpha, the Gibbs averages of order_parameter_functionals, in its order.
 
     A shift pass finds min U; an accumulation pass (one per _ALPHA_GROUP
     alphas) evaluates U, every W_x and W_{x,y}, mz^2 and the z-pair signs
@@ -534,10 +522,9 @@ def order_parameter_averages(
     the remaining sites to it; such a pair's W_{x,y} is evaluated once, into
     an array the workers share.  A site whose odd terms have no low bits
     has one W_x per chunk, a number.  Sums run in the same order as
-    gibbs_averages over squared_magnetization, the mean of the site
-    flip_weights, spin_product and flip_weight, so every value equals that
-    route's bit for bit.  Raises ConstraintError on a pair site outside the
-    lattice and NumericRangeError on a non-finite average.
+    gibbs_averages over order_parameter_functionals, so every value equals
+    that route's bit for bit.  Raises ConstraintError on a pair site
+    outside the lattice and NumericRangeError on a non-finite average.
     """
     for alpha in alphas:
         _validate_alpha(alpha)
@@ -558,7 +545,7 @@ def order_parameter_averages(
     ]
     low_popcount = np.bitwise_count(np.arange(enum.size, dtype=np.uint64))
     prefix_buffer = np.empty((min(len(alphas), _ALPHA_GROUP), enum.size))
-    out: list[OrderAverages] = []
+    out: list[list[float]] = []
     for start in range(0, len(alphas), _ALPHA_GROUP):
         group = alphas[start : start + _ALPHA_GROUP]
         flip_prefix = _site_flip_prefix(
@@ -617,16 +604,7 @@ def order_parameter_averages(
         for alpha, row in zip(group, _in_order(_scan(enum, start_worker)).tolist()):
             weight_total, *sums = row
             v = [s / weight_total for s in sums]
-            _finite(v, f"an order parameter at alpha={alpha:g}")
-            out.append(
-                OrderAverages(
-                    alpha=alpha,
-                    mz_sq=v[0],
-                    mx=v[1],
-                    sz_sz=tuple(v[2::2]),
-                    sx_sx=tuple(v[3::2]),
-                )
-            )
+            out.append(_finite(v, f"an order parameter at alpha={alpha:g}"))
     return out
 
 
@@ -700,6 +678,32 @@ def flip_weight(
     return f
 
 
+def mean_site_flip_weight(potential: ClassicalPotential, alpha: float) -> Functional:
+    """Observable (1/n) sum_x exp(-(alpha/2) W_x(s)), whose Gibbs average is
+    the mean x-magnetization."""
+    n = potential.n_sites
+
+    def f(spins: np.ndarray) -> np.ndarray:
+        acc = np.zeros(spins.shape[0])
+        for x in range(n):
+            acc += np.exp(-0.5 * alpha * potential.flip_energy_many(spins, 1 << x))
+        return acc / n
+
+    return f
+
+
+def order_parameter_functionals(
+    potential: ClassicalPotential, alpha: float, pairs: Sequence[tuple[int, int]]
+) -> list[Functional]:
+    """The order parameters of a scan, in its order: squared
+    z-magnetization, mean site flip weight, then per pair s_x s_y and
+    exp(-(alpha/2) W_{x,y})."""
+    fs = [squared_magnetization(), mean_site_flip_weight(potential, alpha)]
+    for x, y in pairs:
+        fs += [spin_product(x, y), flip_weight(potential, alpha, (1 << x) | (1 << y))]
+    return fs
+
+
 # ---------------------------------------------------------------------------
 # Metropolis sampling
 # ---------------------------------------------------------------------------
@@ -767,16 +771,19 @@ def metropolis_samples(
 
 
 def estimate_from_samples(f: Functional, samples: np.ndarray) -> tuple[float, float]:
-    """Estimate mean and batch-means standard error of f over a sample chain;
-    NumericRangeError if the mean is not finite."""
+    """Estimate mean and batch-means standard error of f over a sample chain
+    of at least two samples (ConstraintError otherwise); NumericRangeError
+    if the mean is not finite."""
     values = np.asarray(f(samples), dtype=np.float64)
+    if len(values) < 2:
+        raise ConstraintError(
+            f"a batch-means standard error needs at least 2 samples, got {len(values)}"
+        )
     nb = min(_BATCHES, len(values))
     per = len(values) // nb
     trimmed = values[: nb * per].reshape(nb, per)
     means = trimmed.mean(axis=1)
     estimate = _finite([float(means.mean())], "a Metropolis estimate")[0]
-    if nb < 2:
-        return estimate, math.inf
     std_error = float(means.std(ddof=1) / math.sqrt(nb))
     return estimate, std_error
 
@@ -791,3 +798,76 @@ def metropolis_averages(
         potential, alpha, sweeps=sweeps, burn_in=burn_in, seed=seed
     )
     return [estimate_from_samples(f, samples) for f in fs], acceptance
+
+
+# ---------------------------------------------------------------------------
+# Order-parameter scan
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ScanRow:
+    """One (alpha, pair) row of the order-parameter table; the standard
+    errors are 0.0 on exact rows."""
+
+    alpha: float
+    x: int
+    y: int
+    sx_sx: float
+    sx_sx_se: float
+    sz_sz: float
+    sz_sz_se: float
+    mz_sq: float
+    mz_sq_se: float
+    mx: float
+    mx_se: float
+    method: str
+
+
+def order_parameter_scan(
+    potential: ClassicalPotential,
+    alphas: Sequence[float],
+    pairs: Sequence[tuple[int, int]],
+    *,
+    cap: int = Caps.enumeration_sites,
+    sweeps: int = 20000,
+    burn_in: int | None = None,
+    seed: int = 0,
+) -> list[ScanRow]:
+    """The order_parameter_functionals over an alpha grid, one row per
+    alpha and pair, alpha-major: two-point x and z correlations, squared
+    z-magnetization and mean x-magnetization.
+
+    All four observables are classical averages in the Gibbs measure of
+    the potential (the z observables directly, the x observables through
+    the reweighting exp(-(alpha/2) W)).  On at most cap sites one exact
+    enumeration serves the whole grid; above it each alpha runs a
+    Metropolis chain.  A pair site outside the lattice raises
+    ConstraintError on both routes.
+    """
+    _check_pairs(potential.n_sites, pairs)
+    if potential.n_sites <= cap:
+        method = "exact"
+        estimates = [
+            [(value, 0.0) for value in values]
+            for values in order_parameter_averages(potential, alphas, pairs, cap=cap)
+        ]
+    else:
+        method = "metropolis"
+        burn_in = default_burn_in(sweeps, burn_in)
+        estimates = [
+            metropolis_averages(
+                order_parameter_functionals(potential, alpha, pairs),
+                potential,
+                alpha,
+                sweeps=sweeps,
+                burn_in=burn_in,
+                seed=seed,
+            )[0]
+            for alpha in alphas
+        ]
+    rows = []
+    for alpha, (mz_sq, mx, *pair_estimates) in zip(alphas, estimates):
+        for (x, y), sz_sz, sx_sx in zip(pairs, pair_estimates[::2], pair_estimates[1::2]):
+            rows.append(ScanRow(float(alpha), x, y, *sx_sx, *sz_sz, *mz_sq, *mx, method))
+    return rows

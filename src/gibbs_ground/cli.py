@@ -12,7 +12,7 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -20,13 +20,14 @@ from .classical import (
     ClassicalPotential,
     default_burn_in,
     metropolis_averages,
+    order_parameter_scan,
     spin_product,
     squared_magnetization,
 )
 from .errors import ConfigError, GibbsGroundError
 from .lattice import Caps, Lattice, build_hypercube
 from .models import CouplingTable, ModelInstance
-from .verify import TWO_PATH_RTOL, groundstate_hypotheses, order_parameter_scan, verify_model
+from .verify import TWO_PATH_RTOL, groundstate_hypotheses, verify_model
 
 SCHEMA_VERSION = 1
 
@@ -51,13 +52,13 @@ class RunConfig:
     table: CouplingTable
     potential: ClassicalPotential
     alphas: list[float]
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-    sweeps: int = 20000
-    burn_in: int | None = None
-    mc_seed: int = 0
-    check_trials: int = 20
-    check_seed: int = 0
-    caps: Caps = Caps()
+    pairs: list[tuple[int, int]]
+    sweeps: int
+    burn_in: int | None
+    mc_seed: int
+    check_trials: int
+    check_seed: int
+    caps: Caps
 
 
 def _require(condition: bool, message: str):
@@ -301,8 +302,6 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 
 def _model(config: RunConfig, alpha: float) -> ModelInstance:
-    # Matrices are built on first use, so the scan commands, which only read
-    # the potential, never build one.
     return ModelInstance(
         lattice=config.lattice,
         table=config.table,
@@ -396,9 +395,10 @@ def _cmd_scan(file_name: str, columns: list[str], config: RunConfig, out: Path) 
     if not config.pairs:
         raise GibbsGroundError("this command needs a nonempty 'pairs' list")
     rows = order_parameter_scan(
-        _model(config, config.alphas[0]),
-        config.pairs,
+        config.potential,
         config.alphas,
+        config.pairs,
+        cap=config.caps.enumeration_sites,
         sweeps=config.sweeps,
         burn_in=config.burn_in,
         seed=config.mc_seed,

@@ -68,18 +68,13 @@ from typing import Sequence
 import numpy as np
 
 from .classical import (
-    ClassicalPotential,
     _check_pairs,
     _mask_chunks,
     _validate_seed,
     classical_expectation,
-    default_burn_in,
     flip_weight,
     max_abs_flip_energy,
-    metropolis_averages,
-    order_parameter_averages,
     spin_product,
-    squared_magnetization,
 )
 from .errors import (
     ConstraintError,
@@ -586,115 +581,6 @@ def dirichlet_form_check(
 
 
 # ---------------------------------------------------------------------------
-# Order-parameter scan
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    """One (alpha, pair) row of the order-parameter table."""
-
-    alpha: float
-    x: int
-    y: int
-    sx_sx: float
-    sz_sz: float
-    mz_sq: float
-    mx: float
-    method: str
-    sx_sx_se: float = 0.0
-    sz_sz_se: float = 0.0
-    mz_sq_se: float = 0.0
-    mx_se: float = 0.0
-
-
-def _mean_site_flip_weight(potential: ClassicalPotential, alpha: float):
-    n = potential.n_sites
-
-    def f(spins: np.ndarray) -> np.ndarray:
-        acc = np.zeros(spins.shape[0])
-        for x in range(n):
-            acc += np.exp(
-                -0.5 * alpha * potential.flip_energy_many(spins, 1 << x)
-            )
-        return acc / n
-
-    return f
-
-
-def order_parameter_scan(
-    model: ModelInstance,
-    pairs: Sequence[tuple[int, int]],
-    alphas: Sequence[float],
-    *,
-    sweeps: int = 20000,
-    burn_in: int | None = None,
-    seed: int = 0,
-) -> list[ScanRow]:
-    """Two-point x and z correlations, squared z-magnetization and mean
-    x-magnetization across an alpha grid.
-
-    All four observables are classical averages in the Gibbs measure of the
-    model's potential (the z observables directly, the x observables through
-    the reweighting exp(-(alpha/2) W)).  Under the model's enumeration cap
-    one exact enumeration serves the whole grid; above it each alpha runs a
-    Metropolis chain.  A pair site outside the lattice raises
-    ConstraintError on both routes.
-    """
-    potential, cap = model.potential, model.caps.enumeration_sites
-    _check_pairs(potential.n_sites, pairs)
-    if potential.n_sites <= cap:
-        return [
-            ScanRow(
-                alpha=float(avg.alpha),
-                x=x,
-                y=y,
-                sz_sz=avg.sz_sz[k],
-                sx_sx=avg.sx_sx[k],
-                mz_sq=avg.mz_sq,
-                mx=avg.mx,
-                method="exact",
-            )
-            for avg in order_parameter_averages(potential, alphas, pairs, cap=cap)
-            for k, (x, y) in enumerate(pairs)
-        ]
-    rows: list[ScanRow] = []
-    for alpha in alphas:
-        fs = [squared_magnetization(), _mean_site_flip_weight(potential, alpha)]
-        for x, y in pairs:
-            fs.append(spin_product(x, y))
-            fs.append(flip_weight(potential, alpha, (1 << x) | (1 << y)))
-        estimates, _ = metropolis_averages(
-            fs,
-            potential,
-            alpha,
-            sweeps=sweeps,
-            burn_in=default_burn_in(sweeps, burn_in),
-            seed=seed,
-        )
-        (mz_sq, mz_sq_se), (mx, mx_se) = estimates[:2]
-        for k, (x, y) in enumerate(pairs):
-            (sz_sz, sz_sz_se), (sx_sx, sx_sx_se) = estimates[2 + 2 * k : 4 + 2 * k]
-            rows.append(
-                ScanRow(
-                    alpha=float(alpha),
-                    x=x,
-                    y=y,
-                    sz_sz=sz_sz,
-                    sx_sx=sx_sx,
-                    mz_sq=mz_sq,
-                    mx=mx,
-                    method="metropolis",
-                    sz_sz_se=sz_sz_se,
-                    sx_sx_se=sx_sx_se,
-                    mz_sq_se=mz_sq_se,
-                    mx_se=mx_se,
-                )
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # Full verification driver
 # ---------------------------------------------------------------------------
 
@@ -711,10 +597,14 @@ def verify_model(
     Checks that depend on the parity/sign hypotheses are asserted only when
     those hypotheses hold; otherwise they are computed and reported as
     informational, mapping where the properties actually hold.  Every check
-    runs under model.caps: a model above caps.quantum_sites stops first,
-    with SizeCapError.
+    runs under model.caps: a model above caps.quantum_sites stops before
+    any check, with SizeCapError, as does a pair site outside the lattice,
+    with ConstraintError.  A pair (x, x) is legal, as in the scan.
     """
     _validate_seed(seed)
+    if pairs is None:
+        pairs = nearest_neighbor_pairs(model.lattice)[:2]
+    _check_pairs(model.lattice.n_sites, pairs)
     caps = model.caps
     model.masks  # the model's quantum-cap check, before any enumeration
     report = VerificationReport(model_digest=model.digest(), alpha=model.alpha)
@@ -772,12 +662,9 @@ def verify_model(
         )
     )
 
-    if pairs is None:
-        nn = nearest_neighbor_pairs(model.lattice)
-        pairs = nn[: min(2, len(nn))]
-
     for x, y in pairs:
-        op = product_operator(3, (1 << x) | (1 << y), model.lattice, cap=caps.quantum_sites)
+        # (x, x) is s_x s_x = 1: the z-product over the empty set
+        op = product_operator(3, (1 << x) ^ (1 << y), model.lattice, cap=caps.quantum_sites)
         quantum = quantum_expectation(op, model.state)
         classical = classical_expectation(
             spin_product(x, y), model.potential, model.alpha, cap=caps.enumeration_sites

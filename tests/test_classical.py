@@ -14,6 +14,7 @@ from gibbs_ground import (
     build_hypercube,
     classical_expectation,
     flip_weight,
+    order_parameter_scan,
     partition_function,
     spin_product,
     squared_magnetization,
@@ -24,9 +25,11 @@ from gibbs_ground.classical import (
     estimate_from_samples,
     gibbs_averages,
     max_abs_flip_energy,
+    metropolis_averages,
     metropolis_samples,
     monomial_signs,
     order_parameter_averages,
+    order_parameter_functionals,
     spins_from_masks,
 )
 from gibbs_ground.errors import ConstraintError, NumericRangeError, SizeCapError
@@ -255,16 +258,6 @@ def test_monomial_signs_hand_cases():
     ]
 
 
-def _mean_site_flip_weight(pot, alpha):
-    def f(spins):
-        acc = np.zeros(spins.shape[0])
-        for x in range(pot.n_sites):
-            acc += np.exp(-0.5 * alpha * pot.flip_energy_many(spins, 1 << x))
-        return acc / pot.n_sites
-
-    return f
-
-
 def _three_body_potential():
     return ClassicalPotential.from_terms(
         7,
@@ -295,16 +288,9 @@ def test_order_parameter_averages_equal_per_alpha_route(name, monkeypatch):
     pairs = [(0, 2), (1, pot.n_sites - 1), (3, 4), (5, 5)]
     alphas = [0.0, 0.4, 1.3, 2.0, 3.5]
     batched = order_parameter_averages(pot, alphas, pairs)
-    assert [avg.alpha for avg in batched] == alphas
-    for avg, alpha in zip(batched, alphas):
-        fs = [squared_magnetization(), _mean_site_flip_weight(pot, alpha)]
-        for x, y in pairs:
-            fs += [spin_product(x, y), flip_weight(pot, alpha, (1 << x) | (1 << y))]
-        want = gibbs_averages(fs, pot, alpha)
-        got = [avg.mz_sq, avg.mx]
-        for zz, xx in zip(avg.sz_sz, avg.sx_sx):
-            got += [zz, xx]
-        assert got == want
+    assert len(batched) == len(alphas)
+    for got, alpha in zip(batched, alphas):
+        assert got == gibbs_averages(order_parameter_functionals(pot, alpha, pairs), pot, alpha)
 
 
 # Multi-chunk bit identity of the mask-native kernel.  With _CHUNK_BITS = c
@@ -432,15 +418,9 @@ def test_mask_native_routes_equal_decoded_routes_across_chunks(name, bits, monke
         want = float(np.abs(pot.flip_energy_many(spins, sites_mask)).max())
         assert max_abs_flip_energy(pot, sites_mask) == want
     batched = order_parameter_averages(pot, KERNEL_ALPHAS, pairs)
-    assert [avg.alpha for avg in batched] == KERNEL_ALPHAS
-    for avg, alpha in zip(batched, KERNEL_ALPHAS):
-        fs = [squared_magnetization(), _mean_site_flip_weight(pot, alpha)]
-        for x, y in pairs:
-            fs += [spin_product(x, y), flip_weight(pot, alpha, (1 << x) | (1 << y))]
-        got = [avg.mz_sq, avg.mx]
-        for zz, xx in zip(avg.sz_sz, avg.sx_sx):
-            got += [zz, xx]
-        assert got == gibbs_averages(fs, pot, alpha)
+    assert len(batched) == len(KERNEL_ALPHAS)
+    for got, alpha in zip(batched, KERNEL_ALPHAS):
+        assert got == gibbs_averages(order_parameter_functionals(pot, alpha, pairs), pot, alpha)
 
 
 def _flat_case():
@@ -454,14 +434,8 @@ def test_flat_and_low_flip_energies_equal_decoded_spins(workers, monkeypatch):
     monkeypatch.setattr(classical, "_WORKERS", workers)
     pot, pairs = _flat_case()
     batched = order_parameter_averages(pot, KERNEL_ALPHAS, pairs)
-    for avg, alpha in zip(batched, KERNEL_ALPHAS):
-        fs = [squared_magnetization(), _mean_site_flip_weight(pot, alpha)]
-        for x, y in pairs:
-            fs += [spin_product(x, y), flip_weight(pot, alpha, (1 << x) | (1 << y))]
-        got = [avg.mz_sq, avg.mx]
-        for zz, xx in zip(avg.sz_sz, avg.sx_sx):
-            got += [zz, xx]
-        assert got == gibbs_averages(fs, pot, alpha)
+    for got, alpha in zip(batched, KERNEL_ALPHAS):
+        assert got == gibbs_averages(order_parameter_functionals(pot, alpha, pairs), pot, alpha)
 
 
 def test_flat_sites_are_numbers_and_low_pairs_are_shared(monkeypatch):
@@ -544,10 +518,7 @@ def _threads_started(monkeypatch) -> list:
 
 
 def _order_parameter_bytes(pot, pairs) -> bytes:
-    values = []
-    for avg in order_parameter_averages(pot, KERNEL_ALPHAS, pairs):
-        values += [avg.mz_sq, avg.mx, *avg.sz_sz, *avg.sx_sx]
-    return np.array(values).tobytes()
+    return np.array(order_parameter_averages(pot, KERNEL_ALPHAS, pairs)).tobytes()
 
 
 def _scan_bytes(pot, pairs) -> bytes:
@@ -745,6 +716,19 @@ def test_metropolis_deterministic_given_seed():
     a, _ = metropolis_samples(pot, 0.7, sweeps=200, burn_in=20, seed=9)
     b, _ = metropolis_samples(pot, 0.7, sweeps=200, burn_in=20, seed=9)
     assert np.array_equal(a, b)
+
+
+def test_one_sample_standard_error_is_a_named_error():
+    # a single batch mean used to give an infinite standard error
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, 4), 1.0)
+    with pytest.raises(ConstraintError, match="at least 2 samples, got 1"):
+        metropolis_averages([spin_product(0, 1)], pot, 1.0, sweeps=1, burn_in=1, seed=0)
+    with pytest.raises(ConstraintError, match="at least 2 samples, got 1"):
+        order_parameter_scan(pot, [1.0], [(0, 1)], cap=3, sweeps=1)
+    [(_, std_error)], _ = metropolis_averages(
+        [spin_product(0, 1)], pot, 1.0, sweeps=2, burn_in=1, seed=0
+    )
+    assert math.isfinite(std_error)
 
 
 def test_metropolis_site_cap():

@@ -544,9 +544,12 @@ def test_dirichlet_form_sign_violation_breaks_nonnegativity():
 # ---------------------------------------------------------------------------
 
 
+def _ising_chain_potential(L):
+    return ClassicalPotential.ising_nn(build_hypercube(1, L), 1.0)
+
+
 def test_scan_alpha_zero_values():
-    model = _ising_chain_model(6, 0.0)
-    (row,) = order_parameter_scan(model, [(0, 3)], [0.0])
+    (row,) = order_parameter_scan(_ising_chain_potential(6), [0.0], [(0, 3)])
     assert row.sz_sz == pytest.approx(0.0, abs=1e-14)
     assert row.sx_sx == pytest.approx(1.0, rel=1e-14)
     assert row.mx == pytest.approx(1.0, rel=1e-14)
@@ -554,8 +557,7 @@ def test_scan_alpha_zero_values():
 
 
 def test_scan_matches_transfer_matrix():
-    model = _ising_chain_model(8, 1.0)
-    rows = order_parameter_scan(model, [(0, 3)], [0.0, 0.5, 1.0, 2.0, 5.0])
+    rows = order_parameter_scan(_ising_chain_potential(8), [0.0, 0.5, 1.0, 2.0, 5.0], [(0, 3)])
     for row in rows:
         assert row.sz_sz == pytest.approx(
             open_chain_correlation_closed_form(row.alpha, 3), rel=1e-9
@@ -566,22 +568,16 @@ def test_scan_matches_transfer_matrix():
 
 
 def test_scan_large_alpha_orders():
-    model = _ising_chain_model(8, 5.0)
-    (row,) = order_parameter_scan(model, [(0, 3)], [5.0])
+    (row,) = order_parameter_scan(_ising_chain_potential(8), [5.0], [(0, 3)])
     assert row.sz_sz >= 0.99
     assert row.sz_sz == pytest.approx(math.tanh(5.0) ** 3, rel=1e-9)
 
 
 def test_scan_metropolis_path_beyond_cap():
-    lat = build_hypercube(2, 6)  # 36 sites, above the enumeration cap
-    model = ModelInstance(
-        lattice=lat,
-        table=CouplingTable(n_sites=36, entries=()),
-        potential=ClassicalPotential.ising_nn(lat, 1.0),
-        alpha=0.2,
-    )
+    # 36 sites, above the enumeration cap
+    potential = ClassicalPotential.ising_nn(build_hypercube(2, 6), 1.0)
     (row,) = order_parameter_scan(
-        model, [(0, 1)], [0.2], sweeps=2000, burn_in=200, seed=11
+        potential, [0.2], [(0, 1)], sweeps=2000, burn_in=200, seed=11
     )
     assert row.method == "metropolis"
     assert row.sz_sz_se > 0
@@ -592,14 +588,30 @@ def test_scan_metropolis_path_beyond_cap():
 @pytest.mark.parametrize("route", ["exact", "metropolis"])
 def test_scan_rejects_a_pair_site_outside_the_lattice(route, pair):
     # 7 sites; the metropolis route runs with the enumeration cap below them.
-    model = _ising_chain_model(7, 0.5)
-    if route == "metropolis":
-        model = dataclasses.replace(model, caps=Caps(enumeration_sites=4))
+    potential = _ising_chain_potential(7)
+    cap = 4 if route == "metropolis" else 7
     with pytest.raises(ConstraintError, match="outside the 7 sites"):
-        order_parameter_scan(model, [(0, 3), pair], [0.5], sweeps=10, seed=1)
+        order_parameter_scan(potential, [0.5], [(0, 3), pair], cap=cap, sweeps=10, seed=1)
     # a repeated site is a pair
-    (row,) = order_parameter_scan(model, [(5, 5)], [0.5], sweeps=10, seed=1)
+    (row,) = order_parameter_scan(potential, [0.5], [(5, 5)], cap=cap, sweeps=10, seed=1)
     assert row.method == route and row.sz_sz == 1.0
+
+
+def test_scan_routes_return_one_grid_alpha_major():
+    # The exact and Metropolis routes of one scan, below and above the cap
+    # on the same 7 sites: the same (alpha, x, y) rows in the same order,
+    # and an exact row carries no standard error.
+    potential = _ising_chain_potential(7)
+    alphas, pairs = [0.5, 1.0, 2.0], [(0, 3), (2, 6), (4, 4)]
+    exact = order_parameter_scan(potential, alphas, pairs)
+    sampled = order_parameter_scan(potential, alphas, pairs, cap=4, sweeps=64, seed=2)
+    grid = [(alpha, x, y) for alpha in alphas for x, y in pairs]
+    assert [(r.alpha, r.x, r.y) for r in exact] == grid
+    assert [(r.alpha, r.x, r.y) for r in sampled] == grid
+    assert {r.method for r in exact} == {"exact"}
+    assert {r.method for r in sampled} == {"metropolis"}
+    for row in exact:
+        assert (row.sx_sx_se, row.sz_sz_se, row.mz_sq_se, row.mx_se) == (0.0, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +630,21 @@ def test_verify_model_ferro_all_pass():
     for record in report.records:
         if record.asserted:
             assert record.passed, record.name
+
+
+def test_verify_model_judges_pairs_as_the_scan_does():
+    model = _ising_chain_model(6, 1.0)
+    # used to end in a bare ValueError: negative shift count
+    with pytest.raises(ConstraintError, match="outside the 6 sites"):
+        verify_model(model, trials=2, pairs=[(-1, 3)])
+    # (2, 2) is s_2 s_2 = 1, the z-product over no site; it used to be
+    # taken over {2}, whose <sigma^z_2> is 0 here, and the record failed
+    report = verify_model(model, trials=2, pairs=[(2, 2)])
+    assert report.all_passed
+    (record,) = [r for r in report.records if r.name == "classical_reduction[2,2]"]
+    assert record.details["quantum"] == pytest.approx(1.0, rel=1e-14)
+    (row,) = order_parameter_scan(model.potential, [model.alpha], [(2, 2)])
+    assert record.details["classical"] == row.sz_sz == 1.0
 
 
 # Negative controls: one route of a record, off by a relative 1e-4, must fail
