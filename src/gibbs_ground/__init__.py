@@ -4,61 +4,86 @@ Builders for the Hamiltonians, exact verification of their eigenstate,
 ground-state, correlation-bound and classical-reduction properties, and
 classical Gibbs machinery (exact enumeration and Metropolis sampling) for
 the order parameters.
+
+The names below are loaded from their submodules on first use (PEP 562),
+so ``import gibbs_ground`` loads no numpy: the CLI sets its BLAS
+environment before numpy loads.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .classical import (
-    ClassicalPotential,
-    ScanRow,
-    classical_expectation,
-    flip_weight,
-    order_parameter_scan,
-    partition_function,
-    spin_product,
-    squared_magnetization,
-)
-from .errors import (
-    ConfigError,
-    ConstraintError,
-    ConvergenceError,
-    GibbsGroundError,
-    InternalConsistencyError,
-    NonHermitianError,
-    NumericRangeError,
-    SizeCapError,
-    UnsupportedModelError,
-)
-from .lattice import (
-    Caps,
-    Lattice,
-    build_hypercube,
-    linear_height,
-    mask_from_sites,
-    nearest_neighbor_pairs,
-    sites_from_mask,
-)
-from .models import (
-    CouplingTable,
-    DiagonalCoupling,
-    ModelInstance,
-    diagonal_couplings,
-    xxz_diagonal,
-    xxz_hamiltonian,
-    xxz_site_field,
-)
-from .operators import OperatorMatrix, apply, product_operator
-from .verify import (
-    CheckRecord,
-    HypothesisReport,
-    SpectralResult,
-    VerificationReport,
-    dirichlet_form_check,
-    eigen_residual,
-    groundstate_hypotheses,
-    min_eigenvalue,
-    quantum_expectation,
-    reversibility_check,
-    sx_product_bound,
-    verify_model,
-)
+_SUBMODULE = {
+    name: module
+    for module, names in {
+        "classical": [
+            "ClassicalPotential",
+            "ScanRow",
+            "classical_expectation",
+            "flip_weight",
+            "order_parameter_scan",
+            "partition_function",
+            "spin_product",
+            "squared_magnetization",
+        ],
+        "errors": [
+            "ConfigError",
+            "ConstraintError",
+            "ConvergenceError",
+            "GibbsGroundError",
+            "InternalConsistencyError",
+            "NonHermitianError",
+            "NumericRangeError",
+            "SizeCapError",
+            "UnsupportedModelError",
+        ],
+        "lattice": [
+            "Caps",
+            "Lattice",
+            "build_hypercube",
+            "linear_height",
+            "mask_from_sites",
+            "nearest_neighbor_pairs",
+            "sites_from_mask",
+        ],
+        "models": [
+            "CouplingTable",
+            "DiagonalCoupling",
+            "ModelInstance",
+            "diagonal_couplings",
+            "xxz_diagonal",
+            "xxz_hamiltonian",
+            "xxz_site_field",
+        ],
+        "operators": ["OperatorMatrix", "apply", "product_operator"],
+        "verify": [
+            "CheckRecord",
+            "HypothesisReport",
+            "SpectralResult",
+            "VerificationReport",
+            "dirichlet_form_check",
+            "eigen_residual",
+            "groundstate_hypotheses",
+            "min_eigenvalue",
+            "quantum_expectation",
+            "reversibility_check",
+            "sx_product_bound",
+            "verify_model",
+        ],
+    }.items()
+    for name in names
+}
+
+__all__ = ["__version__", *_SUBMODULE]
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBMODULE})

@@ -538,7 +538,7 @@ def order_parameter_averages(
     flat_sites = [all(enum.flat[t] for t in terms) for terms in site_terms]
     z_masks = [(1 << x) ^ (1 << y) for x, y in pairs]
     z_rows = enum.low_rows(z_masks)
-    pair_terms = [enum.odd_terms((1 << x) | (1 << y)) for x, y in pairs]
+    pair_terms = [enum.odd_terms((1 << x) ^ (1 << y)) for x, y in pairs]
     shared_pairs = [
         enum.flip_energy(terms, enum.buffer()) if enum._all_low(terms) else None
         for terms in pair_terms
@@ -697,10 +697,11 @@ def order_parameter_functionals(
 ) -> list[Functional]:
     """The order parameters of a scan, in its order: squared
     z-magnetization, mean site flip weight, then per pair s_x s_y and
-    exp(-(alpha/2) W_{x,y})."""
+    exp(-(alpha/2) W_{x,y}).  W flips the set {x} ^ {y}, empty for a
+    repeated site (x, x), whose x-product is the identity."""
     fs = [squared_magnetization(), mean_site_flip_weight(potential, alpha)]
     for x, y in pairs:
-        fs += [spin_product(x, y), flip_weight(potential, alpha, (1 << x) | (1 << y))]
+        fs += [spin_product(x, y), flip_weight(potential, alpha, (1 << x) ^ (1 << y))]
     return fs
 
 

@@ -679,7 +679,8 @@ def verify_model(
             )
         )
 
-    sx_sets = [1 << 0] + [((1 << x) | (1 << y)) for x, y in pairs[:1]]
+    # (x, x) is sigma^x_x sigma^x_x = I: the x-product over the empty set
+    sx_sets = [1 << 0] + [(1 << x) ^ (1 << y) for x, y in pairs[:1]]
     for mask in sx_sets:
         records.append(sx_product_bound(model, mask))
 

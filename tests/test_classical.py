@@ -284,7 +284,7 @@ def test_order_parameter_averages_equal_per_alpha_route(name, monkeypatch):
     monkeypatch.setattr(classical, "_CHUNK_BITS", 4)
     monkeypatch.setattr(classical, "_ALPHA_GROUP", 3)
     pot = BATCH_POTENTIALS[name]()
-    # (5, 5) is a repeated site: s_5 s_5 = 1, and W over the set {5}
+    # (5, 5) is a repeated site: s_5 s_5 = 1, and W over the empty set
     pairs = [(0, 2), (1, pot.n_sites - 1), (3, 4), (5, 5)]
     alphas = [0.0, 0.4, 1.3, 2.0, 3.5]
     batched = order_parameter_averages(pot, alphas, pairs)
@@ -440,8 +440,9 @@ def test_flat_and_low_flip_energies_equal_decoded_spins(workers, monkeypatch):
 
 def test_flat_sites_are_numbers_and_low_pairs_are_shared(monkeypatch):
     # Which flip energies each chunk evaluates as arrays: neither the flat
-    # sites 4 and 6 (numbers per chunk) nor the low pair (0, 1), whose W is
-    # taken once from the first chunk and shared.
+    # sites 4 and 6 (numbers per chunk) nor the low pair (0, 1) and the
+    # repeated site (3, 3), whose flip set is empty: their W is taken once
+    # from the first chunk and shared.
     monkeypatch.setattr(classical, "_CHUNK_BITS", 3)
     monkeypatch.setattr(classical, "_WORKERS", 2)
     pot, pairs = _flat_case()
@@ -462,12 +463,13 @@ def test_flat_sites_are_numbers_and_low_pairs_are_shared(monkeypatch):
     monkeypatch.setattr(classical._Chunk, "_flat_flip_energy", spy_numbers)
     order_parameter_averages(pot, KERNEL_ALPHAS, pairs)
     site = [tuple(enum.odd_terms(1 << x)) for x in range(pot.n_sites)]
-    pair = [tuple(enum.odd_terms((1 << x) | (1 << y))) for x, y in pairs]
+    pair = [tuple(enum.odd_terms((1 << x) ^ (1 << y))) for x, y in pairs]
+    assert pair[3] == ()
     per_pass = enum.chunk_count
     passes = 2  # nine alphas, _ALPHA_GROUP 8
     assert sorted(numbers) == sorted([site[4], site[6]] * per_pass * passes)
-    once = [site[0], site[1]] * passes + [pair[0]]
-    per_chunk = [site[2], site[3], site[5], pair[1], pair[2], pair[3]] * per_pass * passes
+    once = [site[0], site[1]] * passes + [pair[0], pair[3]]
+    per_chunk = [site[2], site[3], site[5], pair[1], pair[2]] * per_pass * passes
     assert sorted(arrays) == sorted([(True, t) for t in once] + [(False, t) for t in per_chunk])
 
 

@@ -1,4 +1,10 @@
-"""Which commands load scipy, and which load OpenSSL.
+"""Which commands load numpy, scipy and OpenSSL, and what the CLI sets
+before numpy loads.
+
+``import gibbs_ground`` loads no numpy: the package resolves its names
+from the submodules on first use.  So ``import gibbs_ground.cli`` can set
+OPENBLAS_THREAD_TIMEOUT, which OpenBLAS reads once when numpy loads it,
+before that happens; a value the user set is kept.
 
 The classical commands (sweep, correlate, sample) only take Gibbs averages,
 and build and verify compute everything from the flip terms with numpy,
@@ -17,6 +23,7 @@ Each check runs in a fresh interpreter, since this test process has long
 since loaded both.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -41,18 +48,25 @@ CONFIG = {
 }
 
 
-def _loaded_after(code: str, cwd: Path, module: str) -> bool:
-    script = f"{code}\nimport sys\nprint({module!r} in sys.modules)\n"
+def _last_line(script: str, cwd: Path, **env: str | None) -> str:
+    """The last line a fresh interpreter prints running script; env sets
+    (or, given None, removes) environment variables."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    environ = {**os.environ, "PYTHONPATH": path, **env}
     proc = subprocess.run(
         [sys.executable, "-c", script],
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env={k: v for k, v in environ.items() if v is not None},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return proc.stdout.splitlines()[-1]
+
+
+def _loaded_after(code: str, cwd: Path, module: str) -> bool:
+    script = f"{code}\nimport sys\nprint({module!r} in sys.modules)\n"
+    return _last_line(script, cwd) == "True"
 
 
 def _command(name: str, setup: str = "") -> str:
@@ -60,6 +74,92 @@ def _command(name: str, setup: str = "") -> str:
         f"{setup}from gibbs_ground.cli import main\n"
         f"assert main([{name!r}, '--config', 'config.json', '--out', 'out']) == 0"
     )
+
+
+def test_library_import_does_not_load_numpy(tmp_path):
+    assert not _loaded_after("import gibbs_ground", tmp_path, "numpy")
+
+
+# The environment at the moment numpy is imported, then after the import
+# of the CLI; the "import" audit event fires before the module runs.
+_TIMEOUT_AT_NUMPY_IMPORT = """
+import os, sys
+seen = []
+def hook(event, args):
+    if event == "import" and args[0] == "numpy" and not seen:
+        seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.addaudithook(hook)
+import gibbs_ground.cli
+print(seen, os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+"""
+
+
+def test_cli_sets_the_openblas_thread_timeout_before_numpy_loads(tmp_path):
+    # None removes the variable, which this process may have set by
+    # importing the CLI itself.
+    line = _last_line(_TIMEOUT_AT_NUMPY_IMPORT, tmp_path, OPENBLAS_THREAD_TIMEOUT=None)
+    assert line == "['20'] 20"
+
+
+def test_cli_keeps_a_user_set_openblas_thread_timeout(tmp_path):
+    line = _last_line(_TIMEOUT_AT_NUMPY_IMPORT, tmp_path, OPENBLAS_THREAD_TIMEOUT="4")
+    assert line == "['4'] 4"
+
+
+def test_library_import_leaves_the_environment_alone(tmp_path):
+    # Only the CLI sets the timeout: importing the library, its numpy
+    # included, changes nothing in its host's environment.
+    script = "import gibbs_ground.verify, os\nprint(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+    assert _last_line(script, tmp_path, OPENBLAS_THREAD_TIMEOUT=None) == "None"
+
+
+# The names the package exported when it imported them eagerly.
+EXPORTS = {
+    "classical": [
+        "ClassicalPotential", "ScanRow", "classical_expectation", "flip_weight",
+        "order_parameter_scan", "partition_function", "spin_product",
+        "squared_magnetization",
+    ],
+    "errors": [
+        "ConfigError", "ConstraintError", "ConvergenceError", "GibbsGroundError",
+        "InternalConsistencyError", "NonHermitianError", "NumericRangeError",
+        "SizeCapError", "UnsupportedModelError",
+    ],
+    "lattice": [
+        "Caps", "Lattice", "build_hypercube", "linear_height", "mask_from_sites",
+        "nearest_neighbor_pairs", "sites_from_mask",
+    ],
+    "models": [
+        "CouplingTable", "DiagonalCoupling", "ModelInstance", "diagonal_couplings",
+        "xxz_diagonal", "xxz_hamiltonian", "xxz_site_field",
+    ],
+    "operators": ["OperatorMatrix", "apply", "product_operator"],
+    "verify": [
+        "CheckRecord", "HypothesisReport", "SpectralResult", "VerificationReport",
+        "dirichlet_form_check", "eigen_residual", "groundstate_hypotheses",
+        "min_eigenvalue", "quantum_expectation", "reversibility_check",
+        "sx_product_bound", "verify_model",
+    ],
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_lazy_exports_are_the_submodules_objects(module):
+    submodule = importlib.import_module(f"gibbs_ground.{module}")
+    for name in EXPORTS[module]:
+        namespace = {}
+        exec(f"from gibbs_ground import {name}", namespace)
+        assert namespace[name] is getattr(submodule, name), name
+
+
+def test_lazy_exports_are_listed_and_nothing_else_resolves():
+    exported = {name for names in EXPORTS.values() for name in names}
+    assert set(gibbs_ground.__all__) == exported | {"__version__"}
+    assert exported <= set(dir(gibbs_ground))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        gibbs_ground.no_such_name
+    with pytest.raises(ImportError):
+        exec("from gibbs_ground import no_such_name", {})
 
 
 def test_library_import_does_not_load_scipy(tmp_path):

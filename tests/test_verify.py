@@ -597,6 +597,18 @@ def test_scan_rejects_a_pair_site_outside_the_lattice(route, pair):
     assert row.method == route and row.sz_sz == 1.0
 
 
+@pytest.mark.parametrize("route", ["exact", "metropolis"])
+def test_scan_repeated_site_pair_is_the_identity(route):
+    # sigma^x_5 sigma^x_5 = I: the flip set of (5, 5) is empty, as its
+    # z-product is.  It used to be {5}, whose <sigma^x_5> is 0.7864 here.
+    potential = _ising_chain_potential(7)
+    cap = 4 if route == "metropolis" else 7
+    (row,) = order_parameter_scan(potential, [0.5], [(5, 5)], cap=cap, sweeps=64, seed=1)
+    assert row.method == route
+    assert row.sx_sx == 1.0 and row.sx_sx_se == 0.0
+    assert row.sz_sz == 1.0
+
+
 def test_scan_routes_return_one_grid_alpha_major():
     # The exact and Metropolis routes of one scan, below and above the cap
     # on the same 7 sites: the same (alpha, x, y) rows in the same order,
@@ -645,6 +657,11 @@ def test_verify_model_judges_pairs_as_the_scan_does():
     assert record.details["quantum"] == pytest.approx(1.0, rel=1e-14)
     (row,) = order_parameter_scan(model.potential, [model.alpha], [(2, 2)])
     assert record.details["classical"] == row.sz_sz == 1.0
+    # and sigma^x_2 sigma^x_2 = I, the x-product over no site
+    (record,) = [r for r in report.records if r.name == "sx_product_bound[]"]
+    assert record.details["quantum"] == pytest.approx(1.0, rel=1e-14)
+    assert record.value == row.sx_sx == 1.0
+    assert record.details["max_abs_flip_energy"] == 0.0
 
 
 # Negative controls: one route of a record, off by a relative 1e-4, must fail
