@@ -52,6 +52,7 @@ from .lattice import (
     height_field,
     mask_from_sites,
     nearest_neighbor_pairs,
+    pair_mask,
     sites_from_mask,
 )
 
@@ -536,9 +537,10 @@ def order_parameter_averages(
     site_terms = [enum.odd_terms(1 << x) for x in range(n)]
     site_prefix = _leading_run(enum._all_low(terms) for terms in site_terms)
     flat_sites = [all(enum.flat[t] for t in terms) for terms in site_terms]
-    z_masks = [(1 << x) ^ (1 << y) for x, y in pairs]
-    z_rows = enum.low_rows(z_masks)
-    pair_terms = [enum.odd_terms((1 << x) ^ (1 << y)) for x, y in pairs]
+    # a pair's z-product and its flip set are over the same sites
+    pair_masks = [pair_mask(x, y) for x, y in pairs]
+    z_rows = enum.low_rows(pair_masks)
+    pair_terms = [enum.odd_terms(mask) for mask in pair_masks]
     shared_pairs = [
         enum.flip_energy(terms, enum.buffer()) if enum._all_low(terms) else None
         for terms in pair_terms
@@ -579,7 +581,7 @@ def order_parameter_averages(
                 for terms, w_pair, shared in zip(pair_terms, w_pairs, shared_pairs):
                     if shared is None:
                         chunk._flip_energy(terms, w_pair)
-                z_signs = [-1.0 if chunk._odd(z) else 1.0 for z in z_masks]
+                z_signs = [-1.0 if chunk._odd(z) else 1.0 for z in pair_masks]
                 # mz^2 = ((n - 2 popcount) / n)^2, into w, which the sites are done with
                 np.add(low_popcount, chunk.high_popcount, out=popcount)
                 mz_sq = np.subtract(n, np.multiply(popcount, 2.0, out=w), out=w)
@@ -701,7 +703,7 @@ def order_parameter_functionals(
     repeated site (x, x), whose x-product is the identity."""
     fs = [squared_magnetization(), mean_site_flip_weight(potential, alpha)]
     for x, y in pairs:
-        fs += [spin_product(x, y), flip_weight(potential, alpha, (1 << x) ^ (1 << y))]
+        fs += [spin_product(x, y), flip_weight(potential, alpha, pair_mask(x, y))]
     return fs
 
 

@@ -276,6 +276,7 @@ def parse_config(text: str) -> RunConfig:
     check_seed = _get(checks_raw, "seed", int, "checks", 0)
     _require(check_trials >= 1, "field 'checks.trials' must be at least 1")
     _require(check_seed >= 0, "field 'checks.seed' must be nonnegative")
+    _require(check_seed < 1 << 64, "field 'checks.seed' must be at most 2^64 - 1")
 
     return RunConfig(
         lattice=lattice,
@@ -509,6 +510,8 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(text)
         if args.seed is not None:
             _require(args.seed >= 0, "option '--seed' must be nonnegative")
+            # it sets checks.seed too, which the check generator bounds
+            _require(args.seed < 1 << 64, "option '--seed' must be at most 2^64 - 1")
             config.mc_seed = args.seed
             config.check_seed = args.seed
         return run(args.command, config, out_dir=args.out)

@@ -154,6 +154,13 @@ def mask_from_sites(sites: Iterable[int]) -> int:
     return mask
 
 
+def pair_mask(x: int, y: int) -> int:
+    """Bitmask of the set {x} ^ {y} that the pair (x, y) flips or
+    multiplies over: both sites, or none for a repeated site (x, x),
+    whose products s_x s_x and sigma^x_x sigma^x_x are the identity."""
+    return (1 << x) ^ (1 << y)
+
+
 def sites_from_mask(mask: int) -> tuple[int, ...]:
     """Sorted site indices of a bitmask."""
     sites = []

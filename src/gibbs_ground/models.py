@@ -485,8 +485,18 @@ class ModelInstance:
         )
 
     def digest(self) -> str:
-        """Stable hash of the model's defining data."""
-        import hashlib  # only verify needs it, and it maps OpenSSL
+        """Stable hash of the model's defining data: the first 16 hex
+        digits of the SHA-256 of its sorted-key JSON."""
+        # SHA-256 from the interpreter's own module (_sha2 from 3.12,
+        # _sha256 before), since hashlib maps OpenSSL, a few MB of resident
+        # memory; hashlib only where neither module is built.
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
         payload = {
             "d": self.lattice.dimension,
             "L": self.lattice.side,
@@ -495,4 +505,4 @@ class ModelInstance:
             "alpha": self.alpha,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return sha256(blob).hexdigest()[:16]

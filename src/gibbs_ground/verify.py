@@ -12,7 +12,8 @@ measures their gaps; they are judged here, and only here.
 The records of verify_model, in report order.  A record under the one
 rule ("rule: yes", built by _at_most) passes exactly when its reported
 value is at most its reported threshold.  |H| is the largest entry of H,
-F and F' are random test vectors, c is a classical Gibbs average.
+F and F' are seeded trial vectors (see below), c is a classical Gibbs
+average.
 
   record                 routes compared                  threshold         rule  fails in
   ---------------------  -------------------------------  ----------------  ----  -------------
@@ -57,6 +58,14 @@ rayleigh_quotient is implied by eigenstate_residual: by Cauchy-Schwarz
 1e-10 |H|, and rayleigh_quotient is asserted only where eigenstate_residual
 is, so it fails only when eigenstate_residual fails too.  It stays while
 the benchmark workloads pin the 14 record names.
+
+Trial vectors and eigensolver start vectors are SplitMix64 outputs in
+[-1, 1) (gibbs_ground.splitmix), so verify loads neither numpy.random nor
+OpenSSL, and its reports do not depend on numpy's generator streams.  The
+`trials` vectors F are runs of dim outputs from output 0 on, F' the next
+`trials` runs, so the F of dirichlet_form are those of reversibility.  The
+start vectors of both eigensolver routes are outputs 0 to dim - 1 of the
+stream with seed 0.
 """
 
 from __future__ import annotations
@@ -70,7 +79,6 @@ import numpy as np
 from .classical import (
     _check_pairs,
     _mask_chunks,
-    _validate_seed,
     classical_expectation,
     flip_weight,
     max_abs_flip_energy,
@@ -83,7 +91,7 @@ from .errors import (
     NonHermitianError,
     SizeCapError,
 )
-from .lattice import Caps, nearest_neighbor_pairs, sites_from_mask
+from .lattice import Caps, nearest_neighbor_pairs, pair_mask, sites_from_mask
 from .models import (
     CouplingTable,
     ModelInstance,
@@ -97,6 +105,7 @@ from .operators import (
     max_entry_diff,
     product_operator,
 )
+from .splitmix import check_seed, uniform
 
 # Pinned tolerances, all relative to the largest Hamiltonian entry except
 # where noted.
@@ -229,11 +238,11 @@ def eigen_residual(h: OperatorMatrix, psi: np.ndarray) -> float:
 
 def _lowest_vector(block: np.ndarray, lam: float) -> np.ndarray:
     """A unit eigenvector of a Hermitian block for its lowest eigenvalue
-    lam: one step of inverse iteration, a solve with block - lam*I from a
-    fixed-seed start vector, which blows up along the wanted direction.  An
-    exactly singular solve (an eigenvalue met exactly, as in a 1x1 block)
-    falls back to a full dense solve."""
-    start = np.random.default_rng(0).standard_normal(len(block))
+    lam: one step of inverse iteration, a solve with block - lam*I from
+    SplitMix64 outputs (seed 0), which blows up along the wanted
+    direction.  An exactly singular solve (an eigenvalue met exactly, as in
+    a 1x1 block) falls back to a full dense solve."""
+    start = uniform(0, 0, len(block))
     try:
         vec = np.linalg.solve(block - lam * np.eye(len(block)), start)
     except np.linalg.LinAlgError:
@@ -259,7 +268,7 @@ def _lanczos_lowest(h: OperatorMatrix) -> np.ndarray:
     """A unit vector for the lowest eigenvalue of Hermitian h, by
     thick-restart Lanczos (Wu & Simon 2000) on the flip-term product.
 
-    The basis starts from a fixed-seed random vector and is kept
+    The basis starts from SplitMix64 outputs (seed 0) and is kept
     orthonormal by two Gram-Schmidt passes per product; the projected
     matrix is assembled from their coefficients.  When the basis is full,
     Rayleigh-Ritz on it either accepts the lowest Ritz vector, whose
@@ -278,7 +287,7 @@ def _lanczos_lowest(h: OperatorMatrix) -> np.ndarray:
     projected = np.zeros((size, size), dtype=basis.dtype)
     # A fixed-seed start vector makes reruns repeat exactly; a generic one
     # cannot be orthogonal to the lowest mode by symmetry.
-    start = np.random.default_rng(0).standard_normal(dim)
+    start = uniform(0, 0, dim)
     basis[0] = start / np.linalg.norm(start)
     kept, products = 0, 0
     while True:
@@ -330,7 +339,7 @@ def min_eigenvalue(h: OperatorMatrix, dense_sites: int = Caps.dense_sites) -> Sp
     step of inverse iteration at its eigenvalue; larger blocks go to
     scipy's one-eigenpair eigh.  Above the cap, thick-restart Lanczos on H
     itself, with numpy and the flip-term product alone, finds the lowest
-    eigenvector from a fixed-seed random start vector (see
+    eigenvector from a start vector of SplitMix64 outputs (seed 0; see
     _lanczos_lowest), and the eigenvalue is its Rayleigh quotient on H.
     The residual is always measured against the full H, which also proves
     the blocks closed.
@@ -480,10 +489,12 @@ def sx_product_bound(model: ModelInstance, sites_mask: int) -> CheckRecord:
     )
 
 
-def _random_vectors(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+def _random_vectors(seed: int, dim: int, count: int, first: int = 0) -> np.ndarray:
+    """Trial vectors first ... first+count-1 of the seed's stream, one per
+    row: vector k holds the outputs [k*dim, (k+1)*dim) of uniform."""
     if count < 1:
         raise ConstraintError(f"a randomized check needs at least 1 trial, got {count}")
-    return rng.uniform(-1.0, 1.0, size=(count, dim))
+    return uniform(seed, first * dim, count * dim).reshape(count, dim)
 
 
 def reversibility_check(
@@ -492,15 +503,17 @@ def reversibility_check(
     """Symmetry of the conjugated Hamiltonian in the Boltzmann-weighted
     inner product, and its agreement with the plain product of the
     half-weighted vectors.  Weights are evaluated with the potential
-    shifted by its minimum, which rescales both sides identically."""
-    _validate_seed(seed)
+    shifted by its minimum, which rescales both sides identically.  The
+    vectors F are trial vectors 0 to trials - 1 of the seed's stream, the
+    vectors F' the next trials of them.  Raises ConstraintError on a seed
+    outside [0, 2^64 - 1]."""
+    check_seed(seed)
     shifted = model.shifted_energies
     w = np.exp(-model.alpha * shifted)
     wh = np.exp(-0.5 * model.alpha * shifted)
     hc = model.h_conjugate
-    rng = np.random.default_rng(seed)
-    fs = _random_vectors(rng, len(shifted), trials)
-    gs = _random_vectors(rng, len(shifted), trials)
+    fs = _random_vectors(seed, len(shifted), trials)
+    gs = _random_vectors(seed, len(shifted), trials, first=trials)
     max_sym = 0.0
     max_conj = 0.0
     for f, g in zip(fs, gs):
@@ -536,9 +549,11 @@ def dirichlet_form_check(
 
     Requires every y-set even (the symmetrization uses flip-evenness of the
     couplings).  When the sign hypothesis holds as well, both routes must be
-    nonnegative.
+    nonnegative.  The vectors F are reversibility_check's F for the same
+    seed and trials.  Raises ConstraintError on a seed outside
+    [0, 2^64 - 1].
     """
-    _validate_seed(seed)
+    check_seed(seed)
     masks, shifted = model.masks, model.shifted_energies
     w = np.exp(-model.alpha * shifted)
     hc = model.h_conjugate
@@ -550,8 +565,7 @@ def dirichlet_form_check(
         weight2 = np.exp(-0.5 * model.alpha * (shifted + shifted[perm]))
         flip_data.append((perm, coupling.values(masks) * weight2))
 
-    rng = np.random.default_rng(seed)
-    fs = _random_vectors(rng, len(masks), trials)
+    fs = _random_vectors(seed, len(masks), trials)
     max_gap = 0.0
     min_form = math.inf
     for f in fs:
@@ -598,10 +612,11 @@ def verify_model(
     those hypotheses hold; otherwise they are computed and reported as
     informational, mapping where the properties actually hold.  Every check
     runs under model.caps: a model above caps.quantum_sites stops before
-    any check, with SizeCapError, as does a pair site outside the lattice,
-    with ConstraintError.  A pair (x, x) is legal, as in the scan.
+    any check, with SizeCapError, as does a pair site outside the lattice
+    or a seed outside [0, 2^64 - 1], with ConstraintError.  A pair (x, x)
+    is legal, as in the scan.
     """
-    _validate_seed(seed)
+    check_seed(seed)
     if pairs is None:
         pairs = nearest_neighbor_pairs(model.lattice)[:2]
     _check_pairs(model.lattice.n_sites, pairs)
@@ -664,7 +679,7 @@ def verify_model(
 
     for x, y in pairs:
         # (x, x) is s_x s_x = 1: the z-product over the empty set
-        op = product_operator(3, (1 << x) ^ (1 << y), model.lattice, cap=caps.quantum_sites)
+        op = product_operator(3, pair_mask(x, y), model.lattice, cap=caps.quantum_sites)
         quantum = quantum_expectation(op, model.state)
         classical = classical_expectation(
             spin_product(x, y), model.potential, model.alpha, cap=caps.enumeration_sites
@@ -680,7 +695,7 @@ def verify_model(
         )
 
     # (x, x) is sigma^x_x sigma^x_x = I: the x-product over the empty set
-    sx_sets = [1 << 0] + [(1 << x) ^ (1 << y) for x, y in pairs[:1]]
+    sx_sets = [1 << 0] + [pair_mask(x, y) for x, y in pairs[:1]]
     for mask in sx_sets:
         records.append(sx_product_bound(model, mask))
 

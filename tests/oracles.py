@@ -104,3 +104,21 @@ def open_chain_correlation(L: int, k: float, x: int, y: int) -> float:
 def open_chain_correlation_closed_form(k: float, distance: int) -> float:
     """The same correlation in closed form: tanh(k)^distance."""
     return math.tanh(k) ** distance
+
+
+def splitmix64(seed: int, count: int, start: int = 0) -> list[int]:
+    """Outputs start ... start+count-1 of SplitMix64 seeded with seed, by
+    its sequential next() (Steele, Lea & Flood 2014): the state advances by
+    the golden gamma, then the finaliser mixes a copy.  The state is a
+    Weyl sequence, so start outputs are skipped by adding start gammas."""
+    mask = (1 << 64) - 1
+    gamma = 0x9E3779B97F4A7C15
+    state = (seed + start * gamma) & mask
+    out = []
+    for _ in range(count):
+        state = (state + gamma) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out

@@ -215,6 +215,31 @@ def test_negative_seed_exits_2(tmp_path, capsys, overrides, flag, field):
 
 
 @pytest.mark.parametrize(
+    "overrides, flag, field",
+    [({"checks": {"seed": 2**64}}, [], "checks.seed"), ({}, ["--seed", str(2**64)], "--seed")],
+    ids=["checks.seed", "flag"],
+)
+def test_check_seed_beyond_64_bits_exits_2(tmp_path, capsys, overrides, flag, field):
+    # verify's SplitMix64 seed is one uint64 word, which it must not wrap
+    path = _write_config(tmp_path, _config(lattice={"d": 1, "L": 4}, **overrides))
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(path), "--out", str(out), *flag]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "ConfigError" and f"'{field}'" in error["message"]
+    assert "2^64 - 1" in error["message"]
+    assert not out.exists()
+
+
+def test_seed_bounds_of_the_config():
+    # the largest check seed is legal; mc.seed, read by numpy's generator,
+    # keeps no upper bound
+    top = cli.parse_config(json.dumps(_config(checks={"trials": 2, "seed": 2**64 - 1})))
+    assert top.check_seed == 2**64 - 1
+    mc = cli.parse_config(json.dumps(_config(mc={"sweeps": 10, "seed": 2**64})))
+    assert mc.mc_seed == 2**64
+
+
+@pytest.mark.parametrize(
     "lattice, wanted",
     [
         # 3^10000 once overflowed the digit limit while formatting its message

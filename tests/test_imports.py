@@ -1,5 +1,5 @@
-"""Which commands load numpy, scipy and OpenSSL, and what the CLI sets
-before numpy loads.
+"""Which commands load numpy, numpy.random, scipy and OpenSSL, and what the
+CLI sets before numpy loads.
 
 ``import gibbs_ground`` loads no numpy: the package resolves its names
 from the submodules on first use.  So ``import gibbs_ground.cli`` can set
@@ -13,11 +13,13 @@ gibbs_ground`` nor those commands may import scipy.  Only a dense
 flip-graph block of SUBSET_EIGH_MIN_BLOCK states or more goes to scipy's
 eigh.
 
-Loading hashlib maps OpenSSL (``_hashlib``), a few MB of resident memory.
-Only verify hashes (the model digest of its report), so ``import
-gibbs_ground``, build and the exact scans of sweep and correlate must not
-load it.  sample is not checked: its Metropolis chain needs numpy.random,
-whose import of ``secrets`` loads ``_hashlib``.
+Loading hashlib maps OpenSSL (``_hashlib``), and loading numpy.random
+loads it too, through ``secrets``: together a few MB of resident memory.
+verify hashes its model digest with the interpreter's own SHA-256 module
+and draws its trial and start vectors from its own SplitMix64, so it
+loads neither, on the dense and on the iterative route.  Only Metropolis
+chains draw from numpy.random: sample's loads both, which shows the probe
+sees them.
 
 Each check runs in a fresh interpreter, since this test process has long
 since loaded both.
@@ -206,8 +208,27 @@ def test_exact_scans_and_build_do_not_load_openssl(tmp_path, command):
     assert not _loaded_after(_command(command), tmp_path, "_hashlib")
 
 
-def test_verify_loads_openssl(tmp_path):
-    # Positive control: verify hashes the model into its report (and its
-    # randomized checks draw from numpy.random).
-    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
-    assert _loaded_after(_command("verify"), tmp_path, "_hashlib")
+def _loaded_after_command(tmp_path, command: str, config: dict) -> str:
+    """The printed list [numpy.random loaded, _hashlib loaded] after the
+    command has run on config."""
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    probe = "\nimport sys\nprint([m in sys.modules for m in ('numpy.random', '_hashlib')])"
+    return _last_line(_command(command) + probe, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "method, caps", [("dense", {}), ("iterative", {"dense_sites": 4})], ids=["dense", "iterative"]
+)
+def test_verify_loads_neither_openssl_nor_numpy_random(tmp_path, method, caps):
+    loaded = _loaded_after_command(tmp_path, "verify", {**CONFIG, "caps": caps})
+    assert loaded == "[False, False]"
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    for checks in (r["checks"] for r in report["reports"]):
+        (ground,) = [c for c in checks if c["name"] == "ground_energy"]
+        assert ground["details"]["method"] == method
+
+
+def test_sample_loads_openssl_and_numpy_random(tmp_path):
+    # Positive control: the Metropolis chain draws from numpy.random, whose
+    # import of secrets loads _hashlib.
+    assert _loaded_after_command(tmp_path, "sample", CONFIG) == "[True, True]"

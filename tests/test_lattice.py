@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from gibbs_ground import build_hypercube, linear_height, mask_from_sites, nearest_neighbor_pairs, sites_from_mask
 from gibbs_ground.errors import ConstraintError, SizeCapError
-from gibbs_ground.lattice import Caps, height_field
+from gibbs_ground.lattice import Caps, height_field, pair_mask
 
 
 @pytest.mark.parametrize(
@@ -100,3 +100,9 @@ def test_mask_bijection_property(sites):
     mask = mask_from_sites(sites)
     assert set(sites_from_mask(mask)) == sites
     assert mask.bit_count() == len(sites)
+
+
+def test_pair_mask_is_the_symmetric_difference():
+    assert pair_mask(2, 5) == pair_mask(5, 2) == 0b100100
+    # a repeated site flips nothing: s_x s_x and sigma^x_x sigma^x_x are I
+    assert pair_mask(3, 3) == 0

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -466,3 +469,41 @@ def test_model_digest_stable():
     m3 = ModelInstance.xxz(lat, -1.0, 0.75)
     assert m1.digest() == m2.digest()
     assert m1.digest() != m3.digest()
+
+
+def _digest_blob(model: ModelInstance) -> bytes:
+    payload = {
+        "d": model.lattice.dimension,
+        "L": model.lattice.side,
+        "couplings": [list(e) for e in model.table.entries],
+        "potential": [list(t) for t in model.potential.terms],
+        "alpha": model.alpha,
+    }
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+def test_model_digest_falls_back_to_hashlib(monkeypatch):
+    # With neither builtin SHA-256 module (_sha2 from 3.12, _sha256 before)
+    # importable, the digest comes from hashlib and is the same string.
+    model = ModelInstance.xxz(build_hypercube(1, 4), -1.0, 0.5)
+    builtin = model.digest()
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    with pytest.raises(ImportError):
+        import _sha2  # noqa: F401
+    with pytest.raises(ImportError):
+        import _sha256  # noqa: F401
+    assert model.digest() == builtin
+    assert builtin == hashlib.sha256(_digest_blob(model)).hexdigest()[:16]
+
+
+def test_model_digest_takes_the_builtin_sha256(monkeypatch):
+    # hashlib maps OpenSSL; one of the builtin modules exists on 3.10+, so
+    # the digest never reaches hashlib's constructor.
+    def refuse(data=b""):
+        raise AssertionError("hashlib.sha256 called")
+
+    model = ModelInstance.xxz(build_hypercube(1, 4), -1.0, 0.5)
+    expected = hashlib.sha256(_digest_blob(model)).hexdigest()[:16]
+    monkeypatch.setattr(hashlib, "sha256", refuse)
+    assert model.digest() == expected

@@ -24,7 +24,7 @@ from gibbs_ground import (
     sx_product_bound,
     verify_model,
 )
-from gibbs_ground import classical, models, verify
+from gibbs_ground import classical, models, splitmix, verify
 from gibbs_ground.errors import (
     ConstraintError,
     ConvergenceError,
@@ -507,6 +507,23 @@ def test_randomized_checks_reject_a_negative_seed(check):
     model = _ising_chain_model(4, 1.0)
     with pytest.raises(ConstraintError, match="seed must be nonnegative, got -1"):
         check(model, seed=-1)
+
+
+@pytest.mark.parametrize("check", [reversibility_check, dirichlet_form_check, verify_model])
+def test_randomized_checks_reject_a_seed_beyond_64_bits(check):
+    # numpy's default_rng took any seed; the SplitMix64 seed is one word
+    model = _ising_chain_model(4, 1.0)
+    with pytest.raises(ConstraintError, match=rf"seed must be at most 2\^64 - 1, got {2**64}"):
+        check(model, seed=2**64)
+
+
+def test_trial_vectors_are_consecutive_runs_of_the_stream():
+    # reversibility's F are vectors 0..T-1 and its F' vectors T..2T-1;
+    # dirichlet_form's F are the same vectors 0..T-1
+    dim, trials = 5, 3
+    stream = splitmix.uniform(7, 0, 2 * trials * dim).reshape(2 * trials, dim)
+    assert np.array_equal(verify._random_vectors(7, dim, trials), stream[:trials])
+    assert np.array_equal(verify._random_vectors(7, dim, trials, first=trials), stream[trials:])
 
 
 def test_dirichlet_form_nonnegative_for_ferro():
