@@ -55,6 +55,7 @@ from .lattice import (
     pair_mask,
     sites_from_mask,
 )
+from .splitmix import bits53
 
 # Enumeration runs over chunks of 2^_CHUNK_BITS configuration masks (one
 # chunk of 2^n below that): 512 KiB per float64 array, so that a chunk's
@@ -76,6 +77,8 @@ _WORKERS: int | None = None
 _ALPHA_GROUP = 8
 
 _BATCHES = 32  # batch means behind a Metropolis standard error
+
+_SWEEP_BLOCK = 256  # sweeps of a Metropolis chain drawn per SplitMix64 call; no sample depends on it
 
 Functional = Callable[[np.ndarray], np.ndarray]
 
@@ -635,12 +638,6 @@ def _validate_alpha(alpha: float):
         raise ConstraintError(f"alpha must be a finite nonnegative real, got {alpha}")
 
 
-def _validate_seed(seed: int):
-    """numpy's default_rng raises a bare ValueError on a negative seed."""
-    if seed < 0:
-        raise ConstraintError(f"seed must be nonnegative, got {seed}")
-
-
 # ---------------------------------------------------------------------------
 # Observables
 # ---------------------------------------------------------------------------
@@ -717,47 +714,56 @@ def default_burn_in(sweeps: int, burn_in: int | None = None) -> int:
     return max(1, sweeps // 10) if burn_in is None else burn_in
 
 
+def _proposals(bits: np.ndarray, n: int) -> tuple[list[int], list[float]]:
+    """Sites floor(b n / 2^53) < n and uniforms b / 2^53 in [0, 1), exactly,
+    from top-53-bit outputs b in (site, uniform) pairs."""
+    sites = (bits[0::2] * np.uint64(n)) >> np.uint64(53)
+    return sites.tolist(), (bits[1::2] * 2.0**-53).tolist()
+
+
 def metropolis_samples(
-    potential: ClassicalPotential,
-    alpha: float,
-    *,
-    sweeps: int,
-    burn_in: int,
-    seed: int,
+    potential: ClassicalPotential, alpha: float, *, sweeps: int, burn_in: int, seed: int
 ) -> tuple[np.ndarray, float]:
-    """Run a single-spin-flip Metropolis chain and record one configuration
-    per sweep after burn-in.
+    """Run a single-spin-flip Metropolis chain from the all-up state and
+    record one configuration per sweep after burn-in.
 
     One sweep is n_sites proposals at uniformly random sites; a flip of site
-    x is accepted with probability min(1, exp(-alpha W_x(s))).  Returns the
-    (sweeps, n) int8 sample array and the overall acceptance rate.
+    x is accepted with probability min(1, exp(-alpha W_x(s))).  Proposal k
+    of sweep t (burn-in counted) draws outputs 2(t n + k), its site, and
+    2(t n + k) + 1, its uniform, of the seed's SplitMix64 stream.  Returns
+    the (sweeps, n) int8 sample array and the overall acceptance rate;
+    ConstraintError on a seed outside [0, 2^64 - 1], on 2^63 proposals or
+    more, or on samples that do not fit in memory.
     """
     _validate_alpha(alpha)
     if sweeps <= 0:
         raise ConstraintError("sweeps must be positive")
     if burn_in < 0:
         raise ConstraintError("burn_in must be nonnegative")
-    _validate_seed(seed)
     n = potential.n_sites
-    rng = np.random.default_rng(seed)
+    total = burn_in + sweeps
+    if 2 * total * n >= 1 << 64:
+        raise ConstraintError(f"{total} sweeps of {n} sites need 2^64 or more SplitMix64 outputs")
+    try:
+        samples = np.empty((sweeps, n), dtype=np.int8)
+    except MemoryError as exc:
+        raise ConstraintError(f"{sweeps} samples of {n} sites do not fit in memory") from exc
 
     # Per-site term lists: W_x(s) = -2 s_x * sum_{B containing x} c_B prod_{y in B, y != x} s_y
     local: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for mask, coeff in potential.terms:
-        members = sites_from_mask(mask)
+    for members, coeff in potential._site_lists:
         for x in members:
             local[x].append((coeff, tuple(y for y in members if y != x)))
 
     spins = [1] * n
-    samples = np.empty((sweeps, n), dtype=np.int8)
     accepted = 0
-    total_steps = (burn_in + sweeps) * n
     exp = math.exp
-    for t in range(burn_in + sweeps):
-        sites = rng.integers(0, n, size=n)
-        uniforms = rng.random(n)
-        for k in range(n):
-            x = sites[k]
+    for t in range(total):
+        if t % _SWEEP_BLOCK == 0:
+            count = 2 * n * min(_SWEEP_BLOCK, total - t)
+            sites, uniforms = _proposals(bits53(seed, 2 * t * n, count), n)
+        k = t % _SWEEP_BLOCK * n
+        for x, u in zip(sites[k : k + n], uniforms[k : k + n]):
             h = 0.0
             for coeff, rest in local[x]:
                 prod = coeff
@@ -765,12 +771,12 @@ def metropolis_samples(
                     prod *= spins[y]
                 h += prod
             w = -2.0 * spins[x] * h
-            if w <= 0.0 or uniforms[k] < exp(-alpha * w):
+            if w <= 0.0 or u < exp(-alpha * w):
                 spins[x] = -spins[x]
                 accepted += 1
         if t >= burn_in:
             samples[t - burn_in] = spins
-    return samples, accepted / total_steps
+    return samples, accepted / (total * n)
 
 
 def estimate_from_samples(f: Functional, samples: np.ndarray) -> tuple[float, float]:
@@ -860,12 +866,8 @@ def order_parameter_scan(
         burn_in = default_burn_in(sweeps, burn_in)
         estimates = [
             metropolis_averages(
-                order_parameter_functionals(potential, alpha, pairs),
-                potential,
-                alpha,
-                sweeps=sweeps,
-                burn_in=burn_in,
-                seed=seed,
+                order_parameter_functionals(potential, alpha, pairs), potential, alpha,
+                sweeps=sweeps, burn_in=burn_in, seed=seed,
             )[0]
             for alpha in alphas
         ]

@@ -32,9 +32,10 @@ from .classical import (
     spin_product,
     squared_magnetization,
 )
-from .errors import ConfigError, GibbsGroundError
+from .errors import ConfigError, ConstraintError, GibbsGroundError
 from .lattice import Caps, Lattice, build_hypercube
 from .models import CouplingTable, ModelInstance
+from .splitmix import check_seed
 from .verify import TWO_PATH_RTOL, groundstate_hypotheses, verify_model
 
 SCHEMA_VERSION = 1
@@ -80,6 +81,15 @@ def _require_known(section: dict, where: str, known: list[str]):
         _require(
             key in known, f"unknown field '{where}.{key}' (known: {', '.join(known)})"
         )
+
+
+def _seed(value: int, where: str) -> int:
+    """value, unless check_seed, the package's one seed rule, refuses it."""
+    try:
+        check_seed(value)
+    except ConstraintError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return value
 
 
 def _get(section: dict, key: str, kind, where: str, default=None, required=False):
@@ -263,20 +273,17 @@ def parse_config(text: str) -> RunConfig:
     _require_known(mc_raw, "mc", ["sweeps", "burn_in", "seed"])
     sweeps = _get(mc_raw, "sweeps", int, "mc", 20000)
     burn_in = _get(mc_raw, "burn_in", int, "mc", None)
-    mc_seed = _get(mc_raw, "seed", int, "mc", 0)
+    mc_seed = _seed(_get(mc_raw, "seed", int, "mc", 0), "field 'mc.seed'")
     # the batch-means standard error needs at least two sweeps (two batches)
     _require(sweeps >= 2, "field 'mc.sweeps' must be at least 2")
-    _require(mc_seed >= 0, "field 'mc.seed' must be nonnegative")
     _require(burn_in is None or burn_in >= 0, "field 'mc.burn_in' must be nonnegative")
 
     checks_raw = doc.get("checks", {})
     _require(isinstance(checks_raw, dict), "field 'checks' must be an object")
     _require_known(checks_raw, "checks", ["trials", "seed"])
     check_trials = _get(checks_raw, "trials", int, "checks", 20)
-    check_seed = _get(checks_raw, "seed", int, "checks", 0)
+    checks_seed = _seed(_get(checks_raw, "seed", int, "checks", 0), "field 'checks.seed'")
     _require(check_trials >= 1, "field 'checks.trials' must be at least 1")
-    _require(check_seed >= 0, "field 'checks.seed' must be nonnegative")
-    _require(check_seed < 1 << 64, "field 'checks.seed' must be at most 2^64 - 1")
 
     return RunConfig(
         lattice=lattice,
@@ -288,7 +295,7 @@ def parse_config(text: str) -> RunConfig:
         burn_in=burn_in,
         mc_seed=mc_seed,
         check_trials=check_trials,
-        check_seed=check_seed,
+        check_seed=checks_seed,
         caps=caps,
     )
 
@@ -424,12 +431,7 @@ def _cmd_sample(config: RunConfig, out: Path) -> int:
     for alpha in config.alphas:
         fs = [squared_magnetization()] + [spin_product(x, y) for x, y in config.pairs]
         estimates, acceptance = metropolis_averages(
-            fs,
-            config.potential,
-            alpha,
-            sweeps=config.sweeps,
-            burn_in=burn_in,
-            seed=config.mc_seed,
+            fs, config.potential, alpha, sweeps=config.sweeps, burn_in=burn_in, seed=config.mc_seed
         )
         (mz_sq, mz_sq_se), pair_estimates = estimates[0], estimates[1:]
         results.append(
@@ -509,11 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(text)
         if args.seed is not None:
-            _require(args.seed >= 0, "option '--seed' must be nonnegative")
-            # it sets checks.seed too, which the check generator bounds
-            _require(args.seed < 1 << 64, "option '--seed' must be at most 2^64 - 1")
-            config.mc_seed = args.seed
-            config.check_seed = args.seed
+            config.mc_seed = config.check_seed = _seed(args.seed, "option '--seed'")
         return run(args.command, config, out_dir=args.out)
     except GibbsGroundError as exc:
         print(

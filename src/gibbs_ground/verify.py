@@ -60,12 +60,11 @@ is, so it fails only when eigenstate_residual fails too.  It stays while
 the benchmark workloads pin the 14 record names.
 
 Trial vectors and eigensolver start vectors are SplitMix64 outputs in
-[-1, 1) (gibbs_ground.splitmix), so verify loads neither numpy.random nor
-OpenSSL, and its reports do not depend on numpy's generator streams.  The
-`trials` vectors F are runs of dim outputs from output 0 on, F' the next
-`trials` runs, so the F of dirichlet_form are those of reversibility.  The
-start vectors of both eigensolver routes are outputs 0 to dim - 1 of the
-stream with seed 0.
+[-1, 1) (gibbs_ground.splitmix), so no report depends on numpy's generator
+streams.  The `trials` vectors F are runs of dim outputs from output 0
+on, F' the next `trials` runs, so the F of dirichlet_form are those of
+reversibility.  The start vectors of both eigensolver routes are outputs
+0 to dim - 1 of the stream with seed 0.
 """
 
 from __future__ import annotations
@@ -507,7 +506,6 @@ def reversibility_check(
     vectors F are trial vectors 0 to trials - 1 of the seed's stream, the
     vectors F' the next trials of them.  Raises ConstraintError on a seed
     outside [0, 2^64 - 1]."""
-    check_seed(seed)
     shifted = model.shifted_energies
     w = np.exp(-model.alpha * shifted)
     wh = np.exp(-0.5 * model.alpha * shifted)
@@ -553,7 +551,6 @@ def dirichlet_form_check(
     seed and trials.  Raises ConstraintError on a seed outside
     [0, 2^64 - 1].
     """
-    check_seed(seed)
     masks, shifted = model.masks, model.shifted_energies
     w = np.exp(-model.alpha * shifted)
     hc = model.h_conjugate

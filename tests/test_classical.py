@@ -44,6 +44,7 @@ from .oracles import (
     open_chain_correlation,
     open_chain_correlation_closed_form,
     spins_of_mask,
+    splitmix64,
 )
 
 
@@ -718,6 +719,68 @@ def test_metropolis_deterministic_given_seed():
     a, _ = metropolis_samples(pot, 0.7, sweeps=200, burn_in=20, seed=9)
     b, _ = metropolis_samples(pot, 0.7, sweeps=200, burn_in=20, seed=9)
     assert np.array_equal(a, b)
+
+
+def test_metropolis_draws_its_stream_as_documented():
+    # A plain-Python chain on the published SplitMix64: proposal k of sweep t
+    # takes its site from output 2(t n + k) and its acceptance uniform from
+    # output 2(t n + k) + 1.  The flip energies are integers, so exact.
+    n, alpha, seed, burn_in, sweeps = 5, 0.8, 2**64 - 3, 3, 4
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, n), 1.0)
+    outputs = [z >> 11 for z in splitmix64(seed, 2 * (burn_in + sweeps) * n)]
+    spins, rows, accepted = [1] * n, [], 0
+    for t in range(burn_in + sweeps):
+        for k in range(n):
+            site_bits, uniform_bits = outputs[2 * (t * n + k) : 2 * (t * n + k) + 2]
+            x = site_bits * n >> 53
+            w = pot.flip_energy_many(np.array([spins], dtype=np.int8), 1 << x)[0]
+            if w <= 0 or uniform_bits * 2.0**-53 < math.exp(-alpha * w):
+                spins[x] = -spins[x]
+                accepted += 1
+        if t >= burn_in:
+            rows.append(list(spins))
+    samples, acceptance = metropolis_samples(
+        pot, alpha, sweeps=sweeps, burn_in=burn_in, seed=seed
+    )
+    assert samples.tolist() == rows
+    assert acceptance == accepted / ((burn_in + sweeps) * n)
+    assert 0 < accepted < (burn_in + sweeps) * n
+
+
+@pytest.mark.parametrize("block", [1, 7, classical._SWEEP_BLOCK])
+def test_metropolis_samples_do_not_depend_on_the_block(monkeypatch, block):
+    # 330 sweeps span two default blocks and end inside the last one
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, 6), 1.0)
+    run = lambda: metropolis_samples(pot, 0.7, sweeps=300, burn_in=30, seed=9)
+    reference, reference_acceptance = run()
+    monkeypatch.setattr(classical, "_SWEEP_BLOCK", block)
+    samples, acceptance = run()
+    assert samples.tobytes() == reference.tobytes()
+    assert acceptance == reference_acceptance
+
+
+@pytest.mark.parametrize("n", [3, 63, 64])
+def test_proposal_sites_stay_below_n(n):
+    # the largest 53-bit output picks site n - 1, never n; each site is
+    # floor(b n / 2^53) exactly, also at the first output of each site
+    top = 2**53 - 1
+    first = [-(-(j << 53) // n) for j in range(n)]
+    bits = [top, top, 0, 0] + [b for j in first for b in (j, j)]
+    sites, uniforms = classical._proposals(np.array(bits, dtype=np.uint64), n)
+    assert sites[:2] == [n - 1, 0]
+    assert uniforms[:2] == [1 - 2.0**-53, 0.0]
+    assert sites[2:] == list(range(n))
+    assert all(0.0 <= u < 1.0 for u in uniforms)
+
+
+def test_metropolis_refuses_a_wrapping_counter_before_allocating():
+    # 2 (burn_in + sweeps) n outputs must stay below 2^64
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, 4), 1.0)
+    sweeps = (1 << 61) - 1
+    with pytest.raises(ConstraintError, match="2\\^64 or more SplitMix64 outputs"):
+        metropolis_samples(pot, 1.0, sweeps=sweeps, burn_in=1, seed=0)
+    with pytest.raises(ConstraintError, match="do not fit in memory"):
+        metropolis_samples(pot, 1.0, sweeps=sweeps - 1, burn_in=1, seed=0)
 
 
 def test_one_sample_standard_error_is_a_named_error():

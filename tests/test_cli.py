@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gibbs_ground import cli
+from gibbs_ground import classical, cli
 from gibbs_ground.errors import ConfigError, SizeCapError
 
 
@@ -216,11 +216,15 @@ def test_negative_seed_exits_2(tmp_path, capsys, overrides, flag, field):
 
 @pytest.mark.parametrize(
     "overrides, flag, field",
-    [({"checks": {"seed": 2**64}}, [], "checks.seed"), ({}, ["--seed", str(2**64)], "--seed")],
-    ids=["checks.seed", "flag"],
+    [
+        ({"mc": {"seed": 2**64}}, [], "mc.seed"),
+        ({"checks": {"seed": 2**64}}, [], "checks.seed"),
+        ({}, ["--seed", str(2**64)], "--seed"),
+    ],
+    ids=["mc.seed", "checks.seed", "flag"],
 )
 def test_check_seed_beyond_64_bits_exits_2(tmp_path, capsys, overrides, flag, field):
-    # verify's SplitMix64 seed is one uint64 word, which it must not wrap
+    # every SplitMix64 seed is one uint64 word, which the stream must not wrap
     path = _write_config(tmp_path, _config(lattice={"d": 1, "L": 4}, **overrides))
     out = tmp_path / "out"
     assert cli.main(["verify", "--config", str(path), "--out", str(out), *flag]) == 2
@@ -231,12 +235,14 @@ def test_check_seed_beyond_64_bits_exits_2(tmp_path, capsys, overrides, flag, fi
 
 
 def test_seed_bounds_of_the_config():
-    # the largest check seed is legal; mc.seed, read by numpy's generator,
-    # keeps no upper bound
-    top = cli.parse_config(json.dumps(_config(checks={"trials": 2, "seed": 2**64 - 1})))
-    assert top.check_seed == 2**64 - 1
-    mc = cli.parse_config(json.dumps(_config(mc={"sweeps": 10, "seed": 2**64})))
-    assert mc.mc_seed == 2**64
+    # one rule for both seeds: the largest uint64 word is legal, 2^64 is not
+    # (mc.seed, read by numpy's generator, once kept no upper bound)
+    top = 2**64 - 1
+    doc = _config(mc={"sweeps": 10, "seed": top}, checks={"trials": 2, "seed": top})
+    config = cli.parse_config(json.dumps(doc))
+    assert config.mc_seed == config.check_seed == top
+    with pytest.raises(ConfigError, match=r"'mc.seed': seed must be at most 2\^64 - 1"):
+        cli.parse_config(json.dumps(_config(mc={"sweeps": 10, "seed": 2**64})))
 
 
 @pytest.mark.parametrize(
@@ -892,6 +898,99 @@ def test_seed_flag_overrides_config(tmp_path):
     p2 = json.loads((out2 / "samples.json").read_text())
     assert p1["seed"] == 99 and p2["seed"] == 100
     assert p1["results"] != p2["results"]
+
+
+# samples.json of a 6-site chain, pinned when the Metropolis chains moved
+# from numpy's generator to SplitMix64; each proposal's draws depend on the
+# seed, its sweep and its step alone, so no block size can change a byte.
+GOLDEN_SAMPLES_L6 = """\
+{
+  "burn_in": 40,
+  "command": "sample",
+  "results": [
+    {
+      "acceptance_rate": 0.5450757575757575,
+      "alpha": 0.5,
+      "mz_sq": 0.33738425925925924,
+      "mz_sq_se": 0.02195607962935564,
+      "pairs": [
+        {
+          "sz_sz": 0.010416666666666657,
+          "sz_sz_se": 0.06774063538818999,
+          "x": 0,
+          "y": 3
+        },
+        {
+          "sz_sz": 0.4531249999999999,
+          "sz_sz_se": 0.05197401161219438,
+          "x": 1,
+          "y": 2
+        }
+      ]
+    },
+    {
+      "acceptance_rate": 0.20946969696969697,
+      "alpha": 1.0,
+      "mz_sq": 0.6993634259259258,
+      "mz_sq_se": 0.03271525668611238,
+      "pairs": [
+        {
+          "sz_sz": 0.49999999999999994,
+          "sz_sz_se": 0.06566792204465648,
+          "x": 0,
+          "y": 3
+        },
+        {
+          "sz_sz": 0.78125,
+          "sz_sz_se": 0.03699442646677652,
+          "x": 1,
+          "y": 2
+        }
+      ]
+    }
+  ],
+  "schema": 1,
+  "seed": 7,
+  "sweeps": 400
+}
+"""
+
+
+@pytest.mark.parametrize("block", [1, 7, None], ids=["block-1", "block-7", "default"])
+def test_sample_golden_json(tmp_path, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(classical, "_SWEEP_BLOCK", block)
+    doc = _config(pairs=[[0, 3], [1, 2]], mc={"sweeps": 400, "burn_in": 40, "seed": 7})
+    del doc["alpha"]
+    doc["alphas"] = [0.5, 1.0]
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["sample", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "samples.json").read_bytes() == GOLDEN_SAMPLES_L6.encode()
+
+
+@pytest.mark.parametrize(
+    "sweeps, wanted",
+    [(10**20, "2^64 or more SplitMix64 outputs"), (10**13, "do not fit in memory")],
+    ids=["1e20", "1e13"],
+)
+def test_oversized_sweeps_exit_2(tmp_path, capsys, sweeps, wanted):
+    # np.empty((sweeps, n)) once ended sample in numpy's "Maximum allowed
+    # dimension exceeded" ValueError (10^20) or its _ArrayMemoryError
+    # (10^13), a traceback with exit 1; the counter check comes first
+    path = _write_config(tmp_path, _config(mc={"sweeps": sweeps, "seed": 7}))
+    assert cli.main(["sample", "--config", str(path), "--out", str(tmp_path)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "ConstraintError" and wanted in error["message"]
+    assert not (tmp_path / "samples.json").exists()
+
+
+def test_seed_flag_sets_the_check_seed_too(tmp_path):
+    path = _write_config(tmp_path, _config(lattice={"d": 1, "L": 4}))
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path), "--seed", "99"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    checks = [c for r in report["reports"] for c in r["checks"] if "seed" in c.get("details", {})]
+    assert {c["name"] for c in checks} == {"reversibility", "dirichlet_form"}
+    assert {c["details"]["seed"] for c in checks} == {99}
 
 
 def test_missing_config_file_exits_2(capsys):

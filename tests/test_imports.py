@@ -15,11 +15,11 @@ eigh.
 
 Loading hashlib maps OpenSSL (``_hashlib``), and loading numpy.random
 loads it too, through ``secrets``: together a few MB of resident memory.
-verify hashes its model digest with the interpreter's own SHA-256 module
-and draws its trial and start vectors from its own SplitMix64, so it
-loads neither, on the dense and on the iterative route.  Only Metropolis
-chains draw from numpy.random: sample's loads both, which shows the probe
-sees them.
+verify hashes its model digest with the interpreter's own SHA-256 module,
+and verify and the Metropolis chains draw from the package's own
+SplitMix64, so no command loads either: not verify, on the dense or the
+iterative route, and not sample or a sweep above the enumeration cap.  A
+script that imports numpy.random shows that the probe sees both.
 
 Each check runs in a fresh interpreter, since this test process has long
 since loaded both.
@@ -208,12 +208,17 @@ def test_exact_scans_and_build_do_not_load_openssl(tmp_path, command):
     assert not _loaded_after(_command(command), tmp_path, "_hashlib")
 
 
-def _loaded_after_command(tmp_path, command: str, config: dict) -> str:
-    """The printed list [numpy.random loaded, _hashlib loaded] after the
-    command has run on config."""
-    (tmp_path / "config.json").write_text(json.dumps(config))
+def _loaded_after_script(tmp_path, script: str) -> str:
+    """The printed list [numpy.random loaded, _hashlib loaded] after script
+    has run."""
     probe = "\nimport sys\nprint([m in sys.modules for m in ('numpy.random', '_hashlib')])"
-    return _last_line(_command(command) + probe, tmp_path)
+    return _last_line(script + probe, tmp_path)
+
+
+def _loaded_after_command(tmp_path, command: str, config: dict) -> str:
+    """_loaded_after_script for the command run on config."""
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    return _loaded_after_script(tmp_path, _command(command))
 
 
 @pytest.mark.parametrize(
@@ -228,7 +233,21 @@ def test_verify_loads_neither_openssl_nor_numpy_random(tmp_path, method, caps):
         assert ground["details"]["method"] == method
 
 
-def test_sample_loads_openssl_and_numpy_random(tmp_path):
-    # Positive control: the Metropolis chain draws from numpy.random, whose
-    # import of secrets loads _hashlib.
-    assert _loaded_after_command(tmp_path, "sample", CONFIG) == "[True, True]"
+@pytest.mark.parametrize(
+    "command, caps", [("sample", {}), ("sweep", {"enumeration_sites": 4})], ids=["sample", "sweep"]
+)
+def test_metropolis_loads_neither_openssl_nor_numpy_random(tmp_path, command, caps):
+    # Above the enumeration cap of 4 sites, sweep's rows come from Metropolis
+    # chains, as all of sample's estimates do.
+    loaded = _loaded_after_command(tmp_path, command, {**CONFIG, "caps": caps})
+    assert loaded == "[False, False]"
+    if command == "sweep":
+        text = (tmp_path / "out" / "sweep.csv").read_text()
+        assert {line.split(",")[-1] for line in text.splitlines()[1:]} == {"metropolis"}
+
+
+def test_probe_sees_openssl_and_numpy_random(tmp_path):
+    # Positive control: without it the checks above could pass because the
+    # probe never sees either module.  numpy.random imports secrets, which
+    # loads _hashlib.
+    assert _loaded_after_script(tmp_path, "import numpy.random") == "[True, True]"

@@ -61,3 +61,20 @@ def test_check_seed_takes_one_uint64_word(seed):
     splitmix.check_seed(0)
     splitmix.check_seed(2**64 - 1)
 
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_bits53_reaches_the_last_counter(seed):
+    # the last two outputs a draw may ask for: start + count = 2^64 - 1
+    assert splitmix.bits53(seed, 2**64 - 3, 2).tolist() == [
+        z >> 11 for z in splitmix64(seed, 2, 2**64 - 3)
+    ]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_every_draw_applies_the_seed_rule(seed):
+    # reversibility, dirichlet_form and the Metropolis chains rely on it
+    with pytest.raises(ConstraintError, match=f"got {seed}"):
+        splitmix.bits53(seed, 0, 1)
+    with pytest.raises(ConstraintError, match=f"got {seed}"):
+        splitmix.uniform(seed, 0, 1)
