@@ -19,10 +19,11 @@ makes the Boltzmann-amplitude vector Psi(s) = exp(-(alpha/2) U(s)) an exact
 null eigenvector of H = H0 + V: acting on Psi, the flip term of each union
 set cancels its own diagonal term configuration by configuration.
 
-H and its Boltzmann conjugate each have a second, independent assembly here
-(flip form vs. H0 + V, similarity transform vs. direct action).  The model
-measures the gap between the two routes and does not judge it:
-gibbs_ground.verify decides whether it is within tolerance.
+H0 and the Boltzmann conjugate of H each have a second, independent
+assembly here (table entries vs. grouped couplings, direct action vs.
+similarity transform).  The model measures the gap between the two routes
+and does not judge it: gibbs_ground.verify decides whether it is within
+tolerance.  V has no second assembly: given H0, H Psi = 0 fixes it.
 """
 
 from __future__ import annotations
@@ -202,24 +203,8 @@ def build_v(model: "ModelInstance") -> OperatorMatrix:
     return flip_operator(model.lattice.n_sites, [(0, diag)])
 
 
-def _flip_form_h(model: "ModelInstance") -> OperatorMatrix:
-    """Independent route to H: sum over nonempty union sets of
-    J_C(sigma^z) (X_[C] - exp(-(alpha/2) W_C(sigma^z)))."""
-    masks = model.masks
-    terms = []
-    diag = np.zeros(len(masks), dtype=complex)
-    for coupling in model.couplings:
-        if coupling.sites_mask == 0:
-            continue
-        j_vals = coupling.values(masks)
-        terms.append((coupling.sites_mask, j_vals[masks ^ coupling.sites_mask]))
-        weights = np.exp(-0.5 * model.alpha * model.flip_energy(coupling.sites_mask))
-        diag -= j_vals * weights
-    return flip_operator(model.lattice.n_sites, terms + [(0, diag)])
-
-
 def build_h(model: "ModelInstance") -> OperatorMatrix:
-    """Full Hamiltonian H = H0 + V; _flip_form_h is its second route."""
+    """Full Hamiltonian H = H0 + V."""
     return model.h0 + model.v
 
 
@@ -255,15 +240,17 @@ def conjugate_hamiltonian(model: "ModelInstance") -> OperatorMatrix:
 
 def _similarity_conjugate(model: "ModelInstance") -> OperatorMatrix:
     """Second route to the conjugated Hamiltonian: the similarity transform
-    of H, with U shifted by its minimum so the diagonal scaling stays
-    well-conditioned (the transform is shift-invariant).  The entry d_C[m]
-    of H at row m XOR C, column m is scaled by left[m XOR C] and right[m]."""
-    masks = model.masks
-    left = np.exp(0.5 * model.alpha * model.shifted_energies)
-    right = np.exp(-0.5 * model.alpha * model.shifted_energies)
+    of H.  The entry d_C[m] of H at row m XOR C, column m is scaled by one
+    exponential, exp((alpha/2) (U(m XOR C) - U(m))): a factor exp((alpha/2)
+    U) on its own leaves double precision once alpha times the spread of U
+    passes about 1420, even where the product is of order one."""
+    masks, shifted = model.masks, model.shifted_energies
     return OperatorMatrix(
         model.lattice.n_sites,
-        {c: (left[masks ^ c] * d) * right for c, d in model.h.terms.items()},
+        {
+            c: np.exp(0.5 * model.alpha * (shifted[masks ^ c] - shifted)) * d
+            for c, d in model.h.terms.items()
+        },
     )
 
 
@@ -467,8 +454,9 @@ class ModelInstance:
 
     @cached_property
     def two_path_diff(self) -> float:
-        """Largest entrywise gap between H0 + V and the flip-form assembly."""
-        return max_entry_diff(self.h, _flip_form_h(self))
+        """Largest entrywise gap between H0 from the table entries and the
+        grouped route sum_C J_C(sigma^z) X_[C]."""
+        return max_entry_diff(self.h0, offdiagonal_from_couplings(self))
 
     @cached_property
     def conjugate_diff(self) -> float:

@@ -21,8 +21,9 @@ average.
                          the sign of every J_C
   eigenstate_residual    |H Psi| / |Psi| against the      1e-10 |H|         yes   P
                          exact null eigenvalue 0
-  hamiltonian_two_route  H0 + V against the flip form     1e-12 |H|         yes   (a)
-  offdiagonal_grouping   H0 from the table entries        1e-12 |H0|        yes   P
+  hamiltonian_two_route  offdiagonal_grouping's gap, a    1e-12 |H|         yes   (a)
+                         duplicate (see below)
+  offdiagonal_grouping   H0 from the table entries        1e-12 |H0|        yes   P, (a)
                          against sum_C J_C X_[C]
   state_norm_partition   |Psi|^2 from decoded spins       1e-12, relative   yes   P
                          against the mask-native Z        to Z
@@ -35,7 +36,9 @@ average.
                                                           at least it
   conjugate_two_route    direct H+ against the            1e-10 |H|         yes   (a)
                          similarity transform of H
-  conjugate_row_sums     H+ 1 against zero row sums       1e-12 |H|         yes   P
+  conjugate_row_sums     row sums of the similarity       1e-12 |H|         yes   P
+                         transform of H, (H Psi)_r /
+                         Psi_r, against zero
   ground_energy          lowest eigenvalue of H against   -1e-9 |H|; the    no    (b)
                          the null eigenvalue 0            value must be at
                                                           least it
@@ -53,11 +56,28 @@ average.
   (b)  tests/test_verify.py::test_verify_model_fails_sector_local_sign_violation
   (c)  tests/test_verify.py::test_dirichlet_form_sign_violation_breaks_nonnegativity
 
-rayleigh_quotient is implied by eigenstate_residual: by Cauchy-Schwarz
-|<Psi, H Psi>| / |Psi|^2 <= |H Psi| / |Psi|, both thresholds are
-1e-10 |H|, and rayleigh_quotient is asserted only where eigenstate_residual
-is, so it fails only when eigenstate_residual fails too.  It stays while
-the benchmark workloads pin the 14 record names.
+Each control stands for a bug outside the record's own arithmetic:
+
+  eigenstate_residual    a Boltzmann vector that H does not annihilate
+  offdiagonal_grouping,  a term of H0 misplaced or mis-phased, seen as a
+  hamiltonian_two_route  table route and a grouped route that disagree
+  state_norm_partition   a wrong partition value
+  classical_reduction    a wrong classical Gibbs average
+  sx_product_bound       a wrong classical flip weight
+  conjugate_two_route    a wrong entry of the directly assembled H+
+  conjugate_row_sums,    a diagonal V that does not cancel the flip terms
+  rayleigh_quotient      of H on Psi
+  reversibility,         a directly assembled H+ that is not symmetric in
+  dirichlet_form         the Boltzmann-weighted inner product
+  ground_energy          a sign-violating J_C: Psi is not the ground state
+
+Two records duplicate others.  rayleigh_quotient is implied by
+eigenstate_residual: by Cauchy-Schwarz |<Psi, H Psi>| / |Psi|^2 <=
+|H Psi| / |Psi|, both thresholds are 1e-10 |H|, and rayleigh_quotient is
+asserted only where eigenstate_residual is.  hamiltonian_two_route reads
+offdiagonal_grouping's gap against a threshold that is the looser one
+unless the table has an identity entry ([], [], phi).  Both stay while the
+benchmark workloads pin the 14 record names.
 
 Trial vectors and eigensolver start vectors are SplitMix64 outputs in
 [-1, 1) (gibbs_ground.splitmix), so no report depends on numpy's generator
@@ -94,16 +114,10 @@ from .lattice import Caps, nearest_neighbor_pairs, pair_mask, sites_from_mask
 from .models import (
     CouplingTable,
     ModelInstance,
+    _similarity_conjugate,
     diagonal_couplings,
-    offdiagonal_from_couplings,
 )
-from .operators import (
-    OperatorMatrix,
-    apply,
-    flip_graph_labels,
-    max_entry_diff,
-    product_operator,
-)
+from .operators import OperatorMatrix, apply, flip_graph_labels, product_operator
 from .splitmix import check_seed, uniform
 
 # Pinned tolerances, all relative to the largest Hamiltonian entry except
@@ -655,12 +669,9 @@ def verify_model(
     records.append(
         _at_most("hamiltonian_two_route", model.two_path_diff, TWO_PATH_RTOL * norm)
     )
-    h0_direct = model.h0
     records.append(
         _at_most(
-            "offdiagonal_grouping",
-            max_entry_diff(h0_direct, offdiagonal_from_couplings(model)),
-            OFFDIAG_RTOL * h0_direct.norm_max,
+            "offdiagonal_grouping", model.two_path_diff, OFFDIAG_RTOL * model.h0.norm_max
         )
     )
     norm_sq = model.state_norm_squared()
@@ -699,13 +710,11 @@ def verify_model(
     records.append(
         _at_most("conjugate_two_route", model.conjugate_diff, CONJUGATE_RTOL * norm)
     )
-    ones = np.ones(model.h_conjugate.dim)
+    # Row r of the similarity route is (H Psi)_r / Psi_r.  The operator is a
+    # temporary, so the spectral solve below does not hold it.
+    row_sums = apply(_similarity_conjugate(model), np.ones(model.h.dim))
     records.append(
-        _at_most(
-            "conjugate_row_sums",
-            float(np.abs(apply(model.h_conjugate, ones)).max()),
-            ROW_SUM_RTOL * norm,
-        )
+        _at_most("conjugate_row_sums", float(np.abs(row_sums).max()), ROW_SUM_RTOL * norm)
     )
 
     if model.h.is_hermitian:

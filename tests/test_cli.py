@@ -440,16 +440,23 @@ def test_verify_fails_when_a_check_fails(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "route, failing, passing",
     [
-        ("_flip_form_h", "hamiltonian_two_route", "conjugate_two_route"),
+        (
+            "offdiagonal_from_couplings",
+            "hamiltonian_two_route,offdiagonal_grouping",
+            "conjugate_two_route",
+        ),
         ("conjugate_hamiltonian", "conjugate_two_route", "hamiltonian_two_route"),
     ],
 )
 def test_verify_reports_a_disagreeing_assembly_route(
     tmp_path, monkeypatch, route, failing, passing
 ):
-    # Negative control: one route's diagonal, which holds |H|_max here, off by
-    # a relative 1e-9 (10 and 1000 times the two records' thresholds) must
-    # fail the record and the command with a written report, not stop it.
+    # Negative control: one route's first term, off by a relative 1e-9, must
+    # fail the records that compare it and the command with a written report,
+    # not stop it.  That term is the diagonal of the conjugate, which holds
+    # |H|_max here, and the first off-diagonal term of the grouped route,
+    # whose entries are |H0|_max or zero; either gap is at least 10 times
+    # each record's threshold.
     from gibbs_ground import models
     from gibbs_ground.operators import OperatorMatrix
 
@@ -457,7 +464,8 @@ def test_verify_reports_a_disagreeing_assembly_route(
 
     def perturbed(model):
         terms = dict(build(model).terms)
-        terms[0] = terms[0] * (1.0 + 1e-9)
+        first = min(terms)
+        terms[first] = terms[first] * (1.0 + 1e-9)
         return OperatorMatrix(model.lattice.n_sites, terms)
 
     monkeypatch.setattr(models, route, perturbed)
@@ -468,8 +476,9 @@ def test_verify_reports_a_disagreeing_assembly_route(
     (model_report,) = report["reports"]
     assert model_report["all_passed"] is False
     checks = {c["name"]: c for c in model_report["checks"]}
-    assert (checks[failing]["passed"], checks[failing]["asserted"]) == (False, True)
-    assert checks[failing]["value"] > checks[failing]["threshold"]
+    for name in failing.split(","):
+        assert (checks[name]["passed"], checks[name]["asserted"]) == (False, True)
+        assert checks[name]["value"] > checks[name]["threshold"]
     assert checks[passing]["passed"] is True
 
 

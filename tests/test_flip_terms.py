@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import connected_components
 
 from gibbs_ground import apply, product_operator, xxz_hamiltonian
 from gibbs_ground.errors import ConstraintError
-from gibbs_ground.models import _flip_form_h, offdiagonal_from_couplings
+from gibbs_ground.models import offdiagonal_from_couplings
 from gibbs_ground.verify import min_eigenvalue
 from gibbs_ground.operators import (
     HERMITIAN_RTOL,
@@ -40,7 +40,6 @@ def _family_operators(flavor, count=4):
             "h0": model.h0,
             "v": model.v,
             "h": model.h,
-            "flip_form_h": _flip_form_h(model),
             "h_conjugate": model.h_conjugate,
             "grouped": offdiagonal_from_couplings(model),
             "xxz": xxz_hamiltonian(-0.7, model.alpha, lat),
@@ -101,7 +100,7 @@ def test_derived_quantities_match_csr(flavor):
             assert np.array_equal(rows[got], coo.row[want]), name
             assert np.array_equal(cols[got], coo.col[want]), name
             assert np.array_equal(vals[got], coo.data[want]), name
-        for a, b in [("h", "flip_form_h"), ("h0", "grouped"), ("h", "h_conjugate"), ("h0", "v")]:
+        for a, b in [("h0", "grouped"), ("h", "h_conjugate"), ("h0", "v")]:
             want = _csr_max_abs(ops[a].mat - ops[b].mat)
             assert max_entry_diff(ops[a], ops[b]) == want, (a, b)
 

@@ -23,7 +23,6 @@ from gibbs_ground.classical import monomial_signs, spins_from_masks
 from gibbs_ground.errors import ConstraintError, SizeCapError, UnsupportedModelError
 from gibbs_ground.lattice import Caps, nearest_neighbor_pairs
 from gibbs_ground.models import (
-    _flip_form_h,
     build_gibbs_state,
     build_h0,
     build_v,
@@ -31,7 +30,7 @@ from gibbs_ground.models import (
     offdiagonal_from_couplings,
 )
 from gibbs_ground.operators import flip_operator, max_entry_diff
-from gibbs_ground.verify import groundstate_hypotheses
+from gibbs_ground.verify import groundstate_hypotheses, verify_model
 
 from .conftest import random_coupling_table, random_model, random_potential
 from .oracles import PAULI
@@ -193,6 +192,21 @@ def test_build_h_single_site_hand_case():
         assert sorted(np.linalg.eigvalsh(model.h.to_dense())) == pytest.approx([0.0, 2.0])
 
 
+def test_an_identity_entry_is_a_constant_that_v_cancels():
+    # ([], [], phi) puts phi on the diagonal of H0 and, grouped, is J_C on
+    # the empty union set; V takes -phi exp(0) from it, so H is unchanged.
+    # No conftest family draws such an entry.
+    lat = build_hypercube(1, 4)
+    plain = _xx_table(4, [(0, 1, -0.8), (2, 3, -0.5)])
+    table = CouplingTable(4, plain.entries + ((0, 0, 1.1),))
+    potential = ClassicalPotential.ising_nn(lat, 0.35)
+    model, without = (_model(lat, t, potential, 0.7) for t in (table, plain))
+    assert model.h0.terms[0].tolist() == [1.1] * 16
+    assert model.two_path_diff == 0.0
+    assert max_entry_diff(model.h, without.h) <= 1e-15 * (1.1 + without.h.norm_max)
+    assert verify_model(model, trials=4).all_passed
+
+
 def test_two_route_agreement_randomized():
     rng = np.random.default_rng(5)
     for _ in range(15):
@@ -272,7 +286,6 @@ def _xx_ising_model(n, caps):
         build_h0,
         offdiagonal_from_couplings,
         build_v,
-        _flip_form_h,
         build_gibbs_state,
         conjugate_hamiltonian,
     ],
@@ -351,12 +364,16 @@ def test_conjugate_single_site_hand_case():
 
 
 def test_conjugate_annihilates_constants():
+    # Row r of the direct route holds rate_C(r) at column r XOR C and
+    # -sum_C rate_C(r) on the diagonal: its rows sum to zero whatever the
+    # model, on every conftest family.
     rng = np.random.default_rng(23)
-    for _ in range(8):
-        model = random_model(rng)
-        ones = np.ones(model.h_conjugate.dim)
-        residual = np.abs(model.h_conjugate.mat @ ones).max()
-        assert residual <= 1e-12 * max(model.h.norm_max, 1e-300)
+    for flavor in ("ferro", "generic", "odd"):
+        for _ in range(8):
+            model = random_model(rng, flavor=flavor)
+            ones = np.ones(model.h_conjugate.dim)
+            residual = np.abs(model.h_conjugate.mat @ ones).max()
+            assert residual <= 1e-12 * max(model.h.norm_max, 1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -661,6 +661,17 @@ def test_verify_model_ferro_all_pass():
             assert record.passed, record.name
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_model_passes_a_potential_whose_boltzmann_factor_overflows():
+    # U = 300 + 50 sum_x s_x spreads over 600, so exp((alpha/2) U) alone
+    # overflows at alpha=3, though every entry of the conjugate is of order
+    # one: the similarity route scales each entry by one exponential.
+    lat = build_hypercube(1, 6)
+    potential = ClassicalPotential.from_terms(6, [([], 300.0)] + [([x], 50.0) for x in range(6)])
+    model = ModelInstance(lat, CouplingTable.xx_nearest_neighbor(lat, -1.0), potential, 3.0)
+    assert verify_model(model, trials=4).all_passed
+
+
 def test_verify_model_judges_pairs_as_the_scan_does():
     model = _ising_chain_model(6, 1.0)
     # used to end in a bare ValueError: negative shift count
@@ -724,7 +735,7 @@ def _nudged_functional(make):
 _NEGATIVE_CONTROLS = {
     # record: (owner, name it is looked up by, perturbation)
     "eigenstate_residual": (models, "build_gibbs_state", _nudged_amplitude),
-    "offdiagonal_grouping": (verify, "offdiagonal_from_couplings", _nudged_term(None)),
+    "offdiagonal_grouping": (models, "offdiagonal_from_couplings", _nudged_term(None)),
     "state_norm_partition": (
         ModelInstance,
         "partition_value",
@@ -733,7 +744,7 @@ _NEGATIVE_CONTROLS = {
     "classical_reduction[0,1]": (verify, "spin_product", _nudged_functional),
     # the agreement half: the classical value stays above the lower bound
     "sx_product_bound[0]": (verify, "flip_weight", _nudged_functional),
-    "conjugate_row_sums": (models, "conjugate_hamiltonian", _nudged_term(None)),
+    "conjugate_row_sums": (models, "build_v", _nudged_term(0)),
     "rayleigh_quotient": (models, "build_v", _nudged_term(0)),
     "reversibility": (models, "conjugate_hamiltonian", _nudged_term(0)),
     # the two-route half: the form stays nonnegative
