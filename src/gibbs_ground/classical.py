@@ -15,18 +15,25 @@ carry no floating-point cancellation beyond the final sum.
 
 Exact enumeration evaluates the monomials straight from the bitmasks: the
 monomial of B at configuration m is (-1)^popcount(m & B).  The masks run in
-chunks of 2^_CHUNK_BITS that share their low bits, so each monomial is its
-low-bit sign row, built once, times a sign fixed per chunk: sums over
-terms and sites that see only low bits are taken once and reused in every
-chunk, and a term without low bits is one number per chunk
-(_Enumeration).  partition_function, max_abs_flip_energy,
-order_parameter_averages and the operators of a ModelInstance (one chunk
-over all masks) run on it; gibbs_averages, the independent witness, decodes
-spins.  The kernel's scans run their chunks on worker threads, one per
-usable CPU (_scan).  Each chunk's sums go through np.add.reduce, whose
-pairwise order is fixed, and the chunks' partial sums are added left to
-right in chunk order, on both routes: no value depends on the worker count
-or on the BLAS thread count, and the two routes agree bit for bit.
+chunks that share their low bits, so each monomial is its low-bit sign row,
+built once, times a sign fixed per chunk: sums over terms and sites that
+see only low bits are taken once and reused in every chunk, and a term
+without low bits is one number per chunk (_Enumeration).
+partition_function, max_abs_flip_energy, order_parameter_averages and the
+operators of a ModelInstance (one chunk over all masks) run on it;
+gibbs_averages, the independent witness, decodes spins.
+
+Sums run over blocks of 2^_CHUNK_BITS masks (one block of 2^n below that)
+through np.add.reduce, whose pairwise order is fixed, and the blocks'
+partial sums are added left to right in block order, on both routes.  The
+witness reduces each block whole.  The kernel evaluates a block of 256
+masks or more as two half-chunks, of half the memory, and adds their two
+reductions (_join_halves): np.add.reduce sums a power-of-two block of 256
+values or more as its two halves (pairwise summation), so the join has the
+block's bits.  The kernel's scans run their chunks on worker threads, one
+per usable CPU (_scan).  No value depends on the worker count or on the
+BLAS thread count, and the two routes agree bit for bit.
+
 Observables ("configuration functionals") for the generic routes and
 for Metropolis are vectorized callables taking a (nconf, n) spins array and
 returning a length-nconf float array.
@@ -57,12 +64,13 @@ from .lattice import (
 )
 from .splitmix import bits53
 
-# Enumeration runs over chunks of 2^_CHUNK_BITS configuration masks (one
-# chunk of 2^n below that): 512 KiB per float64 array, so that a chunk's
-# arrays stay in cache.  An exact order-parameter scan holds a few MiB per
-# worker thread at any n: four arrays, one per alpha of a pass and one per
-# pair whose W_{x,y} sees high bits (3.6 MiB for 3 alphas and low pairs,
-# whose W_{x,y} the workers share).
+# Sums run over blocks of 2^_CHUNK_BITS configuration masks (one block of
+# 2^n below that), which the kernel evaluates as half-chunks of 2^15 masks:
+# 256 KiB per float64 array, so that a chunk's arrays stay in cache.  An
+# exact order-parameter scan holds per worker thread, at any n, three
+# chunk-sized arrays, two per alpha of a pass and one per pair whose
+# W_{x,y} sees high bits: 2.3 MiB for 3 alphas and low pairs, whose
+# W_{x,y} the workers share.
 _CHUNK_BITS = 16
 
 # Worker threads of an exact scan (_scan), the calling thread included;
@@ -71,9 +79,10 @@ _CHUNK_BITS = 16
 _WORKERS: int | None = None
 
 # Alphas reweighted together by one accumulation pass of the exact order-
-# parameter scan; each holds two chunk-sized arrays (its cached site-flip
-# prefix, which the workers share, and each worker's accumulator), so a
-# longer grid takes further passes instead of more memory.
+# parameter scan, one row each of (alphas x masks) arrays: each alpha holds
+# a row of the cached site-flip prefix, which the workers share, and two
+# rows per worker (its weights and its accumulator), so a longer grid takes
+# further passes instead of more memory.
 _ALPHA_GROUP = 8
 
 _BATCHES = 32  # batch means behind a Metropolis standard error
@@ -192,9 +201,12 @@ def _leading_run(flags: Iterable[bool]) -> int:
 class _Enumeration:
     """Mask-native evaluation of a potential, one chunk of masks at a time.
 
-    With c = min(n, chunk_bits), chunk k holds the masks (k << c) | lo for
-    lo < 2^c: the chunks of _mask_chunks at the default, and all 2^n masks
-    in order, one chunk, at chunk_bits = n (ModelInstance.enumeration).  There
+    Chunk k holds the masks (k << c) | lo for lo < 2^c.  At chunk_bits = n
+    (ModelInstance.enumeration), c = n: all 2^n masks in order, one chunk.
+    At the default, the summation block is that of _mask_chunks, 2^b masks
+    with b = min(n, _CHUNK_BITS); a block of 256 masks or more runs as two
+    half-chunks (halves, c = b - 1), whose results _join_halves adds, and
+    a smaller one as one chunk (c = b).  There
     the monomial of term B is eps * row(B), where row(B) is the sign row of
     B's low bits over lo, built once, and eps = (-1)^popcount((k << c) & B),
     which _Chunk folds into the coefficients.  A term without high bits has
@@ -208,7 +220,11 @@ class _Enumeration:
 
     def __init__(self, potential: ClassicalPotential, chunk_bits: int | None = None):
         self.n_sites = potential.n_sites
-        self.bits = min(self.n_sites, _CHUNK_BITS if chunk_bits is None else chunk_bits)
+        block = min(self.n_sites, _CHUNK_BITS if chunk_bits is None else chunk_bits)
+        # np.add.reduce's base case below 256 values is one unrolled loop,
+        # not a sum of halves: such a block stays whole.
+        self.halves = chunk_bits is None and block >= 8
+        self.bits = block - 1 if self.halves else block
         self.size = 1 << self.bits
         self.low = self.size - 1
         self.chunk_count = 1 << (self.n_sites - self.bits)
@@ -371,19 +387,30 @@ def _scan(enum: _Enumeration, start_worker) -> list:
     return results
 
 
+def _join_halves(enum: _Enumeration, results: list) -> list:
+    """Each summation block's result, in block order, from its two half-
+    chunks' results in chunk order: np.add.reduce of 2^k >= 256 values is
+    the sum of its halves' reductions, so the join has the block's bits."""
+    if not enum.halves:
+        return results
+    return [first + second for first, second in zip(results[::2], results[1::2])]
+
+
 def _in_order(partials):
-    """The chunks' partial sums added left to right in chunk order (not
-    sum(), which compensates float sums from Python 3.12 on)."""
+    """The partial sums added left to right in their order, the blocks' in
+    block order (not sum(), which compensates float sums from Python 3.12
+    on)."""
     total = 0.0
     for partial in partials:
         total = total + partial
     return total
 
 
-def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> float:
-    """sum_i a_i b_i within one chunk, in np.add.reduce's fixed pairwise
-    order (a BLAS dot splits a long vector across its threads)."""
-    return np.add.reduce(np.multiply(a, b, out=out))
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
+    """sum_i a_i b_i over the last axis within one chunk, in np.add.reduce's
+    fixed pairwise order, which an axis=1 reduction of a C-contiguous array
+    keeps per row (a BLAS dot splits a long vector across its threads)."""
+    return np.add.reduce(np.multiply(a, b, out=out), axis=-1)
 
 
 def _check_enumerable(n_sites: int, cap: int):
@@ -435,7 +462,7 @@ def partition_function(
 
         return work
 
-    total = _in_order(_scan(enum, start_worker))
+    total = _in_order(_join_halves(enum, _scan(enum, start_worker)))
     try:
         z = float(total) * math.exp(-alpha * shift)
     except OverflowError:
@@ -491,17 +518,20 @@ def _check_pairs(n_sites: int, pairs: Sequence[tuple[int, int]]):
             raise ConstraintError(f"pair {tuple(pair)} has a site outside the {n_sites} sites")
 
 
-def _site_flip_prefix(enum: _Enumeration, site_terms, group, out: np.ndarray) -> np.ndarray:
-    """Per alpha of the group, sum_x exp(-(alpha/2) W_x) over the first
-    chunk, given each site's odd_terms, into out: the sum in every chunk
-    when those terms lie in the low bits."""
+def _half_weights(w: np.ndarray, half_alphas: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(-(alpha/2) W) into out, one row per alpha, given W over a chunk
+    and the column of -alpha/2."""
+    return np.exp(np.multiply(w, half_alphas, out=out), out=out)
+
+
+def _site_flip_prefix(enum: _Enumeration, site_terms, half_alphas, out: np.ndarray) -> np.ndarray:
+    """sum_x exp(-(alpha/2) W_x) over the first chunk, one row per alpha,
+    given each site's odd_terms and the column of -alpha/2, into out: the
+    sum in every chunk when those terms lie in the low bits."""
     out.fill(0.0)
-    w, t = enum.buffer(), enum.first.tmp
+    w, t = enum.buffer(), np.empty_like(out)
     for terms in site_terms:
-        enum.flip_energy(terms, w)
-        for acc, alpha in zip(out, group):
-            np.multiply(w, -0.5 * alpha, out=t)
-            np.add(acc, np.exp(t, out=t), out=acc)
+        np.add(out, _half_weights(enum.flip_energy(terms, w), half_alphas, t), out=out)
     return out
 
 
@@ -520,15 +550,19 @@ def order_parameter_averages(
     A shift pass finds min U; an accumulation pass (one per _ALPHA_GROUP
     alphas) evaluates U, every W_x and W_{x,y}, mz^2 and the z-pair signs
     once per chunk of configuration masks, and reweights them for every
-    alpha of the group.  A flip energy whose odd terms all lie in the low
-    bits is the same in every chunk: over the leading run of such sites the
-    sum of exp(-(alpha/2) W_x) is taken once per pass, and each chunk adds
-    the remaining sites to it; such a pair's W_{x,y} is evaluated once, into
-    an array the workers share.  A site whose odd terms have no low bits
-    has one W_x per chunk, a number.  Sums run in the same order as
-    gibbs_averages over order_parameter_functionals, so every value equals
-    that route's bit for bit.  Raises ConstraintError on a pair site
-    outside the lattice and NumericRangeError on a non-finite average.
+    alpha of the group at once, on (alphas x masks) arrays: one numpy call
+    per site or pair serves the whole group, and each weighted sum is one
+    row reduction.  A flip energy whose odd terms all lie in the low bits
+    is the same in every chunk: over the leading run of such sites the sum
+    of exp(-(alpha/2) W_x) is taken once per pass, and each chunk adds the
+    remaining sites to it; such a pair's W_{x,y} is evaluated once, into an
+    array the workers share.  A site whose odd terms have no low bits has
+    one W_x per chunk, a number.  The chunks are half-blocks; each block's
+    sums are its two halves' added (_join_halves), then the blocks' in
+    order.  Sums run in the same order as gibbs_averages over
+    order_parameter_functionals, so every value equals that route's bit for
+    bit.  Raises ConstraintError on a pair site outside the lattice and
+    NumericRangeError on a non-finite average.
     """
     for alpha in alphas:
         _validate_alpha(alpha)
@@ -553,34 +587,36 @@ def order_parameter_averages(
     out: list[list[float]] = []
     for start in range(0, len(alphas), _ALPHA_GROUP):
         group = alphas[start : start + _ALPHA_GROUP]
+        # columns, so that one operation on a chunk serves every alpha
+        column = np.array(group, dtype=np.float64)[:, None]
+        neg_alphas, half_alphas = -column, -0.5 * column
         flip_prefix = _site_flip_prefix(
-            enum, site_terms[:site_prefix], group, prefix_buffer[: len(group)]
+            enum, site_terms[:site_prefix], half_alphas, prefix_buffer[: len(group)]
         )
 
         def start_worker():
-            energy, w, weights = (np.empty(enum.size) for _ in range(3))
-            w_pairs = [np.empty(enum.size) if s is None else s for s in shared_pairs]
+            energy, w = enum.buffer(), enum.buffer()
+            weights, acc = np.empty_like(flip_prefix), np.empty_like(flip_prefix)
+            w_pairs = [enum.buffer() if s is None else s for s in shared_pairs]
             popcount = np.empty(enum.size, dtype=np.uint8)
-            flip_sums = flip_prefix if site_prefix == n else np.empty_like(flip_prefix)
 
             def work(chunk):
-                """Per alpha of the group: the chunk's weight sum, then its
-                weighted sums of mz^2, the mean site flip weight and, per
-                pair, s_x s_y and exp(-(alpha/2) W_{x,y})."""
+                """The chunk's weight sums, then its weighted sums of mz^2,
+                the mean site flip weight and, per pair, s_x s_y and
+                exp(-(alpha/2) W_{x,y}): one row per column of the table,
+                one column per alpha of the group."""
                 t = chunk.tmp
                 energy_now = chunk._energy(energy)
+                # the site-flip sums, into acc; weights is free scratch so far
+                flip_sums = flip_prefix
                 for x in range(site_prefix, n):
-                    before = flip_prefix if x == site_prefix else flip_sums
                     if flat_sites[x]:
-                        w_x = chunk._flat_flip_energy(site_terms[x])
-                        for acc, prior, alpha in zip(flip_sums, before, group):
-                            # np.exp, not math.exp, has the bits of the arrays
-                            np.add(prior, np.exp(np.float64(w_x * (-0.5 * alpha))), out=acc)
-                        continue
-                    chunk._flip_energy(site_terms[x], w)
-                    for acc, prior, alpha in zip(flip_sums, before, group):
-                        np.multiply(w, -0.5 * alpha, out=t)
-                        np.add(prior, np.exp(t, out=t), out=acc)
+                        # np.exp, not math.exp, has the bits of the arrays
+                        weight_x = np.exp(chunk._flat_flip_energy(site_terms[x]) * half_alphas)
+                    else:
+                        chunk._flip_energy(site_terms[x], w)
+                        weight_x = _half_weights(w, half_alphas, weights)
+                    flip_sums = np.add(flip_sums, weight_x, out=acc)
                 for terms, w_pair, shared in zip(pair_terms, w_pairs, shared_pairs):
                     if shared is None:
                         chunk._flip_energy(terms, w_pair)
@@ -590,23 +626,22 @@ def order_parameter_averages(
                 mz_sq = np.subtract(n, np.multiply(popcount, 2.0, out=w), out=w)
                 np.divide(mz_sq, n, out=mz_sq)
                 np.multiply(mz_sq, mz_sq, out=mz_sq)
-                sums = np.empty((len(group), 3 + 2 * len(pairs)))
-                for row, acc, alpha in zip(sums, flip_sums, group):
-                    np.subtract(energy_now, shift, out=weights)
-                    np.multiply(weights, -alpha, out=weights)
-                    np.exp(weights, out=weights)
-                    row[0] = np.add.reduce(weights)
-                    row[1] = _dot(weights, mz_sq, t)
-                    row[2] = _dot(weights, np.divide(acc, n, out=t), t)
-                    for j, (z_row, z_sign, w_pair) in enumerate(zip(z_rows, z_signs, w_pairs)):
-                        row[3 + 2 * j] = _dot(weights, np.multiply(z_row, z_sign, out=t), t)
-                        np.multiply(w_pair, -0.5 * alpha, out=t)
-                        row[4 + 2 * j] = _dot(weights, np.exp(t, out=t), t)
+                np.subtract(energy_now, shift, out=energy)
+                np.exp(np.multiply(energy, neg_alphas, out=weights), out=weights)
+                sums = np.empty((3 + 2 * len(pairs), len(group)))
+                sums[0] = np.add.reduce(weights, axis=1)
+                # the mean site flip weight first: acc is scratch after it
+                sums[2] = _dot(weights, np.divide(flip_sums, n, out=acc), acc)
+                sums[1] = _dot(weights, mz_sq, acc)
+                for j, (z_row, z_sign, w_pair) in enumerate(zip(z_rows, z_signs, w_pairs)):
+                    sums[3 + 2 * j] = _dot(weights, np.multiply(z_row, z_sign, out=t), acc)
+                    sums[4 + 2 * j] = _dot(weights, _half_weights(w_pair, half_alphas, acc), acc)
                 return sums
 
             return work
 
-        for alpha, row in zip(group, _in_order(_scan(enum, start_worker)).tolist()):
+        blocks = _join_halves(enum, _scan(enum, start_worker))
+        for alpha, row in zip(group, _in_order(blocks).T.tolist()):
             weight_total, *sums = row
             v = [s / weight_total for s in sums]
             out.append(_finite(v, f"an order parameter at alpha={alpha:g}"))

@@ -34,6 +34,7 @@ from gibbs_ground.classical import (
 )
 from gibbs_ground.errors import ConstraintError, NumericRangeError, SizeCapError
 from gibbs_ground.lattice import sites_from_mask
+from gibbs_ground.splitmix import uniform
 
 from .oracles import (
     brute_force_expectation,
@@ -424,6 +425,99 @@ def test_mask_native_routes_equal_decoded_routes_across_chunks(name, bits, monke
         assert got == gibbs_averages(order_parameter_functionals(pot, alpha, pairs), pot, alpha)
 
 
+# Blocks that split: at _CHUNK_BITS 8 and 9 the summation blocks of 256 and
+# 512 masks run as two half-chunks each, whose sums _join_halves adds.  The
+# first term has high bits (no energy prefix); [1] has the coefficient -0.0;
+# [5, 7, 8] straddles the half-chunk boundary at both sizes.  On 10 sites,
+# site 9 sees only [8, 9] (-0.0) and [9], which have no low bits, so W_9 is
+# one number per half-chunk; at 8 bits [7, 8] has no low bits either.  The
+# 9-site case drops the terms on site 9.
+SPLIT_POTENTIAL = (
+    10,
+    [
+        ([0, 8], 0.4),
+        ([1], -0.0),
+        ([], 0.75),
+        ([0, 1], -1.0),
+        ([1, 2], -0.8),
+        ([2, 3, 4], 0.3),
+        ([3, 4], -0.6),
+        ([4, 5], -0.9),
+        ([5, 6], -0.7),
+        ([6, 7], 0.45),
+        ([5, 7, 8], 0.35),
+        ([7, 8], -0.5),
+        ([8, 9], -0.0),
+        ([9], 0.2),
+    ],
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, bits", [(9, 8), (10, 8), (9, 9), (10, 9)])
+def test_split_blocks_equal_the_decoded_routes(n, bits, workers, monkeypatch):
+    monkeypatch.setattr(classical, "_CHUNK_BITS", bits)
+    monkeypatch.setattr(classical, "_WORKERS", workers)
+    _, terms = SPLIT_POTENTIAL
+    pot = ClassicalPotential.from_terms(n, [(s, c) for s, c in terms if max(s, default=0) < n])
+    enum = classical._Enumeration(pot)
+    assert enum.halves and enum.bits == bits - 1
+    assert enum.chunk_count == 2 * len(list(classical._mask_chunks(n)))
+    for alpha in (0.0, 0.7, 3.1):
+        assert partition_function(pot, alpha) == _decoded_partition_function(pot, alpha)
+    pairs = [(0, n - 1), (0, 1), (1, n - 2), (1, 1)]
+    batched = order_parameter_averages(pot, KERNEL_ALPHAS, pairs)
+    assert len(batched) == len(KERNEL_ALPHAS)
+    for got, alpha in zip(batched, KERNEL_ALPHAS):
+        assert got == gibbs_averages(order_parameter_functionals(pot, alpha, pairs), pot, alpha)
+
+
+def test_only_blocks_of_256_masks_or_more_split(monkeypatch):
+    # Below 256 values np.add.reduce sums one unrolled loop, not two halves.
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, 9), 1.0)
+    for bits, halves in [(7, False), (8, True), (16, True)]:
+        monkeypatch.setattr(classical, "_CHUNK_BITS", bits)
+        enum = classical._Enumeration(pot)
+        assert enum.halves == halves
+        assert enum.bits == min(9, bits) - halves
+    # the operators' one-chunk kernel stays whole
+    enum = classical._Enumeration(pot, chunk_bits=9)
+    assert not enum.halves and enum.chunk_count == 1
+
+
+def _mixed_values(count: int, seed: int) -> np.ndarray:
+    """count doubles of both signs over forty binades, one of them -0.0."""
+    values = uniform(seed, 0, count) * 2.0 ** np.floor(20.0 * uniform(seed, count, count))
+    values[count // 3] = -0.0
+    return values
+
+
+def test_numpy_reduces_a_power_of_two_block_as_its_two_halves():
+    # The exact scan's join (_join_halves) adds the np.add.reduce sums of a
+    # block's two half-chunks and must have the bits of the whole block's.
+    for k in range(8, 17):
+        values = _mixed_values(1 << k, seed=k)
+        half = len(values) // 2
+        joined = np.add.reduce(values[:half]) + np.add.reduce(values[half:])
+        assert np.add.reduce(values).tobytes() == joined.tobytes(), (
+            f"np.add.reduce of 2^{k} values is not the sum of its halves' "
+            "reductions: classical._join_halves no longer has the block's bits"
+        )
+
+
+def test_numpy_row_reductions_equal_one_dimensional_ones():
+    # The exact scan reduces (alphas x masks) arrays along axis 1 and must
+    # have the bits of the witness's 1-D reductions, which _join_halves adds.
+    rows = _mixed_values(8 << 15, seed=1).reshape(8, 1 << 15)
+    assert rows.flags.c_contiguous
+    want = np.array([np.add.reduce(row) for row in rows])
+    assert np.add.reduce(rows, axis=1).tobytes() == want.tobytes(), (
+        "np.add.reduce(axis=1) differs from each row's 1-D reduction: the "
+        "exact scan's half-chunk sums, which classical._join_halves adds, "
+        "no longer have the witness's bits"
+    )
+
+
 def _flat_case():
     n, terms = KERNEL_POTENTIALS["flat_terms"]
     return ClassicalPotential.from_terms(n, terms), [(0, 1), (0, 2), (4, 6), (3, 3)]
@@ -475,26 +569,29 @@ def test_flat_sites_are_numbers_and_low_pairs_are_shared(monkeypatch):
 
 
 def test_order_parameter_scan_peak_memory_at_19_sites(monkeypatch):
-    # Each worker holds per chunk of 2^16 masks U, W_x (later mz^2), the
-    # weights, its scratch, a site-flip accumulator per alpha and its
-    # popcounts: 3.6 MiB here.  The workers share the low-bit sign rows
-    # (one byte per term and mask), the cached energy, the cached site-flip
-    # prefix per alpha and W_{x,y} of both pairs, whose odd terms lie in the
-    # low bits.  Two workers peak at 12.1 MiB with numpy 2.4; the bound
+    # Each worker holds per half-chunk of 2^15 masks U, W_x (later mz^2) and
+    # its scratch, and per alpha a row of weights and a row of its
+    # accumulator (site-flip sums, later scratch), and its popcounts:
+    # 2.3 MiB here.  The workers share the low-bit sign rows (one byte per
+    # term and mask), the cached energy, the cached site-flip prefix per
+    # alpha and W_{x,y} of both pairs, whose odd terms lie in the low bits:
+    # 2.4 MiB.  Two workers peak at 7.1 MiB with numpy 2.4; the bound
     # leaves 1.4 MiB.
     monkeypatch.setattr(classical, "_WORKERS", 2)
     pot = ClassicalPotential.ising_nn(build_hypercube(1, 19), 1.0)
-    assert _scan_peak(pot, [(0, 5), (4, 12)]) < 13.5 * 2**20
+    assert _scan_peak(pot, [(0, 5), (4, 12)]) < 8.5 * 2**20
 
 
 def test_order_parameter_scan_memory_per_low_pair(monkeypatch):
-    # Eight more low pairs add each a shared W_{x,y} and a z sign row
-    # (4.5 MiB in all), not a W_{x,y} per worker (8 MiB more on two).
+    # Eight more low pairs add each a shared W_{x,y} (a float64 array over
+    # a kernel chunk) and a z sign row (int8), 2.25 MiB in all, not a
+    # W_{x,y} per worker (4 MiB more on two).
     monkeypatch.setattr(classical, "_WORKERS", 2)
     pot = ClassicalPotential.ising_nn(build_hypercube(1, 19), 1.0)
+    chunk = classical._Enumeration(pot).buffer().nbytes
     two = _scan_peak(pot, [(0, 3), (1, 4)])
     ten = _scan_peak(pot, [(x, x + 3) for x in range(10)])
-    assert ten - two < 8 * (2**19 + 2**16) + 2**20
+    assert ten - two < 8 * (chunk + chunk // 8) + 2 * chunk
 
 
 def _scan_peak(pot, pairs) -> int:

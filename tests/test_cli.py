@@ -534,10 +534,10 @@ def test_sweep_golden_csv(tmp_path):
 
 
 def test_sweep_bytes_ignore_blas_threads(tmp_path):
-    # An 18-site exact scan: four chunks of 2^16 masks on the worker
-    # threads.  A BLAS dot of a whole chunk would split across OpenBLAS's
-    # threads and move the last digits; each run is a fresh interpreter,
-    # since BLAS reads its thread count once, at load.
+    # An 18-site exact scan: four blocks of 2^16 masks, eight half-chunks
+    # on the worker threads.  A BLAS dot of a whole chunk would split
+    # across OpenBLAS's threads and move the last digits; each run is a
+    # fresh interpreter, since BLAS reads its thread count once, at load.
     doc = _config(lattice={"d": 1, "L": 18}, pairs=[[0, 5], [4, 12]])
     del doc["alpha"]
     doc["alphas"] = [0.5, 2.0]
@@ -872,6 +872,113 @@ def test_correlate_golden_csv(tmp_path):
     path = _write_config(tmp_path, doc)
     assert cli.main(["correlate", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "correlations.csv").read_bytes() == GOLDEN_CORRELATE_L10.encode()
+
+
+# The two goldens below span several summation blocks of 2^16 masks, so
+# they pin the order in which the blocks' sums are added, and with it the
+# exact scan's join of each block's two half-chunks (classical._join_halves).
+# Both were captured before the scan ran on half-chunks.  sweep.csv of the
+# benchmark's sweep-exact config: 20 sites, sixteen blocks.
+SWEEP_EXACT_CONFIG = {
+    "schema": 1,
+    "lattice": {"d": 1, "L": 20},
+    "couplings": {"preset": "xx", "J": -1.0},
+    "potential": {"preset": "ising-nn", "K": 1.0},
+    "alphas": [0.5, 1.0, 2.0],
+    "pairs": [[0, 5], [4, 12]],
+}
+
+GOLDEN_SWEEP_L20 = """\
+alpha,x,y,sx_sx,sx_sx_se,sz_sz,sz_sz_se,mz_sq,mz_sq_se,mx,mx_se,method\r
+0.5,0,5,0.6974367008496388,0.0,0.021074654595544657,0.0,0.12792777287468077,0.0,0.7964848480663425,0.0,exact\r
+0.5,4,12,0.618500036687247,0.0,0.0020797768737835422,0.0,0.12792777287468077,0.0,0.7964848480663425,0.0,exact\r
+1.0,0,5,0.2721661669121462,0.0,0.2562229424460153,0.0,0.302743873972333,0.0,0.44278233481901197,0.0,exact\r
+1.0,4,12,0.17637844761413463,0.0,0.11318498636487498,0.0,0.302743873972333,0.0,0.44278233481901197,0.0,exact\r
+2.0,0,5,0.018779146714937314,0.0,0.8326208739622745,0.0,0.7951920861656011,0.0,0.09016596525125599,0.0,exact\r
+2.0,4,12,0.004991539052432523,0.0,0.7459602249586849,0.0,0.7951920861656011,0.0,0.09016596525125599,0.0,exact\r
+"""
+
+
+def _sweep_exact_csv(tmp_path) -> bytes:
+    path = _write_config(tmp_path, SWEEP_EXACT_CONFIG)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+    return (tmp_path / "sweep.csv").read_bytes()
+
+
+def test_sweep_golden_csv_across_blocks(tmp_path):
+    assert _sweep_exact_csv(tmp_path) == GOLDEN_SWEEP_L20.encode()
+
+
+def test_sweep_golden_fails_when_half_chunks_are_folded_left_to_right(tmp_path, monkeypatch):
+    # Negative control: folding the half-chunks' sums one by one, instead
+    # of adding each block's two halves first, moves the last digits.
+    monkeypatch.setattr(classical, "_join_halves", lambda enum, results: results)
+    got = _sweep_exact_csv(tmp_path).decode()
+    assert got != GOLDEN_SWEEP_L20
+    assert ",0.12792777287468077," in GOLDEN_SWEEP_L20.splitlines()[1]
+    assert ",0.1279277728746808," in got.splitlines()[1]
+
+
+# correlations.csv of an 18-site generic potential over nine alphas (two
+# passes of _ALPHA_GROUP): a constant, a field, nonuniform bonds and the
+# three-body term [15, 16, 17], which straddles the boundary of both the
+# blocks (at site 16) and the half-chunks (at site 15).  Pair (0, 15) has a
+# site in the half-chunks' high bits, and (3, 17) one in the blocks'.
+GOLDEN_CORRELATE_L18 = """\
+alpha,x,y,sx_sx,sx_sx_se,sz_sz,sz_sz_se,method\r
+0.0,1,2,1.0,0.0,0.0,0.0,exact\r
+0.0,0,15,1.0,0.0,0.0,0.0,exact\r
+0.0,3,17,1.0,0.0,0.0,0.0,exact\r
+0.25,1,2,0.9642601526547538,0.0,0.19778588383583448,0.0,exact\r
+0.25,0,15,0.9418707557973474,0.0,0.001943412708070158,0.0,exact\r
+0.25,3,17,0.9365207267178572,0.0,3.511980936026871e-11,0.0,exact\r
+0.5,1,2,0.8652962013800833,0.0,0.3852033149905002,0.0,exact\r
+0.5,0,15,0.7886064381038025,0.0,0.015607404674876656,0.0,exact\r
+0.5,3,17,0.772212933513337,0.0,3.4192010364291244e-07,0.0,exact\r
+0.75,1,2,0.7229097391942327,0.0,0.5556043219059276,0.0,exact\r
+0.75,0,15,0.5890883037337861,0.0,0.05386962521229603,0.0,exact\r
+0.75,3,17,0.5650400848094779,0.0,4.5408387407615193e-05,0.0,exact\r
+1.0,1,2,0.5632917125943339,0.0,0.7002708999318029,0.0,exact\r
+1.0,0,15,0.3951179875817353,0.0,0.12669458542040446,0.0,exact\r
+1.0,3,17,0.3709369144188221,0.0,0.0009540341110354141,0.0,exact\r
+1.5,1,2,0.2892185344363721,0.0,0.8873926303104631,0.0,exact\r
+1.5,0,15,0.13690460791066583,0.0,0.34901005074412916,0.0,exact\r
+1.5,3,17,0.12430759763525001,0.0,0.028160816487145565,0.0,exact\r
+2.0,1,2,0.13205157271336812,0.0,0.9636424007689888,0.0,exact\r
+2.0,0,15,0.03842146788644869,0.0,0.5655218335981198,0.0,exact\r
+2.0,3,17,0.03441960039137045,0.0,0.14358683204041864,0.0,exact\r
+3.0,1,2,0.026230456757454224,0.0,0.9965415981506466,0.0,exact\r
+3.0,0,15,0.0024259885130276065,0.0,0.8156270312553806,0.0,exact\r
+3.0,3,17,0.002234834000368244,0.0,0.5245452097255064,0.0,exact\r
+5.0,1,2,0.0011624631856846888,0.0,0.999964245838333,0.0,exact\r
+5.0,0,15,7.915675558081653e-06,0.0,0.9636050595509281,0.0,exact\r
+5.0,3,17,8.807690863819922e-06,0.0,0.913548437482363,0.0,exact\r
+"""
+
+
+def test_correlate_golden_csv_across_blocks(tmp_path):
+    doc = _config(
+        lattice={"d": 1, "L": 18},
+        potential={
+            "terms": [
+                {"sites": sites, "coeff": coeff}
+                for sites, coeff in [
+                    ([], 0.5), ([0], 0.3), ([0, 1], -0.9), ([1, 2], -0.8),
+                    ([2, 3, 4], 0.6), ([3, 4], -0.7), ([4, 5], -1.1), ([5, 6], -1.0),
+                    ([6, 7], -0.4), ([7, 8], -0.6), ([8, 9], -0.5), ([9, 10], -0.85),
+                    ([10, 11], -0.65), ([11, 12], -1.2), ([12, 13], -0.45),
+                    ([13, 14], -0.95), ([14, 15], -0.55), ([15, 16, 17], 0.4),
+                    ([15, 16], -0.75), ([16, 17], -1.05),
+                ]
+            ]
+        },
+        pairs=[[1, 2], [0, 15], [3, 17]],
+    )
+    del doc["alpha"]
+    doc["alphas"] = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0]
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["correlate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "correlations.csv").read_bytes() == GOLDEN_CORRELATE_L18.encode()
 
 
 def test_sample_deterministic_and_seed_echo(tmp_path):
