@@ -44,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -445,7 +446,8 @@ def partition_function(
     """Z(alpha) = sum_s exp(-alpha U(s)) by exact enumeration.
 
     The sum is accumulated relative to the minimum of U so that only the
-    final rescaling can overflow; it raises NumericRangeError if it does.
+    final rescaling can leave double precision; it raises NumericRangeError
+    if Z overflows or falls below the smallest normal double.
     """
     _validate_alpha(alpha)
     _check_enumerable(potential.n_sites, cap)
@@ -467,7 +469,12 @@ def partition_function(
         z = float(total) * math.exp(-alpha * shift)
     except OverflowError:
         z = math.inf
-    return _finite([z], f"Z at alpha={alpha:g}")[0]
+    if not sys.float_info.min <= z <= sys.float_info.max:
+        raise NumericRangeError(
+            f"Z at alpha={alpha:g} is {z:g}, outside the normal doubles: "
+            "the Boltzmann weights left the range of double precision"
+        )
+    return z
 
 
 def classical_expectation(

@@ -9,8 +9,9 @@ d_C per flip set C.  Norms, the Hermitian flag and the dense form are
 computed from the terms with numpy.  OperatorMatrix.row_table lays the
 same entries out row by row; the product apply and the dense blocks of
 verify's eigensolver both read it.  scipy is imported only for the CSR
-view OperatorMatrix.mat, built on first access, which no solver reads:
-it is the independent form the product is tested against.
+view OperatorMatrix.mat, built on first access, which no command reads:
+it is the independent form the product is tested against, and it needs
+scipy from the package's test extra.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class OperatorMatrix:
 
     Everything the checks read (products, norms, the Hermitian flag, the
     dense form) is computed from the terms with numpy; the scipy CSR form
-    is built only when mat is first read.
+    is built only when mat is first read, which no command does.
     """
 
     n_sites: int
@@ -112,7 +113,9 @@ class OperatorMatrix:
 
     @cached_property
     def mat(self) -> sparse.csr_array:
-        """Canonical CSR form of the nonzero entries; imports scipy."""
+        """Canonical CSR form of the nonzero entries, the tests' oracle for
+        apply.  It imports scipy, which only the test extra installs; no
+        command reads it."""
         from scipy import sparse
 
         rows, cols, vals = self.nonzero_entries()

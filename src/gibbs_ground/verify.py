@@ -83,8 +83,10 @@ Trial vectors and eigensolver start vectors are SplitMix64 outputs in
 [-1, 1) (gibbs_ground.splitmix), so no report depends on numpy's generator
 streams.  The `trials` vectors F are runs of dim outputs from output 0
 on, F' the next `trials` runs, so the F of dirichlet_form are those of
-reversibility.  The start vectors of both eigensolver routes are outputs
-0 to dim - 1 of the stream with seed 0.
+reversibility.  Each vector is drawn from its own counters when it is
+used, so a check holds O(dim) of them whatever `trials` is.  The start
+vectors of both eigensolver routes, which run on numpy alone, are
+outputs 0 to dim - 1 of the stream with seed 0.
 """
 
 from __future__ import annotations
@@ -149,11 +151,6 @@ LANCZOS_BASIS = 100
 LANCZOS_KEEP = 30
 LANCZOS_RTOL = 1e-12
 LANCZOS_MAX_PRODUCTS = 10_000
-# Blocks of at least this many states go to scipy's one-eigenpair eigh
-# (LAPACK syevr), which beats numpy's eigvalsh plus an inverse-iteration
-# solve once the block outweighs the cost of importing scipy (about 0.25 s);
-# on a 2-vCPU machine the two cross near 1800 states.
-SUBSET_EIGH_MIN_BLOCK = 2048
 
 
 def _plain(value):
@@ -265,18 +262,6 @@ def _lowest_vector(block: np.ndarray, lam: float) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _block_minimum(block: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """Lowest eigenvalue of a Hermitian block, with its eigenvector where
-    the solver gives it: numpy's eigvalsh below SUBSET_EIGH_MIN_BLOCK
-    states (no vector), scipy's one-eigenpair eigh from there on."""
-    if len(block) < SUBSET_EIGH_MIN_BLOCK:
-        return float(np.linalg.eigvalsh(block)[0]), None
-    from scipy.linalg import eigh
-
-    evals, evecs = eigh(block, subset_by_index=[0, 0])
-    return float(evals[0]), evecs[:, 0]
-
-
 def _lanczos_lowest(h: OperatorMatrix) -> np.ndarray:
     """A unit vector for the lowest eigenvalue of Hermitian h, by
     thick-restart Lanczos (Wu & Simon 2000) on the flip-term product.
@@ -346,11 +331,10 @@ def min_eigenvalue(h: OperatorMatrix, dense_sites: int = Caps.dense_sites) -> Sp
     most dense_sites sites the operator is split into the connected
     components of its flip graph (H couples m only to m XOR C), numbered by
     smallest mask; each block is filled dense from the rows of
-    h.row_table, the table apply reads, and its lowest eigenvalue decides
-    the winner.  Below SUBSET_EIGH_MIN_BLOCK states a block is solved by
-    numpy alone, values first, and the winner's eigenvector comes from one
-    step of inverse iteration at its eigenvalue; larger blocks go to
-    scipy's one-eigenpair eigh.  Above the cap, thick-restart Lanczos on H
+    h.row_table, the table apply reads, and its lowest eigenvalue, from
+    numpy's eigvalsh, decides the winner.  The winner's eigenvector comes
+    from one step of inverse iteration at its eigenvalue (_lowest_vector),
+    whatever the block size.  Above the cap, thick-restart Lanczos on H
     itself, with numpy and the flip-term product alone, finds the lowest
     eigenvector from a start vector of SplitMix64 outputs (seed 0; see
     _lanczos_lowest), and the eigenvalue is its Rayleigh quotient on H.
@@ -385,14 +369,12 @@ def min_eigenvalue(h: OperatorMatrix, dense_sites: int = Caps.dense_sites) -> Sp
             block = np.zeros((stop - start, stop - start), dtype=entries.dtype)
             cols = position[columns[terms, members[rows]]] - start
             block[rows, cols] = values[terms, rows]
-            low, block_vec = _block_minimum(block)
+            low = float(np.linalg.eigvalsh(block)[0])
             if low < lam:
-                lam, best = low, (start, stop, block, block_vec)
-        start, stop, block, block_vec = best
-        if block_vec is None:
-            block_vec = _lowest_vector(block, lam)
+                lam, best = low, (start, stop, block)
+        start, stop, block = best
         vec = np.zeros(dim, dtype=block.dtype)
-        vec[order[start:stop]] = block_vec
+        vec[order[start:stop]] = _lowest_vector(block, lam)
         h_vec = apply(h, vec)
         method, blocks, largest_block = "dense", n_blocks, int(np.diff(bounds).max())
     else:
@@ -502,12 +484,22 @@ def sx_product_bound(model: ModelInstance, sites_mask: int) -> CheckRecord:
     )
 
 
-def _random_vectors(seed: int, dim: int, count: int, first: int = 0) -> np.ndarray:
-    """Trial vectors first ... first+count-1 of the seed's stream, one per
-    row: vector k holds the outputs [k*dim, (k+1)*dim) of uniform."""
-    if count < 1:
-        raise ConstraintError(f"a randomized check needs at least 1 trial, got {count}")
-    return uniform(seed, first * dim, count * dim).reshape(count, dim)
+def _check_trials(trials: int, dim: int):
+    """ConstraintError unless the F and F' of trials trial vectors, 2 *
+    trials * dim outputs, fit the seed's stream (the rule of
+    metropolis_samples)."""
+    if trials < 1:
+        raise ConstraintError(f"a randomized check needs at least 1 trial, got {trials}")
+    if 2 * trials * dim >= 1 << 64:
+        raise ConstraintError(
+            f"{trials} trials of dimension {dim} need 2^64 or more SplitMix64 outputs"
+        )
+
+
+def _trial_vector(seed: int, dim: int, k: int) -> np.ndarray:
+    """Trial vector k of the seed's stream: the outputs [k*dim, (k+1)*dim)
+    of uniform."""
+    return uniform(seed, k * dim, dim)
 
 
 def reversibility_check(
@@ -519,16 +511,18 @@ def reversibility_check(
     shifted by its minimum, which rescales both sides identically.  The
     vectors F are trial vectors 0 to trials - 1 of the seed's stream, the
     vectors F' the next trials of them.  Raises ConstraintError on a seed
-    outside [0, 2^64 - 1]."""
+    outside [0, 2^64 - 1] or on trials beyond the stream (_check_trials)."""
     shifted = model.shifted_energies
+    dim = len(shifted)
+    _check_trials(trials, dim)
     w = np.exp(-model.alpha * shifted)
     wh = np.exp(-0.5 * model.alpha * shifted)
     hc = model.h_conjugate
-    fs = _random_vectors(seed, len(shifted), trials)
-    gs = _random_vectors(seed, len(shifted), trials, first=trials)
     max_sym = 0.0
     max_conj = 0.0
-    for f, g in zip(fs, gs):
+    for k in range(trials):
+        f = _trial_vector(seed, dim, k)
+        g = _trial_vector(seed, dim, trials + k)
         scale = model.h.norm_max * np.linalg.norm(f) * np.linalg.norm(g)
         scale = max(scale, np.finfo(float).tiny)
         hcf = apply(hc, f)
@@ -563,9 +557,11 @@ def dirichlet_form_check(
     couplings).  When the sign hypothesis holds as well, both routes must be
     nonnegative.  The vectors F are reversibility_check's F for the same
     seed and trials.  Raises ConstraintError on a seed outside
-    [0, 2^64 - 1].
+    [0, 2^64 - 1] or on trials beyond the stream (_check_trials).
     """
     masks, shifted = model.masks, model.shifted_energies
+    dim = len(masks)
+    _check_trials(trials, dim)
     w = np.exp(-model.alpha * shifted)
     hc = model.h_conjugate
 
@@ -576,10 +572,10 @@ def dirichlet_form_check(
         weight2 = np.exp(-0.5 * model.alpha * (shifted + shifted[perm]))
         flip_data.append((perm, coupling.values(masks) * weight2))
 
-    fs = _random_vectors(seed, len(masks), trials)
     max_gap = 0.0
     min_form = math.inf
-    for f in fs:
+    for k in range(trials):
+        f = _trial_vector(seed, dim, k)
         scale = max(model.h.norm_max * float(np.dot(f, f)), np.finfo(float).tiny)
         lhs = complex(np.sum(w * np.conj(apply(hc, f)) * f))
         rhs = 0.0 + 0.0j
@@ -623,21 +619,23 @@ def verify_model(
     those hypotheses hold; otherwise they are computed and reported as
     informational, mapping where the properties actually hold.  Every check
     runs under model.caps: a model above caps.quantum_sites stops before
-    any check, with SizeCapError, as does a pair site outside the lattice
-    or a seed outside [0, 2^64 - 1], with ConstraintError.  A pair (x, x)
-    is legal, as in the scan.
+    any check, with SizeCapError, as does a pair site outside the lattice,
+    a seed outside [0, 2^64 - 1] or trials whose vectors overrun the
+    seed's stream, with ConstraintError.  A pair (x, x) is legal, as in
+    the scan.
     """
     check_seed(seed)
     if pairs is None:
         pairs = nearest_neighbor_pairs(model.lattice)[:2]
     _check_pairs(model.lattice.n_sites, pairs)
     caps = model.caps
-    model.masks  # the model's quantum-cap check, before any enumeration
+    # model.masks is the model's quantum-cap check, before any enumeration
+    _check_trials(trials, len(model.masks))
     report = VerificationReport(model_digest=model.digest(), alpha=model.alpha)
     records = report.records
     # Z is the squared norm of the Boltzmann state: an alpha whose state
-    # leaves double precision stops here with NumericRangeError, before any
-    # check computes with that state.
+    # leaves double precision, above or below, stops here with
+    # NumericRangeError, before any check computes with that state.
     z_value = model.partition_value()
     norm = model.h.norm_max
 

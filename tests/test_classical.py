@@ -763,6 +763,16 @@ def test_partition_function_overflow_is_a_named_error():
         partition_function(pot, 120.0)
 
 
+@pytest.mark.parametrize("alpha", [240.0, 700.0], ids=["subnormal", "zero"])
+def test_partition_function_underflow_is_a_named_error(alpha):
+    # Z = 16 exp(-3 alpha) for the constant U = 3 on 4 sites: subnormal at
+    # alpha=240, 0.0 at alpha=700; both once passed as valid values.
+    pot = ClassicalPotential.from_terms(4, [([], 3.0)])
+    assert partition_function(pot, 200.0) == pytest.approx(16.0 * math.exp(-600.0))
+    with pytest.raises(NumericRangeError, match=f"alpha={alpha:g}"):
+        partition_function(pot, alpha)
+
+
 def test_non_finite_average_is_a_named_error():
     pot = ClassicalPotential.ising_nn(build_hypercube(1, 8), 1.0)
     with pytest.raises(NumericRangeError, match="alpha=800"):

@@ -709,6 +709,34 @@ def test_verify_overflow_exits_2_with_named_error(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_verify_underflow_exits_2_with_named_error(tmp_path, capsys):
+    # Negative control: Z = 16 exp(-2100) for the constant U = 3 on 4 sites
+    # at alpha=700 is 0.0, which once reached the checks as the zero state.
+    doc = _config(
+        lattice={"d": 1, "L": 4},
+        potential={"terms": [{"sites": [], "coeff": 3.0}]},
+        alpha=700.0,
+    )
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "NumericRangeError"
+    assert "alpha=700" in error["message"]
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_verify_trials_beyond_the_stream_exit_2_with_named_error(tmp_path, capsys):
+    # 2^62 trial vectors of 16 states need more than 2^64 stream outputs;
+    # drawn at once they ended in a traceback from numpy.
+    doc = _config(lattice={"d": 1, "L": 4}, checks={"trials": 2**62, "seed": 11})
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "ConstraintError"
+    assert "2^64 or more SplitMix64 outputs" in error["message"]
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize(
     "L, alpha, dense_sites", [(6, 2.0, 4), (6, 3.0, 4), (6, 5.0, 4), (8, 2.0, 7)]
 )

@@ -8,10 +8,11 @@ before that happens; a value the user set is kept.
 
 The classical commands (sweep, correlate, sample) only take Gibbs averages,
 and build and verify compute everything from the flip terms with numpy,
-the Lanczos route above the dense cap included, so neither ``import
-gibbs_ground`` nor those commands may import scipy.  Only a dense
-flip-graph block of SUBSET_EIGH_MIN_BLOCK states or more goes to scipy's
-eigh.
+every dense block and the Lanczos route above the dense cap included, so
+neither ``import gibbs_ground`` nor any command may import scipy: the
+package depends on numpy alone, and scipy comes with the test extra.
+Each command runs on a small chain and on a one-block model of 2048
+states.  A script that imports scipy.linalg shows that the probe sees it.
 
 Loading hashlib maps OpenSSL (``_hashlib``), and loading numpy.random
 loads it too, through ``secrets``: together a few MB of resident memory.
@@ -64,6 +65,22 @@ def _last_line(script: str, cwd: Path, **env: str | None) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
+
+
+# An XX chain on 11 sites plus X on site 0, which links the two parity
+# sectors: one flip-graph block of 2048 states, the size from which verify
+# once sent a block to scipy's eigh.
+ONE_BLOCK = {
+    **CONFIG,
+    "lattice": {"d": 1, "L": 11},
+    "couplings": {
+        "entries": [
+            {sites: [x, x + 1], "phi": -1.0} for x in range(10) for sites in ("x_sites", "y_sites")
+        ]
+        + [{"x_sites": [0], "phi": -0.5}]
+    },
+    "alphas": [1.0],
+}
 
 
 def _loaded_after(code: str, cwd: Path, module: str) -> bool:
@@ -168,34 +185,45 @@ def test_library_import_does_not_load_scipy(tmp_path):
     assert not _loaded_after("import gibbs_ground", tmp_path, "scipy")
 
 
+def _scipy_loaded_by(tmp_path: Path, command: str, config: dict) -> bool:
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    return _loaded_after(_command(command), tmp_path, "scipy")
+
+
 @pytest.mark.parametrize("command", ["sweep", "correlate", "sample"])
 def test_classical_commands_do_not_load_scipy(tmp_path, command):
-    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
-    assert not _loaded_after(_command(command), tmp_path, "scipy")
+    for config in (CONFIG, ONE_BLOCK):
+        assert not _scipy_loaded_by(tmp_path, command, config)
 
 
 @pytest.mark.parametrize("command", ["build", "verify"])
 def test_operator_commands_under_the_dense_cap_do_not_load_scipy(tmp_path, command):
-    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
-    assert not _loaded_after(_command(command), tmp_path, "scipy")
+    for config in (CONFIG, ONE_BLOCK):
+        assert not _scipy_loaded_by(tmp_path, command, config)
+    if command == "verify":
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        (ground,) = [c for c in report["reports"][0]["checks"] if c["name"] == "ground_energy"]
+        details = ground["details"]
+        assert (details["method"], details["blocks"], details["largest_block"]) == (
+            "dense",
+            1,
+            2048,
+        )
 
 
 def test_verify_above_the_dense_cap_does_not_load_scipy(tmp_path):
-    # Above the dense cap of 4 sites the ground energy comes from Lanczos
-    # on the flip-term product.
-    (tmp_path / "config.json").write_text(
-        json.dumps({**CONFIG, "caps": {"dense_sites": 4}})
-    )
-    assert not _loaded_after(_command("verify"), tmp_path, "scipy")
+    # Above a dense cap of 4 or 10 sites the ground energy comes from
+    # Lanczos on the flip-term product.
+    for config, dense_sites in ((CONFIG, 4), (ONE_BLOCK, 10)):
+        assert not _scipy_loaded_by(
+            tmp_path, "verify", {**config, "caps": {"dense_sites": dense_sites}}
+        )
 
 
-def test_verify_loads_scipy(tmp_path):
+def test_probe_sees_scipy(tmp_path):
     # Positive control: without it the checks above could pass because the
-    # probe never sees scipy at all.  With the subset-solver threshold at 2
-    # states, every dense block of two or more goes to scipy's eigh.
-    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
-    setup = "import gibbs_ground.verify\ngibbs_ground.verify.SUBSET_EIGH_MIN_BLOCK = 2\n"
-    assert _loaded_after(_command("verify", setup), tmp_path, "scipy")
+    # probe never sees scipy at all.
+    assert _loaded_after("import scipy.linalg", tmp_path, "scipy")
 
 
 def test_library_import_does_not_load_openssl(tmp_path):

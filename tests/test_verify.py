@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,20 +290,37 @@ def test_min_eigenvalue_iterative_budget_raises_convergence_error(monkeypatch):
     assert len(products) == 5
 
 
-@pytest.mark.parametrize("min_block", [2, 16])
-def test_min_eigenvalue_large_blocks_use_the_subset_solver(monkeypatch, min_block):
-    # Lowering the size from which blocks go to scipy's one-eigenpair eigh
-    # mixes the two block solvers on blocks of 1, 10, 20 and 1 states: at 2
-    # the winning 10-state block is solved by scipy, at 16 by numpy while
-    # the 20-state block goes to scipy.  The value, the block counts and a
-    # rounding-level residual stay.
-    model = _sector_violating_model()
-    numpy_only = min_eigenvalue(model.h)
-    monkeypatch.setattr(verify, "SUBSET_EIGH_MIN_BLOCK", min_block)
-    mixed = min_eigenvalue(model.h)
-    assert (mixed.blocks, mixed.largest_block) == (4, 20)
-    assert abs(mixed.eigenvalue - numpy_only.eigenvalue) <= 1e-12 * model.h.norm_max
-    assert mixed.residual <= 1e-12 * model.h.norm_max
+def _one_block_model(L):
+    """XX chain on L sites plus X on site 0, ([0], [], -0.5): the single
+    flip links the two parity sectors, so the flip graph is one block."""
+    lat = build_hypercube(1, L)
+    bonds = nearest_neighbor_pairs(lat)
+    entries = [(list(b), [], -1.0) for b in bonds] + [([], list(b), -1.0) for b in bonds]
+    return ModelInstance(
+        lattice=lat,
+        table=CouplingTable.from_site_lists(L, entries + [([0], [], -0.5)]),
+        potential=ClassicalPotential.ising_nn(lat, 1.0),
+        alpha=1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "make, blocks",
+    [(_sector_violating_model, (4, 20)), (lambda: _one_block_model(8), (1, 256))],
+    ids=["sectors", "one-block"],
+)
+def test_min_eigenvalue_blocks_match_the_dense_oracle(make, blocks):
+    # Every block's lowest eigenvalue comes from eigvalsh, and the winner's
+    # vector from one inverse-iteration step: on blocks of 1, 10, 20 and 1
+    # states, and on one block of 256, the value matches the full dense
+    # spectrum and the residual stays at rounding level.
+    model = make()
+    result = min_eigenvalue(model.h)
+    assert result.method == "dense"
+    assert (result.blocks, result.largest_block) == blocks
+    expected = eigvalsh(model.h.to_dense())[0]
+    assert abs(result.eigenvalue - expected) <= 1e-12 * model.h.norm_max
+    assert result.residual <= 1e-12 * model.h.norm_max
 
 
 @pytest.mark.parametrize("xx_weight", [-1.0, 1.0])
@@ -517,13 +535,61 @@ def test_randomized_checks_reject_a_seed_beyond_64_bits(check):
         check(model, seed=2**64)
 
 
-def test_trial_vectors_are_consecutive_runs_of_the_stream():
+def test_trial_vectors_are_consecutive_runs_of_the_stream(monkeypatch):
     # reversibility's F are vectors 0..T-1 and its F' vectors T..2T-1;
-    # dirichlet_form's F are the same vectors 0..T-1
+    # dirichlet_form's F are the same vectors 0..T-1.  Vector k is run k of
+    # the stream, drawn on its own.
     dim, trials = 5, 3
     stream = splitmix.uniform(7, 0, 2 * trials * dim).reshape(2 * trials, dim)
-    assert np.array_equal(verify._random_vectors(7, dim, trials), stream[:trials])
-    assert np.array_equal(verify._random_vectors(7, dim, trials, first=trials), stream[trials:])
+    for k in range(2 * trials):
+        assert np.array_equal(verify._trial_vector(7, dim, k), stream[k])
+    drawn = []
+    trial_vector = verify._trial_vector
+    monkeypatch.setattr(
+        verify, "_trial_vector", lambda *args: drawn.append(args) or trial_vector(*args)
+    )
+    model = _ising_chain_model(4, 1.0)
+    reversibility_check(model, trials=trials, seed=7)
+    assert drawn == [(7, 16, k) for k in (0, 3, 1, 4, 2, 5)]
+    drawn.clear()
+    dirichlet_form_check(model, trials=trials, seed=7)
+    assert drawn == [(7, 16, k) for k in range(trials)]
+
+
+def test_trials_beyond_the_stream_boundary():
+    # F and F' need 2 * trials * dim outputs, fewer than 2^64
+    verify._check_trials(2**59 - 1, 16)
+    with pytest.raises(ConstraintError, match="2\\^64 or more SplitMix64 outputs"):
+        verify._check_trials(2**59, 16)
+
+
+@pytest.mark.parametrize("check", [reversibility_check, dirichlet_form_check, verify_model])
+def test_randomized_checks_reject_trials_beyond_the_stream(check):
+    # All trial vectors at once once raised a bare ValueError from numpy
+    # ("Maximum allowed size exceeded"); verify_model stops before any
+    # check, so H is never built.
+    model = _ising_chain_model(4, 1.0)
+    with pytest.raises(ConstraintError, match=f"{2**62} trials of dimension 16"):
+        check(model, trials=2**62)
+    if check is verify_model:
+        assert "h" not in vars(model)
+
+
+def test_reversibility_memory_does_not_grow_with_trials():
+    # Each trial vector is drawn when it is used: the traced peak on 10
+    # sites is the same for 2 trials as for 200, where holding all 400
+    # vectors would take 3.2 MB.
+    model = _ising_chain_model(10, 1.0)
+    reversibility_check(model, trials=1)  # builds the model's cached operators
+    peaks = []
+    for trials in (2, 200):
+        tracemalloc.start()
+        try:
+            assert reversibility_check(model, trials=trials).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 8 * model.h.dim, peaks
 
 
 def test_dirichlet_form_nonnegative_for_ferro():
