@@ -36,7 +36,6 @@ _SUBMODULE = {
             "NonHermitianError",
             "NumericRangeError",
             "SizeCapError",
-            "UnsupportedModelError",
         ],
         "lattice": [
             "Caps",
@@ -52,9 +51,6 @@ _SUBMODULE = {
             "DiagonalCoupling",
             "ModelInstance",
             "diagonal_couplings",
-            "xxz_diagonal",
-            "xxz_hamiltonian",
-            "xxz_site_field",
         ],
         "operators": ["OperatorMatrix", "apply", "product_operator"],
         "verify": [

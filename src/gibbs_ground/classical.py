@@ -31,8 +31,9 @@ masks or more as two half-chunks, of half the memory, and adds their two
 reductions (_join_halves): np.add.reduce sums a power-of-two block of 256
 values or more as its two halves (pairwise summation), so the join has the
 block's bits.  The kernel's scans run their chunks on worker threads, one
-per usable CPU (_scan).  No value depends on the worker count or on the
-BLAS thread count, and the two routes agree bit for bit.
+per usable CPU and at most one per block (_scan).  No value depends on the
+worker count or on the BLAS thread count, and the two routes agree bit for
+bit.
 
 Observables ("configuration functionals") for the generic routes and
 for Metropolis are vectorized callables taking a (nconf, n) spins array and
@@ -75,8 +76,8 @@ from .splitmix import bits53
 _CHUNK_BITS = 16
 
 # Worker threads of an exact scan (_scan), the calling thread included;
-# None means one per CPU the process may use.  Never more than the chunks,
-# and no value depends on it.
+# None means one per CPU the process may use.  Never more than the
+# summation blocks, and no value depends on it.
 _WORKERS: int | None = None
 
 # Alphas reweighted together by one accumulation pass of the exact order-
@@ -350,13 +351,13 @@ def _scan(enum: _Enumeration, start_worker) -> list:
     owns that worker's buffers, and applies it to the chunks it takes, each
     built on the worker's one scratch array.  The workers are the calling
     thread and _WORKERS - 1 more (one per usable CPU by default), never
-    more than the chunks, so one chunk starts no thread.  A worker runs
-    under the caller's numpy error state and must call only underscore-named
-    helpers.  Callers fold the results in chunk order, so no value depends
-    on the worker count.
+    more than the summation blocks, so one block starts no thread.  A
+    worker runs under the caller's numpy error state and must call only
+    underscore-named helpers.  Callers fold the results in chunk order, so
+    no value depends on the worker count.
     """
     count = enum.chunk_count
-    workers = min(count, _WORKERS or _usable_cpus())
+    workers = min(count >> enum.halves, _WORKERS or _usable_cpus())
     results = [None] * count
     pending = iter(range(count))
     lock = threading.Lock()

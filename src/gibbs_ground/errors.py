@@ -13,10 +13,6 @@ class ConstraintError(GibbsGroundError):
     """A coupling table or potential violates a structural constraint."""
 
 
-class UnsupportedModelError(GibbsGroundError):
-    """An operation was asked for a model shape it does not cover."""
-
-
 class InternalConsistencyError(GibbsGroundError):
     """A result that correct code cannot produce: an eigensolver residual
     far above roundoff, or a Hermitian expectation with an imaginary part.

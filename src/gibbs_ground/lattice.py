@@ -87,10 +87,6 @@ class Lattice:
             idx = idx * self.side + coord[k]
         return idx
 
-    def coordinate(self, index: int) -> tuple[int, ...]:
-        """Coordinate vector of a linear index."""
-        return self.coords[index]
-
 
 def build_hypercube(d: int, L: int, site_cap: int = Caps.lattice_sites) -> Lattice:
     """Build the L^d hypercube; raises SizeCapError when L, d or L^d

@@ -32,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .classical import (
     partition_function,
     spins_from_masks,
 )
-from .errors import ConstraintError, UnsupportedModelError
+from .errors import ConstraintError
 from .lattice import (
     Caps,
     Lattice,
@@ -255,118 +255,6 @@ def _similarity_conjugate(model: "ModelInstance") -> OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# XX / XXZ closed forms
-# ---------------------------------------------------------------------------
-
-
-def xx_pair_couplings(table: CouplingTable) -> list[tuple[int, int, float]]:
-    """Extract (x, y, phi) from an XX-type table.
-
-    The table must consist solely of matched pair entries: for each site
-    pair {x, y} one X_x X_y and one Y_x Y_y entry with equal weight.
-    """
-    xx: dict[int, float] = {}
-    yy: dict[int, float] = {}
-    for a, b, phi in table.entries:
-        if b == 0 and a.bit_count() == 2:
-            xx[a] = phi
-        elif a == 0 and b.bit_count() == 2:
-            yy[b] = phi
-        else:
-            raise UnsupportedModelError(
-                "table is not XX-type (pair entries only); use build_v instead"
-            )
-    if set(xx) != set(yy) or any(xx[p] != yy[p] for p in xx):
-        raise UnsupportedModelError(
-            "XX-type table needs matching X-pair and Y-pair weights; "
-            "use build_v instead"
-        )
-    out = []
-    for pair_mask, phi in sorted(xx.items()):
-        x, y = sites_from_mask(pair_mask)
-        out.append((x, y, phi))
-    return out
-
-
-def xxz_diagonal(
-    table: CouplingTable,
-    field: Sequence[float],
-    alpha: float,
-    lattice: Lattice,
-) -> OperatorMatrix:
-    """Closed-form diagonal part for an XX table with a linear potential
-    U(s) = sum_x u_x s_x:
-
-        sum_pairs phi * [ s_x s_y cosh(alpha du) - (s_x - s_y) sinh(alpha du)
-                          - cosh(alpha du) ],  du = u_x - u_y.
-
-    Must agree entrywise with build_v on the same model.
-    """
-    n = lattice.n_sites
-    _check_quantum_size(n)
-    if table.n_sites != n or len(field) != n:
-        raise ConstraintError(
-            f"table, field and lattice disagree on the site count: "
-            f"{table.n_sites}, {len(field)} and {n}"
-        )
-    spins = monomial_signs(all_masks(n), [1 << x for x in range(n)]).astype(np.float64)
-    diag = np.zeros(1 << n)
-    for x, y, phi in xx_pair_couplings(table):
-        du = alpha * (field[x] - field[y])
-        ch, sh = math.cosh(du), math.sinh(du)
-        sx, sy = spins[x], spins[y]
-        diag += phi * (sx * sy * ch - (sx - sy) * sh - ch)
-    return flip_operator(n, [(0, diag)])
-
-
-def xxz_site_field(coupling: float, alpha: float, lattice: Lattice) -> np.ndarray:
-    """Per-site coefficient of the linear sigma^z term in xxz_hamiltonian.
-
-    Accumulated bond by bond as +-coupling*sinh(alpha), so contributions at
-    interior sites cancel exactly and only the boundary survives.
-    """
-    sh = coupling * math.sinh(alpha)
-    coeffs = np.zeros(lattice.n_sites)
-    for x, y in nearest_neighbor_pairs(lattice):
-        coeffs[x] += sh
-        coeffs[y] -= sh
-    return coeffs
-
-
-def xxz_hamiltonian(coupling: float, alpha: float, lattice: Lattice) -> OperatorMatrix:
-    """Anisotropic Heisenberg Hamiltonian with q = e^alpha, assembled per
-    lexicographically ordered nearest-neighbor pair x < y:
-
-        J [ X_x X_y + Y_x Y_y + ((q + 1/q)/2) Z_x Z_y ]
-          - J [ ((q - 1/q)/2) (Z_y - Z_x) + (q + 1/q)/2 ]
-
-    This equals build_h for the XX nearest-neighbor table with the same J
-    and the coordinate-sum potential: the anisotropy is cosh(alpha), and the
-    linear term telescopes to the boundary because u_y - u_x = 1 on every
-    ordered pair.
-    """
-    n = lattice.n_sites
-    _check_quantum_size(n)
-    masks = all_masks(n)
-    ch = math.cosh(alpha)
-    bonds = [(1 << x) | (1 << y) for x, y in nearest_neighbor_pairs(lattice)]
-
-    terms = []
-    diag = np.zeros(1 << n)
-    for bond, sxsy in zip(bonds, monomial_signs(masks, bonds).astype(np.float64)):
-        # X_x X_y maps m -> m ^ pair; Y_x Y_y adds i^2 * s_x s_y = -s_x s_y.
-        terms.append((bond, coupling * (1.0 - sxsy)))
-        diag += coupling * ch * (sxsy - 1.0)
-    # The linear term sum_x u_x s_x, summed from zero in site order.
-    field = np.zeros(1 << n)
-    spins = monomial_signs(masks, [1 << x for x in range(n)])
-    for u, row in zip(xxz_site_field(coupling, alpha, lattice), spins):
-        field += u * row
-    diag += field
-    return flip_operator(n, terms + [(0, diag)])
-
-
-# ---------------------------------------------------------------------------
 # Model container
 # ---------------------------------------------------------------------------
 
@@ -392,16 +280,6 @@ class ModelInstance:
             raise ConstraintError(
                 "lattice, coupling table and potential disagree on the site count"
             )
-
-    @classmethod
-    def xxz(cls, lattice: Lattice, coupling: float, alpha: float) -> "ModelInstance":
-        """The XX nearest-neighbor model with the coordinate-sum potential."""
-        return cls(
-            lattice=lattice,
-            table=CouplingTable.xx_nearest_neighbor(lattice, coupling),
-            potential=ClassicalPotential.linear_height(lattice),
-            alpha=alpha,
-        )
 
     @cached_property
     def masks(self) -> np.ndarray:

@@ -5,13 +5,13 @@ bit is set in m, so sigma^z_x is diagonal with entry +-1, sigma^x over a
 site set A maps m to m XOR A, and sigma^y follows from
 sigma^y = -i sigma^z sigma^x.  Every operator is a sum of flip terms
 diag(d_C) X_[C], and OperatorMatrix holds exactly that: one complex vector
-d_C per flip set C.  Norms, the Hermitian flag and the dense form are
-computed from the terms with numpy.  OperatorMatrix.row_table lays the
-same entries out row by row; the product apply and the dense blocks of
-verify's eigensolver both read it.  scipy is imported only for the CSR
-view OperatorMatrix.mat, built on first access, which no command reads:
-it is the independent form the product is tested against, and it needs
-scipy from the package's test extra.
+d_C per flip set C.  Norms and the Hermitian flag are computed from the
+terms with numpy.  OperatorMatrix.row_table lays the same entries out row
+by row; the product apply and the dense blocks of verify's eigensolver
+both read it.  scipy is imported only for the CSR view OperatorMatrix.mat,
+built on first access, which no command reads: it is the independent form
+the product is tested against, and it needs scipy from the package's test
+extra.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ class OperatorMatrix:
     terms sum_C diag(d_C) X_[C]: terms maps each flip set C to the complex
     vector d_C, whose entry d_C[m] sits at row m XOR C, column m.
 
-    Everything the checks read (products, norms, the Hermitian flag, the
-    dense form) is computed from the terms with numpy; the scipy CSR form
-    is built only when mat is first read, which no command does.
+    Everything the checks read (products, norms, the Hermitian flag) is
+    computed from the terms with numpy; the scipy CSR form is built only
+    when mat is first read, which no command does.
     """
 
     n_sites: int
@@ -79,13 +79,6 @@ class OperatorMatrix:
             default=0.0,
         )
         return gap <= HERMITIAN_RTOL * self.norm_max
-
-    def to_dense(self) -> np.ndarray:
-        masks = all_masks(self.n_sites)
-        dense = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, d in self.terms.items():
-            dense[masks ^ c, masks] = d
-        return dense
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Term-by-term sum; a term one side lacks reads as zeros."""

@@ -103,6 +103,17 @@ def random_coupling_table(rng, lattice, flavor="generic"):
     return CouplingTable.from_site_lists(n, list(entries.values()))
 
 
+def xxz_model(lattice, coupling, alpha):
+    """The XX nearest-neighbour table of weight coupling with the
+    coordinate-sum potential: the XXZ chain of tests/oracles.xxz_dense."""
+    return ModelInstance(
+        lattice=lattice,
+        table=CouplingTable.xx_nearest_neighbor(lattice, coupling),
+        potential=ClassicalPotential.linear_height(lattice),
+        alpha=alpha,
+    )
+
+
 def random_model(rng, flavor="generic", shapes=MODEL_SHAPES, alphas=ALPHA_GRID):
     d, L = shapes[int(rng.integers(len(shapes)))]
     lattice = build_hypercube(d, L)

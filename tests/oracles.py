@@ -1,8 +1,9 @@
 """Independent oracles for expected values.
 
 Everything here is deliberately written without the package's vectorized
-machinery: plain-Python enumeration over spin tuples and a 2x2 transfer
-matrix for the open Ising chain, so that package results are checked
+machinery: plain-Python enumeration over spin tuples, a 2x2 transfer
+matrix for the open Ising chain and dense Kronecker products of the Pauli
+matrices for the XXZ reduction, so that package results are checked
 against a genuinely separate computation path.
 """
 
@@ -20,6 +21,42 @@ PAULI = {
     2: np.array([[0, -1j], [1j, 0]], dtype=complex),
     3: np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def on_sites(n: int, factors: dict) -> np.ndarray:
+    """The 2^n x 2^n Kronecker product with factors[x] at site x and the
+    identity elsewhere; site 0 is the last, least significant factor."""
+    out = np.eye(1)
+    for x in reversed(range(n)):
+        out = np.kron(out, factors.get(x, np.eye(2)))
+    return out
+
+
+def xxz_dense(n: int, pairs, field, alpha: float) -> np.ndarray:
+    """Dense H of the XX table with pair weights (x, y, phi) and the linear
+    potential U(s) = sum_x u_x s_x, from Kronecker products of the Paulis:
+
+        sum phi [X_x X_y + Y_x Y_y + cosh(alpha d) Z_x Z_y
+                 - sinh(alpha d) (Z_x - Z_y) - cosh(alpha d)],  d = u_x - u_y.
+
+    Its diagonal is V in closed form.  With u the height field (coordinate
+    sums) on a nearest-neighbour table of equal weights J it is the XXZ
+    chain with q = e^alpha: anisotropy (q + 1/q)/2, and a linear z-term that
+    telescopes to the boundary (Pasquier & Saleur, Nucl. Phys. B 330, 523).
+    """
+    z = PAULI[3]
+    h = np.zeros((1 << n, 1 << n), dtype=complex)
+    for x, y, phi in pairs:
+        d = alpha * (field[x] - field[y])
+        ch, sh = math.cosh(d), math.sinh(d)
+        h += phi * (
+            on_sites(n, {x: PAULI[1], y: PAULI[1]})
+            + on_sites(n, {x: PAULI[2], y: PAULI[2]})
+            + ch * on_sites(n, {x: z, y: z})
+            - sh * (on_sites(n, {x: z}) - on_sites(n, {y: z}))
+            - ch * np.eye(1 << n)
+        )
+    return h
 
 
 def flip(config: int, sites_mask: int) -> int:

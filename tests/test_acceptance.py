@@ -29,17 +29,16 @@ from gibbs_ground import (
     spin_product,
     squared_magnetization,
     sx_product_bound,
-    xxz_diagonal,
-    xxz_hamiltonian,
-    xxz_site_field,
 )
 from gibbs_ground import cli
 from gibbs_ground.classical import estimate_from_samples, metropolis_samples
 from gibbs_ground.models import build_v
-from gibbs_ground.operators import max_entry_diff, product_operator
+from gibbs_ground.lattice import nearest_neighbor_pairs
+from gibbs_ground.operators import product_operator
 
-from .conftest import ALPHA_GRID, MODEL_SHAPES, random_model
-from .oracles import open_chain_correlation
+from .conftest import ALPHA_GRID, MODEL_SHAPES, random_model, xxz_model
+from .flip_terms import dense_from_operator
+from .oracles import open_chain_correlation, xxz_dense
 
 # tanh(5)^3, the frozen large-coupling correlation at distance 3
 TANH5_CUBED = 0.9997276375186346
@@ -109,21 +108,17 @@ def test_criterion_04_xxz_reduction():
         lat = build_hypercube(d, L)
         coupling = float(rng.choice([-1, 1]) * rng.uniform(0.2, 1.2))
         alpha = float(rng.uniform(0.0, 1.5))
-        model = ModelInstance.xxz(lat, coupling, alpha)
+        model = xxz_model(lat, coupling, alpha)
 
         heights = [float(sum(c)) for c in lat.coords]
-        closed_v = xxz_diagonal(model.table, heights, alpha, lat)
-        generic_v = build_v(model)
-        assert max_entry_diff(closed_v, generic_v) <= 1e-12
+        pairs = [(x, y, coupling) for x, y in nearest_neighbor_pairs(lat)]
+        oracle = xxz_dense(lat.n_sites, pairs, heights, alpha)
+        generic_v = dense_from_operator(build_v(model)).diagonal()
+        assert np.abs(generic_v - oracle.diagonal()).max() <= 1e-12
 
-        closed_h = xxz_hamiltonian(coupling, alpha, lat)
-        assert max_entry_diff(closed_h, model.h) <= 1e-12 * model.h.norm_max
-
-    for L in range(4, 11):
-        lat = build_hypercube(1, L)
-        coeffs = xxz_site_field(-1.0, 1.0, lat)
-        assert all(coeffs[k] == 0.0 for k in range(1, L - 1))
-    print("\nACCEPTANCE 4 (XXZ reduction, 20 draws + boundary fields): PASS")
+        generic_h = dense_from_operator(model.h)
+        assert np.abs(generic_h - oracle).max() <= 1e-12 * model.h.norm_max
+    print("\nACCEPTANCE 4 (XXZ reduction against the dense oracle, 20 draws): PASS")
 
 
 def test_criterion_05_x_product_lower_bound():

@@ -458,11 +458,13 @@ SPLIT_POTENTIAL = (
 def test_split_blocks_equal_the_decoded_routes(n, bits, workers, monkeypatch):
     monkeypatch.setattr(classical, "_CHUNK_BITS", bits)
     monkeypatch.setattr(classical, "_WORKERS", workers)
+    started = _threads_started(monkeypatch)
     _, terms = SPLIT_POTENTIAL
     pot = ClassicalPotential.from_terms(n, [(s, c) for s, c in terms if max(s, default=0) < n])
     enum = classical._Enumeration(pot)
     assert enum.halves and enum.bits == bits - 1
-    assert enum.chunk_count == 2 * len(list(classical._mask_chunks(n)))
+    blocks = len(list(classical._mask_chunks(n)))
+    assert enum.chunk_count == 2 * blocks
     for alpha in (0.0, 0.7, 3.1):
         assert partition_function(pot, alpha) == _decoded_partition_function(pot, alpha)
     pairs = [(0, n - 1), (0, 1), (1, n - 2), (1, 1)]
@@ -470,6 +472,8 @@ def test_split_blocks_equal_the_decoded_routes(n, bits, workers, monkeypatch):
     assert len(batched) == len(KERNEL_ALPHAS)
     for got, alpha in zip(batched, KERNEL_ALPHAS):
         assert got == gibbs_averages(order_parameter_functionals(pot, alpha, pairs), pot, alpha)
+    # two workers share the blocks, one block runs on the calling thread
+    assert bool(started) == (workers == 2 and blocks >= 2)
 
 
 def test_only_blocks_of_256_masks_or_more_split(monkeypatch):
@@ -679,6 +683,21 @@ def test_scan_workers_are_the_usable_cpus_capped_by_the_chunks(monkeypatch):
         started.clear()
         partition_function(pot, 1.0)
         assert len(started) == 2 * threads_per_scan, bits
+
+
+def test_a_one_block_scan_starts_no_thread(monkeypatch):
+    # 16 sites are one summation block, run as two half-chunks: a second
+    # worker would have no block of its own, so none is started.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-block scan started a thread")
+
+    monkeypatch.setattr(classical.threading, "Thread", refuse)
+    monkeypatch.setattr(classical, "_WORKERS", 8)
+    pot = ClassicalPotential.ising_nn(build_hypercube(1, 16), 1.0)
+    enum = classical._Enumeration(pot)
+    assert enum.halves and enum.chunk_count == 2
+    partition_function(pot, 1.0)
+    order_parameter_averages(pot, [0.5, 1.0, 2.0], [(0, 15)])
 
 
 def test_usable_cpus_without_affinity(monkeypatch):

@@ -142,7 +142,7 @@ EXPORTS = {
     "errors": [
         "ConfigError", "ConstraintError", "ConvergenceError", "GibbsGroundError",
         "InternalConsistencyError", "NonHermitianError", "NumericRangeError",
-        "SizeCapError", "UnsupportedModelError",
+        "SizeCapError",
     ],
     "lattice": [
         "Caps", "Lattice", "build_hypercube", "linear_height", "mask_from_sites",
@@ -150,7 +150,6 @@ EXPORTS = {
     ],
     "models": [
         "CouplingTable", "DiagonalCoupling", "ModelInstance", "diagonal_couplings",
-        "xxz_diagonal", "xxz_hamiltonian", "xxz_site_field",
     ],
     "operators": ["OperatorMatrix", "apply", "product_operator"],
     "verify": [

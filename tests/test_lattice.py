@@ -34,11 +34,11 @@ def test_chain_pairs():
 def test_index_coordinate_bijection():
     lat = build_hypercube(3, 2)
     for i in range(lat.n_sites):
-        assert lat.index(lat.coordinate(i)) == i
+        assert lat.index(lat.coords[i]) == i
     # first coordinate varies fastest
-    assert lat.coordinate(0) == (0, 0, 0)
-    assert lat.coordinate(1) == (1, 0, 0)
-    assert lat.coordinate(2) == (0, 1, 0)
+    assert lat.coords[0] == (0, 0, 0)
+    assert lat.coords[1] == (1, 0, 0)
+    assert lat.coords[2] == (0, 1, 0)
 
 
 def test_index_rejects_outside():
@@ -81,7 +81,7 @@ def test_linear_height():
 def test_pairs_are_nearest_neighbors():
     lat = build_hypercube(2, 3)
     for x, y in nearest_neighbor_pairs(lat):
-        cx, cy = lat.coordinate(x), lat.coordinate(y)
+        cx, cy = lat.coords[x], lat.coords[y]
         diffs = [abs(a - b) for a, b in zip(cx, cy)]
         assert sorted(diffs) == [0, 1]
         assert cx < cy

@@ -14,13 +14,10 @@ from gibbs_ground import (
     build_hypercube,
     diagonal_couplings,
     partition_function,
-    xxz_diagonal,
-    xxz_hamiltonian,
-    xxz_site_field,
 )
 from gibbs_ground import classical
 from gibbs_ground.classical import monomial_signs, spins_from_masks
-from gibbs_ground.errors import ConstraintError, SizeCapError, UnsupportedModelError
+from gibbs_ground.errors import ConstraintError, SizeCapError
 from gibbs_ground.lattice import Caps, nearest_neighbor_pairs
 from gibbs_ground.models import (
     build_gibbs_state,
@@ -32,8 +29,9 @@ from gibbs_ground.models import (
 from gibbs_ground.operators import flip_operator, max_entry_diff
 from gibbs_ground.verify import groundstate_hypotheses, verify_model
 
-from .conftest import random_coupling_table, random_model, random_potential
-from .oracles import PAULI
+from .conftest import random_coupling_table, random_model, random_potential, xxz_model
+from .flip_terms import dense_from_operator
+from .oracles import PAULI, on_sites, xxz_dense
 
 
 def _xx_table(n, pairs_with_phi):
@@ -126,7 +124,7 @@ def test_h0_single_site_is_pauli_x():
     lat = build_hypercube(1, 1)
     table = CouplingTable.from_site_lists(1, [([0], [], 1.0)])
     h0 = build_h0(_model(lat, table))
-    assert np.array_equal(h0.to_dense(), PAULI[1])
+    assert np.array_equal(dense_from_operator(h0), PAULI[1])
 
 
 def test_h0_xx_pair_matches_kron():
@@ -136,7 +134,7 @@ def test_h0_xx_pair_matches_kron():
     # site 0 is the fast bit, so the first kron factor acts on site 0
     xx = np.kron(PAULI[1], PAULI[1])
     yy = np.kron(PAULI[2], PAULI[2])
-    assert np.allclose(h0.to_dense(), 0.6 * (xx + yy), atol=1e-15)
+    assert np.allclose(dense_from_operator(h0), 0.6 * (xx + yy), atol=1e-15)
 
 
 def test_empty_table_builds_zero():
@@ -175,7 +173,7 @@ def test_build_v_alpha_zero_xx():
     sz0 = np.kron(np.eye(2), PAULI[3])  # site 0 fast bit
     sz1 = np.kron(PAULI[3], np.eye(2))
     want = -0.8 * (np.eye(4) - sz0 @ sz1)
-    assert np.allclose(v.to_dense(), want, atol=1e-15)
+    assert np.allclose(dense_from_operator(v), want, atol=1e-15)
 
 
 def test_build_h_single_site_hand_case():
@@ -188,8 +186,8 @@ def test_build_h_single_site_hand_case():
             potential=ClassicalPotential.zero(1),
             alpha=alpha,
         )
-        assert np.allclose(model.h.to_dense(), -(PAULI[1] - np.eye(2)), atol=1e-15)
-        assert sorted(np.linalg.eigvalsh(model.h.to_dense())) == pytest.approx([0.0, 2.0])
+        assert np.allclose(dense_from_operator(model.h), -(PAULI[1] - np.eye(2)), atol=1e-15)
+        assert sorted(np.linalg.eigvalsh(dense_from_operator(model.h))) == pytest.approx([0.0, 2.0])
 
 
 def test_an_identity_entry_is_a_constant_that_v_cancels():
@@ -360,7 +358,7 @@ def test_conjugate_single_site_hand_case():
     up = 0.6 * math.exp(alpha * 0.5)  # rate out of s=+1 (W = -2u s)
     down = 0.6 * math.exp(-alpha * 0.5)
     want = np.array([[-up, up], [down, -down]])
-    assert np.allclose(model.h_conjugate.to_dense(), want, atol=1e-14)
+    assert np.allclose(dense_from_operator(model.h_conjugate), want, atol=1e-14)
 
 
 def test_conjugate_annihilates_constants():
@@ -377,53 +375,53 @@ def test_conjugate_annihilates_constants():
 
 
 # ---------------------------------------------------------------------------
-# XX / XXZ closed forms
+# The XXZ reduction, against the dense oracle
 # ---------------------------------------------------------------------------
 
 
-def test_xxz_diagonal_rejects_non_xx_tables():
-    lat = build_hypercube(1, 3)
-    table = CouplingTable.from_site_lists(3, [([0], [], 1.0)])
-    with pytest.raises(UnsupportedModelError, match="build_v"):
-        xxz_diagonal(table, [0.0, 1.0, 2.0], 1.0, lat)
-    mismatched = CouplingTable.from_site_lists(
-        3, [([0, 1], [], 1.0), ([], [0, 1], 2.0)]
+def _linear_potential(field):
+    return ClassicalPotential.from_terms(
+        len(field), [([x], float(u)) for x, u in enumerate(field) if u != 0.0]
     )
-    with pytest.raises(UnsupportedModelError):
-        xxz_diagonal(mismatched, [0.0, 1.0, 2.0], 1.0, lat)
+
+
+def _dense_v(model) -> np.ndarray:
+    return dense_from_operator(model.v).diagonal()
 
 
 def test_xxz_diagonal_constant_field():
     lat = build_hypercube(1, 2)
     table = _xx_table(2, [(0, 1, 0.9)])
-    got = xxz_diagonal(table, [2.0, 2.0], 1.7, lat)
+    model = _model(lat, table, _linear_potential([2.0, 2.0]), alpha=1.7)
     sz0 = np.kron(np.eye(2), PAULI[3])
     sz1 = np.kron(PAULI[3], np.eye(2))
     want = 0.9 * (sz0 @ sz1 - np.eye(4))
-    assert np.allclose(got.to_dense(), want, atol=1e-15)
+    assert np.allclose(dense_from_operator(model.v), want, atol=1e-15)
+    oracle = xxz_dense(2, [(0, 1, 0.9)], [2.0, 2.0], 1.7)
+    assert np.allclose(np.diag(oracle.diagonal()), want, atol=1e-15)
+
+
+def _random_xx_draw(rng):
+    """(lattice, pairs (x, y, phi), linear field, alpha) of an XX table."""
+    d, L = [(1, 4), (1, 6), (1, 8), (2, 2)][int(rng.integers(4))]
+    lat = build_hypercube(d, L)
+    pairs = nearest_neighbor_pairs(lat)
+    chosen = [
+        (x, y, float(rng.uniform(-1, 1)))
+        for x, y in pairs
+        if rng.random() < 0.8
+    ] or [(*pairs[0], 0.5)]
+    field = rng.uniform(-1.5, 1.5, size=lat.n_sites)
+    return lat, chosen, field, float(rng.uniform(0, 1.5))
 
 
 def test_xxz_diagonal_matches_build_v_randomized():
     rng = np.random.default_rng(31)
     for _ in range(20):
-        d, L = [(1, 4), (1, 6), (1, 8), (2, 2)][int(rng.integers(4))]
-        lat = build_hypercube(d, L)
-        n = lat.n_sites
-        pairs = nearest_neighbor_pairs(lat)
-        chosen = [
-            (x, y, float(rng.uniform(-1, 1)))
-            for x, y in pairs
-            if rng.random() < 0.8
-        ] or [(*pairs[0], 0.5)]
-        table = _xx_table(n, chosen)
-        field = rng.uniform(-1.5, 1.5, size=n)
-        alpha = float(rng.uniform(0, 1.5))
-        pot = ClassicalPotential.from_terms(
-            n, [([x], float(u)) for x, u in enumerate(field) if u != 0.0]
-        )
-        closed = xxz_diagonal(table, field, alpha, lat)
-        generic = build_v(_model(lat, table, pot, alpha))
-        assert max_entry_diff(closed, generic) <= 1e-12
+        lat, chosen, field, alpha = _random_xx_draw(rng)
+        model = _model(lat, _xx_table(lat.n_sites, chosen), _linear_potential(field), alpha)
+        oracle = xxz_dense(lat.n_sites, chosen, field, alpha)
+        assert np.abs(_dense_v(model) - oracle.diagonal()).max() <= 1e-12
 
 
 def test_xxz_hamiltonian_matches_generic_builder():
@@ -433,44 +431,49 @@ def test_xxz_hamiltonian_matches_generic_builder():
         lat = build_hypercube(d, L)
         coupling = float(rng.choice([-1, 1]) * rng.uniform(0.3, 1.2))
         alpha = float(rng.uniform(0, 1.5))
-        model = ModelInstance.xxz(lat, coupling, alpha)
-        closed = xxz_hamiltonian(coupling, alpha, lat)
-        assert max_entry_diff(closed, model.h) <= 1e-12 * model.h.norm_max
+        model = xxz_model(lat, coupling, alpha)
+        oracle = _xxz_oracle(lat, coupling, alpha)
+        assert np.abs(dense_from_operator(model.h) - oracle).max() <= 1e-12 * model.h.norm_max
+
+
+def _heights(lat) -> list[float]:
+    return [float(sum(c)) for c in lat.coords]
+
+
+def _xxz_oracle(lat, coupling, alpha):
+    """The oracle's XXZ chain: weight coupling on every bond, u the heights."""
+    pairs = [(x, y, coupling) for x, y in nearest_neighbor_pairs(lat)]
+    return xxz_dense(lat.n_sites, pairs, _heights(lat), alpha)
+
+
+def test_xxz_oracle_rejects_a_shifted_field_or_a_flipped_coupling():
+    # Negative controls: a model whose linear field is off by one site, or
+    # whose J has the wrong sign, fails both comparisons above.
+    lat = build_hypercube(1, 6)
+    oracle = _xxz_oracle(lat, -0.8, 0.9)
+    right = xxz_model(lat, -0.8, 0.9)
+    shifted = _model(lat, right.table, _linear_potential(np.roll(_heights(lat), 1)), 0.9)
+    for model, fails in [(right, False), (xxz_model(lat, 0.8, 0.9), True), (shifted, True)]:
+        h_gap = np.abs(dense_from_operator(model.h) - oracle).max()
+        assert (h_gap > 1e-12 * model.h.norm_max) == fails
+        assert (np.abs(_dense_v(model) - oracle.diagonal()).max() > 1e-12) == fails
 
 
 def test_xxz_alpha_zero_is_isotropic():
-    lat = build_hypercube(1, 4)
-    h = xxz_hamiltonian(-1.0, 0.0, lat)
     # cosh 0 = 1, sinh 0 = 0: plain xx + yy + zz exchange minus a constant
-    want = np.zeros((16, 16), dtype=complex)
-    for x, y in nearest_neighbor_pairs(lat):
-        for axis in (1, 2, 3):
-            ops = [np.eye(2)] * 4
-            ops[x] = PAULI[axis]
-            ops[y] = PAULI[axis]
-            term = ops[3]
-            for k in (2, 1, 0):
-                term = np.kron(term, ops[k])
-            want += -1.0 * term
-        want += np.eye(16)
-    assert np.allclose(h.to_dense(), want, atol=1e-14)
-
-
-def test_xxz_interior_field_vanishes_exactly():
-    for L in (4, 7, 10):
-        lat = build_hypercube(1, L)
-        coeffs = xxz_site_field(-0.8, 1.3, lat)
-        assert coeffs[0] != 0.0 and coeffs[-1] != 0.0
-        for k in range(1, L - 1):
-            assert coeffs[k] == 0.0
-        assert coeffs[0] == -coeffs[-1]
+    lat = build_hypercube(1, 4)
+    want = sum(
+        np.eye(16) - sum(on_sites(4, {x: PAULI[a], y: PAULI[a]}) for a in (1, 2, 3))
+        for x, y in nearest_neighbor_pairs(lat)
+    )
+    assert np.allclose(dense_from_operator(xxz_model(lat, -1.0, 0.0).h), want, atol=1e-14)
+    assert np.allclose(_xxz_oracle(lat, -1.0, 0.0), want, atol=1e-14)
 
 
 def test_xxz_interior_field_vanishes_in_matrix():
-    # extract the linear z coefficient via the trace against Z_k
+    # the linear z coefficient of the generic H, via the trace against Z_k
     lat = build_hypercube(1, 6)
-    h = xxz_hamiltonian(-1.0, 0.9, lat)
-    diag = h.to_dense().diagonal().real
+    diag = xxz_model(lat, -1.0, 0.9).h.terms[0].real
     spins = spins_from_masks(np.arange(64), 6).astype(float)
     for k in range(1, 5):
         coeff = float(diag @ spins[:, k]) / 64
@@ -481,9 +484,9 @@ def test_xxz_interior_field_vanishes_in_matrix():
 
 def test_model_digest_stable():
     lat = build_hypercube(1, 4)
-    m1 = ModelInstance.xxz(lat, -1.0, 0.5)
-    m2 = ModelInstance.xxz(lat, -1.0, 0.5)
-    m3 = ModelInstance.xxz(lat, -1.0, 0.75)
+    m1 = xxz_model(lat, -1.0, 0.5)
+    m2 = xxz_model(lat, -1.0, 0.5)
+    m3 = xxz_model(lat, -1.0, 0.75)
     assert m1.digest() == m2.digest()
     assert m1.digest() != m3.digest()
 
@@ -502,7 +505,7 @@ def _digest_blob(model: ModelInstance) -> bytes:
 def test_model_digest_falls_back_to_hashlib(monkeypatch):
     # With neither builtin SHA-256 module (_sha2 from 3.12, _sha256 before)
     # importable, the digest comes from hashlib and is the same string.
-    model = ModelInstance.xxz(build_hypercube(1, 4), -1.0, 0.5)
+    model = xxz_model(build_hypercube(1, 4), -1.0, 0.5)
     builtin = model.digest()
     monkeypatch.setitem(sys.modules, "_sha2", None)
     monkeypatch.setitem(sys.modules, "_sha256", None)
@@ -520,7 +523,7 @@ def test_model_digest_takes_the_builtin_sha256(monkeypatch):
     def refuse(data=b""):
         raise AssertionError("hashlib.sha256 called")
 
-    model = ModelInstance.xxz(build_hypercube(1, 4), -1.0, 0.5)
+    model = xxz_model(build_hypercube(1, 4), -1.0, 0.5)
     expected = hashlib.sha256(_digest_blob(model)).hexdigest()[:16]
     monkeypatch.setattr(hashlib, "sha256", refuse)
     assert model.digest() == expected

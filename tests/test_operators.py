@@ -13,7 +13,7 @@ from gibbs_ground.classical import spins_from_masks
 from gibbs_ground.errors import ConstraintError, SizeCapError
 from gibbs_ground.operators import flip_operator, max_entry_diff
 
-from .flip_terms import operator_from_dense
+from .flip_terms import dense_from_operator, operator_from_dense
 from .oracles import PAULI
 
 
@@ -93,7 +93,7 @@ def test_different_sites_commute(chain4):
 
 def test_pauli_is_hermitian_flag(chain4):
     assert product_operator(2, 0b1011, chain4).is_hermitian
-    skew = operator_from_dense(1j * product_operator(1, 0b1, chain4).to_dense())
+    skew = operator_from_dense(1j * dense_from_operator(product_operator(1, 0b1, chain4)))
     assert not skew.is_hermitian
 
 
@@ -113,7 +113,7 @@ def test_flip_operator_by_hand():
     want[1, 0] = 1.5
     want[0, 1] = 2.0
     want[1, 1] = 5.0
-    assert np.array_equal(op.to_dense(), want)
+    assert np.array_equal(dense_from_operator(op), want)
     assert op.mat.nnz == 3 and op.mat.has_canonical_format
 
 

@@ -36,8 +36,8 @@ from gibbs_ground.lattice import nearest_neighbor_pairs
 from gibbs_ground.operators import OperatorMatrix, apply, product_operator
 from gibbs_ground.verify import max_abs_flip_energy
 
-from .conftest import random_model
-from .flip_terms import operator_from_dense
+from .conftest import random_model, xxz_model
+from .flip_terms import dense_from_operator, operator_from_dense
 from .oracles import enumerate_spins, open_chain_correlation_closed_form
 
 
@@ -150,7 +150,7 @@ def test_min_eigenvalue_negative_for_sign_violating_coupling():
 
 def test_min_eigenvalue_iterative_path():
     lat = build_hypercube(1, 13)
-    model = ModelInstance.xxz(lat, -1.0, 0.4)
+    model = xxz_model(lat, -1.0, 0.4)
     result = min_eigenvalue(model.h)
     assert result.method == "iterative"
     assert result.eigenvalue >= -1e-8 * model.h.norm_max
@@ -161,7 +161,7 @@ def test_min_eigenvalue_finds_negative_block_off_the_largest_and_first():
     model = _sector_violating_model()
     assert not groundstate_hypotheses(model.table).satisfied
     scale = model.h.norm_max
-    dense = model.h.to_dense()
+    dense = dense_from_operator(model.h)
     down = np.array([bin(m).count("1") for m in range(model.h.dim)])
     sector_min = {}
     for sector in [(0,), (1, 4), (2, 3), (5,)]:
@@ -211,7 +211,7 @@ def test_min_eigenvalue_matches_full_dense_spectrum(flavor, seed):
     rng = np.random.default_rng(seed)
     for _ in range(10):
         model = random_model(rng, flavor=flavor)
-        expected = eigvalsh(model.h.to_dense())[0]
+        expected = eigvalsh(dense_from_operator(model.h))[0]
         result = min_eigenvalue(model.h)
         assert result.method == "dense"
         assert abs(result.eigenvalue - expected) <= 1e-12 * model.h.norm_max
@@ -318,7 +318,7 @@ def test_min_eigenvalue_blocks_match_the_dense_oracle(make, blocks):
     result = min_eigenvalue(model.h)
     assert result.method == "dense"
     assert (result.blocks, result.largest_block) == blocks
-    expected = eigvalsh(model.h.to_dense())[0]
+    expected = eigvalsh(dense_from_operator(model.h))[0]
     assert abs(result.eigenvalue - expected) <= 1e-12 * model.h.norm_max
     assert result.residual <= 1e-12 * model.h.norm_max
 
