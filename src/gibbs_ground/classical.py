@@ -26,14 +26,14 @@ gibbs_averages, the independent witness, decodes spins.
 Sums run over blocks of 2^_CHUNK_BITS masks (one block of 2^n below that)
 through np.add.reduce, whose pairwise order is fixed, and the blocks'
 partial sums are added left to right in block order, on both routes.  The
-witness reduces each block whole.  The kernel evaluates a block of 256
-masks or more as two half-chunks, of half the memory, and adds their two
-reductions (_join_halves): np.add.reduce sums a power-of-two block of 256
-values or more as its two halves (pairwise summation), so the join has the
-block's bits.  The kernel's scans run their chunks on worker threads, one
-per usable CPU and at most one per block (_scan).  No value depends on the
-worker count or on the BLAS thread count, and the two routes agree bit for
-bit.
+witness reduces each block whole.  The kernel evaluates a block of more
+than 2^_LEAF_BITS masks as leaves of 2^_LEAF_BITS, and adds the leaves'
+reductions pairwise, ((l0 + l1) + (l2 + l3)) (_join_leaves): np.add.reduce
+sums a power-of-two block of 256 values or more as the sum of its two
+halves' sums, recursively, so the join has the block's bits.  The kernel's
+scans run their leaves on worker threads, one per usable CPU and at most
+one per block (_scan).  No value depends on the worker count or on the
+BLAS thread count, and the two routes agree bit for bit.
 
 Observables ("configuration functionals") for the generic routes and
 for Metropolis are vectorized callables taking a (nconf, n) spins array and
@@ -67,13 +67,16 @@ from .lattice import (
 from .splitmix import bits53
 
 # Sums run over blocks of 2^_CHUNK_BITS configuration masks (one block of
-# 2^n below that), which the kernel evaluates as half-chunks of 2^15 masks:
-# 256 KiB per float64 array, so that a chunk's arrays stay in cache.  An
-# exact order-parameter scan holds per worker thread, at any n, three
-# chunk-sized arrays, two per alpha of a pass and one per pair whose
-# W_{x,y} sees high bits: 2.3 MiB for 3 alphas and low pairs, whose
-# W_{x,y} the workers share.
+# 2^n below that), which the kernel evaluates as leaves of 2^_LEAF_BITS
+# masks: 128 KiB per float64 array, so that a leaf's arrays stay in cache.
+# An exact order-parameter scan holds per worker thread, at any n, three
+# leaf-sized arrays, two per alpha of a pass and one per pair whose W_{x,y}
+# sees high bits: 1.2 MiB for 3 alphas and low pairs, whose W_{x,y} the
+# workers share.  Smaller leaves double the numpy calls, on which the
+# workers contend for the GIL; below 2^7 the join would lose the block's
+# bits (np.add.reduce's base case).
 _CHUNK_BITS = 16
+_LEAF_BITS = 14
 
 # Worker threads of an exact scan (_scan), the calling thread included;
 # None means one per CPU the process may use.  Never more than the
@@ -206,10 +209,10 @@ class _Enumeration:
     Chunk k holds the masks (k << c) | lo for lo < 2^c.  At chunk_bits = n
     (ModelInstance.enumeration), c = n: all 2^n masks in order, one chunk.
     At the default, the summation block is that of _mask_chunks, 2^b masks
-    with b = min(n, _CHUNK_BITS); a block of 256 masks or more runs as two
-    half-chunks (halves, c = b - 1), whose results _join_halves adds, and
-    a smaller one as one chunk (c = b).  There
-    the monomial of term B is eps * row(B), where row(B) is the sign row of
+    with b = min(n, _CHUNK_BITS), run as 2^depth leaves (c = b - depth,
+    depth = max(0, b - _LEAF_BITS)), whose results _join_leaves adds, so a
+    block of 2^_LEAF_BITS masks or fewer runs whole.  There the monomial of
+    term B is eps * row(B), where row(B) is the sign row of
     B's low bits over lo, built once, and eps = (-1)^popcount((k << c) & B),
     which _Chunk folds into the coefficients.  A term without high bits has
     eps = 1 in every chunk, so the energy over the leading run of such terms
@@ -223,10 +226,8 @@ class _Enumeration:
     def __init__(self, potential: ClassicalPotential, chunk_bits: int | None = None):
         self.n_sites = potential.n_sites
         block = min(self.n_sites, _CHUNK_BITS if chunk_bits is None else chunk_bits)
-        # np.add.reduce's base case below 256 values is one unrolled loop,
-        # not a sum of halves: such a block stays whole.
-        self.halves = chunk_bits is None and block >= 8
-        self.bits = block - 1 if self.halves else block
+        self.depth = max(0, block - _LEAF_BITS) if chunk_bits is None else 0
+        self.bits = block - self.depth
         self.size = 1 << self.bits
         self.low = self.size - 1
         self.chunk_count = 1 << (self.n_sites - self.bits)
@@ -357,7 +358,7 @@ def _scan(enum: _Enumeration, start_worker) -> list:
     no value depends on the worker count.
     """
     count = enum.chunk_count
-    workers = min(count >> enum.halves, _WORKERS or _usable_cpus())
+    workers = min(count >> enum.depth, _WORKERS or _usable_cpus())
     results = [None] * count
     pending = iter(range(count))
     lock = threading.Lock()
@@ -389,13 +390,14 @@ def _scan(enum: _Enumeration, start_worker) -> list:
     return results
 
 
-def _join_halves(enum: _Enumeration, results: list) -> list:
-    """Each summation block's result, in block order, from its two half-
-    chunks' results in chunk order: np.add.reduce of 2^k >= 256 values is
-    the sum of its halves' reductions, so the join has the block's bits."""
-    if not enum.halves:
-        return results
-    return [first + second for first, second in zip(results[::2], results[1::2])]
+def _join_leaves(enum: _Enumeration, results: list) -> list:
+    """Each summation block's result, in block order, from its leaves'
+    results in chunk order, adjacent ones added depth times: np.add.reduce
+    of 2^k >= 256 values is the sum of its halves' reductions, so the join
+    has the block's bits."""
+    for _ in range(enum.depth):
+        results = [first + second for first, second in zip(results[::2], results[1::2])]
+    return results
 
 
 def _in_order(partials):
@@ -465,7 +467,7 @@ def partition_function(
 
         return work
 
-    total = _in_order(_join_halves(enum, _scan(enum, start_worker)))
+    total = _in_order(_join_leaves(enum, _scan(enum, start_worker)))
     try:
         z = float(total) * math.exp(-alpha * shift)
     except OverflowError:
@@ -565,9 +567,9 @@ def order_parameter_averages(
     of exp(-(alpha/2) W_x) is taken once per pass, and each chunk adds the
     remaining sites to it; such a pair's W_{x,y} is evaluated once, into an
     array the workers share.  A site whose odd terms have no low bits has
-    one W_x per chunk, a number.  The chunks are half-blocks; each block's
-    sums are its two halves' added (_join_halves), then the blocks' in
-    order.  Sums run in the same order as gibbs_averages over
+    one W_x per chunk, a number.  The chunks are the leaves of the blocks;
+    each block's sums are its leaves' added pairwise (_join_leaves), then
+    the blocks' in order.  Sums run in the same order as gibbs_averages over
     order_parameter_functionals, so every value equals that route's bit for
     bit.  Raises ConstraintError on a pair site outside the lattice and
     NumericRangeError on a non-finite average.
@@ -648,7 +650,7 @@ def order_parameter_averages(
 
             return work
 
-        blocks = _join_halves(enum, _scan(enum, start_worker))
+        blocks = _join_leaves(enum, _scan(enum, start_worker))
         for alpha, row in zip(group, _in_order(blocks).T.tolist()):
             weight_total, *sums = row
             v = [s / weight_total for s in sums]

@@ -425,15 +425,17 @@ def test_mask_native_routes_equal_decoded_routes_across_chunks(name, bits, monke
         assert got == gibbs_averages(order_parameter_functionals(pot, alpha, pairs), pot, alpha)
 
 
-# Blocks that split: at _CHUNK_BITS 8 and 9 the summation blocks of 256 and
-# 512 masks run as two half-chunks each, whose sums _join_halves adds.  The
-# first term has high bits (no energy prefix); [1] has the coefficient -0.0;
-# [5, 7, 8] straddles the half-chunk boundary at both sizes.  On 10 sites,
-# site 9 sees only [8, 9] (-0.0) and [9], which have no low bits, so W_9 is
-# one number per half-chunk; at 8 bits [7, 8] has no low bits either.  The
-# 9-site case drops the terms on site 9.
+# Blocks that split: with _LEAF_BITS 7 a summation block of 2^b masks runs
+# as 2^depth leaves of 128 masks, depth = b - 7, whose sums _join_leaves
+# adds pairwise.  The cases below cover depths 1 to 3, each on one block
+# and on two or more.  The first term has high bits (no energy prefix); [1]
+# has the coefficient -0.0; [6, 7] and [5, 7, 8] straddle the leaf
+# boundary at site 7, [9, 10] the block boundary at _CHUNK_BITS 10 and
+# [2, 10] both.  [7, 8], [8, 9] (-0.0), [9] and [9, 10] have no low bits,
+# and W_9 sees only those, so it is one number per leaf.  Each case drops
+# the terms on sites it lacks.
 SPLIT_POTENTIAL = (
-    10,
+    11,
     [
         ([0, 8], 0.4),
         ([1], -0.0),
@@ -449,22 +451,26 @@ SPLIT_POTENTIAL = (
         ([7, 8], -0.5),
         ([8, 9], -0.0),
         ([9], 0.2),
+        ([9, 10], 0.15),
+        ([2, 10], -0.3),
     ],
 )
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("n, bits", [(9, 8), (10, 8), (9, 9), (10, 9)])
+@pytest.mark.parametrize("n, bits", [(9, 8), (10, 8), (9, 9), (10, 9), (10, 10), (11, 10)])
 def test_split_blocks_equal_the_decoded_routes(n, bits, workers, monkeypatch):
+    monkeypatch.setattr(classical, "_LEAF_BITS", 7)
     monkeypatch.setattr(classical, "_CHUNK_BITS", bits)
     monkeypatch.setattr(classical, "_WORKERS", workers)
     started = _threads_started(monkeypatch)
     _, terms = SPLIT_POTENTIAL
     pot = ClassicalPotential.from_terms(n, [(s, c) for s, c in terms if max(s, default=0) < n])
     enum = classical._Enumeration(pot)
-    assert enum.halves and enum.bits == bits - 1
+    depth = min(n, bits) - 7
+    assert (enum.depth, enum.bits) == (depth, 7)
     blocks = len(list(classical._mask_chunks(n)))
-    assert enum.chunk_count == 2 * blocks
+    assert enum.chunk_count == blocks << depth
     for alpha in (0.0, 0.7, 3.1):
         assert partition_function(pot, alpha) == _decoded_partition_function(pot, alpha)
     pairs = [(0, n - 1), (0, 1), (1, n - 2), (1, 1)]
@@ -476,17 +482,21 @@ def test_split_blocks_equal_the_decoded_routes(n, bits, workers, monkeypatch):
     assert bool(started) == (workers == 2 and blocks >= 2)
 
 
-def test_only_blocks_of_256_masks_or_more_split(monkeypatch):
-    # Below 256 values np.add.reduce sums one unrolled loop, not two halves.
+def test_only_blocks_above_the_leaf_size_run_as_leaves(monkeypatch):
     pot = ClassicalPotential.ising_nn(build_hypercube(1, 9), 1.0)
-    for bits, halves in [(7, False), (8, True), (16, True)]:
+    # at the default leaves of 2^14 masks every block of 9 sites runs whole
+    for bits in (7, 8, 16):
         monkeypatch.setattr(classical, "_CHUNK_BITS", bits)
         enum = classical._Enumeration(pot)
-        assert enum.halves == halves
-        assert enum.bits == min(9, bits) - halves
+        assert (enum.depth, enum.bits) == (0, min(9, bits))
+    monkeypatch.setattr(classical, "_LEAF_BITS", 7)
+    for bits, depth in [(7, 0), (8, 1), (16, 2)]:
+        monkeypatch.setattr(classical, "_CHUNK_BITS", bits)
+        enum = classical._Enumeration(pot)
+        assert (enum.depth, enum.bits) == (depth, min(9, bits) - depth)
     # the operators' one-chunk kernel stays whole
     enum = classical._Enumeration(pot, chunk_bits=9)
-    assert not enum.halves and enum.chunk_count == 1
+    assert enum.depth == 0 and enum.chunk_count == 1
 
 
 def _mixed_values(count: int, seed: int) -> np.ndarray:
@@ -496,30 +506,53 @@ def _mixed_values(count: int, seed: int) -> np.ndarray:
     return values
 
 
-def test_numpy_reduces_a_power_of_two_block_as_its_two_halves():
-    # The exact scan's join (_join_halves) adds the np.add.reduce sums of a
-    # block's two half-chunks and must have the bits of the whole block's.
-    for k in range(8, 17):
-        values = _mixed_values(1 << k, seed=k)
-        half = len(values) // 2
-        joined = np.add.reduce(values[:half]) + np.add.reduce(values[half:])
-        assert np.add.reduce(values).tobytes() == joined.tobytes(), (
-            f"np.add.reduce of 2^{k} values is not the sum of its halves' "
-            "reductions: classical._join_halves no longer has the block's bits"
+def _tree_sum(leaf_sums: list) -> np.ndarray:
+    """Adjacent sums added until one is left: ((l0 + l1) + (l2 + l3))."""
+    while len(leaf_sums) > 1:
+        leaf_sums = [a + b for a, b in zip(leaf_sums[::2], leaf_sums[1::2])]
+    return leaf_sums[0]
+
+
+# The exact scan's join (_join_leaves) adds the np.add.reduce sums of a
+# block's leaves pairwise and must have the bits of the whole block's: the
+# two tests below check that for leaves of 2^j masks, j from 7 to 15, on a
+# block of 2^16.  A leaf below 2^7 values is smaller than numpy's unrolled
+# base case, which sums 128 values in eight interleaved lanes, not as two
+# halves.
+TREE_LEAF_BITS = range(7, 16)
+
+
+def test_numpy_reduces_a_block_as_the_tree_of_its_leaves():
+    assert classical._LEAF_BITS >= TREE_LEAF_BITS[0]
+    values = _mixed_values(1 << 16, seed=16)
+    whole = np.add.reduce(values).tobytes()
+    for j in TREE_LEAF_BITS:
+        leaves = values.reshape(-1, 1 << j)
+        joined = _tree_sum([np.add.reduce(leaf) for leaf in leaves])
+        assert joined.tobytes() == whole, (
+            f"np.add.reduce of 2^16 values is not the tree sum of its 2^{j}-value "
+            "leaves' reductions: classical._join_leaves no longer has the block's bits"
         )
 
 
-def test_numpy_row_reductions_equal_one_dimensional_ones():
-    # The exact scan reduces (alphas x masks) arrays along axis 1 and must
-    # have the bits of the witness's 1-D reductions, which _join_halves adds.
-    rows = _mixed_values(8 << 15, seed=1).reshape(8, 1 << 15)
+def test_numpy_row_reductions_equal_the_tree_of_their_leaves():
+    # The exact scan reduces (alphas x masks) leaves along axis 1 and must
+    # have the bits of the witness's 1-D reductions of whole blocks.
+    rows = _mixed_values(3 << 16, seed=1).reshape(3, 1 << 16)
     assert rows.flags.c_contiguous
-    want = np.array([np.add.reduce(row) for row in rows])
-    assert np.add.reduce(rows, axis=1).tobytes() == want.tobytes(), (
-        "np.add.reduce(axis=1) differs from each row's 1-D reduction: the "
-        "exact scan's half-chunk sums, which classical._join_halves adds, "
-        "no longer have the witness's bits"
+    want = np.array([np.add.reduce(row) for row in rows]).tobytes()
+    assert np.add.reduce(rows, axis=1).tobytes() == want, (
+        "np.add.reduce(axis=1) differs from each row's 1-D reduction"
     )
+    for j in TREE_LEAF_BITS:
+        starts = range(0, 1 << 16, 1 << j)
+        leaves = [np.ascontiguousarray(rows[:, k : k + (1 << j)]) for k in starts]
+        joined = _tree_sum([np.add.reduce(leaf, axis=1) for leaf in leaves])
+        assert joined.tobytes() == want, (
+            f"the tree sum of the row reductions of 2^{j}-value leaves differs from "
+            "each row's 1-D reduction: the exact scan's leaf sums, which "
+            "classical._join_leaves adds, no longer have the witness's bits"
+        )
 
 
 def _flat_case():
@@ -573,17 +606,16 @@ def test_flat_sites_are_numbers_and_low_pairs_are_shared(monkeypatch):
 
 
 def test_order_parameter_scan_peak_memory_at_19_sites(monkeypatch):
-    # Each worker holds per half-chunk of 2^15 masks U, W_x (later mz^2) and
-    # its scratch, and per alpha a row of weights and a row of its
-    # accumulator (site-flip sums, later scratch), and its popcounts:
-    # 2.3 MiB here.  The workers share the low-bit sign rows (one byte per
-    # term and mask), the cached energy, the cached site-flip prefix per
-    # alpha and W_{x,y} of both pairs, whose odd terms lie in the low bits:
-    # 2.4 MiB.  Two workers peak at 7.1 MiB with numpy 2.4; the bound
-    # leaves 1.4 MiB.
+    # Each worker holds per leaf of 2^14 masks U, W_x (later mz^2) and its
+    # scratch, and per alpha a row of weights and a row of its accumulator
+    # (site-flip sums, later scratch), and its popcounts: 1.2 MiB here.  The
+    # workers share the low-bit sign rows (one byte per term and mask), the
+    # cached energy, the cached site-flip prefix per alpha and W_{x,y} of
+    # both pairs, whose odd terms lie in the low bits: 1.2 MiB.  Two workers
+    # peak at 3.6 MiB with numpy 2.4; the bound leaves 0.9 MiB.
     monkeypatch.setattr(classical, "_WORKERS", 2)
     pot = ClassicalPotential.ising_nn(build_hypercube(1, 19), 1.0)
-    assert _scan_peak(pot, [(0, 5), (4, 12)]) < 8.5 * 2**20
+    assert _scan_peak(pot, [(0, 5), (4, 12)]) < 4.5 * 2**20
 
 
 def test_order_parameter_scan_memory_per_low_pair(monkeypatch):
@@ -686,18 +718,21 @@ def test_scan_workers_are_the_usable_cpus_capped_by_the_chunks(monkeypatch):
 
 
 def test_a_one_block_scan_starts_no_thread(monkeypatch):
-    # 16 sites are one summation block, run as two half-chunks: a second
-    # worker would have no block of its own, so none is started.
+    # One summation block, run as 2^depth leaves: a second worker would have
+    # no block of its own, so none is started.  16 sites at the default
+    # leaves of 2^14 masks, and 10 sites at leaves of 2^7.
     def refuse(*args, **kwargs):
         raise AssertionError("a one-block scan started a thread")
 
     monkeypatch.setattr(classical.threading, "Thread", refuse)
     monkeypatch.setattr(classical, "_WORKERS", 8)
-    pot = ClassicalPotential.ising_nn(build_hypercube(1, 16), 1.0)
-    enum = classical._Enumeration(pot)
-    assert enum.halves and enum.chunk_count == 2
-    partition_function(pot, 1.0)
-    order_parameter_averages(pot, [0.5, 1.0, 2.0], [(0, 15)])
+    for n, leaf_bits, depth in [(16, 14, 2), (10, 7, 3)]:
+        monkeypatch.setattr(classical, "_LEAF_BITS", leaf_bits)
+        pot = ClassicalPotential.ising_nn(build_hypercube(1, n), 1.0)
+        enum = classical._Enumeration(pot)
+        assert enum.depth == depth and enum.chunk_count == 1 << depth
+        partition_function(pot, 1.0)
+        order_parameter_averages(pot, [0.5, 1.0, 2.0], [(0, n - 1)])
 
 
 def test_usable_cpus_without_affinity(monkeypatch):

@@ -1,6 +1,8 @@
 import csv
+import functools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -534,8 +536,8 @@ def test_sweep_golden_csv(tmp_path):
 
 
 def test_sweep_bytes_ignore_blas_threads(tmp_path):
-    # An 18-site exact scan: four blocks of 2^16 masks, eight half-chunks
-    # on the worker threads.  A BLAS dot of a whole chunk would split
+    # An 18-site exact scan: four blocks of 2^16 masks, sixteen leaves of
+    # 2^14 on the worker threads.  A BLAS dot of a whole leaf would split
     # across OpenBLAS's threads and move the last digits; each run is a
     # fresh interpreter, since BLAS reads its thread count once, at load.
     doc = _config(lattice={"d": 1, "L": 18}, pairs=[[0, 5], [4, 12]])
@@ -904,9 +906,10 @@ def test_correlate_golden_csv(tmp_path):
 
 # The two goldens below span several summation blocks of 2^16 masks, so
 # they pin the order in which the blocks' sums are added, and with it the
-# exact scan's join of each block's two half-chunks (classical._join_halves).
-# Both were captured before the scan ran on half-chunks.  sweep.csv of the
-# benchmark's sweep-exact config: 20 sites, sixteen blocks.
+# exact scan's pairwise join of each block's leaves of 2^14 masks
+# (classical._join_leaves).  Both were captured before the scan split its
+# blocks.  sweep.csv of the benchmark's sweep-exact config: 20 sites,
+# sixteen blocks.
 SWEEP_EXACT_CONFIG = {
     "schema": 1,
     "lattice": {"d": 1, "L": 20},
@@ -937,21 +940,36 @@ def test_sweep_golden_csv_across_blocks(tmp_path):
     assert _sweep_exact_csv(tmp_path) == GOLDEN_SWEEP_L20.encode()
 
 
-def test_sweep_golden_fails_when_half_chunks_are_folded_left_to_right(tmp_path, monkeypatch):
-    # Negative control: folding the half-chunks' sums one by one, instead
-    # of adding each block's two halves first, moves the last digits.
-    monkeypatch.setattr(classical, "_join_halves", lambda enum, results: results)
-    got = _sweep_exact_csv(tmp_path).decode()
-    assert got != GOLDEN_SWEEP_L20
-    assert ",0.12792777287468077," in GOLDEN_SWEEP_L20.splitlines()[1]
-    assert ",0.1279277728746808," in got.splitlines()[1]
+def _fold_all_leaves(enum, results):
+    return results
+
+
+def _fold_each_block(enum, results):
+    width = 1 << enum.depth
+    starts = range(0, len(results), width)
+    return [functools.reduce(operator.add, results[k : k + width]) for k in starts]
+
+
+def test_sweep_golden_fails_when_leaves_are_folded_left_to_right(tmp_path, monkeypatch):
+    # Negative control: folding the leaves' sums one by one, across the
+    # blocks or within each, instead of adding them pairwise, moves the
+    # last digits.
+    for join, line, moved in [
+        (_fold_all_leaves, 1, ",0.12792777287468085,"),
+        (_fold_each_block, 2, "0.6185000366872468,"),
+    ]:
+        monkeypatch.setattr(classical, "_join_leaves", join)
+        got = _sweep_exact_csv(tmp_path).decode()
+        assert got != GOLDEN_SWEEP_L20
+        assert moved not in GOLDEN_SWEEP_L20
+        assert moved in got.splitlines()[line]
 
 
 # correlations.csv of an 18-site generic potential over nine alphas (two
 # passes of _ALPHA_GROUP): a constant, a field, nonuniform bonds and the
-# three-body term [15, 16, 17], which straddles the boundary of both the
-# blocks (at site 16) and the half-chunks (at site 15).  Pair (0, 15) has a
-# site in the half-chunks' high bits, and (3, 17) one in the blocks'.
+# three-body term [15, 16, 17], which straddles the boundary of the blocks
+# (at site 16); the leaves end at site 14.  Pairs (0, 15) and (3, 17) have
+# a site in the leaves' high bits, (3, 17) one in the blocks'.
 GOLDEN_CORRELATE_L18 = """\
 alpha,x,y,sx_sx,sx_sx_se,sz_sz,sz_sz_se,method\r
 0.0,1,2,1.0,0.0,0.0,0.0,exact\r
@@ -1140,3 +1158,29 @@ def test_seed_flag_sets_the_check_seed_too(tmp_path):
 def test_missing_config_file_exits_2(capsys):
     assert cli.main(["build", "--config", "/nonexistent.json"]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+_ARTIFACTS = {
+    "build": "summary.json",
+    "verify": "report.json",
+    "correlate": "correlations.csv",
+    "sweep": "sweep.csv",
+    "sample": "samples.json",
+}
+
+
+@pytest.mark.parametrize("target", ["file", "under-file", "artifact-is-dir"])
+@pytest.mark.parametrize("command", sorted(_ARTIFACTS))
+def test_unwritable_output_exits_2(tmp_path, capsys, command, target):
+    # --out naming a file once ended in FileExistsError, a path under a file
+    # in NotADirectoryError: tracebacks with exit 1, which for verify means
+    # that an asserted check failed
+    path = _write_config(tmp_path, _config(lattice={"d": 1, "L": 4}, mc={"sweeps": 64, "seed": 7}))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = {"file": blocker, "under-file": blocker / "out"}.get(target, tmp_path / "out")
+    if target == "artifact-is-dir":
+        (out / _ARTIFACTS[command]).mkdir(parents=True)
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    assert blocker.read_text() == ""
