@@ -5,6 +5,8 @@ deterministic for a fixed config and seed (stable key order, no timestamps),
 so repeated runs are byte-identical and diffable in CI.  Before numpy
 loads, the CLI sets OPENBLAS_THREAD_TIMEOUT=20 (unless the user set it), so
 idle OpenBLAS workers sleep after about 0.4 ms instead of spinning 0.1 s.
+Only build and verify import gibbs_ground.verify, when they run, so the
+classical commands neither load nor compile it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .errors import ConfigError, ConstraintError, GibbsGroundError
 from .lattice import Caps, Lattice, build_hypercube
 from .models import CouplingTable, ModelInstance
 from .splitmix import check_seed
-from .verify import TWO_PATH_RTOL, groundstate_hypotheses, verify_model
 
 SCHEMA_VERSION = 1
 
@@ -328,6 +329,7 @@ def _model(config: RunConfig, alpha: float) -> ModelInstance:
 
 
 def _cmd_build(config: RunConfig, out: Path) -> int:
+    from .verify import TWO_PATH_RTOL, groundstate_hypotheses
     hypotheses = groundstate_hypotheses(config.table, cap=config.caps.enumeration_sites)
     warnings = []
     if hypotheses.odd_entries:
@@ -380,6 +382,7 @@ def _cmd_build(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_verify(config: RunConfig, out: Path) -> int:
+    from .verify import verify_model
     reports = [
         verify_model(
             _model(config, alpha),

@@ -250,11 +250,14 @@ def _lowest_vector(block: np.ndarray, lam: float) -> np.ndarray:
     """A unit eigenvector of a Hermitian block for its lowest eigenvalue
     lam: one step of inverse iteration, a solve with block - lam*I from
     SplitMix64 outputs (seed 0), which blows up along the wanted
-    direction.  An exactly singular solve (an eigenvalue met exactly, as in
-    a 1x1 block) falls back to a full dense solve."""
-    start = uniform(0, 0, len(block))
+    direction.  The block is shifted in place, so the solve's own copy is
+    the only other n x n array.  An exactly singular solve (an eigenvalue
+    met exactly, as in a 1x1 block) falls back to a full dense solve of the
+    shifted block, whose eigenvectors are the block's, in the same order."""
+    n = len(block)
+    block.flat[:: n + 1] -= lam
     try:
-        vec = np.linalg.solve(block - lam * np.eye(len(block)), start)
+        vec = np.linalg.solve(block, uniform(0, 0, n))
     except np.linalg.LinAlgError:
         vec = None
     if vec is None or not np.isfinite(vec).all():
@@ -332,9 +335,11 @@ def min_eigenvalue(h: OperatorMatrix, dense_sites: int = Caps.dense_sites) -> Sp
     components of its flip graph (H couples m only to m XOR C), numbered by
     smallest mask; each block is filled dense from the rows of
     h.row_table, the table apply reads, and its lowest eigenvalue, from
-    numpy's eigvalsh, decides the winner.  The winner's eigenvector comes
-    from one step of inverse iteration at its eigenvalue (_lowest_vector),
-    whatever the block size.  Above the cap, thick-restart Lanczos on H
+    numpy's eigvalsh, decides the winner (the first in block order on a
+    tie).  One block is alive at a time, beside LAPACK's copy of it: only
+    the winner's bounds are kept, and its block is filled again for one
+    step of inverse iteration at its eigenvalue (_lowest_vector), whatever
+    the block size.  Above the cap, thick-restart Lanczos on H
     itself, with numpy and the flip-term product alone, finds the lowest
     eigenvector from a start vector of SplitMix64 outputs (seed 0; see
     _lanczos_lowest), and the eigenvalue is its Rayleigh quotient on H.
@@ -357,24 +362,27 @@ def min_eigenvalue(h: OperatorMatrix, dense_sites: int = Caps.dense_sites) -> Sp
         bounds = np.searchsorted(labels[order], np.arange(n_blocks + 1))
         position = np.empty(dim, dtype=np.int64)
         position[order] = np.arange(dim)
-        # Each block's rows come off the row table.  Nonzero entries never
-        # leave their block; a zero may sit in a column of another block,
-        # so only nonzero entries are placed.
         columns, entries = h.row_table
-        lam, best = math.inf, None
-        for start, stop in zip(bounds[:-1], bounds[1:]):
+
+        def block(start, stop):
+            # Rows start to stop of the block order, off the row table.
+            # Nonzero entries never leave their block; a zero may sit in a
+            # column of another block, so only nonzero entries are placed.
             members = order[start:stop]
             values = entries[:, members]
             terms, rows = np.nonzero(values)
-            block = np.zeros((stop - start, stop - start), dtype=entries.dtype)
-            cols = position[columns[terms, members[rows]]] - start
-            block[rows, cols] = values[terms, rows]
-            low = float(np.linalg.eigvalsh(block)[0])
+            dense = np.zeros((stop - start, stop - start), dtype=entries.dtype)
+            dense[rows, position[columns[terms, members[rows]]] - start] = values[terms, rows]
+            return dense
+
+        lam, best = math.inf, None
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            low = float(np.linalg.eigvalsh(block(start, stop))[0])
             if low < lam:
-                lam, best = low, (start, stop, block)
-        start, stop, block = best
-        vec = np.zeros(dim, dtype=block.dtype)
-        vec[order[start:stop]] = _lowest_vector(block, lam)
+                lam, best = low, (start, stop)
+        start, stop = best
+        vec = np.zeros(dim, dtype=entries.dtype)
+        vec[order[start:stop]] = _lowest_vector(block(start, stop), lam)
         h_vec = apply(h, vec)
         method, blocks, largest_block = "dense", n_blocks, int(np.diff(bounds).max())
     else:
@@ -638,6 +646,10 @@ def verify_model(
     # NumericRangeError, before any check computes with that state.
     z_value = model.partition_value()
     norm = model.h.norm_max
+    # The spectral solve, verify's largest transient, runs before the checks
+    # build their operators; its record keeps its place in the report below.
+    if model.h.is_hermitian:
+        spectral = min_eigenvalue(model.h, dense_sites=caps.dense_sites)
 
     hypotheses = groundstate_hypotheses(model.table, cap=caps.enumeration_sites)
     records.append(
@@ -709,14 +721,13 @@ def verify_model(
         _at_most("conjugate_two_route", model.conjugate_diff, CONJUGATE_RTOL * norm)
     )
     # Row r of the similarity route is (H Psi)_r / Psi_r.  The operator is a
-    # temporary, so the spectral solve below does not hold it.
+    # temporary, not cached on the model, so no later check holds it.
     row_sums = apply(_similarity_conjugate(model), np.ones(model.h.dim))
     records.append(
         _at_most("conjugate_row_sums", float(np.abs(row_sums).max()), ROW_SUM_RTOL * norm)
     )
 
     if model.h.is_hermitian:
-        spectral = min_eigenvalue(model.h, dense_sites=caps.dense_sites)
         records.append(
             CheckRecord(
                 "ground_energy",

@@ -418,6 +418,7 @@ def test_verify_two_alpha_rerun_is_byte_identical(tmp_path):
 
 
 def test_verify_fails_when_a_check_fails(tmp_path, monkeypatch):
+    from gibbs_ground import verify
     from gibbs_ground.verify import CheckRecord, VerificationReport
 
     def fake_verify(model, **kwargs):
@@ -434,7 +435,8 @@ def test_verify_fails_when_a_check_fails(tmp_path, monkeypatch):
         )
         return report
 
-    monkeypatch.setattr(cli, "verify_model", fake_verify)
+    # cli imports verify_model from its module when the command runs
+    monkeypatch.setattr(verify, "verify_model", fake_verify)
     path = _write_config(tmp_path, _config())
     assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 1
 

@@ -22,6 +22,9 @@ SplitMix64, so no command loads either: not verify, on the dense or the
 iterative route, and not sample or a sweep above the enumeration cap.  A
 script that imports numpy.random shows that the probe sees both.
 
+Only build and verify load gibbs_ground.verify: the classical commands
+neither import nor compile it.
+
 Each check runs in a fresh interpreter, since this test process has long
 since loaded both.
 """
@@ -223,6 +226,17 @@ def test_probe_sees_scipy(tmp_path):
     # Positive control: without it the checks above could pass because the
     # probe never sees scipy at all.
     assert _loaded_after("import scipy.linalg", tmp_path, "scipy")
+
+
+@pytest.mark.parametrize(
+    "command, loads",
+    [("sweep", False), ("correlate", False), ("sample", False), ("build", True), ("verify", True)],
+)
+def test_only_build_and_verify_load_the_verify_module(tmp_path, command, loads):
+    # verify.py is the package's largest module: a command that runs no
+    # check neither loads nor compiles it.
+    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    assert _loaded_after(_command(command), tmp_path, "gibbs_ground.verify") is loads
 
 
 def test_library_import_does_not_load_openssl(tmp_path):

@@ -30,6 +30,7 @@ from gibbs_ground.errors import (
     ConstraintError,
     ConvergenceError,
     NonHermitianError,
+    NumericRangeError,
     SizeCapError,
 )
 from gibbs_ground.lattice import nearest_neighbor_pairs
@@ -321,6 +322,69 @@ def test_min_eigenvalue_blocks_match_the_dense_oracle(make, blocks):
     expected = eigvalsh(dense_from_operator(model.h))[0]
     assert abs(result.eigenvalue - expected) <= 1e-12 * model.h.norm_max
     assert result.residual <= 1e-12 * model.h.norm_max
+
+
+def _two_block_model(L):
+    """XX bonds of weight -1/2 and YY bonds of weight -1 on L sites, with an
+    antiferromagnetic Ising potential: unequal weights break the
+    magnetization sectors, so the flip graph splits into its two parity
+    blocks of 2^(L-1) states, and the even one, block 0, holds the lowest
+    eigenvalue."""
+    lat = build_hypercube(1, L)
+    bonds = nearest_neighbor_pairs(lat)
+    entries = [(list(b), [], -0.5) for b in bonds] + [([], list(b), -1.0) for b in bonds]
+    return ModelInstance(
+        lattice=lat,
+        table=CouplingTable.from_site_lists(L, entries),
+        potential=ClassicalPotential.ising_nn(lat, -1.0),
+        alpha=1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "make, blocks",
+    [(lambda: _one_block_model(10), 1), (lambda: _two_block_model(10), 2)],
+    ids=["one-block", "first-of-two"],
+)
+def test_min_eigenvalue_holds_one_block_at_a_time(make, blocks):
+    # tracemalloc sees numpy's arrays, not LAPACK's copies: the dense route
+    # holds one block at a time, shifts the winner's in place, and keeps
+    # only the winner's bounds while later blocks are solved (8 MiB for the
+    # one block of 1024 float64 states, 2 MiB for each of 512).  Holding the
+    # winner beside the next block, or building block - lam*I out of place,
+    # takes 2 or 3 blocks.
+    model = make()
+    h = model.h
+    min_eigenvalue(h)  # builds the row table and the flip-graph labels
+    tracemalloc.start()
+    try:
+        result = min_eigenvalue(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.method, result.blocks) == ("dense", blocks)
+    block_bytes = result.largest_block**2 * h.row_table[1].itemsize
+    assert peak < 1.5 * block_bytes, (peak, block_bytes)
+    if blocks == 2:
+        dense = dense_from_operator(h)
+        odd = np.array([m.bit_count() % 2 for m in range(h.dim)], dtype=bool)
+        even_low, odd_low = (eigvalsh(dense[np.ix_(s, s)])[0] for s in (~odd, odd))
+        assert even_low < odd_low - 1.0
+        assert abs(result.eigenvalue - even_low) <= 1e-12 * h.norm_max
+    assert result.residual <= 1e-12 * h.norm_max
+
+
+@pytest.mark.parametrize(
+    "block, lam",
+    [(np.array([[-0.5]]), -0.5), (np.diag([0.0, 1.0, 2.0]), 0.0)],
+    ids=["1x1", "diagonal"],
+)
+def test_lowest_vector_falls_back_on_an_exactly_singular_shift(block, lam):
+    # The in-place shift makes block - lam*I exactly singular; the fallback
+    # solves the shifted block, whose eigenvectors are the block's.
+    vec = verify._lowest_vector(block.copy(), lam)
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-15
+    assert np.linalg.norm(block @ vec - lam * vec) <= 1e-12
 
 
 @pytest.mark.parametrize("xx_weight", [-1.0, 1.0])
@@ -756,6 +820,35 @@ def test_verify_model_judges_pairs_as_the_scan_does():
     assert record.details["quantum"] == pytest.approx(1.0, rel=1e-14)
     assert record.value == row.sx_sx == 1.0
     assert record.details["max_abs_flip_energy"] == 0.0
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the spectral solve ran before the input was validated")
+
+
+@pytest.mark.parametrize(
+    "model, kwargs, error, match",
+    [
+        ((6, 1.0, {}), {"seed": -1}, ConstraintError, "seed must be nonnegative"),
+        ((6, 1.0, {}), {"trials": 2**62}, ConstraintError, "trials of dimension 64"),
+        ((6, 1.0, {}), {"pairs": [(0, 6)]}, ConstraintError, "outside the 6 sites"),
+        ((6, 1.0, {"enumeration_sites": 4}), {}, SizeCapError, "6 sites exceeds the cap of 4"),
+        # Z of the 8-site chain at alpha=120 leaves double precision
+        ((8, 120.0, {}), {}, NumericRangeError, "alpha=120"),
+    ],
+    ids=["seed", "trials", "pair", "enumeration-cap", "partition-range"],
+)
+def test_verify_model_validates_before_the_spectral_solve(
+    monkeypatch, model, kwargs, error, match
+):
+    # The solve runs early, while few operators are alive, but after every
+    # check of the input: each of these raises its own error, not the
+    # patched solve's.
+    monkeypatch.setattr(verify, "min_eigenvalue", _no_solve)
+    L, alpha, caps = model
+    model = dataclasses.replace(_ising_chain_model(L, alpha), caps=Caps(**caps))
+    with pytest.raises(error, match=match):
+        verify_model(model, **{"trials": 2, **kwargs})
 
 
 # Negative controls: one route of a record, off by a relative 1e-4, must fail
