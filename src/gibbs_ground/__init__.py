@@ -58,13 +58,12 @@ _SUBMODULE = {
             "HypothesisReport",
             "SpectralResult",
             "VerificationReport",
-            "dirichlet_form_check",
             "eigen_residual",
             "groundstate_hypotheses",
             "min_eigenvalue",
             "quantum_expectation",
-            "reversibility_check",
             "sx_product_bound",
+            "trial_vector_checks",
             "verify_model",
         ],
     }.items()

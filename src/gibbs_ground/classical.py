@@ -443,6 +443,8 @@ def _finite(values: list, what: str) -> list:
     return values
 
 
+# Overflow here, in the workers too (_scan), ends as a Z named below.
+@np.errstate(over="ignore", invalid="ignore")
 def partition_function(
     potential: ClassicalPotential, alpha: float, cap: int = Caps.enumeration_sites
 ) -> float:
@@ -469,7 +471,7 @@ def partition_function(
 
     total = _in_order(_join_leaves(enum, _scan(enum, start_worker)))
     try:
-        z = float(total) * math.exp(-alpha * shift)
+        z = float(total) * math.exp(-alpha * float(shift))
     except OverflowError:
         z = math.inf
     if not sys.float_info.min <= z <= sys.float_info.max:

@@ -21,9 +21,9 @@ set cancels its own diagonal term configuration by configuration.
 
 H0 and the Boltzmann conjugate of H each have a second, independent
 assembly here (table entries vs. grouped couplings, direct action vs.
-similarity transform).  The model measures the gap between the two routes
-and does not judge it: gibbs_ground.verify decides whether it is within
-tolerance.  V has no second assembly: given H0, H Psi = 0 fixes it.
+similarity transform).  The model measures H0's gap and does not judge
+it; gibbs_ground.verify measures the conjugate's and judges both.  V has
+no second assembly: given H0, H Psi = 0 fixes it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .classical import (
     partition_function,
     spins_from_masks,
 )
-from .errors import ConstraintError
+from .errors import ConstraintError, NumericRangeError
 from .lattice import (
     Caps,
     Lattice,
@@ -132,6 +132,7 @@ class DiagonalCoupling:
     sites_mask: int
     terms: tuple[tuple[int, complex], ...]  # (y-set mask, coefficient)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def values(self, masks: np.ndarray) -> np.ndarray:
         """Evaluate J at configuration masks, term by term; complex output."""
         out = np.zeros(len(masks), dtype=complex)
@@ -203,9 +204,17 @@ def build_v(model: "ModelInstance") -> OperatorMatrix:
     return flip_operator(model.lattice.n_sites, [(0, diag)])
 
 
+# Like the classical layer: overflow here is named once, below.
+@np.errstate(over="ignore", invalid="ignore")
 def build_h(model: "ModelInstance") -> OperatorMatrix:
-    """Full Hamiltonian H = H0 + V."""
-    return model.h0 + model.v
+    """Full Hamiltonian H = H0 + V; NumericRangeError if an entry is not finite."""
+    h = model.h0 + model.v
+    if not all(np.isfinite(d).all() for d in h.terms.values()):
+        raise NumericRangeError(
+            f"H at alpha={model.alpha:g} has an entry outside double precision: "
+            "the couplings or the Boltzmann weights left its range"
+        )
+    return h
 
 
 def build_gibbs_state(model: "ModelInstance") -> np.ndarray:
@@ -335,12 +344,6 @@ class ModelInstance:
         """Largest entrywise gap between H0 from the table entries and the
         grouped route sum_C J_C(sigma^z) X_[C]."""
         return max_entry_diff(self.h0, offdiagonal_from_couplings(self))
-
-    @cached_property
-    def conjugate_diff(self) -> float:
-        """Largest entrywise gap between the direct conjugated form and the
-        similarity transform of H."""
-        return max_entry_diff(self.h_conjugate, _similarity_conjugate(self))
 
     def state_norm_squared(self) -> float:
         return float(np.dot(self.state, self.state))

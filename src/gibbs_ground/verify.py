@@ -5,9 +5,9 @@ scaled by the largest Hamiltonian entry, and returns a record carrying the
 measured value, the threshold, and whether the check is asserted (counts
 toward overall pass/fail) or informational.  Checks follow two-route logic
 wherever possible: a matrix-level computation is compared against an
-independent classical or closed-form evaluation.  The two assemblies of H
-and of its Boltzmann conjugate are built in gibbs_ground.models, which
-measures their gaps; they are judged here, and only here.
+independent classical or closed-form evaluation.  The two assemblies of H0
+and of its Boltzmann conjugate H+ are built in gibbs_ground.models; H0's
+gap is measured there, H+'s here, and both are judged only here.
 
 The records of verify_model, in report order.  A record under the one
 rule ("rule: yes", built by _at_most) passes exactly when its reported
@@ -71,6 +71,9 @@ Each control stands for a bug outside the record's own arithmetic:
   dirichlet_form         the Boltzmann-weighted inner product
   ground_energy          a sign-violating J_C: Psi is not the ground state
 
+reversibility and dirichlet_form come from one pass over the trial
+vectors (trial_vector_checks); each keeps its own witnesses.
+
 Two records duplicate others.  rayleigh_quotient is implied by
 eigenstate_residual: by Cauchy-Schwarz |<Psi, H Psi>| / |Psi|^2 <=
 |H Psi| / |Psi|, both thresholds are 1e-10 |H|, and rayleigh_quotient is
@@ -82,11 +85,11 @@ benchmark workloads pin the 14 record names.
 Trial vectors and eigensolver start vectors are SplitMix64 outputs in
 [-1, 1) (gibbs_ground.splitmix), so no report depends on numpy's generator
 streams.  The `trials` vectors F are runs of dim outputs from output 0
-on, F' the next `trials` runs, so the F of dirichlet_form are those of
-reversibility.  Each vector is drawn from its own counters when it is
-used, so a check holds O(dim) of them whatever `trials` is.  The start
-vectors of both eigensolver routes, which run on numpy alone, are
-outputs 0 to dim - 1 of the stream with seed 0.
+on, F' the next `trials` runs; both records read the same F.  Each vector
+is drawn once, from its own counters, when it is used, so the pass holds
+O(dim) of them whatever `trials` is.  The start vectors of both
+eigensolver routes, which run on numpy alone, are outputs 0 to dim - 1 of
+the stream with seed 0.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ from .models import (
     _similarity_conjugate,
     diagonal_couplings,
 )
-from .operators import OperatorMatrix, apply, flip_graph_labels, product_operator
+from .operators import OperatorMatrix, apply, flip_graph_labels, max_entry_diff, product_operator
 from .splitmix import check_seed, uniform
 
 # Pinned tolerances, all relative to the largest Hamiltonian entry except
@@ -510,102 +513,87 @@ def _trial_vector(seed: int, dim: int, k: int) -> np.ndarray:
     return uniform(seed, k * dim, dim)
 
 
-def reversibility_check(
-    model: ModelInstance, trials: int = 20, seed: int = 0
-) -> CheckRecord:
-    """Symmetry of the conjugated Hamiltonian in the Boltzmann-weighted
-    inner product, and its agreement with the plain product of the
-    half-weighted vectors.  Weights are evaluated with the potential
-    shifted by its minimum, which rescales both sides identically.  The
-    vectors F are trial vectors 0 to trials - 1 of the seed's stream, the
-    vectors F' the next trials of them.  Raises ConstraintError on a seed
-    outside [0, 2^64 - 1] or on trials beyond the stream (_check_trials)."""
-    shifted = model.shifted_energies
-    dim = len(shifted)
+def trial_vector_checks(
+    model: ModelInstance, trials: int = 20, seed: int = 0, require_nonneg: bool = True
+) -> tuple[CheckRecord, CheckRecord]:
+    """The reversibility and dirichlet_form records from one pass over the
+    seed's trial vectors, F the vectors 0 to trials - 1 and F' the next
+    trials of them; each F, F', H+ F, H+ F' and H applied to the
+    half-weighted F is computed once.
+
+    reversibility compares the weighted adjoint of H+ with H+ and with H
+    between half-weighted vectors; dirichlet_form compares the weighted
+    form <F, H+ F> with the flip-difference sum
+
+        -(1/2) sum_C sum_s J_C(s) e^{-(alpha/2)[U(s) + U(flip(s,C))]}
+                           (F(s) - F(flip(s,C)))^2,
+
+    and with require_nonneg (the sign hypothesis) asks both to be
+    nonnegative.  Weights use the potential shifted by its minimum, which
+    rescales both sides alike.  Both need every y-set even (the couplings
+    must commute with the flips): otherwise reversibility is informational
+    and dirichlet_form a skipped record.  Raises ConstraintError on a seed
+    outside [0, 2^64 - 1] or on trials beyond the stream (_check_trials).
+    """
+    masks, shifted = model.masks, model.shifted_energies
+    dim = len(masks)
     _check_trials(trials, dim)
+    even = not model.table.odd_entries
     w = np.exp(-model.alpha * shifted)
     wh = np.exp(-0.5 * model.alpha * shifted)
-    hc = model.h_conjugate
-    max_sym = 0.0
-    max_conj = 0.0
+    hc, norm, tiny = model.h_conjugate, model.h.norm_max, np.finfo(float).tiny
+    flip_data = []
+    for coupling in model.couplings:
+        if even and coupling.sites_mask != 0:
+            perm = masks ^ coupling.sites_mask
+            weight2 = np.exp(-0.5 * model.alpha * (shifted + shifted[perm]))
+            flip_data.append((perm, coupling.values(masks) * weight2))
+
+    max_sym = max_conj = max_gap = 0.0
+    min_form = math.inf
     for k in range(trials):
         f = _trial_vector(seed, dim, k)
         g = _trial_vector(seed, dim, trials + k)
-        scale = model.h.norm_max * np.linalg.norm(f) * np.linalg.norm(g)
-        scale = max(scale, np.finfo(float).tiny)
         hcf = apply(hc, f)
-        hcg = apply(hc, g)
-        sym_gap = abs(np.sum(w * np.conj(hcf) * g) - np.sum(w * f * hcg))
-        conj_gap = abs(
-            np.sum(w * np.conj(hcf) * g) - np.vdot(apply(model.h, wh * f), wh * g)
-        )
-        max_sym = max(max_sym, sym_gap / scale)
+        scale = max(norm * np.linalg.norm(f) * np.linalg.norm(g), tiny)
+        form = np.sum(w * np.conj(hcf) * g)
+        max_sym = max(max_sym, abs(form - np.sum(w * f * apply(hc, g))) / scale)
+        conj_gap = abs(form - np.vdot(apply(model.h, wh * f), wh * g))
         max_conj = max(max_conj, conj_gap / scale)
-    return _at_most(
+        if even:
+            scale = max(norm * float(np.dot(f, f)), tiny)
+            lhs = complex(np.sum(w * np.conj(hcf) * f))
+            rhs = 0.0 + 0.0j
+            for perm, jw in flip_data:
+                diff = f - f[perm]
+                rhs -= 0.5 * np.sum(jw * diff * diff)
+            max_gap = max(max_gap, abs(lhs - rhs) / scale)
+            min_form = min(min_form, lhs.real / scale, rhs.real / scale)
+
+    reversibility = _at_most(
         "reversibility",
         float(max(max_sym, max_conj)),
         SYMMETRY_RTOL,
+        even,
         max_symmetry_gap=float(max_sym),
         max_conjugation_gap=float(max_conj),
         trials=trials,
         seed=seed,
     )
-
-
-def dirichlet_form_check(
-    model: ModelInstance, trials: int = 20, seed: int = 0, require_nonneg: bool = True
-) -> CheckRecord:
-    """Two routes to the weighted quadratic form of the conjugated
-    Hamiltonian: the matrix action versus the flip-difference sum
-
-        -(1/2) sum_C sum_s J_C(s) e^{-(alpha/2)[U(s) + U(flip(s,C))]}
-                           (F(s) - F(flip(s,C)))^2.
-
-    Requires every y-set even (the symmetrization uses flip-evenness of the
-    couplings).  When the sign hypothesis holds as well, both routes must be
-    nonnegative.  The vectors F are reversibility_check's F for the same
-    seed and trials.  Raises ConstraintError on a seed outside
-    [0, 2^64 - 1] or on trials beyond the stream (_check_trials).
-    """
-    masks, shifted = model.masks, model.shifted_energies
-    dim = len(masks)
-    _check_trials(trials, dim)
-    w = np.exp(-model.alpha * shifted)
-    hc = model.h_conjugate
-
-    couplings = [c for c in model.couplings if c.sites_mask != 0]
-    flip_data = []
-    for coupling in couplings:
-        perm = masks ^ coupling.sites_mask
-        weight2 = np.exp(-0.5 * model.alpha * (shifted + shifted[perm]))
-        flip_data.append((perm, coupling.values(masks) * weight2))
-
-    max_gap = 0.0
-    min_form = math.inf
-    for k in range(trials):
-        f = _trial_vector(seed, dim, k)
-        scale = max(model.h.norm_max * float(np.dot(f, f)), np.finfo(float).tiny)
-        lhs = complex(np.sum(w * np.conj(apply(hc, f)) * f))
-        rhs = 0.0 + 0.0j
-        for perm, jw in flip_data:
-            diff = f - f[perm]
-            rhs -= 0.5 * np.sum(jw * diff * diff)
-        max_gap = max(max_gap, abs(lhs - rhs) / scale)
-        min_form = min(min_form, lhs.real / scale, rhs.real / scale)
-    nonneg_ok = (not require_nonneg) or min_form >= -DIRICHLET_NONNEG_SLACK
-    return CheckRecord(
-        name="dirichlet_form",
-        passed=max_gap <= DIRICHLET_RTOL and nonneg_ok,
-        asserted=True,
-        value=float(max_gap),
-        threshold=DIRICHLET_RTOL,
-        details={
-            "max_two_route_gap": float(max_gap),
-            "min_scaled_form": float(min_form),
-            "nonnegativity_required": require_nonneg,
-            "trials": trials,
-            "seed": seed,
-        },
+    if not even:
+        skipped = {"skipped": "odd y-sets make the flip-difference route inapplicable"}
+        return reversibility, CheckRecord("dirichlet_form", True, False, None, None, skipped)
+    nonneg_ok = not require_nonneg or min_form >= -DIRICHLET_NONNEG_SLACK
+    details = {
+        "max_two_route_gap": float(max_gap),
+        "min_scaled_form": float(min_form),
+        "nonnegativity_required": require_nonneg,
+        "trials": trials,
+        "seed": seed,
+    }
+    passed = max_gap <= DIRICHLET_RTOL and nonneg_ok
+    return reversibility, CheckRecord(
+        "dirichlet_form", passed, True, float(max_gap), DIRICHLET_RTOL, details
     )
 
 
@@ -717,12 +705,13 @@ def verify_model(
     for mask in sx_sets:
         records.append(sx_product_bound(model, mask))
 
-    records.append(
-        _at_most("conjugate_two_route", model.conjugate_diff, CONJUGATE_RTOL * norm)
-    )
-    # Row r of the similarity route is (H Psi)_r / Psi_r.  The operator is a
-    # temporary, not cached on the model, so no later check holds it.
-    row_sums = apply(_similarity_conjugate(model), np.ones(model.h.dim))
+    # The similarity route of H+, built once for both records and dropped
+    # before the later checks; its row r is (H Psi)_r / Psi_r.
+    similarity = _similarity_conjugate(model)
+    conjugate_gap = max_entry_diff(model.h_conjugate, similarity)
+    row_sums = apply(similarity, np.ones(model.h.dim))
+    del similarity
+    records.append(_at_most("conjugate_two_route", conjugate_gap, CONJUGATE_RTOL * norm))
     records.append(
         _at_most("conjugate_row_sums", float(np.abs(row_sums).max()), ROW_SUM_RTOL * norm)
     )
@@ -751,28 +740,5 @@ def verify_model(
             )
         )
 
-    # The weighted symmetry needs even y-sets (the couplings must commute
-    # with the flips), not the sign condition.
-    rev = reversibility_check(model, trials=trials, seed=seed)
-    rev.asserted = not hypotheses.odd_entries
-    records.append(rev)
-
-    if not hypotheses.odd_entries:
-        records.append(
-            dirichlet_form_check(
-                model, trials=trials, seed=seed, require_nonneg=hypotheses.satisfied
-            )
-        )
-    else:
-        records.append(
-            CheckRecord(
-                name="dirichlet_form",
-                passed=True,
-                asserted=False,
-                value=None,
-                threshold=None,
-                details={"skipped": "odd y-sets make the flip-difference route inapplicable"},
-            )
-        )
-
+    records.extend(trial_vector_checks(model, trials, seed, hypotheses.satisfied))
     return report

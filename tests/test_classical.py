@@ -815,6 +815,10 @@ def test_partition_function_overflow_is_a_named_error():
     assert math.isfinite(partition_function(pot, 100.0))
     with pytest.raises(NumericRangeError, match="alpha=120"):
         partition_function(pot, 120.0)
+    # the rescaling's exponent overflows too: once a numpy warning, and a
+    # traceback from the workers' product under the suite's warning filter
+    with pytest.raises(NumericRangeError, match=r"alpha=1e\+308"):
+        partition_function(pot, 1e308)
 
 
 @pytest.mark.parametrize("alpha", [240.0, 700.0], ids=["subnormal", "zero"])

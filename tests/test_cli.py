@@ -703,14 +703,32 @@ def _error_of(capsys) -> dict:
 
 
 def test_verify_overflow_exits_2_with_named_error(tmp_path, capsys):
-    # Negative control: Z at alpha=120 on the 8-site chain exceeds double
-    # precision (exp(840) from the shift rescaling).
-    path = _write_config(tmp_path, _config(lattice={"d": 1, "L": 8}, alpha=120.0))
-    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    # Negative controls: Z at alpha=120 on the 8-site chain exceeds double
+    # precision (exp(840) from the shift rescaling).  At alpha=1e308 on the
+    # 6-site chain the rescaling's exponent overflows as well, which printed
+    # a numpy warning before the error line, and under the suite's warning
+    # filter ended in a traceback from the enumeration workers.
+    for L, alpha, shown in [(8, 120.0, "alpha=120"), (6, 1e308, "alpha=1e+308")]:
+        path = _write_config(tmp_path, _config(lattice={"d": 1, "L": L}, alpha=alpha))
+        assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+        error = _error_of(capsys)
+        assert error["error"] == "NumericRangeError"
+        assert shown in error["message"]
+        assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, artifact", [("build", "summary.json"), ("verify", "report.json")])
+def test_h_outside_double_range_exits_2_with_named_error(tmp_path, capsys, command, artifact):
+    # Negative control: at J = -1e308 the XX coupling of an antiparallel
+    # pair, 2J, leaves double precision.  build wrote "h_norm_max": Infinity
+    # and "two_route_gap": NaN, which are not JSON, and exited 0 after numpy
+    # warnings; verify judged NaN gaps against infinite thresholds.
+    path = _write_config(tmp_path, _config(couplings={"preset": "xx", "J": -1e308}))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
     error = _error_of(capsys)
     assert error["error"] == "NumericRangeError"
-    assert "alpha=120" in error["message"]
-    assert not (tmp_path / "report.json").exists()
+    assert "H at alpha=1 has an entry outside double precision" in error["message"]
+    assert not (tmp_path / artifact).exists()
 
 
 def test_verify_underflow_exits_2_with_named_error(tmp_path, capsys):

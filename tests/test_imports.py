@@ -157,9 +157,9 @@ EXPORTS = {
     "operators": ["OperatorMatrix", "apply", "product_operator"],
     "verify": [
         "CheckRecord", "HypothesisReport", "SpectralResult", "VerificationReport",
-        "dirichlet_form_check", "eigen_residual", "groundstate_hypotheses",
-        "min_eigenvalue", "quantum_expectation", "reversibility_check",
-        "sx_product_bound", "verify_model",
+        "eigen_residual", "groundstate_hypotheses", "min_eigenvalue",
+        "quantum_expectation", "sx_product_bound", "trial_vector_checks",
+        "verify_model",
     ],
 }
 

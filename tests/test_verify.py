@@ -14,15 +14,14 @@ from gibbs_ground import (
     ModelInstance,
     build_hypercube,
     classical_expectation,
-    dirichlet_form_check,
     eigen_residual,
     groundstate_hypotheses,
     min_eigenvalue,
     order_parameter_scan,
     quantum_expectation,
-    reversibility_check,
     spin_product,
     sx_product_bound,
+    trial_vector_checks,
     verify_model,
 )
 from gibbs_ground import classical, models, splitmix, verify
@@ -560,7 +559,7 @@ def test_reversibility_even_models():
     rng = np.random.default_rng(211)
     for _ in range(6):
         model = random_model(rng, flavor="generic", shapes=[(1, 5), (1, 6), (2, 2)])
-        record = reversibility_check(model, trials=20, seed=3)
+        record, _ = trial_vector_checks(model, trials=20, seed=3)
         assert record.passed, record.details
 
 
@@ -569,13 +568,13 @@ def test_dirichlet_form_even_models_identity():
     for _ in range(6):
         model = random_model(rng, flavor="generic", shapes=[(1, 5), (1, 6)])
         hyp = groundstate_hypotheses(model.table)
-        record = dirichlet_form_check(
+        _, record = trial_vector_checks(
             model, trials=10, seed=5, require_nonneg=hyp.satisfied
         )
         assert record.passed, record.details
 
 
-@pytest.mark.parametrize("check", [reversibility_check, dirichlet_form_check])
+@pytest.mark.parametrize("check", [trial_vector_checks, verify_model])
 def test_randomized_checks_reject_zero_trials(check):
     # with no trials the check would pass at value 0.0 from no samples
     model = _ising_chain_model(4, 1.0)
@@ -583,7 +582,7 @@ def test_randomized_checks_reject_zero_trials(check):
         check(model, trials=0)
 
 
-@pytest.mark.parametrize("check", [reversibility_check, dirichlet_form_check, verify_model])
+@pytest.mark.parametrize("check", [trial_vector_checks, verify_model])
 def test_randomized_checks_reject_a_negative_seed(check):
     # numpy's default_rng used to raise a bare ValueError here
     model = _ising_chain_model(4, 1.0)
@@ -591,7 +590,7 @@ def test_randomized_checks_reject_a_negative_seed(check):
         check(model, seed=-1)
 
 
-@pytest.mark.parametrize("check", [reversibility_check, dirichlet_form_check, verify_model])
+@pytest.mark.parametrize("check", [trial_vector_checks, verify_model])
 def test_randomized_checks_reject_a_seed_beyond_64_bits(check):
     # numpy's default_rng took any seed; the SplitMix64 seed is one word
     model = _ising_chain_model(4, 1.0)
@@ -600,9 +599,8 @@ def test_randomized_checks_reject_a_seed_beyond_64_bits(check):
 
 
 def test_trial_vectors_are_consecutive_runs_of_the_stream(monkeypatch):
-    # reversibility's F are vectors 0..T-1 and its F' vectors T..2T-1;
-    # dirichlet_form's F are the same vectors 0..T-1.  Vector k is run k of
-    # the stream, drawn on its own.
+    # F are vectors 0..T-1 and F' vectors T..2T-1, each drawn once, on its
+    # own, for both records.  Vector k is run k of the stream.
     dim, trials = 5, 3
     stream = splitmix.uniform(7, 0, 2 * trials * dim).reshape(2 * trials, dim)
     for k in range(2 * trials):
@@ -613,11 +611,25 @@ def test_trial_vectors_are_consecutive_runs_of_the_stream(monkeypatch):
         verify, "_trial_vector", lambda *args: drawn.append(args) or trial_vector(*args)
     )
     model = _ising_chain_model(4, 1.0)
-    reversibility_check(model, trials=trials, seed=7)
+    trial_vector_checks(model, trials=trials, seed=7)
     assert drawn == [(7, 16, k) for k in (0, 3, 1, 4, 2, 5)]
-    drawn.clear()
-    dirichlet_form_check(model, trials=trials, seed=7)
-    assert drawn == [(7, 16, k) for k in range(trials)]
+
+
+def test_verify_model_computes_each_product_once(monkeypatch):
+    # The verify-dense benchmark model: H+ F, H+ F' and H on the
+    # half-weighted F once per trial, 60 products for 20 trials, and 7 for
+    # the other records; the similarity route of H+ is built once for both
+    # records that read it.
+    calls = []
+    for name in ("apply", "_similarity_conjugate"):
+        original = getattr(verify, name)
+        counted = lambda *args, name=name, f=original: calls.append(name) or f(*args)
+        for module in (verify, models):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    report = verify_model(_ising_chain_model(11, 1.0), trials=20, seed=11, pairs=[(0, 3)])
+    assert report.all_passed
+    assert (calls.count("apply"), calls.count("_similarity_conjugate")) == (67, 1)
 
 
 def test_trials_beyond_the_stream_boundary():
@@ -627,7 +639,7 @@ def test_trials_beyond_the_stream_boundary():
         verify._check_trials(2**59, 16)
 
 
-@pytest.mark.parametrize("check", [reversibility_check, dirichlet_form_check, verify_model])
+@pytest.mark.parametrize("check", [trial_vector_checks, verify_model])
 def test_randomized_checks_reject_trials_beyond_the_stream(check):
     # All trial vectors at once once raised a bare ValueError from numpy
     # ("Maximum allowed size exceeded"); verify_model stops before any
@@ -644,12 +656,12 @@ def test_reversibility_memory_does_not_grow_with_trials():
     # sites is the same for 2 trials as for 200, where holding all 400
     # vectors would take 3.2 MB.
     model = _ising_chain_model(10, 1.0)
-    reversibility_check(model, trials=1)  # builds the model's cached operators
+    trial_vector_checks(model, trials=1)  # builds the model's cached operators
     peaks = []
     for trials in (2, 200):
         tracemalloc.start()
         try:
-            assert reversibility_check(model, trials=trials).passed
+            assert all(r.passed for r in trial_vector_checks(model, trials=trials))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -660,7 +672,7 @@ def test_dirichlet_form_nonnegative_for_ferro():
     rng = np.random.default_rng(227)
     for _ in range(6):
         model = random_model(rng, flavor="ferro", shapes=[(1, 5), (1, 7), (2, 2)])
-        record = dirichlet_form_check(model, trials=10, seed=7, require_nonneg=True)
+        _, record = trial_vector_checks(model, trials=10, seed=7, require_nonneg=True)
         assert record.passed
         assert record.details["min_scaled_form"] >= -1e-12
 
@@ -679,9 +691,9 @@ def test_dirichlet_form_sign_violation_breaks_nonnegativity():
     model = ModelInstance(
         lattice=lat, table=table, potential=ClassicalPotential.zero(3), alpha=0.4
     )
-    identity_only = dirichlet_form_check(model, trials=10, seed=9, require_nonneg=False)
+    _, identity_only = trial_vector_checks(model, trials=10, seed=9, require_nonneg=False)
     assert identity_only.passed  # the two-route identity still holds
-    with_sign = dirichlet_form_check(model, trials=10, seed=9, require_nonneg=True)
+    _, with_sign = trial_vector_checks(model, trials=10, seed=9, require_nonneg=True)
     assert not with_sign.passed
     assert with_sign.details["min_scaled_form"] < 0
 
@@ -936,6 +948,9 @@ def test_verify_model_odd_still_passes_asserted_subset():
     by_name = {r.name: r for r in report.records}
     assert not by_name["eigenstate_residual"].asserted
     assert by_name["eigenstat" + "e_residual"].passed
+    # the trial-vector records: reversibility informational, the form skipped
+    assert not by_name["reversibility"].asserted
+    assert "skipped" in by_name["dirichlet_form"].details
 
 
 def test_operator_layer_decodes_spins_only_for_the_gibbs_state(monkeypatch):
