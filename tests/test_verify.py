@@ -574,7 +574,20 @@ def test_dirichlet_form_even_models_identity():
         assert record.passed, record.details
 
 
-@pytest.mark.parametrize("check", [trial_vector_checks, verify_model])
+def reversibility_check(model, **kwargs):
+    # the reversibility record alone, as the checks that reject bad trials
+    # and seeds are parametrized per record
+    return trial_vector_checks(model, **kwargs)[0]
+
+
+def dirichlet_form_check(model, **kwargs):
+    return trial_vector_checks(model, **kwargs)[1]
+
+
+_RANDOMIZED_CHECKS = [reversibility_check, dirichlet_form_check, verify_model]
+
+
+@pytest.mark.parametrize("check", _RANDOMIZED_CHECKS)
 def test_randomized_checks_reject_zero_trials(check):
     # with no trials the check would pass at value 0.0 from no samples
     model = _ising_chain_model(4, 1.0)
@@ -582,7 +595,7 @@ def test_randomized_checks_reject_zero_trials(check):
         check(model, trials=0)
 
 
-@pytest.mark.parametrize("check", [trial_vector_checks, verify_model])
+@pytest.mark.parametrize("check", _RANDOMIZED_CHECKS)
 def test_randomized_checks_reject_a_negative_seed(check):
     # numpy's default_rng used to raise a bare ValueError here
     model = _ising_chain_model(4, 1.0)
@@ -590,7 +603,7 @@ def test_randomized_checks_reject_a_negative_seed(check):
         check(model, seed=-1)
 
 
-@pytest.mark.parametrize("check", [trial_vector_checks, verify_model])
+@pytest.mark.parametrize("check", _RANDOMIZED_CHECKS)
 def test_randomized_checks_reject_a_seed_beyond_64_bits(check):
     # numpy's default_rng took any seed; the SplitMix64 seed is one word
     model = _ising_chain_model(4, 1.0)
@@ -639,7 +652,7 @@ def test_trials_beyond_the_stream_boundary():
         verify._check_trials(2**59, 16)
 
 
-@pytest.mark.parametrize("check", [trial_vector_checks, verify_model])
+@pytest.mark.parametrize("check", _RANDOMIZED_CHECKS)
 def test_randomized_checks_reject_trials_beyond_the_stream(check):
     # All trial vectors at once once raised a bare ValueError from numpy
     # ("Maximum allowed size exceeded"); verify_model stops before any
