@@ -41,7 +41,6 @@ _SUBMODULE = {
             "Caps",
             "Lattice",
             "build_hypercube",
-            "linear_height",
             "mask_from_sites",
             "nearest_neighbor_pairs",
             "sites_from_mask",

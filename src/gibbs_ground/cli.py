@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -28,25 +29,21 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 from . import __version__
 from .classical import (
     ClassicalPotential,
+    ScanRow,
     default_burn_in,
     metropolis_averages,
     order_parameter_scan,
     spin_product,
     squared_magnetization,
 )
-from .errors import ConfigError, ConstraintError, GibbsGroundError
+from .errors import ConfigError, ConstraintError, GibbsGroundError, NumericRangeError
 from .lattice import Caps, Lattice, build_hypercube
 from .models import CouplingTable, ModelInstance
 from .splitmix import check_seed
 
 SCHEMA_VERSION = 1
 
-_SWEEP_COLUMNS = [
-    "alpha", "x", "y",
-    "sx_sx", "sx_sx_se", "sz_sz", "sz_sz_se",
-    "mz_sq", "mz_sq_se", "mx", "mx_se",
-    "method",
-]
+_SWEEP_COLUMNS = [f.name for f in fields(ScanRow)]
 _CORRELATE_COLUMNS = [
     "alpha", "x", "y", "sx_sx", "sx_sx_se", "sz_sz", "sz_sz_se", "method",
 ]
@@ -307,10 +304,23 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Strict JSON (RFC 8259): NumericRangeError, before the file is
+    opened, when the payload holds a NaN or an infinity."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericRangeError(f"{path.name} would hold a non-finite number") from exc
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+    """The rows as CSV; NumericRangeError, before the file is opened, when
+    a cell would read nan or inf."""
+    for row in rows:
+        for column in columns:
+            value = row[column]
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NumericRangeError(f"{path.name} would hold {value} in column '{column}'")
     with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()

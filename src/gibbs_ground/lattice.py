@@ -1,10 +1,11 @@
 """Finite hypercube geometry in Z^d and site-set bitmasks.
 
-Sites of the L^d hypercube are enumerated row-major with the first
-coordinate varying fastest: site i has coordinates
-(i % L, (i // L) % L, ..., (i // L^(d-1)) % L).  This makes bit positions
-of site subsets reproducible across runs.  A site set is a plain integer
-bitmask: bit i set means site i belongs to the set.
+A lattice is its pair (d, L), the box {0, ..., L-1}^d.  The coordinates
+of site i are its base-L digits, first coordinate lowest:
+(i % L, (i // L) % L, ..., (i // L^(d-1)) % L).  None is stored: bonds and
+heights follow from the digits, and bit positions of site subsets are
+reproducible across runs.  A site set is a plain integer bitmask: bit i
+set means site i belongs to the set.
 
 Boundaries are free (open); nearest neighbors differ by exactly 1 in
 exactly one coordinate, with no wraparound.
@@ -61,31 +62,19 @@ class Caps:
 
 @dataclass(frozen=True)
 class Lattice:
-    """An L^d hypercube with row-major site indexing."""
+    """The L^d hypercube, side L in d dimensions; site i sits at its base-L
+    digits.  build_hypercube is the validated constructor."""
 
     dimension: int
     side: int
-    coords: tuple[tuple[int, ...], ...]
 
     @property
     def n_sites(self) -> int:
-        return len(self.coords)
+        return self.side**self.dimension
 
     @property
     def full_mask(self) -> int:
         return (1 << self.n_sites) - 1
-
-    def index(self, coord: Iterable[int]) -> int:
-        """Linear index of a coordinate vector."""
-        coord = tuple(coord)
-        if len(coord) != self.dimension or any(
-            c < 0 or c >= self.side for c in coord
-        ):
-            raise ConstraintError(f"coordinate {coord} outside the lattice")
-        idx = 0
-        for k in reversed(range(self.dimension)):
-            idx = idx * self.side + coord[k]
-        return idx
 
 
 def build_hypercube(d: int, L: int, site_cap: int = Caps.lattice_sites) -> Lattice:
@@ -96,45 +85,34 @@ def build_hypercube(d: int, L: int, site_cap: int = Caps.lattice_sites) -> Latti
     # Bounding L and d first keeps L**d, and the message below, small.
     if L > site_cap or d > site_cap:
         raise SizeCapError(f"lattice L^d needs L and d at most the site cap of {site_cap}")
-    n = L**d
-    if n > site_cap:
-        raise SizeCapError(
-            f"lattice with {n} sites exceeds the site cap of {site_cap}"
-        )
-    coords = []
-    for i in range(n):
-        rest, coord = i, []
-        for _ in range(d):
-            coord.append(rest % L)
-            rest //= L
-        coords.append(tuple(coord))
-    return Lattice(dimension=d, side=L, coords=tuple(coords))
+    if L**d > site_cap:
+        raise SizeCapError(f"lattice with {L**d} sites exceeds the site cap of {site_cap}")
+    return Lattice(dimension=d, side=L)
 
 
 def nearest_neighbor_pairs(lattice: Lattice) -> list[tuple[int, int]]:
-    """All unordered nearest-neighbor pairs, lexicographically smaller site first.
+    """All unordered nearest-neighbor pairs (i, i + L^k), one wherever digit
+    k of i is below L - 1, by site and then by axis.
 
     The list has d * L^(d-1) * (L-1) entries for the L^d hypercube.
     """
     L = lattice.side
-    pairs = []
-    for i, coord in enumerate(lattice.coords):
-        for k in range(lattice.dimension):
-            if coord[k] + 1 < L:
-                neighbor = list(coord)
-                neighbor[k] += 1
-                pairs.append((i, lattice.index(neighbor)))
-    return pairs
-
-
-def linear_height(coord: Iterable[int]) -> int:
-    """Coordinate sum of a site, the staircase field u_x = x_1 + ... + x_d."""
-    return sum(coord)
+    return [
+        (i, i + L**k)
+        for i in range(lattice.n_sites)
+        for k in range(lattice.dimension)
+        if i // L**k % L < L - 1
+    ]
 
 
 def height_field(lattice: Lattice) -> list[int]:
-    """linear_height evaluated on every site, in index order."""
-    return [linear_height(c) for c in lattice.coords]
+    """The staircase field u_x = x_1 + ... + x_d, the digit sum of each
+    site, in index order."""
+    L = lattice.side
+    return [
+        sum(i // L**k % L for k in range(lattice.dimension))
+        for i in range(lattice.n_sites)
+    ]
 
 
 def mask_from_sites(sites: Iterable[int]) -> int:

@@ -58,8 +58,8 @@ class OperatorMatrix:
 
     @cached_property
     def norm_max(self) -> float:
-        """Largest absolute entry (0 for the zero matrix)."""
-        return max((float(np.abs(d).max()) for d in self.terms.values()), default=0.0)
+        """Largest absolute entry (0 for the zero matrix, NaN if any entry is)."""
+        return _largest(np.abs(d).max() for d in self.terms.values())
 
     @cached_property
     def is_real(self) -> bool:
@@ -74,10 +74,7 @@ class OperatorMatrix:
         wherever A has d_C[m].
         """
         masks = all_masks(self.n_sites)
-        gap = max(
-            (float(np.abs(d - d[masks ^ c].conj()).max()) for c, d in self.terms.items()),
-            default=0.0,
-        )
+        gap = _largest(np.abs(d - d[masks ^ c].conj()).max() for c, d in self.terms.items())
         return gap <= HERMITIAN_RTOL * self.norm_max
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -144,13 +141,16 @@ def max_entry_diff(a: OperatorMatrix, b: OperatorMatrix) -> float:
     """Largest absolute entrywise difference of two operators, compared
     term by term (a term one side lacks reads as zeros)."""
     _check_same_space(a, b)
-    return max(
-        (
-            float(np.abs(a.terms.get(c, 0) - b.terms.get(c, 0)).max())
-            for c in a.terms | b.terms
-        ),
-        default=0.0,
+    return _largest(
+        np.abs(a.terms.get(c, 0) - b.terms.get(c, 0)).max() for c in a.terms | b.terms
     )
+
+
+def _largest(maxima) -> float:
+    """The largest of per-term maxima, 0 for no terms.  numpy's maximum
+    keeps a NaN wherever it sits; Python's max drops one after the first
+    term."""
+    return float(np.max(np.fromiter(maxima, dtype=float), initial=0.0))
 
 
 def all_masks(n_sites: int) -> np.ndarray:

@@ -7,7 +7,9 @@ toward overall pass/fail) or informational.  Checks follow two-route logic
 wherever possible: a matrix-level computation is compared against an
 independent classical or closed-form evaluation.  The two assemblies of H0
 and of its Boltzmann conjugate H+ are built in gibbs_ground.models; H0's
-gap is measured there, H+'s here, and both are judged only here.
+gap is measured there, H+'s here, and both are judged only here.  A NaN
+fails whatever it reaches: maxima over terms and trials are numpy's,
+which keep a NaN, and each guard reads `if not value <= tol: raise`.
 
 The records of verify_model, in report order.  A record under the one
 rule ("rule: yes", built by _at_most) passes exactly when its reported
@@ -394,7 +396,7 @@ def min_eigenvalue(h: OperatorMatrix, dense_sites: int = Caps.dense_sites) -> Sp
         lam = float(np.vdot(vec, h_vec).real)
         method, blocks, largest_block = "iterative", 1, dim
     residual = float(np.linalg.norm(h_vec - lam * vec))
-    if residual > 1e-10 * max(h.norm_max, abs(lam)):
+    if not residual <= 1e-10 * max(h.norm_max, abs(lam)):
         raise InternalConsistencyError(
             f"{method} eigensolver residual {residual:.3e} is implausibly large"
         )
@@ -444,7 +446,7 @@ def quantum_expectation(op: OperatorMatrix, psi: np.ndarray) -> float:
     if denom == 0.0:
         raise ConstraintError("expectation in the zero vector is undefined")
     value = complex(np.vdot(psi, apply(op, psi))) / denom
-    if op.is_hermitian and abs(value.imag) > IMAG_PART_TOL * max(1.0, abs(value.real)):
+    if op.is_hermitian and not abs(value.imag) <= IMAG_PART_TOL * max(1.0, abs(value.real)):
         raise InternalConsistencyError(
             f"Hermitian expectation has imaginary part {value.imag:.3e}"
         )
@@ -549,6 +551,9 @@ def trial_vector_checks(
             weight2 = np.exp(-0.5 * model.alpha * (shifted + shifted[perm]))
             flip_data.append((perm, coupling.values(masks) * weight2))
 
+    # Running extremes by numpy, which keeps a NaN that Python's max and min
+    # drop after the first value; argmin keeps the first of tied zeros, as
+    # min does.  A NaN then fails every comparison below.
     max_sym = max_conj = max_gap = 0.0
     min_form = math.inf
     for k in range(trials):
@@ -557,9 +562,9 @@ def trial_vector_checks(
         hcf = apply(hc, f)
         scale = max(norm * np.linalg.norm(f) * np.linalg.norm(g), tiny)
         form = np.sum(w * np.conj(hcf) * g)
-        max_sym = max(max_sym, abs(form - np.sum(w * f * apply(hc, g))) / scale)
+        max_sym = np.maximum(max_sym, abs(form - np.sum(w * f * apply(hc, g))) / scale)
         conj_gap = abs(form - np.vdot(apply(model.h, wh * f), wh * g))
-        max_conj = max(max_conj, conj_gap / scale)
+        max_conj = np.maximum(max_conj, conj_gap / scale)
         if even:
             scale = max(norm * float(np.dot(f, f)), tiny)
             lhs = complex(np.sum(w * np.conj(hcf) * f))
@@ -567,12 +572,13 @@ def trial_vector_checks(
             for perm, jw in flip_data:
                 diff = f - f[perm]
                 rhs -= 0.5 * np.sum(jw * diff * diff)
-            max_gap = max(max_gap, abs(lhs - rhs) / scale)
-            min_form = min(min_form, lhs.real / scale, rhs.real / scale)
+            max_gap = np.maximum(max_gap, abs(lhs - rhs) / scale)
+            forms = (min_form, lhs.real / scale, rhs.real / scale)
+            min_form = forms[np.argmin(forms)]
 
     reversibility = _at_most(
         "reversibility",
-        float(max(max_sym, max_conj)),
+        float(np.maximum(max_sym, max_conj)),
         SYMMETRY_RTOL,
         even,
         max_symmetry_gap=float(max_sym),

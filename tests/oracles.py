@@ -9,6 +9,7 @@ against a genuinely separate computation path.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -57,6 +58,14 @@ def xxz_dense(n: int, pairs, field, alpha: float) -> np.ndarray:
             - ch * np.eye(1 << n)
         )
     return h
+
+
+def site_coords(lattice) -> list[tuple[int, ...]]:
+    """Coordinates of the lattice's sites in index order, first coordinate
+    varying fastest, listed by itertools.product instead of digit
+    arithmetic."""
+    box = itertools.product(range(lattice.side), repeat=lattice.dimension)
+    return [tuple(reversed(c)) for c in box]
 
 
 def flip(config: int, sites_mask: int) -> int:

@@ -37,7 +37,7 @@ from gibbs_ground.operators import product_operator
 
 from .conftest import ALPHA_GRID, MODEL_SHAPES, random_model, xxz_model
 from .flip_terms import dense_from_operator
-from .oracles import open_chain_correlation, xxz_dense
+from .oracles import open_chain_correlation, site_coords, xxz_dense
 
 # tanh(5)^3, the frozen large-coupling correlation at distance 3
 TANH5_CUBED = 0.9997276375186346
@@ -109,7 +109,7 @@ def test_criterion_04_xxz_reduction():
         alpha = float(rng.uniform(0.0, 1.5))
         model = xxz_model(lat, coupling, alpha)
 
-        heights = [float(sum(c)) for c in lat.coords]
+        heights = [float(sum(c)) for c in site_coords(lat)]
         pairs = [(x, y, coupling) for x, y in nearest_neighbor_pairs(lat)]
         oracle = xxz_dense(lat.n_sites, pairs, heights, alpha)
         generic_v = dense_from_operator(build_v(model)).diagonal()

@@ -806,6 +806,47 @@ def test_sweep_non_finite_average_exits_2(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def _non_finite_report(value):
+    def fake_verify(model, **kwargs):
+        from gibbs_ground.verify import CheckRecord, VerificationReport
+
+        report = VerificationReport(model_digest="deadbeef", alpha=model.alpha)
+        report.records.append(CheckRecord("synthetic", True, True, value, 1.0, {"residual": value}))
+        return report
+
+    return fake_verify
+
+
+def _non_finite_scan(value):
+    def fake_scan(potential, alphas, pairs, **kwargs):
+        (x, y), zeros = pairs[0], [0.0] * 5
+        return [classical.ScanRow(alphas[0], x, y, 0.5, 0.0, value, *zeros, "exact")]
+
+    return fake_scan
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["verify", "sweep", "correlate"])
+def test_a_non_finite_artifact_value_exits_2_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, command, value
+):
+    # json.dumps wrote NaN and Infinity, which RFC 8259 forbids, and the CSV
+    # writer wrote nan and inf cells.
+    from gibbs_ground import verify
+
+    artifact = _ARTIFACTS[command]
+    if command == "verify":
+        monkeypatch.setattr(verify, "verify_model", _non_finite_report(value))
+    else:
+        monkeypatch.setattr(cli, "order_parameter_scan", _non_finite_scan(value))
+    path = _write_config(tmp_path, _config())
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "NumericRangeError"
+    assert artifact in error["message"]
+    assert not (tmp_path / artifact).exists()
+
+
 @pytest.mark.parametrize(
     "command, alphas",
     [("verify", [120.0]), ("sweep", [800.0])],

@@ -148,7 +148,7 @@ EXPORTS = {
         "SizeCapError",
     ],
     "lattice": [
-        "Caps", "Lattice", "build_hypercube", "linear_height", "mask_from_sites",
+        "Caps", "Lattice", "build_hypercube", "mask_from_sites",
         "nearest_neighbor_pairs", "sites_from_mask",
     ],
     "models": [

@@ -1,10 +1,14 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gibbs_ground import build_hypercube, linear_height, mask_from_sites, nearest_neighbor_pairs, sites_from_mask
+from gibbs_ground import Lattice, build_hypercube, mask_from_sites, nearest_neighbor_pairs, sites_from_mask
 from gibbs_ground.errors import ConstraintError, SizeCapError
 from gibbs_ground.lattice import Caps, height_field, pair_mask
+
+from .oracles import site_coords
 
 
 @pytest.mark.parametrize(
@@ -33,20 +37,38 @@ def test_chain_pairs():
 
 def test_index_coordinate_bijection():
     lat = build_hypercube(3, 2)
-    for i in range(lat.n_sites):
-        assert lat.index(lat.coords[i]) == i
-    # first coordinate varies fastest
-    assert lat.coords[0] == (0, 0, 0)
-    assert lat.coords[1] == (1, 0, 0)
-    assert lat.coords[2] == (0, 1, 0)
+    coords = site_coords(lat)
+    # first coordinate varies fastest: site i sits at the base-L digits of i
+    assert coords[:3] == [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    for i, c in enumerate(coords):
+        assert sum(x * lat.side**k for k, x in enumerate(c)) == i
+    # the neighbors of the origin, one step along each axis in turn
+    assert nearest_neighbor_pairs(lat)[:3] == [(0, 1), (0, 2), (0, 4)]
 
 
-def test_index_rejects_outside():
-    lat = build_hypercube(2, 3)
-    with pytest.raises(ConstraintError):
-        lat.index((3, 0))
-    with pytest.raises(ConstraintError):
-        lat.index((0,))
+def test_lattice_is_its_dimension_and_side():
+    assert [f.name for f in dataclasses.fields(Lattice)] == ["dimension", "side"]
+    assert build_hypercube(2, 3) == Lattice(2, 3)
+    assert Lattice(3, 4).n_sites == 64
+
+
+def test_pairs_and_heights_match_the_coordinate_oracle():
+    # every (d, L) under the default lattice cap, L^d <= 64
+    shapes = [(d, L) for L in range(1, 65) for d in range(1, 65) if L**d <= Caps().lattice_sites]
+    assert len(shapes) == 140
+    for d, L in shapes:
+        lat = build_hypercube(d, L)
+        coords = site_coords(lat)
+        assert lat.n_sites == len(coords)
+        index = {c: i for i, c in enumerate(coords)}
+        want = [
+            (i, index[c[:k] + (c[k] + 1,) + c[k + 1 :]])
+            for i, c in enumerate(coords)
+            for k in range(d)
+            if c[k] + 1 < L
+        ]
+        assert nearest_neighbor_pairs(lat) == want, (d, L)
+        assert height_field(lat) == [sum(c) for c in coords], (d, L)
 
 
 def test_site_cap():
@@ -68,10 +90,10 @@ def test_caps_check_their_fields():
 
 
 def test_linear_height():
-    assert linear_height((0, 0)) == 0
-    assert linear_height((2, 1)) == 3
     lat = build_hypercube(2, 3)
     heights = height_field(lat)
+    assert heights == [sum(c) for c in site_coords(lat)]
+    assert heights[0] == 0 and heights[5] == 3  # (0, 0) and (2, 1)
     for x, y in nearest_neighbor_pairs(lat):
         assert abs(heights[x] - heights[y]) == 1
         # lexicographically smaller site sits lower
@@ -80,8 +102,9 @@ def test_linear_height():
 
 def test_pairs_are_nearest_neighbors():
     lat = build_hypercube(2, 3)
+    coords = site_coords(lat)
     for x, y in nearest_neighbor_pairs(lat):
-        cx, cy = lat.coords[x], lat.coords[y]
+        cx, cy = coords[x], coords[y]
         diffs = [abs(a - b) for a, b in zip(cx, cy)]
         assert sorted(diffs) == [0, 1]
         assert cx < cy

@@ -31,7 +31,7 @@ from gibbs_ground.verify import groundstate_hypotheses, verify_model
 
 from .conftest import random_coupling_table, random_model, random_potential, xxz_model
 from .flip_terms import dense_from_operator
-from .oracles import PAULI, on_sites, xxz_dense
+from .oracles import PAULI, on_sites, site_coords, xxz_dense
 
 
 def _xx_table(n, pairs_with_phi):
@@ -437,7 +437,7 @@ def test_xxz_hamiltonian_matches_generic_builder():
 
 
 def _heights(lat) -> list[float]:
-    return [float(sum(c)) for c in lat.coords]
+    return [float(sum(c)) for c in site_coords(lat)]
 
 
 def _xxz_oracle(lat, coupling, alpha):

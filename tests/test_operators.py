@@ -11,7 +11,7 @@ from gibbs_ground import (
 )
 from gibbs_ground.classical import spins_from_masks
 from gibbs_ground.errors import ConstraintError, SizeCapError
-from gibbs_ground.operators import flip_operator, max_entry_diff
+from gibbs_ground.operators import OperatorMatrix, flip_operator, max_entry_diff
 
 from .flip_terms import dense_from_operator, operator_from_dense
 from .oracles import PAULI
@@ -115,6 +115,23 @@ def test_flip_operator_by_hand():
     want[1, 1] = 5.0
     assert np.array_equal(dense_from_operator(op), want)
     assert op.mat.nnz == 3 and op.mat.has_canonical_format
+
+
+@pytest.mark.parametrize("nan_term", ["first", "last"])
+def test_a_nan_entry_survives_the_maxima_over_terms(nan_term):
+    # Python's max over the per-term maxima kept a NaN only in the first
+    # term; the NaN must reach norm_max, max_entry_diff and the Hermitian
+    # flag from any term.
+    clean = {0: np.array([1.0, 2.0], complex), 1: np.array([3.0, 3.0], complex)}
+    planted = {0: clean[0].copy(), 1: np.array([3.0, np.nan], complex)}
+    order = [1, 0] if nan_term == "first" else [0, 1]
+    op = OperatorMatrix(1, {c: planted[c] for c in order})
+    reference = OperatorMatrix(1, {c: clean[c] for c in order})
+    assert np.isnan(op.norm_max)
+    assert not op.is_hermitian
+    assert np.isnan(max_entry_diff(op, reference))
+    assert reference.norm_max == 3.0 and max_entry_diff(reference, reference) == 0.0
+    assert OperatorMatrix(1, {}).norm_max == 0.0
 
 
 def test_apply_dimension_mismatch(chain4):

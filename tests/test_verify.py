@@ -28,6 +28,7 @@ from gibbs_ground import classical, models, splitmix, verify
 from gibbs_ground.errors import (
     ConstraintError,
     ConvergenceError,
+    InternalConsistencyError,
     NonHermitianError,
     NumericRangeError,
     SizeCapError,
@@ -386,6 +387,57 @@ def test_lowest_vector_falls_back_on_an_exactly_singular_shift(block, lam):
     assert np.linalg.norm(block @ vec - lam * vec) <= 1e-12
 
 
+def test_dense_route_tie_goes_to_the_first_block(monkeypatch):
+    # Blocks {0} and {1, 2} both have lowest eigenvalue exactly 0.0 (the
+    # second is [[1, 1], [1, 1]]), and {3} has 5: the first block in label
+    # order wins the tie, so inverse iteration runs on the 1x1 block.
+    h = OperatorMatrix(2, {0: np.array([0, 1, 1, 5], complex), 3: np.array([0, 1, 1, 0], complex)})
+    solved = []
+    lowest_vector = verify._lowest_vector
+    monkeypatch.setattr(
+        verify, "_lowest_vector", lambda block, lam: solved.append(block.shape) or lowest_vector(block, lam)
+    )
+    result = min_eigenvalue(h)
+    assert (result.eigenvalue, result.blocks, result.largest_block) == (0.0, 3, 2)
+    assert solved == [(1, 1)]
+
+
+def test_lanczos_stop_tolerance_scales_with_the_operator():
+    # H times 2^20 is exact, and so is every step of Lanczos on it: the
+    # stop test LANCZOS_RTOL * |H| must scale along, or the scaled chain
+    # never converges.
+    h = _ising_chain_model(6, 1.0).h
+    scaled = OperatorMatrix(h.n_sites, {c: d * 2.0**20 for c, d in h.terms.items()})
+    base = min_eigenvalue(h, dense_sites=0)
+    result = min_eigenvalue(scaled, dense_sites=0)
+    assert result.method == "iterative"
+    assert result.eigenvalue == pytest.approx(2.0**20 * base.eigenvalue, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "route, solver, fake, dense_sites",
+    [
+        ("dense", "_lowest_vector", lambda block, lam: np.full(len(block), np.nan), 12),
+        ("iterative", "_lanczos_lowest", lambda h: np.full(h.dim, np.nan), 0),
+    ],
+    ids=["dense", "iterative"],
+)
+def test_min_eigenvalue_guard_rejects_a_nan_residual(monkeypatch, route, solver, fake, dense_sites):
+    # Negative control: a NaN residual once passed `residual > tol` and the
+    # record read passed.
+    h = _ising_chain_model(4, 1.0).h
+    monkeypatch.setattr(verify, solver, fake)
+    with pytest.raises(InternalConsistencyError, match=f"{route} eigensolver residual nan"):
+        min_eigenvalue(h, dense_sites=dense_sites)
+
+
+def test_quantum_expectation_guard_rejects_a_nan():
+    op = product_operator(1, 0b11, build_hypercube(1, 2))
+    psi = np.array([1.0, np.nan, 1.0, 1.0])
+    with pytest.raises(InternalConsistencyError, match="imaginary part nan"):
+        quantum_expectation(op, psi)
+
+
 @pytest.mark.parametrize("xx_weight", [-1.0, 1.0])
 def test_iterative_route_agrees_with_dense_route(xx_weight):
     model = _ising_chain_model(9, 1.0, xx_weight=xx_weight)
@@ -709,6 +761,40 @@ def test_dirichlet_form_sign_violation_breaks_nonnegativity():
     _, with_sign = trial_vector_checks(model, trials=10, seed=9, require_nonneg=True)
     assert not with_sign.passed
     assert with_sign.details["min_scaled_form"] < 0
+
+
+def test_dirichlet_form_min_scaled_form_is_scale_free():
+    # Every phi times 2^k scales H, H+ and |H| by 2^k exactly; the form
+    # over |H| |F|^2 must not move.
+    records = [
+        trial_vector_checks(_ising_chain_model(6, 1.0, xx_weight=-(2.0**k)), trials=4, seed=3)[1]
+        for k in (-20, 0, 20)
+    ]
+    forms = {r.details["min_scaled_form"] for r in records}
+    assert len(forms) == 1 and forms.pop() > 0
+
+
+@pytest.mark.parametrize("term", ["first", "last"])
+def test_verify_model_fails_a_nan_planted_in_the_conjugate(term):
+    # Negative control: one NaN in a flip term of H+.  Python's max and min
+    # dropped it, and conjugate_two_route, reversibility and dirichlet_form
+    # passed with value 0.0.
+    model = _ising_chain_model(6, 1.0)
+    flips = [c for c in model.h_conjugate.terms if c]
+    model.h_conjugate.terms[flips[0 if term == "first" else -1]][5] = np.nan
+    payload = verify_model(model, trials=4).to_payload()
+    assert payload["all_passed"] is False
+    by_name = {c["name"]: c for c in payload["checks"]}
+    for name in ("conjugate_two_route", "reversibility", "dirichlet_form"):
+        assert by_name[name]["passed"] is False, name
+        assert math.isnan(by_name[name]["value"]), name
+    # each witness keeps the NaN, not only the reported maximum
+    for name, key in [
+        ("reversibility", "max_symmetry_gap"),
+        ("reversibility", "max_conjugation_gap"),
+        ("dirichlet_form", "min_scaled_form"),
+    ]:
+        assert math.isnan(by_name[name]["details"][key]), key
 
 
 # ---------------------------------------------------------------------------
