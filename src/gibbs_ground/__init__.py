@@ -20,7 +20,6 @@ _SUBMODULE = {
         "classical": [
             "ClassicalPotential",
             "ScanRow",
-            "classical_expectation",
             "flip_weight",
             "order_parameter_scan",
             "partition_function",

@@ -219,8 +219,10 @@ class _Enumeration:
     is summed once, and every chunk copies it and adds the remaining terms in
     term order, as value_many does.  A term without low bits (flat) has a
     row of +1s, so it adds the number +-c.  Worker threads share it: after
-    __init__ only the scratch of first changes, under energy() and
-    flip_energy(), which the calling thread alone uses.
+    __init__ only the scratch of first changes, under _energy() and
+    _flip_energy(), which the calling thread alone uses.  Its methods are
+    underscore-named, as _Chunk's are, so that the kernel's inner calls
+    stay out of the benchmark tracer's spans.
     """
 
     def __init__(self, potential: ClassicalPotential, chunk_bits: int | None = None):
@@ -233,43 +235,43 @@ class _Enumeration:
         self.chunk_count = 1 << (self.n_sites - self.bits)
         self.masks = [mask for mask, _ in potential.terms]
         self.base = [coeff for _, coeff in potential.terms]
-        self.rows = self.low_rows(self.masks)
+        self.rows = self._low_rows(self.masks)
         # A term without low bits has a row of +1s: c*row is the number c.
         self.flat = [not mask & self.low for mask in self.masks]
-        self.prefix = _leading_run(self.is_low(mask) for mask in self.masks)
+        self.prefix = _leading_run(self._is_low(mask) for mask in self.masks)
         self.energy_prefix = None
         # Chunk 0 has eps = 1 everywhere, so it also sums the cached prefix.
-        self.first = _Chunk(self, 0, self.buffer())
+        self.first = _Chunk(self, 0, self._buffer())
         if self.prefix:
-            self.energy_prefix = self.first._term_sum(range(self.prefix), None, self.buffer())
+            self.energy_prefix = self.first._term_sum(range(self.prefix), None, self._buffer())
 
-    def buffer(self) -> np.ndarray:
+    def _buffer(self) -> np.ndarray:
         return np.empty(self.size)
 
-    def low_rows(self, masks: Sequence[int]) -> np.ndarray:
+    def _low_rows(self, masks: Sequence[int]) -> np.ndarray:
         """Sign rows of the site sets' low bits over lo (monomial_signs)."""
         lo = np.arange(self.size, dtype=np.uint64)
         return monomial_signs(lo, [mask & self.low for mask in masks])
 
-    def is_low(self, mask: int) -> bool:
+    def _is_low(self, mask: int) -> bool:
         """True when the site set lies in the low bits, the same in every chunk."""
         return mask & self.low == mask
 
     def _all_low(self, terms) -> bool:
         """True when the terms lie in the low bits, so that their sums are
         the same in every chunk."""
-        return all(self.is_low(self.masks[t]) for t in terms)
+        return all(self._is_low(self.masks[t]) for t in terms)
 
-    def odd_terms(self, sites_mask: int) -> list[int]:
+    def _odd_terms(self, sites_mask: int) -> list[int]:
         """Indices of the terms whose flip energy over sites_mask is nonzero."""
         return [t for t, mask in enumerate(self.masks) if (mask & sites_mask).bit_count() & 1]
 
-    def energy(self, out: np.ndarray) -> np.ndarray:
+    def _energy(self, out: np.ndarray) -> np.ndarray:
         """U over the first chunk, which is every mask at chunk_bits >= n."""
         return self.first._energy(out)
 
-    def flip_energy(self, terms, out: np.ndarray) -> np.ndarray:
-        """W_A over the first chunk, given A's odd_terms."""
+    def _flip_energy(self, terms, out: np.ndarray) -> np.ndarray:
+        """W_A over the first chunk, given A's _odd_terms."""
         return self.first._flip_energy(terms, out)
 
 
@@ -279,8 +281,8 @@ class _Chunk:
 
     Chunks on different workers write to nothing they share, so they run at
     once.  The methods are underscore-named because worker threads call
-    them: the benchmark's tracer wraps the public methods of this module on
-    one span stack.
+    them: the benchmark's tracer wraps the public methods of this module's
+    classes on one span stack.
     """
 
     def __init__(self, enum: _Enumeration, k: int, tmp: np.ndarray):
@@ -329,11 +331,11 @@ class _Chunk:
         return self._term_sum(range(enum.prefix, len(enum.masks)), enum.energy_prefix, out)
 
     def _flip_energy(self, terms, out: np.ndarray) -> np.ndarray:
-        """W_A over the chunk, given A's odd_terms."""
+        """W_A over the chunk, given A's _odd_terms."""
         return np.multiply(self._term_sum(terms, None, out), -2.0, out=out)
 
     def _flat_flip_energy(self, terms) -> float:
-        """W_A over the chunk, one number, given A's odd_terms, all flat:
+        """W_A over the chunk, one number, given A's _odd_terms, all flat:
         _flip_energy's sum from 0.0 in the same order, whose first step
         also turns a -0.0 coefficient into +0.0."""
         return _in_order(self.coeffs[t] for t in terms) * -2.0
@@ -482,16 +484,6 @@ def partition_function(
     return z
 
 
-def classical_expectation(
-    f: Functional,
-    potential: ClassicalPotential,
-    alpha: float,
-    cap: int = Caps.enumeration_sites,
-) -> float:
-    """Gibbs expectation <f> = Z^-1 sum_s f(s) exp(-alpha U(s)), exactly."""
-    return gibbs_averages([f], potential, alpha, cap=cap)[0]
-
-
 # Overflow here ends as a non-finite average, which _finite names, so
 # numpy's warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
@@ -538,12 +530,12 @@ def _half_weights(w: np.ndarray, half_alphas: np.ndarray, out: np.ndarray) -> np
 
 def _site_flip_prefix(enum: _Enumeration, site_terms, half_alphas, out: np.ndarray) -> np.ndarray:
     """sum_x exp(-(alpha/2) W_x) over the first chunk, one row per alpha,
-    given each site's odd_terms and the column of -alpha/2, into out: the
+    given each site's _odd_terms and the column of -alpha/2, into out: the
     sum in every chunk when those terms lie in the low bits."""
     out.fill(0.0)
-    w, t = enum.buffer(), np.empty_like(out)
+    w, t = enum._buffer(), np.empty_like(out)
     for terms in site_terms:
-        np.add(out, _half_weights(enum.flip_energy(terms, w), half_alphas, t), out=out)
+        np.add(out, _half_weights(enum._flip_energy(terms, w), half_alphas, t), out=out)
     return out
 
 
@@ -583,15 +575,15 @@ def order_parameter_averages(
     enum = _Enumeration(potential)
     shift = _min_energy(enum)
     n = enum.n_sites
-    site_terms = [enum.odd_terms(1 << x) for x in range(n)]
+    site_terms = [enum._odd_terms(1 << x) for x in range(n)]
     site_prefix = _leading_run(enum._all_low(terms) for terms in site_terms)
     flat_sites = [all(enum.flat[t] for t in terms) for terms in site_terms]
     # a pair's z-product and its flip set are over the same sites
     pair_masks = [pair_mask(x, y) for x, y in pairs]
-    z_rows = enum.low_rows(pair_masks)
-    pair_terms = [enum.odd_terms(mask) for mask in pair_masks]
+    z_rows = enum._low_rows(pair_masks)
+    pair_terms = [enum._odd_terms(mask) for mask in pair_masks]
     shared_pairs = [
-        enum.flip_energy(terms, enum.buffer()) if enum._all_low(terms) else None
+        enum._flip_energy(terms, enum._buffer()) if enum._all_low(terms) else None
         for terms in pair_terms
     ]
     low_popcount = np.bitwise_count(np.arange(enum.size, dtype=np.uint64))
@@ -607,9 +599,9 @@ def order_parameter_averages(
         )
 
         def start_worker():
-            energy, w = enum.buffer(), enum.buffer()
+            energy, w = enum._buffer(), enum._buffer()
             weights, acc = np.empty_like(flip_prefix), np.empty_like(flip_prefix)
-            w_pairs = [enum.buffer() if s is None else s for s in shared_pairs]
+            w_pairs = [enum._buffer() if s is None else s for s in shared_pairs]
             popcount = np.empty(enum.size, dtype=np.uint8)
 
             def work(chunk):
@@ -671,7 +663,7 @@ def max_abs_flip_energy(
             f"flip set {sites_mask:#x} outside the {potential.n_sites} sites"
         )
     enum = _Enumeration(potential)
-    terms = enum.odd_terms(sites_mask)
+    terms = enum._odd_terms(sites_mask)
 
     def start_worker():
         w = np.empty(enum.size)

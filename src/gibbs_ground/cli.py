@@ -421,8 +421,7 @@ def _cmd_verify(config: RunConfig, out: Path) -> int:
 
 def _cmd_scan(file_name: str, columns: list[str], config: RunConfig, out: Path) -> int:
     """correlate and sweep: the order-parameter scan as CSV, in columns."""
-    if not config.pairs:
-        raise GibbsGroundError("this command needs a nonempty 'pairs' list")
+    _require(bool(config.pairs), "field 'pairs' must be a nonempty list for sweep and correlate")
     rows = order_parameter_scan(
         config.potential,
         config.alphas,

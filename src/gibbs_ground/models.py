@@ -305,14 +305,14 @@ class ModelInstance:
     @cached_property
     def shifted_energies(self) -> np.ndarray:
         """U over the masks minus its minimum, for well-scaled weights."""
-        # energy() may hand back the kernel's cached prefix: never write to it.
-        energies = self.enumeration.energy(self.enumeration.buffer())
+        # _energy() may hand back the kernel's cached prefix: never write to it.
+        energies = self.enumeration._energy(self.enumeration._buffer())
         return energies - energies.min()
 
     def flip_energy(self, sites_mask: int) -> np.ndarray:
         """W_C over the masks for the union set C, a fresh array."""
         enum = self.enumeration
-        return enum.flip_energy(enum.odd_terms(sites_mask), enum.buffer())
+        return enum._flip_energy(enum._odd_terms(sites_mask), enum._buffer())
 
     @cached_property
     def couplings(self) -> tuple[DiagonalCoupling, ...]:

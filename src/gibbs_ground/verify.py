@@ -10,12 +10,16 @@ and of its Boltzmann conjugate H+ are built in gibbs_ground.models; H0's
 gap is measured there, H+'s here, and both are judged only here.  A NaN
 fails whatever it reaches: maxima over terms and trials are numpy's,
 which keep a NaN, and each guard reads `if not value <= tol: raise`.
+Every vector norm is _norm's, taken at a power-of-two scale, so no square
+leaves double range while the norm itself is a double: the xx chain
+verifies at couplings up to about 1e300.
 
 The records of verify_model, in report order.  A record under the one
 rule ("rule: yes", built by _at_most) passes exactly when its reported
 value is at most its reported threshold.  |H| is the largest entry of H,
 F and F' are seeded trial vectors (see below), c is a classical Gibbs
-average.
+average: verify_model takes every c of a model, the pairs' z-products and
+then the x-sets' flip weights, in one gibbs_averages pass.
 
   record                 routes compared                  threshold         rule  fails in
   ---------------------  -------------------------------  ----------------  ----  -------------
@@ -105,8 +109,8 @@ import numpy as np
 from .classical import (
     _check_pairs,
     _mask_chunks,
-    classical_expectation,
     flip_weight,
+    gibbs_averages,
     max_abs_flip_energy,
     spin_product,
 )
@@ -243,12 +247,32 @@ class HypothesisReport:
     satisfied: bool
 
 
+def _norm(vec: np.ndarray) -> float:
+    """The Euclidean norm of vec, as np.linalg.norm takes it, of 2^-e vec
+    and scaled back by 2^e, the power of two just above the largest |entry|
+    (real and imaginary parts apart, math.frexp): its squares neither
+    overflow nor underflow wherever the norm itself is a double.  Scaling by
+    a power of two is exact, so a norm whose squares stay normal keeps its
+    bits.  A norm above the largest double is inf."""
+    scaled = np.array(vec)
+    parts = (scaled.real, scaled.imag) if np.iscomplexobj(scaled) else (scaled,)
+    top = float(np.max([np.abs(part).max(initial=0.0) for part in parts]))
+    # e is 0 for a zero vector and for one with an inf or a NaN, normed as is
+    exponent = math.frexp(top)[1]
+    for part in parts:
+        np.ldexp(part, -exponent, out=part)
+    try:
+        return math.ldexp(float(np.linalg.norm(scaled)), exponent)
+    except OverflowError:
+        return math.inf
+
+
 def eigen_residual(h: OperatorMatrix, psi: np.ndarray) -> float:
     """|H psi| / |psi|; zero when psi is the null eigenvector it should be."""
-    norm = float(np.linalg.norm(psi))
+    norm = _norm(psi)
     if norm == 0.0:
         raise ConstraintError("cannot compute an eigen residual of the zero vector")
-    return float(np.linalg.norm(apply(h, psi))) / norm
+    return _norm(apply(h, psi)) / norm
 
 
 def _lowest_vector(block: np.ndarray, lam: float) -> np.ndarray:
@@ -267,7 +291,7 @@ def _lowest_vector(block: np.ndarray, lam: float) -> np.ndarray:
         vec = None
     if vec is None or not np.isfinite(vec).all():
         return np.linalg.eigh(block)[1][:, 0]
-    return vec / np.linalg.norm(vec)
+    return vec / _norm(vec)
 
 
 def _lanczos_lowest(h: OperatorMatrix) -> np.ndarray:
@@ -294,7 +318,7 @@ def _lanczos_lowest(h: OperatorMatrix) -> np.ndarray:
     # A fixed-seed start vector makes reruns repeat exactly; a generic one
     # cannot be orthogonal to the lowest mode by symmetry.
     start = uniform(0, 0, dim)
-    basis[0] = start / np.linalg.norm(start)
+    basis[0] = start / _norm(start)
     kept, products = 0, 0
     while True:
         for j in range(kept, size):
@@ -310,7 +334,7 @@ def _lanczos_lowest(h: OperatorMatrix) -> np.ndarray:
                 coeffs += step
             projected[: j + 1, j] = coeffs
             projected[j, : j + 1] = coeffs.conj()
-            beta = float(np.linalg.norm(w))
+            beta = _norm(w)
             if beta <= tol or products >= LANCZOS_MAX_PRODUCTS or j == size - 1:
                 break
             basis[j + 1] = w / beta
@@ -319,7 +343,7 @@ def _lanczos_lowest(h: OperatorMatrix) -> np.ndarray:
         residual = beta * abs(ritz[-1, 0])
         if residual <= tol:
             vec = ritz[:, 0] @ basis[:n]
-            return vec / np.linalg.norm(vec)
+            return vec / _norm(vec)
         if products >= LANCZOS_MAX_PRODUCTS:
             raise ConvergenceError(
                 f"Lanczos did not converge within {LANCZOS_MAX_PRODUCTS} products: the lowest "
@@ -395,7 +419,7 @@ def min_eigenvalue(h: OperatorMatrix, dense_sites: int = Caps.dense_sites) -> Sp
         h_vec = apply(h, vec)
         lam = float(np.vdot(vec, h_vec).real)
         method, blocks, largest_block = "iterative", 1, dim
-    residual = float(np.linalg.norm(h_vec - lam * vec))
+    residual = _norm(h_vec - lam * vec)
     if not residual <= 1e-10 * max(h.norm_max, abs(lam)):
         raise InternalConsistencyError(
             f"{method} eigensolver residual {residual:.3e} is implausibly large"
@@ -453,23 +477,18 @@ def quantum_expectation(op: OperatorMatrix, psi: np.ndarray) -> float:
     return float(value.real)
 
 
-def sx_product_bound(model: ModelInstance, sites_mask: int) -> CheckRecord:
+def sx_product_bound(model: ModelInstance, sites_mask: int, classical: float) -> CheckRecord:
     """Expectation of the x-Pauli product over a site set in the Boltzmann
-    state: the matrix route must match the classical reweighted average
-    <exp(-(alpha/2) W_A)>, and both obey the positive lower bound
-    exp(-(alpha/2) max|W_A|).
+    state: the matrix route must match classical, the reweighted average
+    <exp(-(alpha/2) W_A)> (the Gibbs average of flip_weight, which
+    verify_model takes in its one gibbs_averages pass), and both obey the
+    positive lower bound exp(-(alpha/2) max|W_A|).
 
     Between the quantum and enumeration caps only the classical route and
     the bound are checked (the 2^n operator would be out of range).
     """
-    potential, alpha, caps = model.potential, model.alpha, model.caps
-    classical = classical_expectation(
-        flip_weight(potential, alpha, sites_mask),
-        potential,
-        alpha,
-        cap=caps.enumeration_sites,
-    )
-    max_w = max_abs_flip_energy(potential, sites_mask, cap=caps.enumeration_sites)
+    alpha, caps = model.alpha, model.caps
+    max_w = max_abs_flip_energy(model.potential, sites_mask, cap=caps.enumeration_sites)
     bound = math.exp(-0.5 * alpha * max_w)
     details = {
         "classical": float(classical),
@@ -560,7 +579,7 @@ def trial_vector_checks(
         f = _trial_vector(seed, dim, k)
         g = _trial_vector(seed, dim, trials + k)
         hcf = apply(hc, f)
-        scale = max(norm * np.linalg.norm(f) * np.linalg.norm(g), tiny)
+        scale = max(norm * _norm(f) * _norm(g), tiny)
         form = np.sum(w * np.conj(hcf) * g)
         max_sym = np.maximum(max_sym, abs(form - np.sum(w * f * apply(hc, g))) / scale)
         conj_gap = abs(form - np.vdot(apply(model.h, wh * f), wh * g))
@@ -689,13 +708,16 @@ def verify_model(
         )
     )
 
-    for x, y in pairs:
-        # (x, x) is s_x s_x = 1: the z-product over the empty set
+    # Every classical average from one Gibbs pass: the pairs' z-products,
+    # then the x-sets' flip weights.  (x, x) is s_x s_x = 1 and sigma^x_x
+    # sigma^x_x = I: the products over the empty set.
+    sx_sets = [1 << 0] + [pair_mask(x, y) for x, y in pairs[:1]]
+    fs = [spin_product(x, y) for x, y in pairs]
+    fs += [flip_weight(model.potential, model.alpha, mask) for mask in sx_sets]
+    averages = gibbs_averages(fs, model.potential, model.alpha, cap=caps.enumeration_sites)
+    for (x, y), classical in zip(pairs, averages):
         op = product_operator(3, pair_mask(x, y), model.lattice, cap=caps.quantum_sites)
         quantum = quantum_expectation(op, model.state)
-        classical = classical_expectation(
-            spin_product(x, y), model.potential, model.alpha, cap=caps.enumeration_sites
-        )
         records.append(
             _at_most(
                 f"classical_reduction[{x},{y}]",
@@ -706,10 +728,8 @@ def verify_model(
             )
         )
 
-    # (x, x) is sigma^x_x sigma^x_x = I: the x-product over the empty set
-    sx_sets = [1 << 0] + [pair_mask(x, y) for x, y in pairs[:1]]
-    for mask in sx_sets:
-        records.append(sx_product_bound(model, mask))
+    for mask, classical in zip(sx_sets, averages[len(pairs) :]):
+        records.append(sx_product_bound(model, mask, classical))
 
     # The similarity route of H+, built once for both records and dropped
     # before the later checks; its row r is (H Psi)_r / Psi_r.

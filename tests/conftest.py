@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from gibbs_ground import ClassicalPotential, CouplingTable, ModelInstance, build_hypercube
+from gibbs_ground import ClassicalPotential, CouplingTable, ModelInstance, build_hypercube, verify
+from gibbs_ground.classical import flip_weight, gibbs_averages
 from gibbs_ground.lattice import nearest_neighbor_pairs
 
 # The randomized-model family used across the suite: 1D chains of 4..10
@@ -123,3 +124,12 @@ def random_model(rng, flavor="generic", shapes=MODEL_SHAPES, alphas=ALPHA_GRID):
         potential=random_potential(rng, lattice),
         alpha=float(alphas[int(rng.integers(len(alphas)))]),
     )
+
+
+def sx_product_bound(model, sites_mask):
+    """The sx_product_bound record of one x-set, judged on the model's own
+    flip-weight average, as verify_model takes it from its Gibbs pass."""
+    f = flip_weight(model.potential, model.alpha, sites_mask)
+    cap = model.caps.enumeration_sites
+    (classical,) = gibbs_averages([f], model.potential, model.alpha, cap=cap)
+    return verify.sx_product_bound(model, sites_mask, classical)

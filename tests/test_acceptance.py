@@ -19,23 +19,21 @@ from gibbs_ground import (
     CouplingTable,
     ModelInstance,
     build_hypercube,
-    classical_expectation,
     eigen_residual,
     groundstate_hypotheses,
     min_eigenvalue,
     quantum_expectation,
     spin_product,
     squared_magnetization,
-    sx_product_bound,
     trial_vector_checks,
 )
 from gibbs_ground import cli
-from gibbs_ground.classical import estimate_from_samples, metropolis_samples
+from gibbs_ground.classical import estimate_from_samples, gibbs_averages, metropolis_samples
 from gibbs_ground.models import build_v
 from gibbs_ground.lattice import nearest_neighbor_pairs
 from gibbs_ground.operators import product_operator
 
-from .conftest import ALPHA_GRID, MODEL_SHAPES, random_model, xxz_model
+from .conftest import ALPHA_GRID, MODEL_SHAPES, random_model, sx_product_bound, xxz_model
 from .flip_terms import dense_from_operator
 from .oracles import open_chain_correlation, site_coords, xxz_dense
 
@@ -153,7 +151,7 @@ def test_criterion_06_classical_reduction_and_transfer_matrix():
         for x, y in [(0, 1), (0, 3), (2, 5), (1, 6)]:
             op = product_operator(3, (1 << x) | (1 << y), lat)
             quantum = quantum_expectation(op, model.state)
-            classical = classical_expectation(spin_product(x, y), potential, alpha)
+            (classical,) = gibbs_averages([spin_product(x, y)], potential, alpha)
             assert abs(quantum - classical) <= 1e-10 * max(1.0, abs(classical))
             oracle = open_chain_correlation(8, alpha, x, y)
             closed = math.tanh(alpha) ** abs(x - y)
@@ -189,7 +187,7 @@ def test_criterion_08_metropolis_consistency():
     start = time.monotonic()
     lat = build_hypercube(1, 8)
     potential = ClassicalPotential.ising_nn(lat, 1.0)
-    exact = classical_expectation(spin_product(0, 1), potential, 0.5)
+    (exact,) = gibbs_averages([spin_product(0, 1)], potential, 0.5)
     samples, _ = metropolis_samples(
         potential, 0.5, sweeps=100_000, burn_in=10_000, seed=20240501
     )

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from gibbs_ground import (
     ClassicalPotential,
     build_hypercube,
-    classical_expectation,
     flip_weight,
     order_parameter_scan,
     partition_function,
@@ -177,14 +176,14 @@ def test_partition_cap():
 
 def test_expectation_symmetry_and_normalization():
     pot = ClassicalPotential.zero(5)
-    assert classical_expectation(spin_product(2), pot, 1.3) == pytest.approx(0.0)
-    assert classical_expectation(spin_product(), pot, 0.7) == pytest.approx(1.0)
+    assert gibbs_averages([spin_product(2)], pot, 1.3)[0] == pytest.approx(0.0)
+    assert gibbs_averages([spin_product()], pot, 0.7)[0] == pytest.approx(1.0)
 
 
 def test_expectation_matches_brute_force():
     terms = [([0], -0.5), ([1, 3], 0.7), ([2, 4], -0.9)]
     pot = ClassicalPotential.from_terms(5, terms)
-    got = classical_expectation(spin_product(1, 4), pot, 1.1)
+    (got,) = gibbs_averages([spin_product(1, 4)], pot, 1.1)
     want = brute_force_expectation(
         lambda s: s[1] * s[4], terms, 5, 1.1
     )
@@ -196,7 +195,7 @@ def test_expectation_matches_brute_force():
 def test_open_ising_chain_correlations(alpha, x, y):
     lat = build_hypercube(1, 8)
     pot = ClassicalPotential.ising_nn(lat, 1.0)
-    got = classical_expectation(spin_product(x, y), pot, alpha)
+    (got,) = gibbs_averages([spin_product(x, y)], pot, alpha)
     oracle = open_chain_correlation(8, alpha, x, y)
     assert got == pytest.approx(oracle, rel=1e-12)
     assert got == pytest.approx(
@@ -208,15 +207,21 @@ def test_flip_weight_average_is_positive_and_bounded_by_one_at_zero_alpha():
     lat = build_hypercube(1, 6)
     pot = ClassicalPotential.ising_nn(lat, 1.0)
     f = flip_weight(pot, 0.0, 0b11)
-    assert classical_expectation(f, pot, 0.0) == pytest.approx(1.0)
+    assert gibbs_averages([f], pot, 0.0)[0] == pytest.approx(1.0)
 
 
-def test_gibbs_averages_consistent_with_single_calls():
-    pot = ClassicalPotential.from_terms(4, [([0, 1], -1.0), ([2], 0.5)])
-    fs = [spin_product(0, 1), squared_magnetization()]
-    batch = gibbs_averages(fs, pot, 0.8)
-    singles = [classical_expectation(f, pot, 0.8) for f in fs]
-    assert batch == pytest.approx(singles, rel=1e-14)
+def test_gibbs_averages_consistent_with_single_calls(monkeypatch):
+    # One set of weights per summation block, and each functional's own
+    # total: a batched average has the bits of the single call, over one
+    # block (6 bits) or several, as verify_model's one pass relies on.
+    terms = [([0, 1], -1.0), ([2], 0.5), ([1, 3, 5], 0.3), ([4, 5], -0.7)]
+    pot = ClassicalPotential.from_terms(6, terms)
+    fs = [spin_product(0, 1), spin_product(2, 5), squared_magnetization()]
+    fs += [flip_weight(pot, 0.8, mask) for mask in (0b1, 0b11, 0b100100)]
+    for bits in (2, 3, 6):
+        monkeypatch.setattr(classical, "_CHUNK_BITS", bits)
+        batch = gibbs_averages(fs, pot, 0.8)
+        assert batch == [gibbs_averages([f], pot, 0.8)[0] for f in fs], bits
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +248,9 @@ def test_mask_native_energies_equal_decoded_ones(configs, sites_mask, raw_terms)
     # one chunk over all 2^8 masks in order, as a model reads it
     enum = classical._Enumeration(pot, chunk_bits=8)
     assert enum.rows.dtype == np.int8
-    energies = enum.energy(enum.buffer())[masks]
+    energies = enum._energy(enum._buffer())[masks]
     assert energies.tobytes() == pot.value_many(spins).tobytes()
-    flips = enum.flip_energy(enum.odd_terms(sites_mask), enum.buffer())[masks]
+    flips = enum._flip_energy(enum._odd_terms(sites_mask), enum._buffer())[masks]
     assert flips.tobytes() == pot.flip_energy_many(spins, sites_mask).tobytes()
 
 
@@ -373,7 +378,7 @@ def test_enumeration_kernel_equals_decoded_spins_per_chunk(name, bits, monkeypat
     monkeypatch.setattr(classical, "_CHUNK_BITS", bits)
     pot, _ = _kernel_case(name)
     enum = classical._Enumeration(pot)
-    out = enum.buffer()
+    out = enum._buffer()
     assert enum.chunk_count == 1 << max(0, pot.n_sites - bits)
     # Selected out of order: each chunk's selection is its own, as on the
     # worker threads, and the first chunk's stays as it was built.
@@ -381,19 +386,19 @@ def test_enumeration_kernel_equals_decoded_spins_per_chunk(name, bits, monkeypat
     chunks = list(classical._mask_chunks(pot.n_sites))
     assert len(chunks) == enum.chunk_count
     for k in order:
-        chunk = classical._Chunk(enum, k, enum.buffer())
+        chunk = classical._Chunk(enum, k, enum._buffer())
         spins = spins_from_masks(chunks[k], pot.n_sites)
         assert chunk.high_popcount == bin(k).count("1")
         # compared as bytes, so that a signed zero counts too
         assert chunk._energy(out).tobytes() == pot.value_many(spins).tobytes()
         for sites_mask in range(1 << pot.n_sites):
-            terms = enum.odd_terms(sites_mask)
+            terms = enum._odd_terms(sites_mask)
             want = pot.flip_energy_many(spins, sites_mask).tobytes()
             assert chunk._flip_energy(terms, out).tobytes() == want
             if all(enum.flat[t] for t in terms):
                 assert np.full(len(out), chunk._flat_flip_energy(terms)).tobytes() == want
     spins = spins_from_masks(chunks[0], pot.n_sites)
-    assert enum.energy(out).tobytes() == pot.value_many(spins).tobytes()
+    assert enum._energy(out).tobytes() == pot.value_many(spins).tobytes()
 
 
 def _decoded_partition_function(pot, alpha):
@@ -594,8 +599,8 @@ def test_flat_sites_are_numbers_and_low_pairs_are_shared(monkeypatch):
     monkeypatch.setattr(classical._Chunk, "_flip_energy", spy_arrays)
     monkeypatch.setattr(classical._Chunk, "_flat_flip_energy", spy_numbers)
     order_parameter_averages(pot, KERNEL_ALPHAS, pairs)
-    site = [tuple(enum.odd_terms(1 << x)) for x in range(pot.n_sites)]
-    pair = [tuple(enum.odd_terms((1 << x) ^ (1 << y))) for x, y in pairs]
+    site = [tuple(enum._odd_terms(1 << x)) for x in range(pot.n_sites)]
+    pair = [tuple(enum._odd_terms((1 << x) ^ (1 << y))) for x, y in pairs]
     assert pair[3] == ()
     per_pass = enum.chunk_count
     passes = 2  # nine alphas, _ALPHA_GROUP 8
@@ -624,7 +629,7 @@ def test_order_parameter_scan_memory_per_low_pair(monkeypatch):
     # W_{x,y} per worker (4 MiB more on two).
     monkeypatch.setattr(classical, "_WORKERS", 2)
     pot = ClassicalPotential.ising_nn(build_hypercube(1, 19), 1.0)
-    chunk = classical._Enumeration(pot).buffer().nbytes
+    chunk = classical._Enumeration(pot)._buffer().nbytes
     two = _scan_peak(pot, [(0, 3), (1, 4)])
     ten = _scan_peak(pot, [(x, x + 3) for x in range(10)])
     assert ten - two < 8 * (chunk + chunk // 8) + 2 * chunk
@@ -834,11 +839,11 @@ def test_partition_function_underflow_is_a_named_error(alpha):
 def test_non_finite_average_is_a_named_error():
     pot = ClassicalPotential.ising_nn(build_hypercube(1, 8), 1.0)
     with pytest.raises(NumericRangeError, match="alpha=800"):
-        classical_expectation(flip_weight(pot, 800.0, 0b11), pot, 800.0)
+        gibbs_averages([flip_weight(pot, 800.0, 0b11)], pot, 800.0)
     with pytest.raises(NumericRangeError, match="alpha=800"):
         order_parameter_averages(pot, [1.0, 800.0], [(0, 3)])
     # the z observables alone stay finite at the same alpha
-    assert classical_expectation(spin_product(0, 3), pot, 800.0) == 1.0
+    assert gibbs_averages([spin_product(0, 3)], pot, 800.0) == [1.0]
 
 
 def test_non_finite_metropolis_estimate_is_a_named_error():
@@ -872,7 +877,7 @@ def test_metropolis_constant_observable_is_exact():
 def test_metropolis_matches_enumeration():
     lat = build_hypercube(1, 8)
     pot = ClassicalPotential.ising_nn(lat, 1.0)
-    exact = classical_expectation(spin_product(0, 1), pot, 0.5)
+    (exact,) = gibbs_averages([spin_product(0, 1)], pot, 0.5)
     samples, _ = metropolis_samples(pot, 0.5, sweeps=20000, burn_in=2000, seed=42)
     estimate, std_error = estimate_from_samples(spin_product(0, 1), samples)
     assert abs(estimate - exact) <= 3 * std_error

@@ -702,6 +702,18 @@ def _error_of(capsys) -> dict:
     return json.loads(lines[0])
 
 
+@pytest.mark.parametrize("command, artifact", [("sweep", "sweep.csv"), ("correlate", "correlations.csv")])
+def test_scan_without_pairs_is_a_config_error(tmp_path, capsys, command, artifact):
+    # the base GibbsGroundError, which names no cause, used to reach stderr
+    doc = _config(lattice={"d": 1, "L": 4})
+    del doc["pairs"]
+    path = _write_config(tmp_path, doc)
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    error = _error_of(capsys)
+    assert error["error"] == "ConfigError" and "'pairs'" in error["message"]
+    assert not (tmp_path / artifact).exists()
+
+
 def test_verify_overflow_exits_2_with_named_error(tmp_path, capsys):
     # Negative controls: Z at alpha=120 on the 8-site chain exceeds double
     # precision (exp(840) from the shift rescaling).  At alpha=1e308 on the

@@ -138,7 +138,7 @@ def test_library_import_leaves_the_environment_alone(tmp_path):
 # The names the package exported when it imported them eagerly.
 EXPORTS = {
     "classical": [
-        "ClassicalPotential", "ScanRow", "classical_expectation", "flip_weight",
+        "ClassicalPotential", "ScanRow", "flip_weight",
         "order_parameter_scan", "partition_function", "spin_product",
         "squared_magnetization",
     ],

@@ -1,10 +1,13 @@
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import eigvalsh
 
 from gibbs_ground import (
@@ -13,14 +16,12 @@ from gibbs_ground import (
     CouplingTable,
     ModelInstance,
     build_hypercube,
-    classical_expectation,
     eigen_residual,
     groundstate_hypotheses,
     min_eigenvalue,
     order_parameter_scan,
     quantum_expectation,
     spin_product,
-    sx_product_bound,
     trial_vector_checks,
     verify_model,
 )
@@ -37,7 +38,7 @@ from gibbs_ground.lattice import nearest_neighbor_pairs
 from gibbs_ground.operators import OperatorMatrix, apply, product_operator
 from gibbs_ground.verify import max_abs_flip_energy
 
-from .conftest import random_model, xxz_model
+from .conftest import random_model, sx_product_bound, xxz_model
 from .flip_terms import dense_from_operator, operator_from_dense
 from .oracles import enumerate_spins, open_chain_correlation_closed_form
 
@@ -96,6 +97,33 @@ def test_eigen_residual_zero_matrix():
     assert eigen_residual(zero, np.ones(4)) == 0.0
     with pytest.raises(ConstraintError):
         eigen_residual(zero, np.zeros(4))
+
+
+# Entries whose squares are normal doubles, of either sign.
+_NORMAL_SQUARES = st.tuples(st.floats(1e-150, 1e150), st.booleans()).map(
+    lambda drawn: -drawn[0] if drawn[1] else drawn[0]
+)
+
+
+@given(st.lists(st.tuples(_NORMAL_SQUARES, _NORMAL_SQUARES), min_size=1, max_size=40))
+def test_norm_is_numpys_bit_for_bit_where_the_squares_stay_normal(entries):
+    real = np.array([a for a, _ in entries])
+    both = np.array([complex(a, b) for a, b in entries])
+    for vec in (real, both):
+        assert verify._norm(vec) == np.linalg.norm(vec)
+
+
+def test_norm_stays_in_range_where_the_squares_do_not():
+    # numpy's squares overflow to inf above about 1e154 and underflow to 0
+    # below about 1e-154 (with a RuntimeWarning, an error in this suite)
+    for scale in (2.0**1000, 2.0**-1060):
+        assert verify._norm(np.array([3.0, 4.0j]) * scale) == 5.0 * scale
+        assert verify._norm(np.array([-3.0, 4.0]) * scale) == 5.0 * scale
+    assert verify._norm(np.zeros(3)) == 0.0
+    assert verify._norm(np.full(4, 1.5e308)) == math.inf
+    assert verify._norm(np.array([1.0, -math.inf])) == math.inf
+    assert math.isnan(verify._norm(np.array([1.0, math.nan, 2.0])))
+    assert math.isnan(verify._norm(np.array([1.0, complex(0.0, math.nan)])))
 
 
 def test_eigen_residual_randomized_even_models():
@@ -438,7 +466,10 @@ def test_quantum_expectation_guard_rejects_a_nan():
         quantum_expectation(op, psi)
 
 
-@pytest.mark.parametrize("xx_weight", [-1.0, 1.0])
+# At |J| 1e-200 every Lanczos norm once underflowed to 0: the first beta
+# read as an invariant subspace, and the eigenvalue was the start vector's
+# Rayleigh quotient.  At 1e200 the norms overflowed.
+@pytest.mark.parametrize("xx_weight", [-1.0, 1.0, -1e-200, 1e-200, -1e200, 1e200])
 def test_iterative_route_agrees_with_dense_route(xx_weight):
     model = _ising_chain_model(9, 1.0, xx_weight=xx_weight)
     dense = min_eigenvalue(model.h)
@@ -525,10 +556,8 @@ def test_classical_reduction_identity():
     for x, y in [(0, 1), (0, 3), (2, 5)]:
         op = product_operator(3, (1 << x) | (1 << y), model.lattice)
         quantum = quantum_expectation(op, model.state)
-        classical = classical_expectation(
-            spin_product(x, y), model.potential, model.alpha
-        )
-        assert quantum == pytest.approx(classical, rel=1e-10)
+        (average,) = classical.gibbs_averages([spin_product(x, y)], model.potential, model.alpha)
+        assert quantum == pytest.approx(average, rel=1e-10)
         assert quantum == pytest.approx(
             open_chain_correlation_closed_form(1.2, abs(x - y)), rel=1e-10
         )
@@ -931,6 +960,42 @@ def test_verify_model_judges_pairs_as_the_scan_does():
     assert record.details["quantum"] == pytest.approx(1.0, rel=1e-14)
     assert record.value == row.sx_sx == 1.0
     assert record.details["max_abs_flip_energy"] == 0.0
+
+
+def test_verify_model_takes_every_classical_average_in_one_gibbs_pass(monkeypatch):
+    # the z-products of three pairs, then the flip weights of {0} and {0, 1}
+    calls = []
+    original = classical.gibbs_averages
+
+    def counted(fs, *args, **kwargs):
+        calls.append(len(fs))
+        return original(fs, *args, **kwargs)
+
+    for module in (classical, verify):
+        monkeypatch.setattr(module, "gibbs_averages", counted)
+    pairs = [(0, 1), (0, 3), (2, 5)]
+    report = verify_model(_ising_chain_model(6, 1.0), trials=2, pairs=pairs)
+    assert report.all_passed
+    assert calls == [5]
+
+
+@pytest.mark.parametrize("dense_sites", [Caps.dense_sites, 4], ids=["dense", "iterative"])
+@pytest.mark.parametrize("xx_weight", [-1e300, -1e200, 1e200, 1e300])
+def test_verify_model_passes_the_xx_chain_at_large_couplings(xx_weight, dense_sites):
+    # H is finite, yet the squares inside np.linalg.norm overflowed (or, for
+    # the inverse-iteration vector, underflowed): the eigensolver residual
+    # read nan or inf after numpy warnings, and verify stopped with
+    # InternalConsistencyError.  At J > 0 the sign hypothesis fails, and the
+    # records it governs are informational.
+    model = dataclasses.replace(
+        _ising_chain_model(6, 1.0, xx_weight=xx_weight), caps=Caps(dense_sites=dense_sites)
+    )
+    payload = verify_model(model).to_payload()
+    assert payload["all_passed"] is True
+    json.dumps(payload, allow_nan=False)
+    (ground,) = [c for c in payload["checks"] if c["name"] == "ground_energy"]
+    method = "dense" if dense_sites == Caps.dense_sites else "iterative"
+    assert ground["details"]["method"] == method
 
 
 def _no_solve(*args, **kwargs):
