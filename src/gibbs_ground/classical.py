@@ -219,8 +219,9 @@ class _Enumeration:
     is summed once, and every chunk copies it and adds the remaining terms in
     term order, as value_many does.  A term without low bits (flat) has a
     row of +1s, so it adds the number +-c.  Worker threads share it: after
-    __init__ only the scratch of first changes, under _energy() and
-    _flip_energy(), which the calling thread alone uses.  Its methods are
+    __init__ only the scratch of first, the _Chunk of chunk 0, changes, when
+    the calling thread alone calls first._energy() or first._flip_energy();
+    no method here forwards to them.  Its methods are
     underscore-named, as _Chunk's are, so that the kernel's inner calls
     stay out of the benchmark tracer's spans.
     """
@@ -265,14 +266,6 @@ class _Enumeration:
     def _odd_terms(self, sites_mask: int) -> list[int]:
         """Indices of the terms whose flip energy over sites_mask is nonzero."""
         return [t for t, mask in enumerate(self.masks) if (mask & sites_mask).bit_count() & 1]
-
-    def _energy(self, out: np.ndarray) -> np.ndarray:
-        """U over the first chunk, which is every mask at chunk_bits >= n."""
-        return self.first._energy(out)
-
-    def _flip_energy(self, terms, out: np.ndarray) -> np.ndarray:
-        """W_A over the first chunk, given A's _odd_terms."""
-        return self.first._flip_energy(terms, out)
 
 
 class _Chunk:
@@ -535,7 +528,7 @@ def _site_flip_prefix(enum: _Enumeration, site_terms, half_alphas, out: np.ndarr
     out.fill(0.0)
     w, t = enum._buffer(), np.empty_like(out)
     for terms in site_terms:
-        np.add(out, _half_weights(enum._flip_energy(terms, w), half_alphas, t), out=out)
+        np.add(out, _half_weights(enum.first._flip_energy(terms, w), half_alphas, t), out=out)
     return out
 
 
@@ -583,7 +576,7 @@ def order_parameter_averages(
     z_rows = enum._low_rows(pair_masks)
     pair_terms = [enum._odd_terms(mask) for mask in pair_masks]
     shared_pairs = [
-        enum._flip_energy(terms, enum._buffer()) if enum._all_low(terms) else None
+        enum.first._flip_energy(terms, enum._buffer()) if enum._all_low(terms) else None
         for terms in pair_terms
     ]
     low_popcount = np.bitwise_count(np.arange(enum.size, dtype=np.uint64))
@@ -687,8 +680,6 @@ def spin_product(*sites: int) -> Functional:
     idx = list(sites)
 
     def f(spins: np.ndarray) -> np.ndarray:
-        if not idx:
-            return np.ones(spins.shape[0])
         return np.prod(spins[:, idx], axis=1).astype(np.float64)
 
     return f

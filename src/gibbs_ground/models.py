@@ -306,13 +306,13 @@ class ModelInstance:
     def shifted_energies(self) -> np.ndarray:
         """U over the masks minus its minimum, for well-scaled weights."""
         # _energy() may hand back the kernel's cached prefix: never write to it.
-        energies = self.enumeration._energy(self.enumeration._buffer())
+        energies = self.enumeration.first._energy(self.enumeration._buffer())
         return energies - energies.min()
 
     def flip_energy(self, sites_mask: int) -> np.ndarray:
         """W_C over the masks for the union set C, a fresh array."""
         enum = self.enumeration
-        return enum._flip_energy(enum._odd_terms(sites_mask), enum._buffer())
+        return enum.first._flip_energy(enum._odd_terms(sites_mask), enum._buffer())
 
     @cached_property
     def couplings(self) -> tuple[DiagonalCoupling, ...]:
@@ -344,9 +344,6 @@ class ModelInstance:
         """Largest entrywise gap between H0 from the table entries and the
         grouped route sum_C J_C(sigma^z) X_[C]."""
         return max_entry_diff(self.h0, offdiagonal_from_couplings(self))
-
-    def state_norm_squared(self) -> float:
-        return float(np.dot(self.state, self.state))
 
     def partition_value(self) -> float:
         return partition_function(

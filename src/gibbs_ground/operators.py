@@ -67,6 +67,7 @@ class OperatorMatrix:
         return not any(d.imag.any() for d in self.terms.values())
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing gap is inf: not Hermitian
     def is_hermitian(self) -> bool:
         """Computed flag: max |A - A^dagger| <= 1e-14 * norm_max.
 

@@ -12,7 +12,11 @@ fails whatever it reaches: maxima over terms and trials are numpy's,
 which keep a NaN, and each guard reads `if not value <= tol: raise`.
 Every vector norm is _norm's, taken at a power-of-two scale, so no square
 leaves double range while the norm itself is a double: the xx chain
-verifies at couplings up to about 1e300.
+verifies at couplings up to about 1e300.  Above that a product with H
+can leave double range.  verify_model runs with numpy's warnings off, as
+build_h and the scans do: an overflow ends as a non-finite value, which
+fails a guard or the CLI's strict writers (NumericRangeError), and a
+Lanczos projection outside double range is a NumericRangeError.
 
 The records of verify_model, in report order.  A record under the one
 rule ("rule: yes", built by _at_most) passes exactly when its reported
@@ -80,12 +84,14 @@ Each control stands for a bug outside the record's own arithmetic:
 reversibility and dirichlet_form come from one pass over the trial
 vectors (trial_vector_checks); each keeps its own witnesses.
 
-Two records duplicate others.  rayleigh_quotient is implied by
-eigenstate_residual: by Cauchy-Schwarz |<Psi, H Psi>| / |Psi|^2 <=
-|H Psi| / |Psi|, both thresholds are 1e-10 |H|, and rayleigh_quotient is
-asserted only where eigenstate_residual is.  hamiltonian_two_route reads
-offdiagonal_grouping's gap against a threshold that is the looser one
-unless the table has an identity entry ([], [], phi).  Both stay while the
+Two records duplicate others, each through a tolerance it shares.
+rayleigh_quotient is implied by eigenstate_residual: by Cauchy-Schwarz
+|<Psi, H Psi>| / |Psi|^2 <= |H Psi| / |Psi|, both thresholds are
+EIGEN_RESIDUAL_RTOL |H|, and rayleigh_quotient is asserted only where
+eigenstate_residual is.  hamiltonian_two_route reads offdiagonal_grouping's
+gap against TWO_PATH_RTOL |H|, where offdiagonal_grouping takes
+TWO_PATH_RTOL |H0|: the looser threshold unless the table has an identity
+entry ([], [], phi).  Both stay while the
 benchmark workloads pin the 14 record names.
 
 Trial vectors and eigensolver start vectors are SplitMix64 outputs in
@@ -101,7 +107,7 @@ the stream with seed 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -119,6 +125,7 @@ from .errors import (
     ConvergenceError,
     InternalConsistencyError,
     NonHermitianError,
+    NumericRangeError,
     SizeCapError,
 )
 from .lattice import Caps, nearest_neighbor_pairs, pair_mask, sites_from_mask
@@ -133,15 +140,13 @@ from .splitmix import check_seed, uniform
 
 # Pinned tolerances, all relative to the largest Hamiltonian entry except
 # where noted.
-EIGEN_RESIDUAL_RTOL = 1e-10
-# Two independent assemblies of the same Hamiltonian must agree to this
-# fraction of the largest entry; the conjugated form involves exponential
-# reweighting, so its two routes are compared at a slightly looser one.
+EIGEN_RESIDUAL_RTOL = 1e-10  # rayleigh_quotient's too
+# Two independent assemblies of H, or of H0, must agree to this fraction of
+# the largest entry; the conjugated form involves exponential reweighting,
+# so its two routes are compared at a slightly looser one.
 TWO_PATH_RTOL = 1e-12
 CONJUGATE_RTOL = 1e-10
 GROUND_ENERGY_RTOL = 1e-9
-RAYLEIGH_RTOL = 1e-10
-OFFDIAG_RTOL = 1e-12
 ROW_SUM_RTOL = 1e-12
 NORM_PARTITION_RTOL = 1e-12  # relative to the partition value
 CLASSICAL_REDUCTION_RTOL = 1e-10  # relative, floored at 1
@@ -162,17 +167,6 @@ LANCZOS_RTOL = 1e-12
 LANCZOS_MAX_PRODUCTS = 10_000
 
 
-def _plain(value):
-    """Recursively convert numpy scalars so payloads serialize as JSON."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 @dataclass
 class CheckRecord:
     """Outcome of a single check."""
@@ -185,14 +179,7 @@ class CheckRecord:
     details: dict
 
     def to_payload(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "asserted": bool(self.asserted),
-            "value": None if self.value is None else float(self.value),
-            "threshold": None if self.threshold is None else float(self.threshold),
-            "details": _plain(self.details),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -306,7 +293,8 @@ def _lanczos_lowest(h: OperatorMatrix) -> np.ndarray:
     not yet normalised, Lanczos vector, or restarts from the LANCZOS_KEEP
     lowest Ritz vectors and that next vector.  A beta within tolerance
     means an invariant subspace, so Rayleigh-Ritz runs early.  Raises
-    ConvergenceError once LANCZOS_MAX_PRODUCTS products have not sufficed.
+    ConvergenceError once LANCZOS_MAX_PRODUCTS products have not sufficed,
+    and NumericRangeError once the projected matrix leaves double range.
     """
     dim = h.dim
     real = h.is_real
@@ -339,6 +327,10 @@ def _lanczos_lowest(h: OperatorMatrix) -> np.ndarray:
                 break
             basis[j + 1] = w / beta
         n = j + 1
+        if not np.isfinite(projected[:n, :n]).all():
+            raise NumericRangeError(
+                f"the Lanczos projection of H (|H|_max {h.norm_max:.3e}) left double precision"
+            )
         theta, ritz = np.linalg.eigh(projected[:n, :n])
         residual = beta * abs(ritz[-1, 0])
         if residual <= tol:
@@ -490,30 +482,20 @@ def sx_product_bound(model: ModelInstance, sites_mask: int, classical: float) ->
     alpha, caps = model.alpha, model.caps
     max_w = max_abs_flip_energy(model.potential, sites_mask, cap=caps.enumeration_sites)
     bound = math.exp(-0.5 * alpha * max_w)
-    details = {
-        "classical": float(classical),
-        "lower_bound": float(bound),
-        "max_abs_flip_energy": float(max_w),
-    }
+    details = {"classical": classical, "lower_bound": bound, "max_abs_flip_energy": max_w}
     agree_ok = True
     if model.lattice.n_sites <= caps.quantum_sites:
         op = product_operator(1, sites_mask, model.lattice, cap=caps.quantum_sites)
         quantum = quantum_expectation(op, model.state)
         agreement = abs(quantum - classical) / abs(classical)
         agree_ok = agreement <= SX_AGREEMENT_RTOL
-        details["quantum"] = float(quantum)
-        details["relative_gap"] = float(agreement)
+        details["quantum"] = quantum
+        details["relative_gap"] = agreement
     else:
         details["quantum"] = None
     bound_ok = classical >= bound * (1.0 - SX_BOUND_SLACK)
-    return CheckRecord(
-        name=f"sx_product_bound[{','.join(map(str, sites_from_mask(sites_mask)))}]",
-        passed=agree_ok and bound_ok,
-        asserted=True,
-        value=float(classical),
-        threshold=float(bound),
-        details=details,
-    )
+    name = f"sx_product_bound[{','.join(map(str, sites_from_mask(sites_mask)))}]"
+    return CheckRecord(name, bool(agree_ok and bound_ok), True, classical, bound, details)
 
 
 def _check_trials(trials: int, dim: int):
@@ -597,11 +579,11 @@ def trial_vector_checks(
 
     reversibility = _at_most(
         "reversibility",
-        float(np.maximum(max_sym, max_conj)),
+        np.maximum(max_sym, max_conj),
         SYMMETRY_RTOL,
         even,
-        max_symmetry_gap=float(max_sym),
-        max_conjugation_gap=float(max_conj),
+        max_symmetry_gap=max_sym,
+        max_conjugation_gap=max_conj,
         trials=trials,
         seed=seed,
     )
@@ -610,16 +592,15 @@ def trial_vector_checks(
         return reversibility, CheckRecord("dirichlet_form", True, False, None, None, skipped)
     nonneg_ok = not require_nonneg or min_form >= -DIRICHLET_NONNEG_SLACK
     details = {
-        "max_two_route_gap": float(max_gap),
-        "min_scaled_form": float(min_form),
+        "max_two_route_gap": max_gap,
+        "min_scaled_form": min_form,
         "nonnegativity_required": require_nonneg,
         "trials": trials,
         "seed": seed,
     }
-    passed = max_gap <= DIRICHLET_RTOL and nonneg_ok
-    return reversibility, CheckRecord(
-        "dirichlet_form", passed, True, float(max_gap), DIRICHLET_RTOL, details
-    )
+    passed = bool(max_gap <= DIRICHLET_RTOL and nonneg_ok)
+    record = CheckRecord("dirichlet_form", passed, True, max_gap, DIRICHLET_RTOL, details)
+    return reversibility, record
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +608,8 @@ def trial_vector_checks(
 # ---------------------------------------------------------------------------
 
 
+# Overflow here ends as a non-finite value that is named (module docstring).
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def verify_model(
     model: ModelInstance,
     *,
@@ -694,10 +677,10 @@ def verify_model(
     )
     records.append(
         _at_most(
-            "offdiagonal_grouping", model.two_path_diff, OFFDIAG_RTOL * model.h0.norm_max
+            "offdiagonal_grouping", model.two_path_diff, TWO_PATH_RTOL * model.h0.norm_max
         )
     )
-    norm_sq = model.state_norm_squared()
+    norm_sq = float(np.dot(model.state, model.state))
     records.append(
         _at_most(
             "state_norm_partition",
@@ -738,9 +721,7 @@ def verify_model(
     row_sums = apply(similarity, np.ones(model.h.dim))
     del similarity
     records.append(_at_most("conjugate_two_route", conjugate_gap, CONJUGATE_RTOL * norm))
-    records.append(
-        _at_most("conjugate_row_sums", float(np.abs(row_sums).max()), ROW_SUM_RTOL * norm)
-    )
+    records.append(_at_most("conjugate_row_sums", np.abs(row_sums).max(), ROW_SUM_RTOL * norm))
 
     if model.h.is_hermitian:
         records.append(
@@ -762,7 +743,7 @@ def verify_model(
         rayleigh = abs(float(np.vdot(model.state, apply(model.h, model.state)).real)) / norm_sq
         records.append(
             _at_most(
-                "rayleigh_quotient", rayleigh, RAYLEIGH_RTOL * norm, hypotheses.satisfied
+                "rayleigh_quotient", rayleigh, EIGEN_RESIDUAL_RTOL * norm, hypotheses.satisfied
             )
         )
 

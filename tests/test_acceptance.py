@@ -82,7 +82,7 @@ def test_criterion_02_ground_state(model_family):
         assert spectral.eigenvalue >= -1e-9 * scale
         rayleigh = abs(
             float(np.vdot(model.state, model.h.mat @ model.state).real)
-        ) / model.state_norm_squared()
+        ) / float(np.dot(model.state, model.state))
         assert rayleigh <= 1e-10 * scale
     elapsed = time.monotonic() - start
     assert checked >= 10, "hypothesis-satisfying subset is too small to be meaningful"

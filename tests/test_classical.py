@@ -248,9 +248,9 @@ def test_mask_native_energies_equal_decoded_ones(configs, sites_mask, raw_terms)
     # one chunk over all 2^8 masks in order, as a model reads it
     enum = classical._Enumeration(pot, chunk_bits=8)
     assert enum.rows.dtype == np.int8
-    energies = enum._energy(enum._buffer())[masks]
+    energies = enum.first._energy(enum._buffer())[masks]
     assert energies.tobytes() == pot.value_many(spins).tobytes()
-    flips = enum._flip_energy(enum._odd_terms(sites_mask), enum._buffer())[masks]
+    flips = enum.first._flip_energy(enum._odd_terms(sites_mask), enum._buffer())[masks]
     assert flips.tobytes() == pot.flip_energy_many(spins, sites_mask).tobytes()
 
 
@@ -398,7 +398,7 @@ def test_enumeration_kernel_equals_decoded_spins_per_chunk(name, bits, monkeypat
             if all(enum.flat[t] for t in terms):
                 assert np.full(len(out), chunk._flat_flip_energy(terms)).tobytes() == want
     spins = spins_from_masks(chunks[0], pot.n_sites)
-    assert enum._energy(out).tobytes() == pot.value_many(spins).tobytes()
+    assert enum.first._energy(out).tobytes() == pot.value_many(spins).tobytes()
 
 
 def _decoded_partition_function(pot, alpha):

@@ -1,15 +1,20 @@
+import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import operator
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gibbs_ground import classical, cli
 from gibbs_ground.errors import ConfigError, SizeCapError
@@ -1257,3 +1262,77 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, target):
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write output: ")
     assert blocker.read_text() == ""
+
+
+# The whole-range contract of the command line, over every double: alpha
+# from 0 and [5e-324, 1e308], J, K and phi from 0 and +-[5e-324, 1e308].
+_MAGNITUDE = st.just(0.0) | st.floats(5e-324, 1e308, allow_subnormal=True)
+_SIGNED = st.builds(operator.mul, st.sampled_from([1.0, -1.0]), _MAGNITUDE)
+
+
+def _refuse_constant(constant):
+    raise ValueError(f"non-finite constant {constant}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_ARTIFACTS)),
+    n_sites=st.integers(2, 6),
+    bonds=st.integers(0, 5),
+    odd=st.booleans(),
+    alpha=_MAGNITUDE,
+    j=_SIGNED,
+    k=_SIGNED,
+    phi=_SIGNED,
+    dense_sites=st.sampled_from([12, 2]),
+)
+# Each example below ended in a numpy RuntimeWarning or a traceback.
+# The xx chain: five overflow warnings from apply inside
+# trial_vector_checks, then the NaN backstop's exit 2.
+@example("verify", 6, 5, False, 1.0, -3e306, 1.0, 0.0, 12)
+# One XX+YY bond: LinAlgError from the projected matrix of _lanczos_lowest.
+@example("verify", 3, 1, False, 0.0, 4.98e307, 0.0, 0.0, 2)
+# X_0 Y_1 alone: an overflowing Hermitian gap in OperatorMatrix.is_hermitian.
+@example("build", 2, 0, True, 1.0, 0.0, 0.0, 8.99e307, 12)
+# A huge K at a subnormal-scale alpha: ModelInstance.shifted_energies.
+@example("verify", 5, 4, False, 2.2e-308, -1.0, 2.25e307, 0.0, 12)
+def test_every_double_exits_cleanly(command, n_sites, bonds, odd, alpha, j, k, phi, dense_sites):
+    # The first `bonds` bonds of the chain carry XX + YY at J (all of them
+    # is the xx preset); the optional odd y-set entry is X_0 Y_1 at phi.
+    # Exit 0 or 1 means strict JSON and finite CSV cells, exit 2 exactly one
+    # stderr line; never a traceback, never a RuntimeWarning.
+    entries = []
+    for x in range(min(bonds, n_sites - 1)):
+        entries += [{"x_sites": [x, x + 1], "phi": j}, {"y_sites": [x, x + 1], "phi": j}]
+    if odd:
+        entries.append({"x_sites": [0], "y_sites": [1], "phi": phi})
+    doc = _config(
+        lattice={"d": 1, "L": n_sites},
+        couplings={"entries": entries},
+        potential={"preset": "ising-nn", "K": k},
+        alpha=alpha,
+        pairs=[[0, n_sites - 1]],
+        mc={"sweeps": 16, "seed": 7},
+        checks={},  # 20 trial vectors from seed 0, as the CLI draws them by default
+        caps={"dense_sites": dense_sites},
+    )
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_config(Path(tmp), doc)
+        out = Path(tmp) / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                status = cli.main([command, "--config", str(path), "--out", str(out)])
+        warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not [f"{w.filename}:{w.lineno}: {w.message}" for w in warned]
+        assert status in (0, 1, 2)
+        if status == 2:
+            assert len(stderr.getvalue().splitlines()) == 1
+            return
+        text = (out / _ARTIFACTS[command]).read_text()
+    if command in ("correlate", "sweep"):
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert all(math.isfinite(float(v)) for row in rows for c, v in row.items() if c != "method")
+    else:
+        json.loads(text, parse_constant=_refuse_constant)

@@ -2,7 +2,12 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +46,8 @@ from gibbs_ground.verify import max_abs_flip_energy
 from .conftest import random_model, sx_product_bound, xxz_model
 from .flip_terms import dense_from_operator, operator_from_dense
 from .oracles import enumerate_spins, open_chain_correlation_closed_form
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _ising_chain_model(L, alpha, coupling=1.0, xx_weight=-1.0):
@@ -1154,3 +1161,62 @@ def test_verify_report_payload_shape():
     payload = report.to_payload()
     assert payload["model_digest"] == model.digest()
     assert all("wall_time_s" not in check for check in payload["checks"])
+
+
+
+def _docstring_table():
+    """verify's record table, from its module docstring: [name, first line
+    of "fails in"] per record, a "[...]" continuation line joined to its
+    name, and the legend's test ids by control."""
+    lines = verify.__doc__.splitlines()
+    header = next(k for k, line in enumerate(lines) if line.startswith("  record "))
+    fails_in = lines[header].index("fails in")
+    rows = []
+    for line in itertools.takewhile(bool, lines[header + 2 :]):
+        if line[2] == "[":
+            rows[-1][0] += line.strip()
+        elif line[2] != " ":
+            rows.append([line.split()[0], line[fails_in:].strip()])
+    legend = [line.split() for line in lines[header:]]
+    controls = {words[0]: words[1] for words in legend if words[1:2] and "::" in words[1]}
+    return rows, controls
+
+
+def test_docstring_table_lists_the_records_in_report_order():
+    # An even-y-set model with one pair: an indexed row ([x,y], [A]) stands
+    # for one or more consecutive records
+    rows, _ = _docstring_table()
+    report = verify_model(_ising_chain_model(6, 1.0), trials=2, pairs=[(0, 3)])
+    indices = {"": "", "[x,y]": r"\[\d+,\d+\]", "[A]": r"\[\d+(,\d+)*\]"}
+    pattern = ""
+    for name, _ in rows:
+        base, bracket, rest = name.partition("[")
+        record = re.escape(base) + indices[bracket + rest]
+        pattern += f"({record}\n)+" if bracket else f"{record}\n"
+    names = "".join(f"{record.name}\n" for record in report.records)
+    assert re.fullmatch(pattern, names), (pattern, names)
+
+
+def test_docstring_table_controls_are_collected_tests():
+    # P's [record] is its parameter: every record whose column names P must
+    # have a case of it, under the record's own name or an indexed one
+    rows, controls = _docstring_table()
+    assert sorted(controls) == ["(a)", "(b)", "(c)", "P"]
+    ids = {key: test_id.removesuffix("[record]") for key, test_id in controls.items()}
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"]
+        + list(ids.values()),
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    collected = [line for line in proc.stdout.splitlines() if "::" in line]
+    for test_id in ids.values():
+        assert any(c.startswith(test_id) for c in collected), test_id
+    cases = [c[len(ids["P"]) + 1 : -1] for c in collected if c.startswith(ids["P"] + "[")]
+    for name, fails_in in rows:
+        if fails_in.startswith("P"):
+            assert any(case.startswith(name.partition("[")[0]) for case in cases), name
