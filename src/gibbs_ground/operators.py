@@ -78,6 +78,18 @@ class OperatorMatrix:
         gap = _largest(np.abs(d - d[masks ^ c].conj()).max() for c, d in self.terms.items())
         return gap <= HERMITIAN_RTOL * self.norm_max
 
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def is_reversal_symmetric(self) -> bool:
+        """Computed flag: A commutes with the site reversal R, i -> n-1-i,
+        to max |d_RC - d_C[R]| <= 1e-14 * norm_max, with RC a flip set of A
+        for every flip set C (R A R has the term d_C[R] at RC)."""
+        mirror = reversed_masks(self.n_sites)
+        if any(int(mirror[c]) not in self.terms for c in self.terms):
+            return False
+        gaps = (np.abs(self.terms[int(mirror[c])] - d[mirror]).max() for c, d in self.terms.items())
+        return _largest(gaps) <= HERMITIAN_RTOL * self.norm_max
+
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Term-by-term sum; a term one side lacks reads as zeros."""
         _check_same_space(self, other)
@@ -156,6 +168,16 @@ def _largest(maxima) -> float:
 
 def all_masks(n_sites: int) -> np.ndarray:
     return np.arange(1 << n_sites, dtype=np.int64)
+
+
+def reversed_masks(n_sites: int) -> np.ndarray:
+    """Every mask with its bits reversed, bit i moved to bit n-1-i: the
+    site reversal of a chain, the point inversion of a hypercube."""
+    masks = all_masks(n_sites)
+    mirror = np.zeros_like(masks)
+    for i in range(n_sites):
+        mirror |= (masks >> i & 1) << (n_sites - 1 - i)
+    return mirror
 
 
 def flip_graph_labels(op: OperatorMatrix) -> np.ndarray:

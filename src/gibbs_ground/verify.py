@@ -12,11 +12,12 @@ fails whatever it reaches: maxima over terms and trials are numpy's,
 which keep a NaN, and each guard reads `if not value <= tol: raise`.
 Every vector norm is _norm's, taken at a power-of-two scale, so no square
 leaves double range while the norm itself is a double: the xx chain
-verifies at couplings up to about 1e300.  Above that a product with H
+verifies at couplings up to about 1e300, and Lanczos runs on H scaled
+to |H|_max < 1, down to subnormal couplings.  Above that a product with H
 can leave double range.  verify_model runs with numpy's warnings off, as
 build_h and the scans do: an overflow ends as a non-finite value, which
-fails a guard or the CLI's strict writers (NumericRangeError), and a
-Lanczos projection outside double range is a NumericRangeError.
+fails a guard or the CLI's strict writers (NumericRangeError).  The dense
+eigensolver splits H by its site-reversal symmetry (min_eigenvalue).
 
 The records of verify_model, in report order.  A record under the one
 rule ("rule: yes", built by _at_most) passes exactly when its reported
@@ -106,8 +107,11 @@ the stream with seed 0.
 
 from __future__ import annotations
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -135,7 +139,8 @@ from .models import (
     _similarity_conjugate,
     diagonal_couplings,
 )
-from .operators import OperatorMatrix, apply, flip_graph_labels, max_entry_diff, product_operator
+from .operators import OperatorMatrix, all_masks, apply, flip_graph_labels, max_entry_diff
+from .operators import product_operator, reversed_masks
 from .splitmix import check_seed, uniform
 
 # Pinned tolerances, all relative to the largest Hamiltonian entry except
@@ -234,6 +239,16 @@ class HypothesisReport:
     satisfied: bool
 
 
+def _ldexp(vec: np.ndarray, exponent: int) -> np.ndarray:
+    """A copy of vec times 2^exponent, real and imaginary parts apart by
+    np.ldexp: exact wherever no part leaves the normal range, even where
+    2.0**exponent itself is not a double."""
+    scaled = np.array(vec)
+    for part in (scaled.real, scaled.imag) if np.iscomplexobj(scaled) else (scaled,):
+        np.ldexp(part, exponent, out=part)
+    return scaled
+
+
 def _norm(vec: np.ndarray) -> float:
     """The Euclidean norm of vec, as np.linalg.norm takes it, of 2^-e vec
     and scaled back by 2^e, the power of two just above the largest |entry|
@@ -241,15 +256,11 @@ def _norm(vec: np.ndarray) -> float:
     overflow nor underflow wherever the norm itself is a double.  Scaling by
     a power of two is exact, so a norm whose squares stay normal keeps its
     bits.  A norm above the largest double is inf."""
-    scaled = np.array(vec)
-    parts = (scaled.real, scaled.imag) if np.iscomplexobj(scaled) else (scaled,)
-    top = float(np.max([np.abs(part).max(initial=0.0) for part in parts]))
+    top = float(np.max([np.abs(vec.real).max(initial=0.0), np.abs(vec.imag).max(initial=0.0)]))
     # e is 0 for a zero vector and for one with an inf or a NaN, normed as is
     exponent = math.frexp(top)[1]
-    for part in parts:
-        np.ldexp(part, -exponent, out=part)
     try:
-        return math.ldexp(float(np.linalg.norm(scaled)), exponent)
+        return math.ldexp(float(np.linalg.norm(_ldexp(vec, -exponent))), exponent)
     except OverflowError:
         return math.inf
 
@@ -281,6 +292,33 @@ def _lowest_vector(block: np.ndarray, lam: float) -> np.ndarray:
     return vec / _norm(vec)
 
 
+def _openblas_threads() -> tuple:
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or
+    (None, None) under any other BLAS."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    lib = next((ctypes.CDLL(str(path)) for path in libs.glob("libscipy_openblas64_*")), None)
+    return tuple(getattr(lib, f"scipy_openblas_{op}_num_threads64_", None) for op in ("get", "set"))
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then give the process its
+    count back.  Lanczos's BLAS calls are small, so a second thread saves
+    nothing, and on a shared 2-vCPU machine waiting for it made the 9-site
+    solve take 0.04 s in one process and 0.25 s in the next.  OpenBLAS
+    sums each output entry on one thread, so the bits stay."""
+    get, put = _openblas_threads()
+    if get is None or put is None:
+        yield
+        return
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 def _lanczos_lowest(h: OperatorMatrix) -> np.ndarray:
     """A unit vector for the lowest eigenvalue of Hermitian h, by
     thick-restart Lanczos (Wu & Simon 2000) on the flip-term product.
@@ -293,8 +331,7 @@ def _lanczos_lowest(h: OperatorMatrix) -> np.ndarray:
     not yet normalised, Lanczos vector, or restarts from the LANCZOS_KEEP
     lowest Ritz vectors and that next vector.  A beta within tolerance
     means an invariant subspace, so Rayleigh-Ritz runs early.  Raises
-    ConvergenceError once LANCZOS_MAX_PRODUCTS products have not sufficed,
-    and NumericRangeError once the projected matrix leaves double range.
+    ConvergenceError once LANCZOS_MAX_PRODUCTS products have not sufficed.
     """
     dim = h.dim
     real = h.is_real
@@ -327,10 +364,6 @@ def _lanczos_lowest(h: OperatorMatrix) -> np.ndarray:
                 break
             basis[j + 1] = w / beta
         n = j + 1
-        if not np.isfinite(projected[:n, :n]).all():
-            raise NumericRangeError(
-                f"the Lanczos projection of H (|H|_max {h.norm_max:.3e}) left double precision"
-            )
         theta, ritz = np.linalg.eigh(projected[:n, :n])
         residual = beta * abs(ritz[-1, 0])
         if residual <= tol:
@@ -354,68 +387,103 @@ def min_eigenvalue(h: OperatorMatrix, dense_sites: int = Caps.dense_sites) -> Sp
     Arithmetic is real when every entry has a zero imaginary part.  On at
     most dense_sites sites the operator is split into the connected
     components of its flip graph (H couples m only to m XOR C), numbered by
-    smallest mask; each block is filled dense from the rows of
+    smallest mask, and each block into its sectors under the site reversal
+    R (reversed_masks) if h.is_reversal_symmetric, else under R = 1.  A
+    mask m with Rm in its block and Rm != m pairs with it; the even sector
+    has the basis (e_m + e_Rm)/sqrt 2 per pair and e_m per other mask, the
+    odd one (e_m - e_Rm)/sqrt 2 per pair, in block order of the smaller
+    mask.  Under R = 1 the even sector is the block and the odd one empty.
+    Each sector is filled dense from the smaller masks' rows of
     h.row_table, the table apply reads, and its lowest eigenvalue, from
-    numpy's eigvalsh, decides the winner (the first in block order on a
-    tie).  One block is alive at a time, beside LAPACK's copy of it: only
-    the winner's bounds are kept, and its block is filled again for one
-    step of inverse iteration at its eigenvalue (_lowest_vector), whatever
-    the block size.  Above the cap, thick-restart Lanczos on H
-    itself, with numpy and the flip-term product alone, finds the lowest
-    eigenvector from a start vector of SplitMix64 outputs (seed 0; see
-    _lanczos_lowest), and the eigenvalue is its Rayleigh quotient on H.
-    The residual is always measured against the full H, which also proves
-    the blocks closed.
+    numpy's eigvalsh, decides the winner (the first on a tie, blocks in
+    order, even before odd).  eigvalsh reads one triangle, which differs
+    from the exactly symmetrised sector by at most the flag's 1e-14 |H| per
+    entry, far inside GROUND_ENERGY_RTOL and the residual guard.  One
+    sector is alive at a time, beside LAPACK's copy of it: the winner's is
+    filled again for one step of inverse iteration at its eigenvalue
+    (_lowest_vector), whatever its size, and mapped back.  Above the cap,
+    thick-restart Lanczos on 2^-e H, 2^e the power of two just above
+    |H|_max (exact for a subnormal H too), with numpy and the flip-term
+    product alone, finds the lowest eigenvector from a start vector of
+    SplitMix64 outputs (seed 0; see _lanczos_lowest); the eigenvalue is its
+    Rayleigh quotient, scaled back by 2^e with the residual.  The residual
+    is always measured against the full (scaled) H, which also proves the
+    blocks and sectors closed.
 
-    Raises NonHermitianError on non-Hermitian input and ConvergenceError
-    if the iterative route does not converge within LANCZOS_MAX_PRODUCTS
-    products with H.
+    Raises NonHermitianError on non-Hermitian input, ConvergenceError if
+    the iterative route does not converge within LANCZOS_MAX_PRODUCTS
+    products with H, and NumericRangeError if the eigenvalue scaled back
+    leaves double range.
     """
     if not h.is_hermitian:
         raise NonHermitianError(
             "smallest-eigenvalue computation requires a Hermitian matrix"
         )
-    dim = h.dim
+    dim, exponent, op = h.dim, 0, h
     if h.n_sites <= dense_sites:
         _, labels = np.unique(flip_graph_labels(h), return_inverse=True)
         n_blocks = int(labels.max()) + 1
         order = np.argsort(labels, kind="stable")
         bounds = np.searchsorted(labels[order], np.arange(n_blocks + 1))
-        position = np.empty(dim, dtype=np.int64)
-        position[order] = np.arange(dim)
+        masks = all_masks(h.n_sites)
+        mirror = reversed_masks(h.n_sites) if h.is_reversal_symmetric else masks
+        partner = np.where(labels[mirror] == labels, mirror, masks)
+        lead, paired = masks <= partner, partner != masks
         columns, entries = h.row_table
+        # slot[m] numbers m's basis vector in the sector last filled, and
+        # coeff[m] is e_m's coefficient in it (0 for a palindrome's odd part)
+        slot, coeff = np.zeros(dim, dtype=np.int64), np.zeros(dim)
 
-        def block(start, stop):
-            # Rows start to stop of the block order, off the row table.
-            # Nonzero entries never leave their block; a zero may sit in a
-            # column of another block, so only nonzero entries are placed.
+        def sector(start, stop, sign):
             members = order[start:stop]
-            values = entries[:, members]
+            reps = members[lead[members] & (paired[members] | (sign > 0))]
+            slot[members], coeff[members] = 0, 0.0
+            slot[partner[reps]] = slot[reps] = np.arange(len(reps))
+            coeff[reps] = np.where(paired[reps], math.sqrt(0.5), 1.0)
+            coeff[partner[reps]] = sign * coeff[reps]
+            # Sector row a is H's row at its lead m, column k weighted by
+            # coeff[k] / coeff[m]: R maps H v_a to sign times itself, so
+            # <v_a, H v_b> = (H v_b)[m] / coeff[m].  Nonzero entries never
+            # leave their block; a zero may sit in a column of another block,
+            # so only nonzero entries are placed.
+            values = entries[:, reps] * (coeff[columns[:, reps]] / coeff[reps])
             terms, rows = np.nonzero(values)
-            dense = np.zeros((stop - start, stop - start), dtype=entries.dtype)
-            dense[rows, position[columns[terms, members[rows]]] - start] = values[terms, rows]
+            dense = np.zeros((len(reps), len(reps)), dtype=entries.dtype)
+            np.add.at(dense, (rows, slot[columns[terms, reps[rows]]]), values[terms, rows])
             return dense
 
         lam, best = math.inf, None
         for start, stop in zip(bounds[:-1], bounds[1:]):
-            low = float(np.linalg.eigvalsh(block(start, stop))[0])
-            if low < lam:
-                lam, best = low, (start, stop)
-        start, stop = best
+            for sign in (1.0, -1.0):
+                low = float(np.linalg.eigvalsh(sector(start, stop, sign)).min(initial=math.inf))
+                if low < lam:
+                    lam, best = low, (start, stop, sign)
+        start, stop, sign = best
+        lowest = _lowest_vector(sector(start, stop, sign), lam)
+        members = order[start:stop]
         vec = np.zeros(dim, dtype=entries.dtype)
-        vec[order[start:stop]] = _lowest_vector(block(start, stop), lam)
+        vec[members] = lowest[slot[members]] * coeff[members]
         h_vec = apply(h, vec)
         method, blocks, largest_block = "dense", n_blocks, int(np.diff(bounds).max())
     else:
-        vec = _lanczos_lowest(h)
-        h_vec = apply(h, vec)
+        exponent = math.frexp(h.norm_max)[1]
+        op = OperatorMatrix(h.n_sites, {c: _ldexp(d, -exponent) for c, d in h.terms.items()})
+        with _one_blas_thread():
+            vec = _lanczos_lowest(op)
+        h_vec = apply(op, vec)
         lam = float(np.vdot(vec, h_vec).real)
         method, blocks, largest_block = "iterative", 1, dim
     residual = _norm(h_vec - lam * vec)
-    if not residual <= 1e-10 * max(h.norm_max, abs(lam)):
+    if not residual <= 1e-10 * max(op.norm_max, abs(lam)):
         raise InternalConsistencyError(
             f"{method} eigensolver residual {residual:.3e} is implausibly large"
         )
+    try:
+        lam, residual = math.ldexp(lam, exponent), math.ldexp(residual, exponent)
+    except OverflowError:
+        raise NumericRangeError(
+            f"the lowest eigenvalue of H (|H|_max {h.norm_max:.3e}) leaves double precision"
+        ) from None
     return SpectralResult(
         eigenvalue=lam,
         residual=residual,

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -40,7 +41,7 @@ from gibbs_ground.errors import (
     SizeCapError,
 )
 from gibbs_ground.lattice import nearest_neighbor_pairs
-from gibbs_ground.operators import OperatorMatrix, apply, product_operator
+from gibbs_ground.operators import OperatorMatrix, apply, flip_graph_labels, product_operator
 from gibbs_ground.verify import max_abs_flip_energy
 
 from .conftest import random_model, sx_product_bound, xxz_model
@@ -242,15 +243,18 @@ def test_verify_model_fails_sector_local_sign_violation(
     assert not report.all_passed
 
 
-@pytest.mark.parametrize("flavor, seed", [("ferro", 211), ("generic", 223)])
+@pytest.mark.parametrize("flavor, seed", [("ferro", 211), ("generic", 223), ("odd", 233)])
 def test_min_eigenvalue_matches_full_dense_spectrum(flavor, seed):
     rng = np.random.default_rng(seed)
     for _ in range(10):
         model = random_model(rng, flavor=flavor)
+        if not model.h.is_hermitian:
+            continue
         expected = eigvalsh(dense_from_operator(model.h))[0]
         result = min_eigenvalue(model.h)
         assert result.method == "dense"
         assert abs(result.eigenvalue - expected) <= 1e-12 * model.h.norm_max
+        assert result.residual <= 1e-12 * model.h.norm_max
 
 
 def test_min_eigenvalue_complex_hermitian_blocks():
@@ -326,15 +330,34 @@ def test_min_eigenvalue_iterative_budget_raises_convergence_error(monkeypatch):
     assert len(products) == 5
 
 
-def _one_block_model(L):
-    """XX chain on L sites plus X on site 0, ([0], [], -0.5): the single
-    flip links the two parity sectors, so the flip graph is one block."""
+def _one_block_model(L, flipped=(0,)):
+    """XX chain on L sites plus X on each flipped site, ([x], [], -0.5): a
+    single flip links the two parity sectors, so the flip graph is one
+    block.  Flipping sites 0 and L - 1 keeps H reversal-symmetric."""
     lat = build_hypercube(1, L)
     bonds = nearest_neighbor_pairs(lat)
     entries = [(list(b), [], -1.0) for b in bonds] + [([], list(b), -1.0) for b in bonds]
     return ModelInstance(
         lattice=lat,
-        table=CouplingTable.from_site_lists(L, entries + [([0], [], -0.5)]),
+        table=CouplingTable.from_site_lists(L, entries + [([x], [], -0.5) for x in flipped]),
+        potential=ClassicalPotential.ising_nn(lat, 1.0),
+        alpha=1.0,
+    )
+
+
+def _symmetric_one_block_model(L):
+    return _one_block_model(L, flipped=(0, L - 1))
+
+
+def _chain_model(L):
+    return _ising_chain_model(L, 1.0)
+
+
+def _square_model():
+    lat = build_hypercube(2, 3)
+    return ModelInstance(
+        lattice=lat,
+        table=CouplingTable.xx_nearest_neighbor(lat, -1.0),
         potential=ClassicalPotential.ising_nn(lat, 1.0),
         alpha=1.0,
     )
@@ -342,14 +365,21 @@ def _one_block_model(L):
 
 @pytest.mark.parametrize(
     "make, blocks",
-    [(_sector_violating_model, (4, 20)), (lambda: _one_block_model(8), (1, 256))],
-    ids=["sectors", "one-block"],
+    [(_sector_violating_model, (4, 20)), (lambda: _one_block_model(8), (1, 256))]
+    + [(lambda L=L: _chain_model(L), (L + 1, math.comb(L, L // 2))) for L in range(6, 12)]
+    + [(_square_model, (10, 126)), (lambda: _symmetric_one_block_model(8), (1, 256))]
+    # J > 0 puts the lowest eigenvalue in an odd sector
+    + [(lambda: _ising_chain_model(6, 1.0, xx_weight=1.0), (7, 20))],
+    ids=["sectors", "one-block"]
+    + [f"chain-{L}" for L in range(6, 12)]
+    + ["square-3x3", "symmetric-one-block", "odd-winner-chain"],
 )
 def test_min_eigenvalue_blocks_match_the_dense_oracle(make, blocks):
-    # Every block's lowest eigenvalue comes from eigvalsh, and the winner's
+    # Every sector's lowest eigenvalue comes from eigvalsh, and the winner's
     # vector from one inverse-iteration step: on blocks of 1, 10, 20 and 1
-    # states, and on one block of 256, the value matches the full dense
-    # spectrum and the residual stays at rounding level.
+    # states, on one block of 256, and on the reversal sectors of the
+    # chains, the square and the symmetric block, the value matches the
+    # full dense spectrum and the residual stays at rounding level.
     model = make()
     result = min_eigenvalue(model.h)
     assert result.method == "dense"
@@ -377,17 +407,22 @@ def _two_block_model(L):
 
 
 @pytest.mark.parametrize(
-    "make, blocks",
-    [(lambda: _one_block_model(10), 1), (lambda: _two_block_model(10), 2)],
-    ids=["one-block", "first-of-two"],
+    "make, blocks, largest",
+    [
+        (lambda: _one_block_model(10), 1, 1024),
+        (lambda: _two_block_model(10), 2, 512),
+        (lambda: _symmetric_one_block_model(10), 1, 528),
+    ],
+    ids=["one-block", "first-of-two", "symmetric-one-block"],
 )
-def test_min_eigenvalue_holds_one_block_at_a_time(make, blocks):
+def test_min_eigenvalue_holds_one_block_at_a_time(make, blocks, largest):
     # tracemalloc sees numpy's arrays, not LAPACK's copies: the dense route
-    # holds one block at a time, shifts the winner's in place, and keeps
-    # only the winner's bounds while later blocks are solved (8 MiB for the
-    # one block of 1024 float64 states, 2 MiB for each of 512).  Holding the
-    # winner beside the next block, or building block - lam*I out of place,
-    # takes 2 or 3 blocks.
+    # holds one sector at a time, shifts the winner's in place, and keeps
+    # only the winner's bounds while later sectors are solved (8 MiB for the
+    # one block of 1024 float64 states, 2 MiB for each of 512; the
+    # symmetric block's even sector has (1024 + 32) / 2 = 528 states).
+    # Holding the winner beside the next sector, building block - lam*I out
+    # of place, or filling the whole block, takes 2 to 4 sectors.
     model = make()
     h = model.h
     min_eigenvalue(h)  # builds the row table and the flip-graph labels
@@ -398,7 +433,7 @@ def test_min_eigenvalue_holds_one_block_at_a_time(make, blocks):
     finally:
         tracemalloc.stop()
     assert (result.method, result.blocks) == ("dense", blocks)
-    block_bytes = result.largest_block**2 * h.row_table[1].itemsize
+    block_bytes = largest**2 * h.row_table[1].itemsize
     assert peak < 1.5 * block_bytes, (peak, block_bytes)
     if blocks == 2:
         dense = dense_from_operator(h)
@@ -437,16 +472,107 @@ def test_dense_route_tie_goes_to_the_first_block(monkeypatch):
     assert solved == [(1, 1)]
 
 
+def _solved_shapes(monkeypatch, h):
+    """The result of min_eigenvalue(h) and the shapes eigvalsh solved,
+    empty ones dropped, with the sizes of h's flip-graph blocks."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    result = min_eigenvalue(h)
+    sizes = np.unique(flip_graph_labels(h), return_counts=True)[1]
+    return result, [shape[0] for shape in shapes if shape[0]], list(sizes)
+
+
+def _nudged(h, scale):
+    """h with its diagonal entry at mask 1 moved by scale * |H|: still
+    Hermitian, no longer reversal-symmetric beyond that scale."""
+    diagonal = h.terms[0].copy()
+    diagonal[1] += scale * h.norm_max
+    return OperatorMatrix(h.n_sites, {**h.terms, 0: diagonal})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _one_block_model(8).h,
+        lambda: xxz_model(build_hypercube(1, 8), -1.0, 1.0).h,
+        lambda: ModelInstance(
+            lattice=build_hypercube(1, 8),
+            table=CouplingTable.xx_nearest_neighbor(build_hypercube(1, 8), -1.0),
+            potential=ClassicalPotential.from_terms(8, [([0], 0.5)]),
+            alpha=1.0,
+        ).h,
+        # negative control: a reversal-symmetric chain nudged past the flag
+        lambda: _nudged(_ising_chain_model(8, 1.0).h, 1e-10),
+    ],
+    ids=["one-block", "linear-height", "site-0-potential", "nudged-chain"],
+)
+def test_min_eigenvalue_solves_whole_blocks_without_reversal_symmetry(monkeypatch, make):
+    # Without the symmetry R is the identity: the even sector of each block
+    # is the block itself, entry for entry, and the odd one is empty.
+    h = make()
+    assert h.is_hermitian and not h.is_reversal_symmetric
+    result, solved, sizes = _solved_shapes(monkeypatch, h)
+    assert solved == sizes and result.largest_block == max(sizes)
+    expected = eigvalsh(dense_from_operator(h))[0]
+    assert abs(result.eigenvalue - expected) <= 1e-12 * h.norm_max
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-15], ids=["exact", "within-tolerance"])
+def test_min_eigenvalue_splits_reversal_symmetric_blocks(monkeypatch, scale):
+    # The xx + ising-nn chain commutes with the reversal up to rounding:
+    # each magnetization block of C(8, k) states is solved as its even and
+    # odd sectors, (C(8, k) + palindromes) / 2 and the rest; a nudge inside
+    # the flag's 1e-14 |H| keeps the split.
+    h = _nudged(_ising_chain_model(8, 1.0).h, scale)
+    assert h.is_reversal_symmetric
+    result, solved, sizes = _solved_shapes(monkeypatch, h)
+    assert max(solved) < max(sizes) and sum(solved) == 2**8
+    palindromes = [math.comb(4, k // 2) if k % 2 == 0 else 0 for k in range(9)]
+    assert sizes == [math.comb(8, k) for k in range(9)]
+    expected_shapes = []
+    for size, fixed in zip(sizes, palindromes):
+        expected_shapes += [(size + fixed) // 2, (size - fixed) // 2]
+    assert solved == [n for n in expected_shapes if n]
+    expected = eigvalsh(dense_from_operator(h))[0]
+    assert abs(result.eigenvalue - expected) <= 1e-12 * h.norm_max
+    assert result.residual <= 1e-12 * h.norm_max
+
+
 def test_lanczos_stop_tolerance_scales_with_the_operator():
     # H times 2^20 is exact, and so is every step of Lanczos on it: the
     # stop test LANCZOS_RTOL * |H| must scale along, or the scaled chain
-    # never converges.
+    # never converges.  At 2^-1060 the entries are subnormal, with noise
+    # far above LANCZOS_RTOL, and every tolerance underflowed: Lanczos runs
+    # on 2^-e H, which is exact.
     h = _ising_chain_model(6, 1.0).h
-    scaled = OperatorMatrix(h.n_sites, {c: d * 2.0**20 for c, d in h.terms.items()})
     base = min_eigenvalue(h, dense_sites=0)
-    result = min_eigenvalue(scaled, dense_sites=0)
-    assert result.method == "iterative"
-    assert result.eigenvalue == pytest.approx(2.0**20 * base.eigenvalue, rel=1e-12)
+    for scale in (2.0**20, 2.0**-1060):
+        scaled = OperatorMatrix(h.n_sites, {c: d * scale for c, d in h.terms.items()})
+        result = min_eigenvalue(scaled, dense_sites=0)
+        assert result.method == "iterative"
+        assert result.eigenvalue == pytest.approx(scale * base.eigenvalue, rel=1e-12, abs=0.0)
+
+
+def test_lanczos_runs_on_one_blas_thread_and_gives_the_count_back(monkeypatch):
+    # Two BLAS threads made the iterative route's time swing from one
+    # process to the next; one thread must give the same bits.
+    get, put = verify._openblas_threads()
+    if get is None or put is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    before = get()
+    h = _ising_chain_model(9, 1.0).h
+    lanczos, seen = verify._lanczos_lowest, []
+    monkeypatch.setattr(verify, "_lanczos_lowest", lambda op: (seen.append(get()), lanczos(op))[1])
+    try:
+        put(2)
+        result = min_eigenvalue(h, dense_sites=8)
+        assert seen == [1] and get() == 2
+        monkeypatch.setattr(verify, "_one_blas_thread", contextlib.nullcontext)
+        assert min_eigenvalue(h, dense_sites=8) == result
+        assert seen == [1, 2]
+    finally:
+        put(before)
 
 
 @pytest.mark.parametrize(
@@ -1003,6 +1129,22 @@ def test_verify_model_passes_the_xx_chain_at_large_couplings(xx_weight, dense_si
     (ground,) = [c for c in payload["checks"] if c["name"] == "ground_energy"]
     method = "dense" if dense_sites == Caps.dense_sites else "iterative"
     assert ground["details"]["method"] == method
+
+
+@pytest.mark.parametrize("xx_weight", [-1e-315, -1e-320, 1e-320])
+def test_verify_model_passes_the_xx_chain_at_subnormal_couplings(xx_weight):
+    # Subnormal arithmetic has a relative noise floor near 1e-5, and both
+    # LANCZOS_RTOL * |H| and the residual guard underflowed to 0: Lanczos
+    # ended in ConvergenceError (J < 0) or InternalConsistencyError (J > 0).
+    # It runs on 2^-e H now, where neither happens.
+    model = dataclasses.replace(
+        _ising_chain_model(6, 1.0, xx_weight=xx_weight), caps=Caps(dense_sites=4)
+    )
+    payload = verify_model(model).to_payload()
+    assert payload["all_passed"] is True
+    json.dumps(payload, allow_nan=False)
+    (ground,) = [c for c in payload["checks"] if c["name"] == "ground_energy"]
+    assert ground["details"]["method"] == "iterative"
 
 
 def _no_solve(*args, **kwargs):
