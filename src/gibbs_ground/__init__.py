@@ -6,8 +6,8 @@ classical Gibbs machinery (exact enumeration and Metropolis sampling) for
 the order parameters.
 
 The names below are loaded from their submodules on first use (PEP 562),
-so ``import gibbs_ground`` loads no numpy: the CLI sets its BLAS
-environment before numpy loads.
+so ``import gibbs_ground`` loads no numpy and changes no environment
+variable: the CLI sets OPENBLAS_NUM_THREADS before numpy loads.
 """
 
 import importlib

@@ -3,8 +3,9 @@
 Subcommands: build, verify, correlate, sweep, sample.  Outputs are fully
 deterministic for a fixed config and seed (stable key order, no timestamps),
 so repeated runs are byte-identical and diffable in CI.  Before numpy
-loads, the CLI sets OPENBLAS_THREAD_TIMEOUT=20 (unless the user set it), so
-idle OpenBLAS workers sleep after about 0.4 ms instead of spinning 0.1 s.
+loads, the CLI sets OPENBLAS_NUM_THREADS=1 (unless the user set it), so
+every command solves on one BLAS thread and its bytes do not depend on the
+host's core count.
 Only build and verify import gibbs_ground.verify, when they run, so the
 classical commands neither load nor compile it.
 """
@@ -21,10 +22,8 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-# Must precede the first numpy import below: OpenBLAS reads it when it
-# loads.  2^20 cycles keep a worker awake across the calls of one LAPACK
-# routine; the default 2^28 spin through import and the Python between calls.
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+# Must precede the first numpy import below: OpenBLAS reads it when it loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .classical import (

@@ -107,11 +107,8 @@ the stream with seed 0.
 
 from __future__ import annotations
 
-import ctypes
 import math
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -292,33 +289,6 @@ def _lowest_vector(block: np.ndarray, lam: float) -> np.ndarray:
     return vec / _norm(vec)
 
 
-def _openblas_threads() -> tuple:
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or
-    (None, None) under any other BLAS."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    lib = next((ctypes.CDLL(str(path)) for path in libs.glob("libscipy_openblas64_*")), None)
-    return tuple(getattr(lib, f"scipy_openblas_{op}_num_threads64_", None) for op in ("get", "set"))
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block on one OpenBLAS thread, then give the process its
-    count back.  Lanczos's BLAS calls are small, so a second thread saves
-    nothing, and on a shared 2-vCPU machine waiting for it made the 9-site
-    solve take 0.04 s in one process and 0.25 s in the next.  OpenBLAS
-    sums each output entry on one thread, so the bits stay."""
-    get, put = _openblas_threads()
-    if get is None or put is None:
-        yield
-        return
-    threads = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(threads)
-
-
 def _lanczos_lowest(h: OperatorMatrix) -> np.ndarray:
     """A unit vector for the lowest eigenvalue of Hermitian h, by
     thick-restart Lanczos (Wu & Simon 2000) on the flip-term product.
@@ -468,8 +438,7 @@ def min_eigenvalue(h: OperatorMatrix, dense_sites: int = Caps.dense_sites) -> Sp
     else:
         exponent = math.frexp(h.norm_max)[1]
         op = OperatorMatrix(h.n_sites, {c: _ldexp(d, -exponent) for c, d in h.terms.items()})
-        with _one_blas_thread():
-            vec = _lanczos_lowest(op)
+        vec = _lanczos_lowest(op)
         h_vec = apply(op, vec)
         lam = float(np.vdot(vec, h_vec).real)
         method, blocks, largest_block = "iterative", 1, dim

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -542,30 +543,51 @@ def test_sweep_golden_csv(tmp_path):
     assert (tmp_path / "sweep.csv").read_bytes() == GOLDEN_SWEEP_L8.encode()
 
 
+def _main_in_fresh_interpreter(argv: list[str], threads: str | None) -> None:
+    """Run cli.main(argv) in a fresh interpreter with OPENBLAS_NUM_THREADS
+    at threads, or unset given None: BLAS reads it once, at load."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = f"import sys; from gibbs_ground.cli import main; sys.exit(main({argv!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_sweep_bytes_ignore_blas_threads(tmp_path):
     # An 18-site exact scan: four blocks of 2^16 masks, sixteen leaves of
     # 2^14 on the worker threads.  A BLAS dot of a whole leaf would split
-    # across OpenBLAS's threads and move the last digits; each run is a
-    # fresh interpreter, since BLAS reads its thread count once, at load.
+    # across OpenBLAS's threads and move the last digits.
     doc = _config(lattice={"d": 1, "L": 18}, pairs=[[0, 5], [4, 12]])
     del doc["alpha"]
     doc["alphas"] = [0.5, 2.0]
     path = _write_config(tmp_path, doc)
-    src = str(Path(cli.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"blas{threads}"
-        code = (
-            "import sys; from gibbs_ground.cli import main; "
-            f"sys.exit(main(['sweep', '--config', {str(path)!r}, '--out', {str(out)!r}]))"
-        )
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        _main_in_fresh_interpreter(["sweep", "--config", str(path), "--out", str(out)], threads)
         outputs.append((out / "sweep.csv").read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"exact") == 4
+
+
+def test_verify_bytes_at_the_default_blas_threads_are_those_of_one(tmp_path):
+    # verify-dense's 11-site chain, 24 reversal sectors.  The command runs
+    # on one BLAS thread unless the user says otherwise, so its report does
+    # not depend on the host's core count: on two threads the residual's
+    # last digits moved.
+    doc = _config(lattice={"d": 1, "L": 11}, checks={"trials": 20, "seed": 11})
+    path = _write_config(tmp_path, doc)
+    reports = []
+    for threads in (None, "1"):
+        out = tmp_path / f"blas{threads}"
+        argv = ["verify", "--config", str(path), "--out", str(out), "--seed", "1"]
+        _main_in_fresh_interpreter(argv, threads)
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert b'"method": "dense"' in reports[0]
 
 
 # A generic model for build: three entries on the union set {0, 1}, odd
@@ -731,6 +753,45 @@ def test_verify_overflow_exits_2_with_named_error(tmp_path, capsys):
         error = _error_of(capsys)
         assert error["error"] == "NumericRangeError"
         assert shown in error["message"]
+        assert not (tmp_path / "report.json").exists()
+
+
+SMOKE = Path(__file__).resolve().parent.parent / ".github" / "smoke"
+
+# What the CI workflow expects of `gibbs-ground verify` on each smoke
+# config (every command, on config.json): exit 0 with RFC 8259-strict
+# artifacts, or exit 2 with one stderr line naming NumericRangeError and
+# no report.
+SMOKE_EXITS = {
+    "config.json": 0,
+    "dense-cap-chain.json": 0,
+    "huge-alpha.json": 2,
+    "large-coupling-dense.json": 0,
+    "large-coupling-iterative.json": 0,
+    "subnormal-lanczos.json": 0,
+    "top-coupling-lanczos.json": 2,
+    "top-coupling-xx.json": 2,
+}
+
+
+def test_every_smoke_config_has_an_expected_exit():
+    assert set(SMOKE_EXITS) == {path.name for path in SMOKE.glob("*.json")}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_EXITS))
+def test_smoke_config_keeps_the_workflow_contract(tmp_path, capsys, name):
+    spec = importlib.util.spec_from_file_location("strict_json", SMOKE / "strict_json.py")
+    strict_json = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(strict_json)
+    commands = ["build", "verify", "sweep", "correlate", "sample"]
+    for command in commands if name == "config.json" else ["verify"]:
+        argv = [command, "--config", str(SMOKE / name), "--out", str(tmp_path)]
+        assert cli.main(argv) == SMOKE_EXITS[name], command
+    if SMOKE_EXITS[name] == 0:
+        artifacts = sorted(str(path) for path in tmp_path.glob("*.json"))
+        assert artifacts and strict_json.main(artifacts) == 0
+    else:
+        assert _error_of(capsys)["error"] == "NumericRangeError"
         assert not (tmp_path / "report.json").exists()
 
 

@@ -3,8 +3,9 @@ CLI sets before numpy loads.
 
 ``import gibbs_ground`` loads no numpy: the package resolves its names
 from the submodules on first use.  So ``import gibbs_ground.cli`` can set
-OPENBLAS_THREAD_TIMEOUT, which OpenBLAS reads once when numpy loads it,
-before that happens; a value the user set is kept.
+OPENBLAS_NUM_THREADS=1, which OpenBLAS reads once when numpy loads it,
+before that happens; a value the user set is kept, and importing the
+library alone changes no environment variable.
 
 The classical commands (sweep, correlate, sample) only take Gibbs averages,
 and build and verify compute everything from the flip terms with numpy,
@@ -104,35 +105,39 @@ def test_library_import_does_not_load_numpy(tmp_path):
 
 # The environment at the moment numpy is imported, then after the import
 # of the CLI; the "import" audit event fires before the module runs.
-_TIMEOUT_AT_NUMPY_IMPORT = """
+_THREADS_AT_NUMPY_IMPORT = """
 import os, sys
 seen = []
 def hook(event, args):
     if event == "import" and args[0] == "numpy" and not seen:
-        seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
 sys.addaudithook(hook)
 import gibbs_ground.cli
-print(seen, os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+print(seen, os.environ.get("OPENBLAS_NUM_THREADS"))
 """
 
 
-def test_cli_sets_the_openblas_thread_timeout_before_numpy_loads(tmp_path):
+def test_cli_sets_one_openblas_thread_before_numpy_loads(tmp_path):
     # None removes the variable, which this process may have set by
     # importing the CLI itself.
-    line = _last_line(_TIMEOUT_AT_NUMPY_IMPORT, tmp_path, OPENBLAS_THREAD_TIMEOUT=None)
-    assert line == "['20'] 20"
+    line = _last_line(_THREADS_AT_NUMPY_IMPORT, tmp_path, OPENBLAS_NUM_THREADS=None)
+    assert line == "['1'] 1"
 
 
-def test_cli_keeps_a_user_set_openblas_thread_timeout(tmp_path):
-    line = _last_line(_TIMEOUT_AT_NUMPY_IMPORT, tmp_path, OPENBLAS_THREAD_TIMEOUT="4")
-    assert line == "['4'] 4"
+def test_cli_keeps_a_user_set_openblas_thread_count(tmp_path):
+    line = _last_line(_THREADS_AT_NUMPY_IMPORT, tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert line == "['2'] 2"
 
 
 def test_library_import_leaves_the_environment_alone(tmp_path):
-    # Only the CLI sets the timeout: importing the library, its numpy
+    # Only the CLI sets a BLAS variable: importing the library, its numpy
     # included, changes nothing in its host's environment.
-    script = "import gibbs_ground.verify, os\nprint(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
-    assert _last_line(script, tmp_path, OPENBLAS_THREAD_TIMEOUT=None) == "None"
+    script = (
+        "import gibbs_ground.verify, os\n"
+        "print([os.environ.get(v) for v in ('OPENBLAS_NUM_THREADS', 'OPENBLAS_THREAD_TIMEOUT')])"
+    )
+    line = _last_line(script, tmp_path, OPENBLAS_NUM_THREADS=None, OPENBLAS_THREAD_TIMEOUT=None)
+    assert line == "[None, None]"
 
 
 # The names the package exported when it imported them eagerly.

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import itertools
 import json
@@ -554,25 +553,37 @@ def test_lanczos_stop_tolerance_scales_with_the_operator():
         assert result.eigenvalue == pytest.approx(scale * base.eigenvalue, rel=1e-12, abs=0.0)
 
 
-def test_lanczos_runs_on_one_blas_thread_and_gives_the_count_back(monkeypatch):
-    # Two BLAS threads made the iterative route's time swing from one
-    # process to the next; one thread must give the same bits.
-    get, put = verify._openblas_threads()
-    if get is None or put is None:
-        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
-    before = get()
-    h = _ising_chain_model(9, 1.0).h
-    lanczos, seen = verify._lanczos_lowest, []
-    monkeypatch.setattr(verify, "_lanczos_lowest", lambda op: (seen.append(get()), lanczos(op))[1])
-    try:
-        put(2)
-        result = min_eigenvalue(h, dense_sites=8)
-        assert seen == [1] and get() == 2
-        monkeypatch.setattr(verify, "_one_blas_thread", contextlib.nullcontext)
-        assert min_eigenvalue(h, dense_sites=8) == result
-        assert seen == [1, 2]
-    finally:
-        put(before)
+# The 9-site XX chain with the Ising potential at alpha 1, on the Lanczos
+# route, built from the library alone in a fresh interpreter.
+_LANCZOS_CHAIN = """
+from gibbs_ground import (
+    ClassicalPotential, CouplingTable, ModelInstance, build_hypercube, min_eigenvalue,
+)
+lat = build_hypercube(1, 9)
+h = ModelInstance(
+    lattice=lat,
+    table=CouplingTable.xx_nearest_neighbor(lat, -1.0),
+    potential=ClassicalPotential.ising_nn(lat, 1.0),
+    alpha=1.0,
+).h
+print(repr(min_eigenvalue(h, dense_sites=8)))
+"""
+
+
+def test_lanczos_gives_the_same_bits_at_one_and_two_blas_threads():
+    # The library sets no BLAS variable, so each run is a fresh interpreter
+    # at the count it is given; OpenBLAS reads it once, at load.
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    lines = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", _LANCZOS_CHAIN], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines.append(proc.stdout.splitlines()[-1])
+    assert lines[0] == lines[1]
+    assert "method='iterative'" in lines[0]
 
 
 @pytest.mark.parametrize(
